@@ -15,11 +15,18 @@ the first multiplier, E[z^2] = y' A z = y' b = y_1.
 Nonnegative: primal active-set on the strictly convex QP.  The first
 candidate is exactly the signed solution, so markets whose signed optimum
 is already nonnegative return in one solve.  Otherwise the iterate starts
-at the strictly positive density from the viability certificate and steps
-toward each successive candidate, pinning the first leaf that blocks at
-zero; a pinned leaf is released again when its multiplier turns negative.
-The iterate stays feasible throughout, so every reduced system is
-consistent by construction.  Hard stop after leaves + 5 reduced solves.
+at the strictly positive density of the tree's viability certificate (the
+product of the node-local risk-neutral weights, computed once per tree)
+and steps toward each successive candidate, pinning the first leaf that
+blocks at zero; a pinned leaf is released again when its multiplier turns
+negative.  Both choices follow Bland's smallest-index rule: the
+lowest-index leaf among the tied smallest step ratios is pinned, and the
+lowest-index leaf with a negative multiplier is released.  On degenerate
+optima, where a whole subtree is zero, the multipliers are not unique; a
+released leaf that blocks again at once, with a zero-length step, had a
+spurious multiplier and stays pinned until another leaf is pinned.  The
+iterate stays feasible throughout, so every reduced system is consistent
+by construction.  Hard stop after leaves + 5 reduced solves.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IterationLimit, SolverFailure, ViabilityError
-from .market import MeasureDensity, ScenarioTree, check_viability
+from .market import MeasureDensity, ScenarioTree
 
 __all__ = ["DualSolution", "variance_optimal_signed", "variance_optimal_nonneg"]
 
@@ -66,9 +73,15 @@ def _solve_reduced(
     """
     A_f = A[:, free]
     p_f = p[free]
-    G = (A_f / p_f) @ A_f.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = (A_f / p_f) @ A_f.T
+    if not np.all(np.isfinite(G)):
+        raise SolverFailure("Gram system overflows: price moves are too large")
     # rcond truncates directions the constraints only see as noise
-    y, *_ = np.linalg.lstsq(G, b, rcond=1e-10)
+    try:
+        y, *_ = np.linalg.lstsq(G, b, rcond=1e-10)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"Gram system solve failed: {exc}") from exc
     z_f = (A_f.T @ y) / p_f
     residual = A_f @ z_f - b
     scale = 1.0 + float(np.max(np.abs(b)))
@@ -132,7 +145,7 @@ def variance_optimal_nonneg(tree: ScenarioTree) -> DualSolution:
     if z_cand.min() >= -_ZERO_TOL:
         return _as_solution(tree, np.maximum(z_cand, 0.0), signed_flag=False)
 
-    certificate = check_viability(tree)
+    certificate = tree.viability
     if not certificate:
         raise ViabilityError(
             "no strictly positive martingale density; the nonnegative "
@@ -141,6 +154,11 @@ def variance_optimal_nonneg(tree: ScenarioTree) -> DualSolution:
         )
     z = np.asarray(certificate.density, dtype=float).copy()
 
+    # leaves whose release bounced straight back (re-pinned by a
+    # zero-length step): their multiplier was spurious, so they are not
+    # released again until some other leaf gets pinned
+    held = np.zeros(L, dtype=bool)
+    released = -1
     while True:
         blocking = (~pinned) & (z_cand < -_ZERO_TOL)
         if np.any(blocking):
@@ -148,12 +166,17 @@ def variance_optimal_nonneg(tree: ScenarioTree) -> DualSolution:
             # first blocking leaf hits zero, then pin that leaf
             idx = np.flatnonzero(blocking)
             ratios = z[idx] / (z[idx] - z_cand[idx])
-            k = int(np.argmin(ratios))
+            k = int(np.argmin(ratios))  # lowest index among ties
             alpha = min(max(float(ratios[k]), 0.0), 1.0)
+            if alpha == 0.0 and idx[k] == released:
+                held[idx[k]] = True
+            else:
+                held[:] = False
             z = z + alpha * (z_cand - z)
             z[idx[k]] = 0.0
             z[pinned] = 0.0
             pinned[idx[k]] = True
+            released = -1
         else:
             z = z_cand
             if not np.any(pinned):
@@ -161,10 +184,14 @@ def variance_optimal_nonneg(tree: ScenarioTree) -> DualSolution:
             grad = A.T @ y
             mu = -2.0 * grad[pinned]
             scale = 1.0 + float(np.max(np.abs(grad)))
-            worst = int(np.argmin(mu))
-            if mu[worst] >= -_MULTIPLIER_TOL * scale:
+            candidates = np.flatnonzero(pinned)
+            release = candidates[
+                (mu < -_MULTIPLIER_TOL * scale) & ~held[candidates]
+            ]
+            if release.size == 0:
                 break
-            pinned[np.flatnonzero(pinned)[worst]] = False
+            released = int(release[0])  # lowest index
+            pinned[released] = False
 
         if solves >= max_solves:
             raise IterationLimit(

@@ -61,7 +61,7 @@ from .market import ScenarioTree, check_viability, terminal_wealth
 from .primal import (
     MmvAllocation,
     PrimalSolution,
-    mmv_allocation,
+    _allocation_from_hull,
     optimal_quadratic,
     optimal_truncated,
 )
@@ -127,7 +127,7 @@ def analyze(tree: ScenarioTree) -> FcfsReport:
 
     quad = optimal_quadratic(tree, 0.0)
     hull = optimal_truncated(tree, 0.0)
-    allocation = mmv_allocation(tree, 0.0)
+    allocation = _allocation_from_hull(tree, hull, 0.0)
 
     u = 0.5 - 0.5 / a_s
     u_m = 0.5 - 0.5 / a_n

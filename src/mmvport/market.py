@@ -34,9 +34,13 @@ Two linear-algebra views of the tree are exposed:
   characterize martingale densities.  On a finite tree these node-wise
   constraints are exactly the martingale property.
 
-Viability means a strictly positive martingale density exists; it is
-decided by a small linear program (maximize the floor t subject to
-z >= t, A z = b) solved with the in-house simplex.
+Viability means a strictly positive martingale density exists.  On a
+finite tree that holds iff every one-step submarket is free of arbitrage
+(Harrison & Pliska 1981; Dalang, Morton & Willinger 1990), so it is
+decided node by node: one backward sweep solves a (assets + 1)-row linear
+program per nonterminal node with the in-house simplex, and one forward
+sweep multiplies the local risk-neutral weights into a certificate
+density.  The cost grows linearly with the number of nodes.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from .errors import (
     ValidationError,
 )
 from .probability import DiscreteLaw, RandomVariable
-from .simplex import STATUS_OPTIMAL, solve_lp
+from .simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL, solve_lp
 
 __all__ = [
     "TreeNode",
@@ -177,6 +181,11 @@ class ScenarioTree:
         return B
 
     @cached_property
+    def viability(self) -> "ViabilityCertificate":
+        """Node-local viability certificate, computed once per tree."""
+        return _node_local_viability(self)
+
+    @cached_property
     def constraint_system(self) -> tuple[np.ndarray, np.ndarray]:
         """(A, b) with A z = b iff z is a martingale density candidate."""
         p = self.leaf_probabilities
@@ -242,14 +251,15 @@ def _build_tree(assets: int, periods: int, raw_nodes: list[dict]) -> ScenarioTre
         for k, pr in zip(kids, probs):
             cond[k] = pr / total
 
-    path: dict[str, float] = {}
-
-    def walk(nid: str, acc: float) -> None:
-        path[nid] = acc
+    # path probabilities top-down; a stack, not recursion, so that deep
+    # trees never meet the interpreter's recursion limit
+    path: dict[str, float] = {root_id: 1.0}
+    stack = [root_id]
+    while stack:
+        nid = stack.pop()
         for k in children[nid]:
-            walk(k, acc * cond[k])
-
-    walk(root_id, 1.0)
+            path[k] = path[nid] * cond[k]
+            stack.append(k)
 
     nodes = []
     index = {}
@@ -494,7 +504,12 @@ class MeasureDensity:
 
 @dataclass(frozen=True, eq=False)
 class ViabilityCertificate:
-    """Outcome of the viability program max{t : A z = b, z >= t}."""
+    """Outcome of the viability program max{t : A z = b, z >= t}.
+
+    ``bound`` is the optimal floor t (None when no nonnegative density
+    exists at all) and ``density`` a strictly positive martingale density
+    whose smallest atom is at least ``bound`` (None unless viable).
+    """
 
     viable: bool
     density: np.ndarray | None
@@ -508,38 +523,102 @@ class ViabilityCertificate:
 def check_viability(tree: ScenarioTree) -> ViabilityCertificate:
     """Decide whether a strictly positive martingale density exists.
 
-    Solves max t subject to A z = b, z >= t.  Writing z = w + t with
-    w >= 0 and restricting to t >= 0 (harmless: the verdict only depends
-    on whether the optimum exceeds zero) gives a program over the
-    constraint rows alone: max t with A w + (A 1) t = b, (w, t) >= 0.
-    The bound is at most 1 because E[z] = 1 forces min z <= 1.  Viable
-    means the optimum exceeds 1e-9; the certificate then carries a
-    strictly positive density.
+    The optimum of max t subject to A z = b, z >= t (the largest floor a
+    martingale density can keep on every leaf) is computed node by node;
+    see :func:`_node_local_viability`.  The bound is at most 1 because
+    E[z] = 1 forces min z <= 1.  Viable means the optimum exceeds 1e-9;
+    the certificate then carries a strictly positive density.  Status
+    "infeasible" (bound None) means not even a nonnegative density
+    exists, "degenerate" (bound <= 1e-9) that every nonnegative density
+    has a zero atom.  The certificate is computed once per tree and
+    cached on it.
     """
-    A, b = tree.constraint_system
-    L = tree.n_leaves
-    rows = []
-    rhs = []
-    for i, row in enumerate(A):
-        scale = float(np.max(np.abs(row)))
-        scale = scale if scale > 0.0 else 1.0
-        rows.append(row / scale)
-        rhs.append(b[i] / scale)
-    A_n = np.asarray(rows)
+    return tree.viability
 
-    lp_A = np.hstack([A_n, A_n.sum(axis=1, keepdims=True)])
-    c = np.zeros(L + 1)
-    c[L] = -1.0
 
-    result = solve_lp(c, lp_A, np.asarray(rhs))
-    if result.status == "infeasible":
+def _node_local_viability(tree: ScenarioTree) -> ViabilityCertificate:
+    """Backward sweep of one-step programs, then a forward product sweep.
+
+    V(n) is the largest floor a conditional density of the subtree below
+    n can keep on its leaves; V(leaf) = 1.  A conditional density below n
+    is z = (q_k / p_k) z_k on the subtree of child k, so
+    V(n) = max t subject to sum_k q_k dS_k = 0, sum_k q_k = 1 and
+    q_k >= t p_k / V(k).  With r_k = p_k / V(k) and q = t r + w, w >= 0,
+    the variables are (w, tau) with tau = t sum(r) in [0, 1] and the tau
+    column r / sum(r), which keeps the column well scaled however small a
+    child's V is.  Rows are scaled by their largest entry.
+
+    A child whose subtree has no nonnegative density must get zero mass:
+    its w column is left out.  When some child has V = 0 the floor is 0
+    and only feasibility is asked.  The certificate density is the
+    product of q_k / p_k along each path, so its smallest atom is at
+    least V(root), which equals the optimum of the full-tree program.
+    """
+    nodes = tree.nodes
+    index = tree._index
+    d = tree.assets
+    order = sorted(range(len(nodes)), key=lambda i: nodes[i].t)
+    value = np.ones(len(nodes))
+    feasible = np.ones(len(nodes), dtype=bool)
+    weights: dict[int, np.ndarray] = {}
+
+    for pos in reversed(order):
+        node = nodes[pos]
+        if not node.children:
+            continue
+        kids = [index[k] for k in node.children]
+        allowed = feasible[kids]
+        dS = np.array([nodes[k].prices for k in kids]) - node.prices
+        # infeasible children have V = 0, so a floor needs every child
+        floor = bool(np.all(value[kids] > 0.0))
+        n_w = int(allowed.sum())
+        A = np.ones((d + 1, n_w + floor))
+        A[1:, :n_w] = dS[allowed].T
+        c = np.zeros(n_w + floor)
+        if floor:
+            r = np.array([nodes[k].cond_prob for k in kids]) / value[kids]
+            rho = r / r.sum()
+            A[1:, -1] = rho @ dS
+            c[-1] = -1.0
+        scale = np.max(np.abs(A), axis=1, initial=0.0)
+        scale[scale == 0.0] = 1.0
+        rhs = np.zeros(d + 1)
+        rhs[0] = 1.0  # the sum row is all ones, so its scale is 1
+
+        result = solve_lp(c, A / scale[:, None], rhs)
+        if result.status == STATUS_INFEASIBLE:
+            feasible[pos] = False
+            value[pos] = 0.0
+            continue
+        if result.status != STATUS_OPTIMAL:
+            raise SolverFailure(
+                f"viability program at node {node.id!r} ended with "
+                f"{result.status}"
+            )
+        q = np.zeros(len(kids))
+        q[allowed] = result.x[:n_w]
+        if floor:
+            tau = float(result.x[-1])
+            q += tau * rho
+            value[pos] = tau / float(r.sum())
+        else:
+            value[pos] = 0.0
+        weights[pos] = q
+
+    root = index["__root__"]
+    if not feasible[root]:
         return ViabilityCertificate(False, None, None, "infeasible")
-    if result.status != STATUS_OPTIMAL:
-        raise SolverFailure(f"viability program ended with {result.status}")
-    bound = float(result.x[L])
+    bound = float(value[root])
     if bound <= _VIABILITY_FLOOR:
         return ViabilityCertificate(False, None, bound, "degenerate")
-    z = result.x[:L] + bound
+
+    ratio = np.ones(len(nodes))
+    for pos in order:
+        node = nodes[pos]
+        for child, q in zip(node.children, weights.get(pos, ())):
+            k = index[child]
+            ratio[k] = ratio[pos] * q / nodes[k].cond_prob
+    z = np.array([ratio[index[i]] for i in tree.leaf_ids])
     z.setflags(write=False)
     return ViabilityCertificate(True, z, bound, "viable")
 

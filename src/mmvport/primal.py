@@ -104,7 +104,10 @@ def _weighted_fit(B: np.ndarray, p: np.ndarray, target: float) -> np.ndarray:
     near-parallel increments) must not leak into the strategy.
     """
     w = np.sqrt(p)
-    theta, *_ = np.linalg.lstsq(w[:, None] * B, w * target, rcond=1e-10)
+    try:
+        theta, *_ = np.linalg.lstsq(w[:, None] * B, w * target, rcond=1e-10)
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"weighted least-squares fit failed: {exc}") from exc
     return theta
 
 
@@ -247,7 +250,14 @@ def mmv_allocation(tree: ScenarioTree, initial_wealth: float = 0.0) -> MmvAlloca
     strategy optimal from every initial wealth, shifting only the cash
     level and the value.
     """
-    base = optimal_truncated(tree, 0.0)
+    return _allocation_from_hull(tree, optimal_truncated(tree, 0.0), initial_wealth)
+
+
+def _allocation_from_hull(
+    tree: ScenarioTree, base: PrimalSolution, initial_wealth: float
+) -> MmvAllocation:
+    """The allocation of :func:`mmv_allocation` from the truncated optimum
+    at wealth 0, for callers that have already solved it."""
     v0 = base.value
     denom = 1.0 - 2.0 * v0
     if denom <= 1e-12:

@@ -4,8 +4,9 @@ Solves  min c.x  subject to  A x = b,  x >= 0  on small dense problems.
 Bland's smallest-index pivoting rule is used throughout, which rules out
 cycling even on the degenerate bases that scenario-tree viability programs
 produce routinely.  The implementation is a plain full-tableau method: the
-problems this package feeds it stay in the low hundreds of rows and
-columns, where dense pivoting is both fast and easy to audit.
+package feeds it one viability program per tree node, of
+(assets + 1) rows and at most branching + 1 columns, where dense pivoting
+is both fast and easy to audit.
 
 The caller must pass b >= 0 (flip row signs beforehand).
 """

@@ -121,6 +121,24 @@ class TestAnalyze:
         assert code == 2
         assert err != ""
 
+    def test_overflowing_price_moves_exit_3(self, capsys, tmp_path):
+        doc = {
+            "assets": 1,
+            "periods": 1,
+            "nodes": [
+                {"id": "r", "parent": None, "t": 0, "prices": [0.0]},
+                {"id": "u", "parent": "r", "t": 1, "p": 0.5, "prices": [1e300]},
+                {"id": "d", "parent": "r", "t": 1, "p": 0.5, "prices": [-1e300]},
+            ],
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "analyze", path)
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
 
 class TestMsharpe:
     def write(self, tmp_path, text, name="law.csv"):

@@ -5,7 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mmvport import variance_optimal_nonneg, variance_optimal_signed
+from mmvport import (
+    SolverFailure,
+    generate_random_market,
+    optimal_truncated,
+    variance_optimal_nonneg,
+    variance_optimal_signed,
+)
 
 from conftest import small_tree
 from oracles import brute_nonneg_density, exact_signed_density
@@ -108,3 +114,22 @@ class TestNonnegDensity:
             index = {leaf: k for k, leaf in enumerate(tree.leaf_ids)}
             for leaf in nonneg.active_set:
                 assert abs(z[index[leaf]]) <= 1e-12
+
+    def test_degenerate_optimum_terminates(self):
+        # criterion-4 suite tree 389, shape (4, 3, 2): the whole subtree
+        # under n2 is zero at the optimum, so the multipliers of its
+        # pinned leaves are not unique and the active set used to cycle
+        tree = generate_random_market(seed=1389, periods=3, branching=4, assets=2)
+        sol = variance_optimal_nonneg(tree)
+        v0 = optimal_truncated(tree, 0.0).value
+        assert sol.second_moment == pytest.approx(1.0 / (1.0 - 2.0 * v0), abs=1e-8)
+        assert np.min(sol.density.values) >= -1e-12
+
+
+def test_linalg_error_becomes_solver_failure(monkeypatch, trinomial):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "lstsq", broken)
+    with pytest.raises(SolverFailure):
+        variance_optimal_signed(trinomial)

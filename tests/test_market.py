@@ -194,9 +194,11 @@ class TestViability:
     def test_agrees_with_reference_lp(self):
         for seed in range(40):
             tree = small_tree(seed)
-            ours = bool(check_viability(tree))
-            ref, _ = viability_linprog(tree)
-            assert ours == ref
+            ours = check_viability(tree)
+            ref, t_star = viability_linprog(tree)
+            assert bool(ours) == ref
+            # the node-local optimum is the full-tree optimum max min z
+            assert ours.bound == pytest.approx(t_star, rel=1e-9, abs=0.0)
 
     def test_certificate_is_valid_density(self):
         for seed in range(10):
@@ -217,6 +219,68 @@ class TestViability:
     def test_flat_tree_viable(self, flat_tree):
         assert check_viability(flat_tree)
 
+    def test_zero_mass_arbitrage_is_degenerate(self):
+        # b's subtree only goes up, so no density can put mass on it; the
+        # root must then give b zero mass, which its flat sibling allows
+        tree = market_from_dict(
+            doc(
+                [
+                    {"id": "r", "parent": None, "t": 0, "prices": [1.0]},
+                    {"id": "a", "parent": "r", "t": 1, "p": 0.5, "prices": [1.0]},
+                    {"id": "b", "parent": "r", "t": 1, "p": 0.5, "prices": [2.0]},
+                    {"id": "a1", "parent": "a", "t": 2, "p": 0.5, "prices": [1.5]},
+                    {"id": "a2", "parent": "a", "t": 2, "p": 0.5, "prices": [0.5]},
+                    {"id": "b1", "parent": "b", "t": 2, "p": 0.5, "prices": [3.0]},
+                    {"id": "b2", "parent": "b", "t": 2, "p": 0.5, "prices": [2.5]},
+                ],
+                periods=2,
+            )
+        )
+        cert = check_viability(tree)
+        assert not cert
+        assert cert.status == "degenerate"
+        assert cert.bound == 0.0
+        assert cert.density is None
+
+    def test_no_density_below_any_child_is_infeasible(self):
+        # both subtrees only go up: neither can carry mass, so no
+        # nonnegative density exists at all
+        tree = market_from_dict(
+            doc(
+                [
+                    {"id": "r", "parent": None, "t": 0, "prices": [1.0]},
+                    {"id": "a", "parent": "r", "t": 1, "p": 0.5, "prices": [0.5]},
+                    {"id": "b", "parent": "r", "t": 1, "p": 0.5, "prices": [2.0]},
+                    {"id": "a1", "parent": "a", "t": 2, "p": 0.5, "prices": [0.6]},
+                    {"id": "a2", "parent": "a", "t": 2, "p": 0.5, "prices": [0.7]},
+                    {"id": "b1", "parent": "b", "t": 2, "p": 0.5, "prices": [3.0]},
+                    {"id": "b2", "parent": "b", "t": 2, "p": 0.5, "prices": [2.5]},
+                ],
+                periods=2,
+            )
+        )
+        cert = check_viability(tree)
+        assert cert.status == "infeasible"
+        assert cert.bound is None and cert.density is None
+        assert viability_linprog(tree) == (False, None)
+
+    def test_deep_single_path_chain(self):
+        periods = 3000
+        nodes = [{"id": "n0", "parent": None, "t": 0, "prices": [1.0]}]
+        for t in range(1, periods + 1):
+            nodes.append(
+                {"id": f"n{t}", "parent": f"n{t - 1}", "t": t, "p": 1.0,
+                 "prices": [1.0]}
+            )
+        tree = market_from_dict(doc(nodes, periods=periods))
+        cert = check_viability(tree)
+        assert cert.status == "viable"
+        assert cert.bound == 1.0
+
+    def test_certificate_is_cached_on_the_tree(self):
+        tree = small_tree(3)
+        assert check_viability(tree) is check_viability(tree)
+
 
 class TestGenerator:
     def test_deterministic(self):
@@ -228,6 +292,12 @@ class TestGenerator:
         for seed in range(15):
             tree = small_tree(seed)
             assert check_viability(tree)
+
+    def test_shape_that_exhausted_the_dense_simplex(self):
+        # one LP over all 729 leaves ran out of pivots on this market
+        tree = generate_random_market(seed=1, periods=6, branching=3)
+        assert tree.n_leaves == 729
+        assert check_viability(tree)
 
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from mmvport import (
+    SolverFailure,
+    analyze,
     cash_level_residual,
     mmv_allocation,
     optimal_quadratic,
@@ -194,3 +196,24 @@ class TestMmvAllocation:
         alloc = mmv_allocation(tree, 0.7)
         ref = wealth_by_paths(tree, alloc.strategy, 0.7)
         assert np.allclose(alloc.payoff.values, ref, atol=1e-12)
+
+
+def test_analyze_allocation_matches_mmv_allocation():
+    for seed in range(6):
+        tree = small_tree(seed)
+        ours = analyze(tree).allocation
+        ref = mmv_allocation(tree, 0.0)
+        assert np.array_equal(ours.strategy.vector, ref.strategy.vector)
+        assert np.array_equal(ours.hull_strategy.vector, ref.hull_strategy.vector)
+        assert (ours.value, ours.cash_level, ours.hull_value, ours.leverage) == (
+            ref.value, ref.cash_level, ref.hull_value, ref.leverage
+        )
+
+
+def test_linalg_error_becomes_solver_failure(monkeypatch, trinomial):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "lstsq", broken)
+    with pytest.raises(SolverFailure):
+        optimal_quadratic(trinomial, 0.0)
