@@ -33,6 +33,16 @@ strictly above the no-withdrawal frontier value u_mv.  Verification
 presupposes the report claims existence; calling it on a report with
 ``fcfs_exists`` false is itself a certificate error.
 
+Under the backward-induction engine (:mod:`mmvport.induction`) the four
+routes collapse into two: (a) and (b) both measure the gap between the
+two opportunity processes at the root, on two scales, and (c) and (d)
+both measure how far the quadratic-optimal payoff W_q overshoots 1, since
+the signed density is a_s (1 - W_q).  So (a) <=> (b) and (c) <=> (d) up
+to their tolerances.  The vote, ``marginal``, the split ceilings and
+InconsistentEquivalence are kept unchanged; the independent cross-check
+now lives in the tests, which compare the engine with the dense Gram,
+active-set and clip-set solvers on small trees.
+
 Disagreement handling: the four routes see the completeness boundary at
 different resolutions.  A density dip of size eps forces a value gap of
 only about p*eps^2/2 (exactly, u_mmv - u_mv >= p_j (z_n_j - z_s_j)^2 / 2
@@ -56,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import DualSolution, variance_optimal_nonneg, variance_optimal_signed
-from .errors import CertificateInvalid, InconsistentEquivalence, ViabilityError
+from .errors import CertificateInvalid, InconsistentEquivalence
 from .market import ScenarioTree, check_viability, terminal_wealth
 from .primal import (
     MmvAllocation,
@@ -113,12 +123,7 @@ class FcfsReport:
 
 def analyze(tree: ScenarioTree) -> FcfsReport:
     """Run the full pipeline; raises ViabilityError on non-viable markets."""
-    certificate = check_viability(tree)
-    if not certificate:
-        raise ViabilityError(
-            "market admits no strictly positive martingale density",
-            best_bound=certificate.bound,
-        )
+    check_viability(tree).require()
 
     signed = variance_optimal_signed(tree)
     nonneg = variance_optimal_nonneg(tree)

@@ -25,7 +25,14 @@ to 1 within 1e-9 and are renormalized exactly on load.  Node order in the
 file is preserved and used as the canonical enumeration order for leaves,
 for strategy vectors and for every array this package reports.
 
-Two linear-algebra views of the tree are exposed:
+Every solver works level by level on the stacked one-step markets of
+``ScenarioTree.levels`` (see :mod:`mmvport.induction`): wealth is a
+forward sweep, the martingale check of a density a backward aggregation
+of E[z dS | node], and the two opportunity processes behind every optimum
+one backward sweep, cached as ``ScenarioTree.opportunity``.
+
+Two dense linear-algebra views remain for the reference implementations
+in the tests; no solver in the package uses them:
 
 * ``gain_matrix`` B, of shape (leaves, nonterminal*assets): wealth of a
   self-financing strategy theta from initial wealth x is x + B @ theta.
@@ -37,10 +44,12 @@ Two linear-algebra views of the tree are exposed:
 Viability means a strictly positive martingale density exists.  On a
 finite tree that holds iff every one-step submarket is free of arbitrage
 (Harrison & Pliska 1981; Dalang, Morton & Willinger 1990), so it is
-decided node by node: one backward sweep solves a (assets + 1)-row linear
-program per nonterminal node with the in-house simplex, and one forward
-sweep multiplies the local risk-neutral weights into a certificate
-density.  The cost grows linearly with the number of nodes.
+decided node by node: one backward sweep finds the largest density floor
+of every subtree, in closed form level by level for one asset and by an
+(assets + 1)-row linear program per node with the in-house simplex
+otherwise, and one forward sweep multiplies the local risk-neutral
+weights into a certificate density.  The cost grows linearly with the
+number of nodes.
 """
 
 from __future__ import annotations
@@ -60,7 +69,9 @@ from .errors import (
     ParseError,
     SolverFailure,
     ValidationError,
+    ViabilityError,
 )
+from .induction import Opportunity, TreeLevels
 from .probability import DiscreteLaw, RandomVariable
 from .simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL, solve_lp
 
@@ -181,9 +192,19 @@ class ScenarioTree:
         return B
 
     @cached_property
+    def levels(self) -> TreeLevels:
+        """The one-step markets stacked level by level."""
+        return TreeLevels(self)
+
+    @cached_property
     def viability(self) -> "ViabilityCertificate":
         """Node-local viability certificate, computed once per tree."""
         return _node_local_viability(self)
+
+    @cached_property
+    def opportunity(self) -> Opportunity:
+        """Backward sweep of both opportunity processes, once per tree."""
+        return Opportunity(self.levels)
 
     @cached_property
     def constraint_system(self) -> tuple[np.ndarray, np.ndarray]:
@@ -448,7 +469,11 @@ def terminal_wealth(
     """Terminal wealth of a self-financing strategy as a payoff on leaves."""
     if strategy.tree is not tree:
         raise DimensionMismatch("strategy belongs to a different tree")
-    wealth = initial_wealth + tree.gain_matrix @ strategy.vector
+    levels = tree.levels
+    held = strategy.vector.reshape(-1, tree.assets)
+    wealth = levels.propagate(
+        initial_wealth, lambda t, x: held[levels.nonterminal[t]]
+    )
     return RandomVariable(tree.law, wealth)
 
 
@@ -456,8 +481,10 @@ def terminal_wealth(
 class MeasureDensity:
     """Martingale density on the leaves: E[z] = 1, increments priced to zero.
 
-    The factory re-verifies both properties; ``nonnegative`` records
-    whether z clears the floor -1e-12.
+    The factory re-verifies both properties, the second node by node:
+    |E[z dS 1_n]| <= 1e-9 * max(1, E[|dS| 1_n] * max(1, max |z|)) for
+    every nonterminal node n and asset.  ``nonnegative`` records whether z
+    clears the floor -1e-12.
     """
 
     tree: ScenarioTree
@@ -481,13 +508,16 @@ class MeasureDensity:
                 f"density expectation {expectation!r} is not 1 within "
                 f"{_EXPECTATION_TOL}"
             )
-        A, _ = tree.constraint_system
+        levels = tree.levels
         zmax = max(1.0, float(np.max(np.abs(z))))
-        for row in A[1:]:
-            scale = max(1.0, float(np.abs(row).sum()) * zmax)
-            if abs(float(row @ z)) > _MARTINGALE_TOL * scale:
+        moments = levels.increment_moments(z)
+        for t, (got, size) in enumerate(zip(moments, levels.increment_scales)):
+            bad = np.abs(got) > _MARTINGALE_TOL * np.maximum(1.0, size * zmax)
+            if np.any(bad):
+                node = levels.ids[t][int(np.argmax(bad.any(axis=1)))]
                 raise ValidationError(
-                    "density violates a node-wise martingale constraint"
+                    "density violates a node-wise martingale constraint "
+                    f"at node {node!r}"
                 )
         z = z.copy()
         z.setflags(write=False)
@@ -509,15 +539,29 @@ class ViabilityCertificate:
     ``bound`` is the optimal floor t (None when no nonnegative density
     exists at all) and ``density`` a strictly positive martingale density
     whose smallest atom is at least ``bound`` (None unless viable).
+    ``offending_node`` names, for a market that is not viable, the deepest
+    node whose one-step market has an arbitrage or is degenerate.
     """
 
     viable: bool
     density: np.ndarray | None
     bound: float | None
     status: str
+    offending_node: str | None = None
 
     def __bool__(self) -> bool:
         return self.viable
+
+    def require(self) -> "ViabilityCertificate":
+        """The certificate itself if viable; otherwise raise ViabilityError."""
+        if not self.viable:
+            raise ViabilityError(
+                "market admits no strictly positive martingale density: the "
+                f"one-step market at node {self.offending_node!r} has an "
+                "arbitrage or is degenerate",
+                best_bound=self.bound,
+            )
+        return self
 
 
 def check_viability(tree: ScenarioTree) -> ViabilityCertificate:
@@ -543,84 +587,138 @@ def _node_local_viability(tree: ScenarioTree) -> ViabilityCertificate:
     n can keep on its leaves; V(leaf) = 1.  A conditional density below n
     is z = (q_k / p_k) z_k on the subtree of child k, so
     V(n) = max t subject to sum_k q_k dS_k = 0, sum_k q_k = 1 and
-    q_k >= t p_k / V(k).  With r_k = p_k / V(k) and q = t r + w, w >= 0,
-    the variables are (w, tau) with tau = t sum(r) in [0, 1] and the tau
-    column r / sum(r), which keeps the column well scaled however small a
-    child's V is.  Rows are scaled by their largest entry.
+    q_k >= t p_k / V(k).  A child whose subtree has no nonnegative density
+    must get zero mass; when some child has V = 0 the floor is 0 and only
+    feasibility is asked.  Each level is solved at once for one asset
+    (:func:`_one_asset_floors`) and node by node otherwise
+    (:func:`_simplex_floors`).
 
-    A child whose subtree has no nonnegative density must get zero mass:
-    its w column is left out.  When some child has V = 0 the floor is 0
-    and only feasibility is asked.  The certificate density is the
-    product of q_k / p_k along each path, so its smallest atom is at
-    least V(root), which equals the optimum of the full-tree program.
+    The certificate density is the product of q_k / p_k along each path,
+    so its smallest atom is at least V(root), which equals the optimum of
+    the full-tree program.  The deepest node whose floor is at most 1e-9
+    while every child's exceeds it is the one whose own one-step market
+    breaks viability; the certificate names it.
     """
-    nodes = tree.nodes
-    index = tree._index
-    d = tree.assets
-    order = sorted(range(len(nodes)), key=lambda i: nodes[i].t)
-    value = np.ones(len(nodes))
-    feasible = np.ones(len(nodes), dtype=bool)
-    weights: dict[int, np.ndarray] = {}
+    levels = tree.levels
+    floors = _one_asset_floors if tree.assets == 1 else _simplex_floors
+    value = np.ones(levels.n_leaves)
+    feasible = np.ones(levels.n_leaves, dtype=bool)
+    weights = [None] * tree.periods
+    offending = None
+    for t in reversed(range(tree.periods)):
+        mask = levels.mask[t]
+        child_value = levels.spread(value, t)
+        weights[t], value, feasible = floors(
+            levels.dS[t], levels.p[t], mask, child_value,
+            levels.spread(feasible, t), levels.ids[t],
+        )
+        broken = (value <= _VIABILITY_FLOOR) & np.all(
+            ~mask | (child_value > _VIABILITY_FLOOR), axis=1
+        )
+        if offending is None and np.any(broken):
+            offending = levels.ids[t][int(np.argmax(broken))]
 
-    for pos in reversed(order):
-        node = nodes[pos]
-        if not node.children:
-            continue
-        kids = [index[k] for k in node.children]
-        allowed = feasible[kids]
-        dS = np.array([nodes[k].prices for k in kids]) - node.prices
+    if not feasible[0]:
+        return ViabilityCertificate(False, None, None, "infeasible", offending)
+    bound = float(value[0])
+    if bound <= _VIABILITY_FLOOR:
+        return ViabilityCertificate(False, None, bound, "degenerate", offending)
+
+    ratio = np.ones(1)
+    for t, (q, p, mask) in enumerate(zip(weights, levels.p, levels.mask)):
+        step = np.divide(q, p, out=np.zeros_like(q), where=mask)
+        ratio = levels.gather(ratio[:, None] * step, t)
+    z = levels.to_leaf_order(ratio)
+    z.setflags(write=False)
+    return ViabilityCertificate(True, z, bound, "viable")
+
+
+def _one_asset_floors(dS, p, mask, child_value, child_feasible, ids):
+    """Closed-form one-step floors for a level of one-asset nodes.
+
+    With r_k = p_k / V(k), R = sum r and m = sum r_k dS_k, the floor t
+    puts mass t r_k on every child and the extra mass t |m| / |dS_e| on
+    the child e whose increment has the sign opposite to m and the
+    largest size:  t = 1 / (R + m / |dS_min|) for m > 0, the mirror image
+    for m < 0 and 1 / R for m = 0.  No such child means V = 0.  Feasible
+    (some nonnegative weights price the increments) means the allowed
+    increments straddle 0 or one is 0.  Returns (q, V, feasible).
+    """
+    s = dS[:, :, 0]
+    rows = np.arange(s.shape[0])
+    allowed = mask & child_feasible
+    feasible = (
+        np.any(allowed & (s < 0.0), axis=1) & np.any(allowed & (s > 0.0), axis=1)
+    ) | np.any(allowed & (s == 0.0), axis=1)
+    floor = np.all(~mask | (child_value > 0.0), axis=1)
+    r = np.divide(
+        p, child_value, out=np.zeros_like(p), where=mask & (child_value > 0.0)
+    )
+    m = np.sum(r * s, axis=1)
+    low = np.argmin(np.where(allowed, s, np.inf), axis=1)
+    high = np.argmax(np.where(allowed, s, -np.inf), axis=1)
+    extreme = np.where(m > 0.0, low, high)
+    reach = np.abs(s[rows, extreme])
+    usable = floor & ((m == 0.0) | (np.sign(s[rows, extreme]) == -np.sign(m)))
+    shifted = usable & (m != 0.0)
+    extra = np.where(shifted, np.abs(m) / np.where(shifted, reach, 1.0), 0.0)
+    value = np.divide(
+        1.0, np.sum(r, axis=1) + extra, out=np.zeros_like(m), where=usable
+    )
+    q = value[:, None] * r
+    q[rows, extreme] += value * extra
+    return q, value, feasible
+
+
+def _simplex_floors(dS, p, mask, child_value, child_feasible, ids):
+    """One-step floors node by node: an (assets + 1)-row LP each.
+
+    With q = t r + w, w >= 0, the variables are (w, tau) with
+    tau = t sum(r) in [0, 1] and the tau column r / sum(r), which keeps
+    the column well scaled however small a child's V is.  Rows are scaled
+    by their largest entry.  Returns (q, V, feasible).
+    """
+    n, _, d = dS.shape
+    q_all = np.zeros_like(p)
+    value = np.zeros(n)
+    feasible = np.ones(n, dtype=bool)
+    for i in range(n):
+        c = int(mask[i].sum())
+        step, kid_value = dS[i, :c], child_value[i, :c]
+        allowed = child_feasible[i, :c]
         # infeasible children have V = 0, so a floor needs every child
-        floor = bool(np.all(value[kids] > 0.0))
+        floor = bool(np.all(kid_value > 0.0))
         n_w = int(allowed.sum())
         A = np.ones((d + 1, n_w + floor))
-        A[1:, :n_w] = dS[allowed].T
-        c = np.zeros(n_w + floor)
+        A[1:, :n_w] = step[allowed].T
+        cost = np.zeros(n_w + floor)
         if floor:
-            r = np.array([nodes[k].cond_prob for k in kids]) / value[kids]
+            r = p[i, :c] / kid_value
             rho = r / r.sum()
-            A[1:, -1] = rho @ dS
-            c[-1] = -1.0
+            A[1:, -1] = rho @ step
+            cost[-1] = -1.0
         scale = np.max(np.abs(A), axis=1, initial=0.0)
         scale[scale == 0.0] = 1.0
         rhs = np.zeros(d + 1)
         rhs[0] = 1.0  # the sum row is all ones, so its scale is 1
 
-        result = solve_lp(c, A / scale[:, None], rhs)
+        result = solve_lp(cost, A / scale[:, None], rhs)
         if result.status == STATUS_INFEASIBLE:
-            feasible[pos] = False
-            value[pos] = 0.0
+            feasible[i] = False
             continue
         if result.status != STATUS_OPTIMAL:
             raise SolverFailure(
-                f"viability program at node {node.id!r} ended with "
+                f"viability program at node {ids[i]!r} ended with "
                 f"{result.status}"
             )
-        q = np.zeros(len(kids))
+        q = np.zeros(c)
         q[allowed] = result.x[:n_w]
         if floor:
             tau = float(result.x[-1])
             q += tau * rho
-            value[pos] = tau / float(r.sum())
-        else:
-            value[pos] = 0.0
-        weights[pos] = q
-
-    root = index["__root__"]
-    if not feasible[root]:
-        return ViabilityCertificate(False, None, None, "infeasible")
-    bound = float(value[root])
-    if bound <= _VIABILITY_FLOOR:
-        return ViabilityCertificate(False, None, bound, "degenerate")
-
-    ratio = np.ones(len(nodes))
-    for pos in order:
-        node = nodes[pos]
-        for child, q in zip(node.children, weights.get(pos, ())):
-            k = index[child]
-            ratio[k] = ratio[pos] * q / nodes[k].cond_prob
-    z = np.array([ratio[index[i]] for i in tree.leaf_ids])
-    z.setflags(write=False)
-    return ViabilityCertificate(True, z, bound, "viable")
+            value[i] = tau / float(r.sum())
+        q_all[i, :c] = q
+    return q_all, value, feasible
 
 
 def generate_random_market(

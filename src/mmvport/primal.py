@@ -3,21 +3,19 @@
 Three layers, each built on the previous one:
 
 ``optimal_quadratic``
-    maximize E[U(x + B theta)] with U(w) = w - w^2/2.  Equivalent to a
-    weighted least-squares fit of the gain toward the bliss gap 1 - x,
-    solved in minimum-norm form so redundant assets pick the smallest
-    strategy among the optimizers.
+    maximize E[U(x + B theta)] with U(w) = w - w^2/2.  Read off the tree's
+    backward-induction engine (:mod:`mmvport.induction`): the holdings at
+    a node with wealth x_n are (1 - x_n) phi_n, where phi_n is the
+    node's one-step weighted least-squares fit toward bliss, minimum-norm
+    so redundant assets pick the smallest strategy among the optimizers.
 
 ``optimal_truncated``
     maximize E[U(min(x + B theta, 1))].  Concave, C^1 and piecewise
-    quadratic.  Solved by a clip-set iteration: fit the quadratic
-    objective on the leaves currently below the cap, then move toward
-    that candidate with an exact line maximization of the true objective
-    (the directional derivative is piecewise linear and decreasing, so
-    the step is found by walking its kinks, no inexact search involved).
-    Every step strictly increases the objective, and a step of 1 lands on
-    the restricted maximizer, so the clip set settles in a handful of
-    rounds.
+    quadratic.  Holdings are (1 - x_n)^+ phim_n, where phim_n solves the
+    node's truncated one-step problem: the quadratic step where it stays
+    below bliss, otherwise an exact kink scan (one asset) or a clip-set
+    iteration with an exact line maximization (several assets).
+    ``iterations`` reports the largest number of rounds any node took.
 
 ``mmv_allocation``
     the monotone mean-variance optimum.  The truncated problem from
@@ -40,13 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IterationLimit, SolverFailure
+from .errors import DimensionMismatch, SolverFailure
 from .market import ScenarioTree, Strategy, terminal_wealth
 from .probability import (
     RandomVariable,
     expected_quadratic_utility,
     expected_truncated_utility,
-    truncated_utility,
 )
 
 __all__ = [
@@ -58,9 +55,6 @@ __all__ = [
     "cash_level_residual",
     "verify_remark_foc",
 ]
-
-_GRAD_TOL = 1e-11
-_MAX_CLIP_ROUNDS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,76 +90,35 @@ class MmvAllocation:
     leverage: float
 
 
-def _weighted_fit(B: np.ndarray, p: np.ndarray, target: float) -> np.ndarray:
-    """Min-norm theta with B theta ~ target in the sqrt(p) metric.
-
-    Singular values below 1e-10 of the largest are truncated: directions
-    that move terminal wealth by nothing but noise (redundant assets,
-    near-parallel increments) must not leak into the strategy.
-    """
-    w = np.sqrt(p)
-    try:
-        theta, *_ = np.linalg.lstsq(w[:, None] * B, w * target, rcond=1e-10)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"weighted least-squares fit failed: {exc}") from exc
-    return theta
+def _solution(
+    tree: ScenarioTree,
+    initial_wealth: float,
+    truncated: bool,
+    value_of,
+    iterations: int,
+) -> PrimalSolution:
+    theta, wealth = tree.opportunity.forward(initial_wealth, truncated)
+    payoff = RandomVariable(tree.law, wealth)
+    gap = 1.0 - wealth
+    if truncated:
+        gap = np.maximum(gap, 0.0)
+    return PrimalSolution(
+        strategy=Strategy.from_vector(tree, theta),
+        payoff=payoff,
+        value=value_of(payoff),
+        initial_wealth=initial_wealth,
+        iterations=iterations,
+        gradient_norm=tree.levels.max_moment(gap),
+    )
 
 
 def optimal_quadratic(
     tree: ScenarioTree, initial_wealth: float = 0.0
 ) -> PrimalSolution:
     """Maximize expected quadratic utility of terminal wealth."""
-    B = tree.gain_matrix
-    p = tree.leaf_probabilities
-    theta = _weighted_fit(B, p, 1.0 - initial_wealth)
-    strategy = Strategy.from_vector(tree, theta)
-    payoff = terminal_wealth(tree, strategy, initial_wealth)
-    grad = B.T @ (p * (1.0 - payoff.values))
-    return PrimalSolution(
-        strategy=strategy,
-        payoff=payoff,
-        value=expected_quadratic_utility(payoff),
-        initial_wealth=initial_wealth,
-        iterations=1,
-        gradient_norm=float(np.max(np.abs(grad))) if grad.size else 0.0,
+    return _solution(
+        tree, initial_wealth, False, expected_quadratic_utility, iterations=1
     )
-
-
-def _line_maximum(p: np.ndarray, W: np.ndarray, g: np.ndarray) -> float:
-    """argmax over t in [0, 1] of E[U(min(W + t g, 1))].
-
-    The derivative phi'(t) = sum_{W + t g < 1} p (1 - W - t g) g is
-    continuous, decreasing and piecewise linear; walk its kinks.
-    """
-
-    def dphi(t: float) -> float:
-        w_t = W + t * g
-        active = w_t < 1.0
-        return float(np.sum(p[active] * (1.0 - w_t[active]) * g[active]))
-
-    crossings = []
-    nz = g != 0.0
-    t_cross = (1.0 - W[nz]) / g[nz]
-    for t in t_cross:
-        if 0.0 < t < 1.0:
-            crossings.append(float(t))
-    points = [0.0] + sorted(set(crossings)) + [1.0]
-
-    if dphi(0.0) <= 0.0:
-        return 0.0
-    for lo, hi in zip(points[:-1], points[1:]):
-        if dphi(hi) >= 0.0:
-            continue
-        # sign change inside (lo, hi]; the active set is constant there
-        mid = 0.5 * (lo + hi)
-        w_mid = W + mid * g
-        active = w_mid < 1.0
-        a = float(np.sum(p[active] * (1.0 - W[active]) * g[active]))
-        c = float(np.sum(p[active] * g[active] * g[active]))
-        if c <= 0.0:
-            return lo
-        return min(max(a / c, lo), hi)
-    return 1.0
 
 
 def optimal_truncated(
@@ -173,72 +126,13 @@ def optimal_truncated(
 ) -> PrimalSolution:
     """Maximize expected truncated quadratic utility of terminal wealth.
 
-    Raises IterationLimit if the clip set fails to settle, which no
-    well-scaled tree should trigger.
+    Raises IterationLimit if some node's clip set fails to settle, which
+    no well-scaled tree should trigger.
     """
-    B = tree.gain_matrix
-    p = tree.leaf_probabilities
-    m = B.shape[1]
-    gap = 1.0 - initial_wealth
-    grad_scale = (1.0 + float(np.max(np.abs(B))) if B.size else 1.0) * (
-        1.0 + abs(gap)
-    )
-
-    theta = np.zeros(m)
-    if gap <= 0.0:
-        # already at or past bliss; holding nothing is optimal
-        strategy = Strategy.from_vector(tree, theta)
-        payoff = terminal_wealth(tree, strategy, initial_wealth)
-        return PrimalSolution(
-            strategy=strategy,
-            payoff=payoff,
-            value=expected_truncated_utility(payoff),
-            initial_wealth=initial_wealth,
-            iterations=0,
-            gradient_norm=0.0,
-        )
-
-    iterations = 0
-    best_value = -math.inf
-    best_theta = theta
-    for _ in range(_MAX_CLIP_ROUNDS):
-        iterations += 1
-        W = initial_wealth + B @ theta
-        below = W < 1.0
-        grad = B.T @ (p * (1.0 - W) * below)
-        gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
-        if gnorm <= _GRAD_TOL * grad_scale:
-            break
-        value = math.fsum((p * truncated_utility(W)).tolist())
-        if value <= best_value + 1e-15 * (1.0 + abs(best_value)):
-            # numerical floor reached; keep the best iterate seen
-            theta = best_theta
-            break
-        best_value = value
-        best_theta = theta
-        theta_cand = _weighted_fit(B[below], p[below], gap)
-        step = theta_cand - theta
-        t = _line_maximum(p, W, B @ step)
-        if t <= 0.0:
-            break
-        theta = theta + t * step
-    else:
-        raise IterationLimit(
-            f"clip-set iteration did not settle in {_MAX_CLIP_ROUNDS} rounds"
-        )
-
-    strategy = Strategy.from_vector(tree, theta)
-    payoff = terminal_wealth(tree, strategy, initial_wealth)
-    W = payoff.values
-    below = W < 1.0
-    grad = B.T @ (p * (1.0 - W) * below)
-    return PrimalSolution(
-        strategy=strategy,
-        payoff=payoff,
-        value=expected_truncated_utility(payoff),
-        initial_wealth=initial_wealth,
-        iterations=iterations,
-        gradient_norm=float(np.max(np.abs(grad))) if grad.size else 0.0,
+    # at or past bliss nothing is traded and no round is needed
+    rounds = tree.opportunity.clip_rounds if initial_wealth < 1.0 else 0
+    return _solution(
+        tree, initial_wealth, True, expected_truncated_utility, iterations=rounds
     )
 
 

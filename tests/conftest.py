@@ -1,5 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# property tests draw from a fixed sequence, so a tier-1 run is
+# reproducible and its length bounded; no example database is written
+settings.register_profile(
+    "mmvport", derandomize=True, max_examples=50, deadline=None, database=None
+)
+settings.load_profile("mmvport")
 
 from mmvport import (
     DiscreteLaw,

@@ -5,7 +5,10 @@ algorithms than the library: exact rational elimination instead of
 least squares, exhaustive active-set enumeration instead of pivoting,
 scipy's HiGHS solver instead of the built-in simplex, damped Newton
 instead of clip-set iteration, and plain grid searches instead of
-closed forms.
+closed forms.  The dense global solvers at the end (Gram system, leaf
+active-set QP, global clip-set iteration over the full gain matrix) are
+the pipeline the package ran before its node-by-node backward induction;
+they share no recursion with it and check it on small trees.
 """
 
 from __future__ import annotations
@@ -279,3 +282,149 @@ def wealth_by_paths(tree, strategy, initial_wealth):
             node = parent
         out.append(wealth)
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# the dense global solvers the backward-induction engine replaced: Gram
+# system, leaf active-set QP and clip-set iteration over the whole gain
+# matrix; cubic in the leaves, so for small trees only
+
+
+_DENSE_ZERO_TOL = 1e-12
+_DENSE_MULTIPLIER_TOL = 1e-10
+
+
+def _dense_reduced(A, b, p, free):
+    """Minimize sum_free p z^2 under A[:, free] z_free = b; zeros elsewhere."""
+    A_f = A[:, free]
+    p_f = p[free]
+    G = (A_f / p_f) @ A_f.T
+    y, *_ = np.linalg.lstsq(G, b, rcond=1e-10)
+    z_f = (A_f.T @ y) / p_f
+    residual = A_f @ z_f - b
+    if float(np.max(np.abs(residual))) > 1e-9 * (1.0 + float(np.max(np.abs(b)))):
+        raise ArithmeticError("martingale constraints are inconsistent")
+    z = np.zeros(A.shape[1])
+    z[free] = z_f
+    return z, y
+
+
+def dense_signed_density(tree):
+    """Variance-optimal signed density from the Gram system (A D^-1 A') y = b."""
+    A, b = tree.constraint_system
+    z, _ = _dense_reduced(A, b, tree.leaf_probabilities, np.ones(tree.n_leaves, bool))
+    return z
+
+
+def dense_nonneg_density(tree):
+    """Variance-optimal nonnegative density by a primal active-set method.
+
+    Starts from the viability certificate's strictly positive density,
+    pins the first leaf that blocks at zero and releases a pinned leaf
+    whose multiplier turns negative, both by Bland's smallest index; a
+    leaf released on a spurious multiplier (it blocks again at once with
+    a zero-length step) stays pinned until another leaf is pinned.
+    """
+    A, b = tree.constraint_system
+    p = tree.leaf_probabilities
+    L = tree.n_leaves
+    pinned = np.zeros(L, dtype=bool)
+    z_cand, y = _dense_reduced(A, b, p, ~pinned)
+    if z_cand.min() >= -_DENSE_ZERO_TOL:
+        return np.maximum(z_cand, 0.0)
+    z = np.asarray(tree.viability.density, dtype=float).copy()
+    held = np.zeros(L, dtype=bool)
+    released = -1
+    for _ in range(L + 5):
+        blocking = (~pinned) & (z_cand < -_DENSE_ZERO_TOL)
+        if np.any(blocking):
+            idx = np.flatnonzero(blocking)
+            ratios = z[idx] / (z[idx] - z_cand[idx])
+            k = int(np.argmin(ratios))
+            alpha = min(max(float(ratios[k]), 0.0), 1.0)
+            if alpha == 0.0 and idx[k] == released:
+                held[idx[k]] = True
+            else:
+                held[:] = False
+            z = z + alpha * (z_cand - z)
+            z[idx[k]] = 0.0
+            z[pinned] = 0.0
+            pinned[idx[k]] = True
+            released = -1
+        else:
+            z = z_cand
+            if not np.any(pinned):
+                break
+            grad = A.T @ y
+            mu = -2.0 * grad[pinned]
+            scale = 1.0 + float(np.max(np.abs(grad)))
+            candidates = np.flatnonzero(pinned)
+            release = candidates[
+                (mu < -_DENSE_MULTIPLIER_TOL * scale) & ~held[candidates]
+            ]
+            if release.size == 0:
+                break
+            released = int(release[0])
+            pinned[released] = False
+        z_cand, y = _dense_reduced(A, b, p, ~pinned)
+    else:
+        raise ArithmeticError("active set did not settle")
+    return np.where((z < 0.0) & (z >= -_DENSE_ZERO_TOL), 0.0, z)
+
+
+def dense_quadratic(tree, initial_wealth):
+    """Min-norm theta maximizing E[U(x + B theta)], by global least squares."""
+    from mmvport.induction import _weighted_fit
+
+    return _weighted_fit(
+        tree.gain_matrix, tree.leaf_probabilities, 1.0 - initial_wealth
+    )
+
+
+def dense_truncated(tree, initial_wealth, max_rounds=100):
+    """theta maximizing E[U(min(x + B theta, 1))] by the global clip-set loop."""
+    from mmvport.induction import _line_maximum, _weighted_fit
+    from mmvport.probability import truncated_utility
+
+    B = tree.gain_matrix
+    p = tree.leaf_probabilities
+    gap = 1.0 - initial_wealth
+    theta = np.zeros(B.shape[1])
+    if gap <= 0.0:
+        return theta
+    grad_scale = (1.0 + float(np.max(np.abs(B), initial=0.0))) * (1.0 + abs(gap))
+    best_value, best_theta = -math.inf, theta
+    for _ in range(max_rounds):
+        W = initial_wealth + B @ theta
+        below = W < 1.0
+        grad = B.T @ (p * (1.0 - W) * below)
+        if float(np.max(np.abs(grad), initial=0.0)) <= 1e-11 * grad_scale:
+            return theta
+        value = math.fsum((p * truncated_utility(W)).tolist())
+        if value <= best_value + 1e-15 * (1.0 + abs(best_value)):
+            return best_theta
+        best_value, best_theta = value, theta
+        step = _weighted_fit(B[below], p[below], gap) - theta
+        t = _line_maximum(p, W, B @ step)
+        if t <= 0.0:
+            return theta
+        theta = theta + t * step
+    raise ArithmeticError("clip set did not settle")
+
+
+def node_wealth(tree, vector, initial_wealth):
+    """Wealth at every node of the strategy with stacked holdings ``vector``."""
+    d = tree.assets
+    column = {nid: j * d for j, nid in enumerate(tree.nonterminal_ids)}
+    wealth = {tree.root.id: float(initial_wealth)}
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        for child_id in node.children:
+            child = tree.node(child_id)
+            j = column[node.id]
+            wealth[child_id] = wealth[node.id] + float(
+                np.dot(vector[j : j + d], child.prices - node.prices)
+            )
+            stack.append(child)
+    return wealth

@@ -121,6 +121,31 @@ class TestAnalyze:
         assert code == 2
         assert err != ""
 
+    def test_non_viable_market_names_the_interior_node(self, capsys, tmp_path):
+        # the root's one-step market is fine; the arbitrage sits at node
+        # "dn", whose price only falls
+        doc = {
+            "assets": 1,
+            "periods": 2,
+            "nodes": [
+                {"id": "r", "parent": None, "t": 0, "prices": [1.0]},
+                {"id": "up", "parent": "r", "t": 1, "p": 0.5, "prices": [1.5]},
+                {"id": "dn", "parent": "r", "t": 1, "p": 0.5, "prices": [0.5]},
+                {"id": "uu", "parent": "up", "t": 2, "p": 0.5, "prices": [2.0]},
+                {"id": "ud", "parent": "up", "t": 2, "p": 0.5, "prices": [1.0]},
+                {"id": "du", "parent": "dn", "t": 2, "p": 0.5, "prices": [0.4]},
+                {"id": "dd", "parent": "dn", "t": 2, "p": 0.5, "prices": [0.3]},
+            ],
+        }
+        path = tmp_path / "interior.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "analyze", path)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "'dn'" in lines[0]
+
     def test_overflowing_price_moves_exit_3(self, capsys, tmp_path):
         doc = {
             "assets": 1,

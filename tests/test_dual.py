@@ -126,10 +126,13 @@ class TestNonnegDensity:
         assert np.min(sol.density.values) >= -1e-12
 
 
-def test_linalg_error_becomes_solver_failure(monkeypatch, trinomial):
+def test_linalg_error_becomes_solver_failure(monkeypatch):
+    # the local solve of a several-asset quadratic step is a stacked pinv
     def broken(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(np.linalg, "lstsq", broken)
-    with pytest.raises(SolverFailure):
-        variance_optimal_signed(trinomial)
+    tree = small_tree(1)
+    assert tree.assets == 2
+    monkeypatch.setattr(np.linalg, "pinv", broken)
+    with pytest.raises(SolverFailure, match="least-squares"):
+        variance_optimal_signed(tree)

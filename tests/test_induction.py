@@ -1,0 +1,199 @@
+"""The backward-induction engine against the dense global solvers it
+replaced, on trees of every shape the package meets: the selftest suites,
+a ragged tree, redundant assets, and the markets the dense pipeline could
+not analyze."""
+
+import math
+
+import numpy as np
+import pytest
+
+from mmvport import (
+    MeasureDensity,
+    ScenarioTree,
+    SolverFailure,
+    analyze,
+    generate_random_market,
+    load_packaged_market,
+    market_from_dict,
+    market_to_dict,
+    optimal_quadratic,
+    optimal_truncated,
+    variance_optimal_nonneg,
+    variance_optimal_signed,
+    verify_fcfs_certificate,
+)
+from mmvport.selftest import _suite_trees
+
+from oracles import (
+    dense_nonneg_density,
+    dense_quadratic,
+    dense_signed_density,
+    dense_truncated,
+    node_wealth,
+)
+
+# (count, base seed) of the tree suites of selftest criteria 3, 4, 6 and 7
+SUITES = ((200, 0), (500, 1000), (10, 2000), (10, 3000))
+
+
+def assert_matches_dense(tree):
+    p = tree.leaf_probabilities
+    signed = variance_optimal_signed(tree)
+    nonneg = variance_optimal_nonneg(tree)
+    z_s = dense_signed_density(tree)
+    z_n = dense_nonneg_density(tree)
+    assert signed.second_moment == pytest.approx(float(p @ z_s**2), rel=1e-10)
+    assert nonneg.second_moment == pytest.approx(float(p @ z_n**2), rel=1e-10)
+    assert np.max(np.abs(signed.density.values - z_s)) <= 1e-8
+    assert np.max(np.abs(nonneg.density.values - z_n)) <= 1e-8
+
+    quad = optimal_quadratic(tree, 0.0)
+    assert np.max(np.abs(quad.strategy.vector - dense_quadratic(tree, 0.0))) <= 1e-8
+
+    hull = optimal_truncated(tree, 0.0)
+    theta = dense_truncated(tree, 0.0)
+    W = tree.gain_matrix @ theta
+    assert np.max(np.abs(hull.payoff.values - W)) <= 1e-8
+    fcfs = np.maximum(1.0 - W, 0.0)
+    assert np.max(np.abs(np.maximum(1.0 - hull.payoff.values, 0.0) - fcfs)) <= 1e-8
+    # a node reached at or past bliss may hold anything that keeps its
+    # subtree there; the engine holds nothing, so compare the others only
+    wealth = node_wealth(tree, theta, 0.0)
+    d = tree.assets
+    for j, nid in enumerate(tree.nonterminal_ids):
+        if wealth[nid] < 1.0 - 1e-9:
+            ours = hull.strategy.vector[j * d : (j + 1) * d]
+            assert np.max(np.abs(ours - theta[j * d : (j + 1) * d])) <= 1e-8, nid
+
+
+def test_matches_dense_solvers_on_the_selftest_suites():
+    checked = 0
+    for count, base in SUITES:
+        for tree in _suite_trees(count, base_seed=base):
+            if tree.n_leaves <= 300:
+                assert_matches_dense(tree)
+                checked += 1
+    assert checked == 720
+
+
+def ragged_market(seed):
+    """Viable two-asset market whose nodes have 2, 3 or 4 children."""
+    rng = np.random.default_rng(seed)
+    nodes = [{"id": "r", "parent": None, "t": 0, "prices": [1.0, 2.0]}]
+    frontier = [nodes[0]]
+    for t in (1, 2):
+        nxt = []
+        for parent in frontier:
+            b = int(rng.integers(2, 5))
+            q = rng.uniform(0.1, 1.0, b)
+            q /= q.sum()
+            probs = rng.uniform(0.2, 1.0, b)
+            probs /= probs.sum()
+            raw = rng.normal(size=(b, 2))
+            moves = 0.3 * (raw - q @ raw)
+            for k in range(b):
+                child = {
+                    "id": f"{parent['id']}{k}",
+                    "parent": parent["id"],
+                    "t": t,
+                    "p": float(probs[k]),
+                    "prices": [float(v) for v in parent["prices"] + moves[k]],
+                }
+                nodes.append(child)
+                nxt.append(child)
+        frontier = nxt
+    return market_from_dict({"assets": 2, "periods": 2, "nodes": nodes})
+
+
+def test_ragged_tree_matches_dense_solvers():
+    for seed in range(6):
+        tree = ragged_market(seed)
+        assert not all(tree.levels.regular)
+        assert_matches_dense(tree)
+
+
+def test_identical_asset_columns_hold_minimum_norm():
+    for seed in (3, 11, 12):
+        single = generate_random_market(seed=seed, periods=2, branching=3)
+        doc = market_to_dict(single)
+        for node in doc["nodes"]:
+            node["prices"] = node["prices"] * 2
+        doc["assets"] = 2
+        tree = market_from_dict(doc)
+        assert_matches_dense(tree)
+        # the two copies split the one-asset holdings evenly
+        for solve in (optimal_quadratic, optimal_truncated):
+            ours = solve(tree, 0.0).strategy.vector.reshape(-1, 2)
+            base = solve(single, 0.0).strategy.vector
+            assert np.max(np.abs(ours - 0.5 * base[:, None])) <= 1e-10
+
+
+def test_analyze_never_builds_the_dense_views(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the dense view was built")
+
+    monkeypatch.setattr(ScenarioTree, "gain_matrix", property(refuse))
+    monkeypatch.setattr(ScenarioTree, "constraint_system", property(refuse))
+    trees = [
+        load_packaged_market("trinomial"),
+        load_packaged_market("binomial"),
+        generate_random_market(seed=5, periods=4, branching=3),
+    ]
+    claims = 0
+    for tree in trees:
+        report = analyze(tree)
+        if report.fcfs_exists:
+            assert verify_fcfs_certificate(report) is True
+            claims += 1
+    assert claims >= 2
+
+
+@pytest.mark.parametrize(
+    "seed, branching, periods, assets",
+    [
+        (599, 4, 3, 2),  # seed-0 sweep index 599
+        (4002, 2, 8, 1),  # seed-0 ladder core
+        (501, 2, 9, 1),  # seed-0 ladder frontier
+        (0, 2, 10, 1),
+    ],
+)
+def test_markets_the_gram_system_could_not_solve(seed, branching, periods, assets):
+    # each raised SolverFailure in the dense pipeline: the Gram system's
+    # rcond cut removed real constraint directions
+    tree = generate_random_market(
+        seed=seed, periods=periods, branching=branching, assets=assets
+    )
+    report = analyze(tree)
+    MeasureDensity.from_values(tree, report.signed_density)
+    MeasureDensity.from_values(tree, report.nonneg_density)
+    if report.fcfs_exists:
+        assert verify_fcfs_certificate(report) is True
+
+
+def test_market_the_active_set_stalled_on():
+    # (3, 7, 1) seed 7 took about 20 s in 35 dense reduced solves
+    tree = generate_random_market(seed=7, periods=7, branching=3)
+    report = analyze(tree)
+    assert report.fcfs_exists and verify_fcfs_certificate(report) is True
+    assert report.u <= report.u_m < 0.5
+    assert math.isfinite(report.sr_m_max)
+
+
+def test_sure_arbitrage_leaves_no_density():
+    # both children rise by 1: holding one unit reaches bliss surely, so
+    # the opportunity process is 0 at the root and no density exists
+    tree = market_from_dict(
+        {
+            "assets": 1,
+            "periods": 1,
+            "nodes": [
+                {"id": "r", "parent": None, "t": 0, "prices": [1.0]},
+                {"id": "a", "parent": "r", "t": 1, "p": 0.5, "prices": [2.0]},
+                {"id": "b", "parent": "r", "t": 1, "p": 0.5, "prices": [2.0]},
+            ],
+        }
+    )
+    assert optimal_quadratic(tree, 0.0).value == pytest.approx(0.5, abs=1e-12)
+    with pytest.raises(SolverFailure, match="arbitrage"):
+        variance_optimal_signed(tree)

@@ -8,6 +8,7 @@ from mmvport import (
     SolverFailure,
     analyze,
     cash_level_residual,
+    generate_random_market,
     mmv_allocation,
     optimal_quadratic,
     optimal_truncated,
@@ -210,10 +211,13 @@ def test_analyze_allocation_matches_mmv_allocation():
         )
 
 
-def test_linalg_error_becomes_solver_failure(monkeypatch, trinomial):
+def test_linalg_error_becomes_solver_failure(monkeypatch):
+    # a several-asset node whose quadratic step overshoots bliss runs the
+    # clip-set iteration, whose local fit is a least-squares solve
     def broken(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
+    tree = generate_random_market(seed=1389, periods=3, branching=4, assets=2)
     monkeypatch.setattr(np.linalg, "lstsq", broken)
-    with pytest.raises(SolverFailure):
-        optimal_quadratic(trinomial, 0.0)
+    with pytest.raises(SolverFailure, match="least-squares"):
+        optimal_truncated(tree, 0.0)
