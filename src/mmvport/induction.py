@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IterationLimit, SolverFailure
-from .probability import truncated_utility
+from .probability import _kink_walk, truncated_utility
 
 __all__ = ["TreeLevels", "Opportunity"]
 
@@ -203,36 +203,6 @@ def _quadratic_step(dS: np.ndarray, w: np.ndarray, ids: list, t: int):
     return phi, np.sum(w * residual * residual, axis=1)
 
 
-def _kink_scan(s: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """phi minimizing sum_k w_k ((1 - phi s_k)^+)^2 row by row (one asset).
-
-    The objective is convex and C^1 with kinks at phi = 1/s_k; its
-    derivative -2 sum_k w_k s_k (1 - phi s_k)^+ is nondecreasing.  The
-    minimizer lies between the last kink where the derivative is negative
-    and the first where it is not; the active children are fixed there,
-    so the stationary point of that piece, clamped to it, is the answer.
-    """
-    rows = np.arange(s.shape[0])
-    kink = np.where(s != 0.0, 1.0 / np.where(s != 0.0, s, 1.0), np.inf)
-    ends = np.sort(kink, axis=1)
-    ends = np.concatenate([ends, np.full((s.shape[0], 1), np.inf)], axis=1)
-    with np.errstate(invalid="ignore"):
-        slope = np.sum(
-            w[:, None, :] * s[:, None, :]
-            * np.maximum(1.0 - ends[:, :, None] * s[:, None, :], 0.0),
-            axis=2,
-        )
-    slope = np.where(np.isfinite(ends), slope, -np.inf)
-    j = np.argmax(slope <= 0.0, axis=1)
-    hi = ends[rows, j]
-    lo = np.where(j > 0, ends[rows, j - 1], -np.inf)
-    active = (s == 0.0) | np.where(s > 0.0, kink >= hi[:, None], kink <= lo[:, None])
-    num = np.sum(w * s * active, axis=1)
-    den = np.sum(w * s * s * active, axis=1)
-    phi = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
-    return np.clip(phi, lo, hi)
-
-
 def _weighted_fit(B: np.ndarray, p: np.ndarray, target: float) -> np.ndarray:
     """Min-norm theta with B theta ~ target in the sqrt(p) metric.
 
@@ -248,49 +218,13 @@ def _weighted_fit(B: np.ndarray, p: np.ndarray, target: float) -> np.ndarray:
     return theta
 
 
-def _line_maximum(p: np.ndarray, W: np.ndarray, g: np.ndarray) -> float:
-    """argmax over t in [0, 1] of E[U(min(W + t g, 1))].
-
-    The derivative phi'(t) = sum_{W + t g < 1} p (1 - W - t g) g is
-    continuous, decreasing and piecewise linear; walk its kinks.
-    """
-
-    def dphi(t: float) -> float:
-        w_t = W + t * g
-        active = w_t < 1.0
-        return float(np.sum(p[active] * (1.0 - w_t[active]) * g[active]))
-
-    crossings = []
-    nz = g != 0.0
-    t_cross = (1.0 - W[nz]) / g[nz]
-    for t in t_cross:
-        if 0.0 < t < 1.0:
-            crossings.append(float(t))
-    points = [0.0] + sorted(set(crossings)) + [1.0]
-
-    if dphi(0.0) <= 0.0:
-        return 0.0
-    for lo, hi in zip(points[:-1], points[1:]):
-        if dphi(hi) >= 0.0:
-            continue
-        # sign change inside (lo, hi]; the active set is constant there
-        mid = 0.5 * (lo + hi)
-        w_mid = W + mid * g
-        active = w_mid < 1.0
-        a = float(np.sum(p[active] * (1.0 - W[active]) * g[active]))
-        c = float(np.sum(p[active] * g[active] * g[active]))
-        if c <= 0.0:
-            return lo
-        return min(max(a / c, lo), hi)
-    return 1.0
-
-
 def _clip_set(B: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, int]:
     """Maximize sum p U(min(B theta, 1)) from theta = 0; (theta, rounds).
 
     Clip-set iteration: fit the quadratic objective on the rows currently
-    below the cap, then move toward that candidate with an exact line
-    maximization of the true objective.  Every step strictly increases the
+    below the cap, then move toward that candidate by t in [0, 1], the
+    exact line maximum of the true objective: the kink walk's minimizer of
+    sum p ((1 - W - t B step)^+)^2.  Every step strictly increases the
     objective and a step of 1 lands on the restricted maximizer, so the
     clip set settles in a handful of rounds.
     """
@@ -311,7 +245,7 @@ def _clip_set(B: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, int]:
         best_value = value
         best_theta = theta
         step = _weighted_fit(B[below], p[below], 1.0) - theta
-        t = _line_maximum(p, W, B @ step)
+        t = float(_kink_walk(1.0 - W, B @ step, p, lo=0.0, hi=1.0)[0])
         if t <= 0.0:
             return theta, rounds
         theta = theta + t * step
@@ -338,7 +272,7 @@ class Opportunity:
     processes on level t, ``phi[t]``/``phim[t]`` the holdings per unit of
     bliss gap.  ``clip_rounds`` is the largest number of rounds any node's
     truncated step took: 1 where the quadratic step already stays below
-    bliss, 2 for a one-asset kink scan, the clip-set rounds otherwise.
+    bliss, 2 for a one-asset kink walk, the clip-set rounds otherwise.
     Raises SolverFailure naming the node whose one-step sums overflow.
     """
 
@@ -370,10 +304,14 @@ class Opportunity:
             L_next, Lm_next = L, (L if shared and not np.any(over) else Lm)
 
     def _truncate(self, t: int, idx: np.ndarray, wm: np.ndarray, phim) -> None:
-        """Truncated steps at the nodes whose quadratic step overshoots bliss."""
+        """Truncated steps at the nodes whose quadratic step overshoots bliss.
+
+        One asset: one kink walk over the stacked rows, minimizing
+        sum_k wm_k ((1 - phi dS_k)^+)^2.  Several: the clip-set loop per node.
+        """
         dS = self.levels.dS[t][idx]
         if dS.shape[2] == 1:
-            phim[idx, 0] = _kink_scan(dS[:, :, 0], wm)
+            phim[idx, 0] = _kink_walk(1.0, dS[:, :, 0], wm)
             self.clip_rounds = max(self.clip_rounds, 2)
             return
         counts = self.levels.mask[t][idx].sum(axis=1)

@@ -745,8 +745,12 @@ def generate_random_market(
         )
     if not math.isfinite(spread) or spread <= 0.0:
         raise ValidationError("spread must be a positive number")
-    if branching**periods > 200_000:
-        raise ValidationError("tree would exceed 200000 leaves")
+    leaves = 1
+    for _ in range(periods):
+        # branching >= 2: at most 18 factors, however large periods is
+        leaves *= branching
+        if leaves > 200_000:
+            raise ValidationError("tree would exceed 200000 leaves")
 
     rng = random.Random(seed)
     for _ in range(max_attempts):

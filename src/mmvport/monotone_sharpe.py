@@ -14,9 +14,10 @@ first-order condition
 
 The left side minus the right side is continuous, strictly decreasing and
 piecewise linear in alpha with kinks at the reciprocals of the positive
-atom values, so the root is located by an exact scan over kink segments
-(ties alpha*x == 1 count as included).  Bisection exists as a cross-check
-only.
+atom values; it is -1/2 times the derivative of E[((1 - alpha X)^+)^2],
+so the root is that function's minimizer, found exactly by the one kink
+walk of the truncated quadratic in :mod:`mmvport.probability`.  Bisection
+exists as a cross-check only.
 
 Degenerate branches
 -------------------
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoDownside, NonpositiveMean
-from .probability import RandomVariable, mean, sharpe_ratio
+from .probability import RandomVariable, _kink_walk, mean, sharpe_ratio
 
 __all__ = [
     "MonotoneSharpeResult",
@@ -87,30 +88,14 @@ def solve_alpha_hat(X: RandomVariable) -> float:
     """Exact root of E[X 1{aX<=1}] - a E[X^2 1{aX<=1}] = 0, a > 0.
 
     Requires E[X] > 0 and P(X < 0) > 0; raises NonpositiveMean or
-    NoDownside otherwise.  The scan walks the unique positive atom values
-    v in descending order; on the segment where the reciprocal cap lies in
-    [v, previous v) the included set is {X <= v}, so the root candidate is
-    E[X; X<=v] / E[X^2; X<=v], accepted at the first v where the slope test
-    E[X; X<=v] - E[X^2; X<=v]/v turns nonpositive.
+    NoDownside otherwise.  The root minimizes E[((1 - aX)^+)^2], which the
+    kink walk solves with r = 1, g = X and weights p.
     """
-    p = X.law.probabilities
-    x = X.values
     if mean(X) <= 0.0:
         raise NonpositiveMean(f"payoff mean {mean(X)!r} is not strictly positive")
-    if not np.any(x < 0.0):
+    if not np.any(X.values < 0.0):
         raise NoDownside("payoff has no downside; no finite cap attains the supremum")
-
-    pos = np.unique(x[x > 0.0])[::-1]  # descending
-    for v in pos:
-        mask = x <= v
-        a_sum = _fsum_where(p, x, mask)
-        b_sum = _fsum_where(p, x * x, mask)
-        if a_sum - b_sum / v <= 0.0:
-            # root bracketed in (1/previous_v, 1/v]
-            return a_sum / b_sum
-    # unreachable when downside exists: the slope at the last kink is
-    # already E[X; X<=0] - E[X^2; X<=0]/v < 0
-    raise NoDownside("slope never turned nonpositive; payoff has no downside")
+    return float(_kink_walk(1.0, X.values, X.law.probabilities)[0])
 
 
 def alpha_root_bisection(
@@ -118,7 +103,10 @@ def alpha_root_bisection(
     tol: float = 1e-13,
     max_iter: int = 200,
 ) -> float:
-    """Bisection cross-check for :func:`solve_alpha_hat` (tests only)."""
+    """Bisection cross-check for :func:`solve_alpha_hat`.
+
+    Reference for the tests and the benchmark checks.
+    """
     p = X.law.probabilities
     x = X.values
 

@@ -13,8 +13,9 @@ Three layers, each built on the previous one:
     maximize E[U(min(x + B theta, 1))].  Concave, C^1 and piecewise
     quadratic.  Holdings are (1 - x_n)^+ phim_n, where phim_n solves the
     node's truncated one-step problem: the quadratic step where it stays
-    below bliss, otherwise an exact kink scan (one asset) or a clip-set
-    iteration with an exact line maximization (several assets).
+    below bliss, otherwise the kink walk of the truncated quadratic
+    (:mod:`mmvport.probability`; one asset) or a clip-set iteration whose
+    exact line maximization is the same kink walk (several assets).
     ``iterations`` reports the largest number of rounds any node took.
 
 ``mmv_allocation``

@@ -23,8 +23,14 @@ the rest of the package is built on:
     F_mmv(X) = sup_c { E[U(min(X - c, 1))] + c }, the cash-adjusted
     truncated functional.  The supremum is attained at the unique root of
     E[(1 - X + c)^+] = 1, which is piecewise linear and increasing in c, so
-    the root is found exactly by walking the kinks; a bisection fallback
+    the root is found exactly by the kink walk below; a bisection fallback
     exists purely as a cross-check.
+
+The kink walk (``_kink_walk``) minimizes the truncated quadratic
+sum_k w_k ((r_k - t g_k)^+)^2 - 2 h t over an interval, row by row.  It is
+the one solver behind the hull cash level, the monotone Sharpe cap
+(:mod:`mmvport.monotone_sharpe`) and the truncated one-step problems of
+the backward induction (:mod:`mmvport.induction`).
 
 Conventions
 -----------
@@ -269,40 +275,60 @@ class HullValue(NamedTuple):
     cash_level: float
 
 
-def _exact_cash_root(values: np.ndarray, probs: np.ndarray) -> float:
-    """Unique root of h(c) = E[(1 - X + c)^+] - 1.
+def _kink_walk(r, g, w, h: float = 0.0, lo: float = -math.inf,
+               hi: float = math.inf) -> np.ndarray:
+    """Minimize f(t) = sum_k w_k ((r_k - t g_k)^+)^2 - 2 h t over [lo, hi].
 
-    h is piecewise linear, nondecreasing, with kinks at c = x_i - 1, slope
-    equal to the probability mass of atoms already activated, and h -> -1
-    to the left of all kinks.  Walk the kink segments left to right and
-    solve the linear piece that brackets zero; recompute the active sums
-    with compensated summation before dividing so the root carries no
-    cumulative-sum error.
+    The one kink walk of the truncated quadratic, row by row over
+    (rows, m) arrays: a 1-d input is one row and scalars broadcast; the
+    weights w are nonnegative.  U(min(x, 1)) = 1/2 - ((1 - x)^+)^2 / 2
+    makes the monotone Sharpe cap, the hull cash level and every
+    truncated one-step problem a minimization of this f.
+
+    f is convex and piecewise quadratic with kinks at t = r_k / g_k, and
+    -f'(t)/2 = sum_k w_k g_k (r_k - t g_k)^+ + h is nonincreasing: on the
+    piece between two kinks it is (A + h) - t B, with A and B the sums of
+    w r g and w g^2 over the active terms (r - t g > 0).  Each row's
+    kinks are sorted, cumulative sums of A and B locate the first kink
+    where -f'/2 is no longer positive, so the piece to its left holds the
+    minimizer; that piece's A and B are then summed again on the unsorted
+    arrays, and the stationary point (A + h) / B is clamped to the piece,
+    then to [lo, hi].  O(m log m) time per row and O(rows m) memory.
     """
-    order = np.argsort(values, kind="stable")
-    x = values[order]
-    p = probs[order]
-    # kink positions in increasing c are x_i - 1 for x sorted ascending
-    mass = np.cumsum(p)
-    partial = np.cumsum(p * x)
-    n = x.size
-    for k in range(n):
-        m_k = mass[k]
-        if m_k <= 0.0:
-            continue
-        # candidate root on [x_k - 1, x_{k+1} - 1] where atoms 0..k are active
-        c_star = (1.0 + partial[k]) / m_k - 1.0
-        right = x[k + 1] - 1.0 if k + 1 < n else math.inf
-        if x[k] - 1.0 <= c_star <= right:
-            active = slice(0, k + 1)
-            m_exact = math.fsum(p[active].tolist())
-            s_exact = math.fsum((p[active] * x[active]).tolist())
-            return (1.0 + s_exact) / m_exact - 1.0
-    # full mass segment always brackets the root; reaching here means the
-    # candidates straddled kinks by rounding, so fall back to the last piece
-    m_exact = math.fsum(p.tolist())
-    s_exact = math.fsum((p * x).tolist())
-    return (1.0 + s_exact) / m_exact - 1.0
+    r, g, w = np.broadcast_arrays(
+        *(np.atleast_2d(np.asarray(v, dtype=float)) for v in (r, g, w))
+    )
+    moving = g != 0.0
+    kink = np.where(moving, r / np.where(moving, g, 1.0), np.inf)
+    a = w * r * g
+    b = w * g * g
+    up = g > 0.0
+    # left of every kink the terms with g > 0 are active; passing a kink
+    # drops its term when g > 0 and adds it when g < 0
+    order = np.argsort(kink, axis=1, kind="stable")
+    ends = np.take_along_axis(kink, order, axis=1)
+    flip = np.where(up, -1.0, 1.0)
+    A = np.sum(a * up, axis=1, keepdims=True) + np.cumsum(
+        np.take_along_axis(flip * a, order, axis=1), axis=1
+    )
+    B = np.sum(b * up, axis=1, keepdims=True) + np.cumsum(
+        np.take_along_axis(flip * b, order, axis=1), axis=1
+    )
+    with np.errstate(invalid="ignore"):
+        slope = A + h - ends * B
+    slope[ends == np.inf] = -np.inf
+    n = r.shape[0]
+    inf = np.full((n, 1), np.inf)
+    slope = np.concatenate([slope, -inf], axis=1)
+    ends = np.concatenate([-inf, ends, inf], axis=1)
+    j = np.argmax(slope <= 0.0, axis=1)
+    rows = np.arange(n)
+    left, right = ends[rows, j], ends[rows, j + 1]
+    active = np.where(up, kink >= right[:, None], kink <= left[:, None])
+    num = np.sum(a * active, axis=1) + h
+    den = np.sum(b * active, axis=1)
+    t = np.divide(num, den, out=np.where(num > 0.0, np.inf, -np.inf), where=den > 0.0)
+    return np.clip(np.clip(t, left, right), lo, hi)
 
 
 def cash_level_bisection(
@@ -312,7 +338,7 @@ def cash_level_bisection(
 ) -> float:
     """Root of E[(1 - X + c)^+] = 1 by bracketed bisection.
 
-    Slow reference for the exact kink walk; the initial bracket
+    Slow reference for the kink walk; the initial bracket
     [min(X) - 2, max(X) + 2] is widened geometrically if needed and the
     search stops once the bracket width falls below tol_scale * (1 + |c|).
     """
@@ -351,8 +377,9 @@ def monotone_mean_variance_value(X: RandomVariable) -> HullValue:
     """Evaluate sup_c { E[U(min(X - c, 1))] + c } and its maximizer.
 
     The first-order condition is E[(1 - X + c)^+] = 1; the objective is
-    concave in c so the root is the global maximizer.
+    concave in c so the root is the global maximizer.  It is the kink
+    walk's minimizer of sum p ((1 - X + c)^+)^2 - 2c (r = 1 - X, g = -1).
     """
-    c_hat = _exact_cash_root(X.values, X.law.probabilities)
+    c_hat = float(_kink_walk(1.0 - X.values, -1.0, X.law.probabilities, h=1.0)[0])
     value = expected_truncated_utility(X - c_hat) + c_hat
     return HullValue(value=value, cash_level=c_hat)

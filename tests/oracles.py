@@ -8,7 +8,9 @@ instead of clip-set iteration, and plain grid searches instead of
 closed forms.  The dense global solvers at the end (Gram system, leaf
 active-set QP, global clip-set iteration over the full gain matrix) are
 the pipeline the package ran before its node-by-node backward induction;
-they share no recursion with it and check it on small trees.
+they share no recursion with it and check it on small trees.  The
+clip-set loop keeps its own line search, a walk over the crossings in
+[0, 1], so it does not lean on the package's kink walk either.
 """
 
 from __future__ import annotations
@@ -381,9 +383,46 @@ def dense_quadratic(tree, initial_wealth):
     )
 
 
+def _line_maximum(p: np.ndarray, W: np.ndarray, g: np.ndarray) -> float:
+    """argmax over t in [0, 1] of E[U(min(W + t g, 1))].
+
+    The derivative phi'(t) = sum_{W + t g < 1} p (1 - W - t g) g is
+    continuous, decreasing and piecewise linear; walk its kinks.
+    """
+
+    def dphi(t: float) -> float:
+        w_t = W + t * g
+        active = w_t < 1.0
+        return float(np.sum(p[active] * (1.0 - w_t[active]) * g[active]))
+
+    crossings = []
+    nz = g != 0.0
+    t_cross = (1.0 - W[nz]) / g[nz]
+    for t in t_cross:
+        if 0.0 < t < 1.0:
+            crossings.append(float(t))
+    points = [0.0] + sorted(set(crossings)) + [1.0]
+
+    if dphi(0.0) <= 0.0:
+        return 0.0
+    for lo, hi in zip(points[:-1], points[1:]):
+        if dphi(hi) >= 0.0:
+            continue
+        # sign change inside (lo, hi]; the active set is constant there
+        mid = 0.5 * (lo + hi)
+        w_mid = W + mid * g
+        active = w_mid < 1.0
+        a = float(np.sum(p[active] * (1.0 - W[active]) * g[active]))
+        c = float(np.sum(p[active] * g[active] * g[active]))
+        if c <= 0.0:
+            return lo
+        return min(max(a / c, lo), hi)
+    return 1.0
+
+
 def dense_truncated(tree, initial_wealth, max_rounds=100):
     """theta maximizing E[U(min(x + B theta, 1))] by the global clip-set loop."""
-    from mmvport.induction import _line_maximum, _weighted_fit
+    from mmvport.induction import _weighted_fit
     from mmvport.probability import truncated_utility
 
     B = tree.gain_matrix

@@ -267,6 +267,12 @@ class TestGenerateAndSelftest:
         code, _, err = run(capsys, "generate", "--seed", "1", "--branching", "1")
         assert code == 2
         assert err != ""
+        code, _, err = run(
+            capsys, "generate", "--seed", "0", "--periods", str(3 * 10**7),
+            "--branching", "3",
+        )
+        assert code == 2
+        assert "exceed 200000 leaves" in err
 
     def test_generate_analyze_round_trip(self, capsys, tmp_path):
         for seed in range(100):

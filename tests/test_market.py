@@ -309,3 +309,11 @@ class TestGenerator:
         with pytest.raises(ValidationError):
             # leaf count blows past the safety cap
             generate_random_market(seed=1, periods=10, branching=10)
+
+    def test_leaf_cap_is_decided_without_the_full_power(self):
+        # 2**(10**12) is never built: the refusal is immediate
+        with pytest.raises(ValidationError, match="exceed 200000 leaves"):
+            generate_random_market(seed=0, periods=10**12, branching=2)
+        # 262 144 leaves, the first power of two past the cap
+        with pytest.raises(ValidationError, match="exceed 200000 leaves"):
+            generate_random_market(seed=0, periods=18, branching=2)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from mmvport import (
     DimensionMismatch,
@@ -19,9 +21,10 @@ from mmvport import (
     sharpe_ratio,
     variance,
 )
-from mmvport.probability import cash_level_bisection
+from mmvport.monotone_sharpe import alpha_root_bisection, solve_alpha_hat
+from mmvport.probability import _kink_walk, cash_level_bisection
 
-from oracles import zoom_fmmv
+from oracles import _line_maximum, zoom_fmmv
 
 
 def rv(values, probs=None):
@@ -205,3 +208,140 @@ class TestMonotoneMeanVarianceValue:
         # the hull of a constant is the constant itself, attained at c = 3
         assert got.value == pytest.approx(3.0, abs=1e-12)
         assert got.cash_level == pytest.approx(3.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the kink walk: argmin over [lo, hi] of sum w ((r - t g)^+)^2 - 2 h t
+
+# a coarse grid, so draws tie kinks and hit zero increments
+GRID = st.integers(-8, 8).map(lambda k: k / 4.0)
+PAYOFFS = st.integers(-4, 12).map(lambda k: k / 4.0)
+WEIGHTS = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
+
+
+def walk_value(r, g, w, h, t):
+    gap = np.maximum(r - t * g, 0.0)
+    return math.fsum((w * gap * gap).tolist()) - 2.0 * h * t
+
+
+def walk_scale(r, g, w, h, t):
+    """Size of the terms of f at t, for tolerances."""
+    size = np.abs(r) + abs(t) * np.abs(g)
+    return 1.0 + math.fsum((w * size * size).tolist()) + 2.0 * abs(h * t)
+
+
+def walk_slope(r, g, w, h, t):
+    """-f'(t) / 2, nonincreasing in t."""
+    return math.fsum((w * g * np.maximum(r - t * g, 0.0)).tolist()) + h
+
+
+@st.composite
+def walk_rows(draw):
+    """A batch of rows padded with zero weight, and one (h, lo, hi)."""
+    h = draw(st.sampled_from([0.0, 1.0]))
+    lo = draw(st.sampled_from([-math.inf, -1.0, 0.0]))
+    hi = draw(st.sampled_from([math.inf, 1.0, 2.5]))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        m = draw(st.integers(1, 7))
+        r = draw(st.lists(GRID, min_size=m, max_size=m))
+        g = draw(st.lists(GRID, min_size=m, max_size=m))
+        w = draw(st.lists(WEIGHTS, min_size=m, max_size=m))
+        # an unbounded side needs a term that grows there, or f has no
+        # minimizer on it
+        if lo == -math.inf:
+            r.append(draw(GRID))
+            g.append(draw(st.floats(0.25, 2.0)))
+            w.append(draw(st.floats(0.05, 3.0)))
+        if hi == math.inf:
+            r.append(draw(GRID))
+            g.append(-draw(st.floats(0.25, 2.0)))
+            w.append(draw(st.floats(0.05, 3.0)))
+        rows.append((r, g, w))
+    width = max(len(r) for r, _, _ in rows)
+    r, g, w = np.zeros((3, len(rows), width))
+    r[:] = 1.0
+    for k, (rk, gk, wk) in enumerate(rows):
+        r[k, : len(rk)], g[k, : len(gk)], w[k, : len(wk)] = rk, gk, wk
+    return r, g, w, h, lo, hi
+
+
+def random_law(draw, m):
+    weights = draw(st.lists(st.floats(0.05, 3.0), min_size=m, max_size=m))
+    return DiscreteLaw.from_weights(weights).probabilities
+
+
+class TestKinkWalk:
+    @given(walk_rows())
+    def test_first_order_conditions(self, case):
+        r, g, w, h, lo, hi = case
+        got = _kink_walk(r, g, w, h=h, lo=lo, hi=hi)
+        assert got.shape == (r.shape[0],)
+        for k, t in enumerate(got):
+            args = (r[k], g[k], w[k], h)
+            assert math.isfinite(t) and lo <= t <= hi
+            slope = walk_slope(*args, t)
+            tol = 1e-12 * walk_scale(*args, t)
+            # -f'/2 vanishes inside, and points out of [lo, hi] at a bound
+            if t > lo:
+                assert slope >= -tol
+            if t < hi:
+                assert slope <= tol
+
+    @given(st.data())
+    def test_monotone_sharpe_cap_against_bisection(self, data):
+        m = data.draw(st.integers(2, 8))
+        x = np.array(data.draw(st.lists(PAYOFFS, min_size=m, max_size=m)))
+        x[0] = -abs(x[0]) - 0.25
+        X = RandomVariable(DiscreteLaw(random_law(data.draw, m)), x)
+        assume(mean(X) > 1e-9)
+        args = (1.0, X.values, X.law.probabilities, 0.0)
+        t, ref = solve_alpha_hat(X), alpha_root_bisection(X)
+        assert walk_value(*args, t) <= walk_value(*args, ref) + 1e-12 * walk_scale(
+            *args, ref
+        )
+
+    @given(st.data())
+    def test_hull_cash_level_against_bisection(self, data):
+        m = data.draw(st.integers(1, 8))
+        x = np.array(data.draw(st.lists(GRID, min_size=m, max_size=m)))
+        X = RandomVariable(DiscreteLaw(random_law(data.draw, m)), x)
+        args = (1.0 - X.values, -1.0, X.law.probabilities, 1.0)
+        t = monotone_mean_variance_value(X).cash_level
+        ref = cash_level_bisection(X)
+        assert walk_value(*args, t) <= walk_value(*args, ref) + 1e-12 * walk_scale(
+            *args, ref
+        )
+
+    @given(st.data())
+    def test_line_search_against_the_crossing_walk(self, data):
+        m = data.draw(st.integers(1, 8))
+        p = random_law(data.draw, m)
+        W = np.array(data.draw(st.lists(GRID, min_size=m, max_size=m)))
+        g = np.array(data.draw(st.lists(GRID, min_size=m, max_size=m)))
+        args = (1.0 - W, g, p, 0.0)
+        t = float(_kink_walk(1.0 - W, g, p, lo=0.0, hi=1.0)[0])
+        ref = _line_maximum(p, W, g)
+        assert 0.0 <= t <= 1.0
+        assert walk_value(*args, t) <= walk_value(*args, ref) + 1e-12 * walk_scale(
+            *args, ref
+        )
+
+    @pytest.mark.parametrize("family", ["uniform", "heavy"])
+    def test_large_laws(self, family):
+        rng = np.random.default_rng(8000)
+        n = 8000
+        if family == "uniform":
+            law, x = DiscreteLaw.uniform(n), rng.uniform(-2.0, 5.0, n)
+        else:
+            # normal body with a rare Pareto tail
+            tail = rng.random(n) < 0.01
+            x = np.where(tail, 20.0 * rng.pareto(1.2, n), rng.normal(0.3, 1.0, n))
+            law = DiscreteLaw.from_weights(rng.uniform(0.5, 1.5, n))
+        X = RandomVariable(law, x)
+        alpha = solve_alpha_hat(X)
+        assert alpha == pytest.approx(alpha_root_bisection(X), rel=1e-9)
+        p = law.probabilities
+        capped = np.minimum(alpha * x, 1.0)
+        residual = math.fsum((p * capped).tolist()) - math.fsum((p * capped**2).tolist())
+        assert abs(residual) <= 1e-10
