@@ -52,7 +52,13 @@ from .errors import (
 from .fcfs import analyze, report_to_dict, verify_fcfs_certificate
 from .market import generate_random_market, load_market, market_to_json
 from .monotone_sharpe import monotone_sharpe
-from .probability import DiscreteLaw, RandomVariable, mean, sharpe_ratio
+from .probability import (
+    DiscreteLaw,
+    RandomVariable,
+    _capped_sharpe_ratios,
+    mean,
+    sharpe_ratio,
+)
 from .selftest import run_selftest
 
 __all__ = ["RunConfig", "main"]
@@ -263,8 +269,9 @@ def _cap_sweep_csv(X: RandomVariable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["level", "sharpe"])
-    for level in levels:
-        writer.writerow([_fmt_number(level), _fmt_number(sharpe_ratio(X.cap(level)))])
+    ratios = _capped_sharpe_ratios(X, levels)
+    for level, ratio in zip(levels.tolist(), ratios.tolist()):
+        writer.writerow([_fmt_number(level), _fmt_number(ratio)])
     return buf.getvalue()
 
 

@@ -45,7 +45,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoDownside, NonpositiveMean
-from .probability import RandomVariable, _kink_walk, mean, sharpe_ratio
+from .probability import (
+    RandomVariable,
+    _kink_walk,
+    _rescale,
+    _scaled,
+    mean,
+    sharpe_ratio,
+)
 
 __all__ = [
     "MonotoneSharpeResult",
@@ -89,13 +96,17 @@ def solve_alpha_hat(X: RandomVariable) -> float:
 
     Requires E[X] > 0 and P(X < 0) > 0; raises NonpositiveMean or
     NoDownside otherwise.  The root minimizes E[((1 - aX)^+)^2], which the
-    kink walk solves with r = 1, g = X and weights p.
+    kink walk solves with r = 1, g = X and weights p.  The walk runs on
+    X / 2^k (see :func:`mmvport.probability._scaled`), whose root is
+    2^k a exactly, so its squares stay finite on laws near the ends of the
+    float range; a root beyond the largest double is returned as inf.
     """
-    if mean(X) <= 0.0:
+    Xs, k = _scaled(X)
+    if mean(Xs) <= 0.0:
         raise NonpositiveMean(f"payoff mean {mean(X)!r} is not strictly positive")
     if not np.any(X.values < 0.0):
         raise NoDownside("payoff has no downside; no finite cap attains the supremum")
-    return float(_kink_walk(1.0, X.values, X.law.probabilities)[0])
+    return _rescale(float(_kink_walk(1.0, Xs.values, Xs.law.probabilities)[0]), -k)
 
 
 def alpha_root_bisection(
@@ -149,15 +160,21 @@ def monotone_sharpe(X: RandomVariable) -> MonotoneSharpeResult:
         return MonotoneSharpeResult(
             math.sqrt(p_pos / p_zero), None, None, CASE_NO_DOWNSIDE
         )
-    if mean(X) <= 0.0:
+    Xs, k = _scaled(X)
+    if mean(Xs) <= 0.0:
         raise NonpositiveMean(
             f"payoff mean {mean(X)!r} is not strictly positive; "
             "monotone Sharpe ratio is refused for nonpositive-mean payoffs"
         )
-    alpha = solve_alpha_hat(X)
+    # root, cap and ratio are taken on X / 2^k and the root and cap scaled
+    # back on the way out: the same bits in range, and a cap whose root
+    # overflows still caps the law at the right level
+    alpha = solve_alpha_hat(Xs)
     level = 1.0 / alpha
-    sr = sharpe_ratio(X.cap(level))
-    return MonotoneSharpeResult(sr, alpha, level, CASE_STANDARD)
+    sr = sharpe_ratio(Xs.cap(level))
+    return MonotoneSharpeResult(
+        sr, _rescale(alpha, -k), _rescale(level, k), CASE_STANDARD
+    )
 
 
 def oracle_grid_sr(X: RandomVariable, grid=None) -> float:

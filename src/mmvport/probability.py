@@ -40,7 +40,15 @@ Conventions
   (-1)/0 = -inf and 0/0 = 0.
 * Moment accumulation uses compensated summation (``math.fsum``) so that the
   functional identities hold to near machine precision even on laws with
-  thousands of atoms and wildly mixed magnitudes.
+  thousands of atoms and wildly mixed magnitudes.  The cap sweep sums all
+  cap levels at once with ``_fsum_rows``, a Sum2 cascade (Ogita, Rump &
+  Oishi 2005) whose error bound certifies, level by level, that it returns
+  what ``math.fsum`` returns; a level it cannot certify is summed again by
+  ``math.fsum``.
+* Sharpe ratios and the monotone Sharpe cap are computed on X / 2^k with
+  2^k the power of two just above max |X| (``_scaled``): exact, so the
+  bits are those of X on every law whose squares stay in range, and finite
+  on laws near either end of the float range.
 """
 
 from __future__ import annotations
@@ -72,6 +80,7 @@ __all__ = [
 ]
 
 _PROB_SUM_TOL = 1e-12
+_UNIT = 2.0**-53  # unit roundoff of IEEE double
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -203,31 +212,55 @@ def second_moment(X: RandomVariable) -> float:
     return _fsum_dot(X.law.probabilities, X.values * X.values)
 
 
+def _mean_var(X: RandomVariable) -> tuple[float, float]:
+    """(mean, variance), the variance accumulated as E[(X - m)^2]."""
+    p = X.law.probabilities
+    m = _fsum_dot(p, X.values)
+    centred = X.values - m
+    return m, _fsum_dot(p, centred * centred)
+
+
 def moments(X: RandomVariable) -> tuple[float, float, float]:
     """Return (mean, second moment, variance) in one pass over the atoms.
 
     The variance is accumulated as E[(X - m)^2], which is nonnegative by
     construction and exact for constant payoffs.
     """
-    p = X.law.probabilities
-    x = X.values
-    m = _fsum_dot(p, x)
-    m2 = _fsum_dot(p, x * x)
-    centred = x - m
-    var = _fsum_dot(p, centred * centred)
-    return m, m2, var
+    m, var = _mean_var(X)
+    return m, second_moment(X), var
 
 
 def variance(X: RandomVariable) -> float:
-    return moments(X)[2]
+    return _mean_var(X)[1]
+
+
+def _scaled(X: RandomVariable) -> tuple[RandomVariable, int]:
+    """X / 2^k with k the binary exponent of max |X|, and k.
+
+    The scaled values lie in (-1, 1), so their squares neither overflow
+    nor, for the largest atoms, underflow.  Division by a power of two is
+    exact, so a scale-free quantity such as the Sharpe ratio keeps its bits
+    on every law whose unscaled computation stays in range.
+    """
+    k = math.frexp(float(np.max(np.abs(X.values))))[1]
+    return RandomVariable(X.law, np.ldexp(X.values, -k)), k
+
+
+def _rescale(value: float, k: int) -> float:
+    """value * 2^k, infinite where that overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(value, k))
 
 
 def sharpe_ratio(X: RandomVariable) -> float:
     """Mean over standard deviation on the extended real line.
 
     Zero variance resolves by the sign of the mean: positive mean gives
-    +inf, negative mean -inf, zero mean 0.
+    +inf, negative mean -inf, zero mean 0.  The ratio is taken on X / 2^k
+    (see ``_scaled``), which leaves it unchanged and keeps laws near the
+    ends of the float range finite.
     """
+    X = _scaled(X)[0]
     if np.all(X.values == X.values[0]):
         c = mean(X)
         if c > 0.0:
@@ -235,10 +268,109 @@ def sharpe_ratio(X: RandomVariable) -> float:
         if c < 0.0:
             return -math.inf
         return 0.0
-    m, _, var = moments(X)
+    m, var = _mean_var(X)
     if var <= 0.0:
         return math.inf if m > 0.0 else (-math.inf if m < 0.0 else 0.0)
     return m / math.sqrt(var)
+
+
+def _fsum_rows(columns, size: int, row_terms) -> np.ndarray:
+    """``math.fsum`` of each of ``size`` rows, fed one column at a time.
+
+    ``columns`` yields float arrays of shape (size,), term j of every row;
+    ``row_terms(i)`` returns row i's terms in column order.  Each row is
+    summed by the Sum2 cascade of Ogita, Rump & Oishi (2005): a running
+    sum s, the float sum e of the TwoSum errors, and a = sum |t|, so that
+    |s + e - S| <= gamma_n^2 a for the exact sum S of n terms.  TwoSum(s, e)
+    = c0 + r exactly; c0 is the correctly rounded S, as ``math.fsum``
+    returns it, wherever |r| plus twice that bound stays strictly below
+    half the gap from c0 to its neighbour toward zero.  That half gap
+    rounds to 0 for |c0| <= 2^-1021 and a non-finite row makes r or the
+    bound NaN or inf, so every other row (non-finite, zero or subnormal
+    c0, or a near-tie) is summed again by ``math.fsum`` over
+    ``row_terms``, and each result is exact.  O(size) memory.
+    """
+    s, e, a = np.zeros(size), np.zeros(size), np.zeros(size)
+    s_new, z, q = np.empty(size), np.empty(size), np.empty(size)
+    n = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in columns:
+            # TwoSum: s + t = s_new + q exactly
+            np.add(s, t, out=s_new)
+            np.subtract(s_new, s, out=z)
+            np.subtract(s_new, z, out=q)
+            np.subtract(s, q, out=q)
+            np.subtract(t, z, out=z)
+            q += z
+            e += q
+            s, s_new = s_new, s
+            np.abs(t, out=z)
+            a += z
+            n += 1
+        c0 = s + e
+        z = c0 - s
+        r = (s - (c0 - z)) + (e - z)
+        nu = n * _UNIT
+        gamma = nu / (1.0 - nu)
+        bound = (2.0 * gamma * gamma) * a
+        half_gap = np.spacing(np.nextafter(np.abs(c0), 0.0)) / 2.0
+        exact = np.abs(r) + bound < half_gap
+    out = np.where(exact, c0, 0.0)
+    for i in np.flatnonzero(~exact).tolist():
+        out[i] = math.fsum(row_terms(i))
+    return out
+
+
+def _capped_sharpe_ratios(X: RandomVariable, levels) -> np.ndarray:
+    """``[sharpe_ratio(X.cap(level)) for level in levels]``, bit for bit.
+
+    Each capped payoff min(X, level) is scaled by the power of two that
+    ``sharpe_ratio`` picks for it, from max |min(X, level)| =
+    max(|min(min X, level)|, |min(max X, level)|).  Its mean and centred
+    variance are the exact sums of the same IEEE terms p_j y_j and
+    p_j (c c), with y_j the scaled min(x_j, level) and c = y_j - m, taken
+    for every level at once by ``_fsum_rows`` in a loop over the atoms.
+    min(X, level) is constant exactly when level <= min X or X is
+    constant.  O(levels x atoms) time and O(levels) memory.
+    """
+    p = X.law.probabilities
+    x = X.values
+    levels = np.asarray(levels, dtype=float)
+    lo, hi = float(x.min()), float(x.max())
+    shift = -np.frexp(
+        np.maximum(np.abs(np.minimum(lo, levels)), np.abs(np.minimum(hi, levels)))
+    )[1]
+    buf = np.empty_like(levels)
+
+    def capped(j):  # atom j at every level
+        np.minimum(x[j], levels, out=buf)
+        return np.ldexp(buf, shift, out=buf)
+
+    def level(i):  # every atom at level i, as sharpe_ratio sees it
+        return np.ldexp(np.minimum(x, levels[i]), shift[i])
+
+    def means():
+        for j in range(x.size):
+            yield np.multiply(capped(j), p[j], out=buf)
+
+    m = _fsum_rows(means(), levels.size, lambda i: (p * level(i)).tolist())
+
+    def squares():
+        for j in range(x.size):
+            c = np.subtract(capped(j), m, out=buf)
+            np.multiply(c, c, out=c)
+            yield np.multiply(c, p[j], out=c)
+
+    def square_terms(i):
+        c = level(i) - m[i]
+        return (p * (c * c)).tolist()
+
+    var = _fsum_rows(squares(), levels.size, square_terms)
+    flat = (levels <= lo) | (lo == hi) | (var <= 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = m / np.sqrt(var)
+    signs = np.where(m > 0.0, math.inf, np.where(m < 0.0, -math.inf, 0.0))
+    return np.where(flat, signs, ratios)
 
 
 def quadratic_utility(w):
@@ -264,7 +396,7 @@ def expected_truncated_utility(X: RandomVariable) -> float:
 
 
 def mean_variance_value(X: RandomVariable) -> float:
-    m, _, var = moments(X)
+    m, var = _mean_var(X)
     return m - 0.5 * var
 
 

@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, output formats and round-trips."""
 
 import csv
+import hashlib
 import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from mmvport import analyze, load_packaged_market, market_to_json
@@ -29,6 +31,49 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _uniform_law():
+    values = np.random.default_rng(5).uniform(-2.0, 5.0, 1500)
+    return "value\n" + "".join(f"{v!r}\n" for v in values.tolist())
+
+
+def _heavy_law():
+    rng = np.random.default_rng(7)
+    tail = rng.random(1200) < 0.01
+    values = np.where(tail, 20.0 * rng.pareto(1.2, 1200), rng.normal(0.3, 1.0, 1200))
+    weights = rng.uniform(0.5, 1.5, 1200)
+    return "value,weight\n" + "".join(
+        f"{v!r},{w!r}\n" for v, w in zip(values.tolist(), weights.tolist())
+    )
+
+
+# sha256 of `msharpe --format csv` on each law, recorded before the cap
+# sweep was batched; the sweep must keep these bytes
+CAP_SWEEP_DIGESTS = {
+    "readme": (
+        "value,weight\n10,0.1\n1,0.8\n-1,0.1\n",
+        "a8b075bfe3ddf7fde004b3034a9a1265834463fedd479e57238e3647490b4cbf",
+    ),
+    "uniform": (
+        _uniform_law(),
+        "4a3f05ef1093fff5b12efe8fb6ad84493921f8e541b8ab66d338e872bbe09b49",
+    ),
+    "heavy": (
+        _heavy_law(),
+        "117d3f702fb1cc056fc465ab7951b4b11a77089243482ae2f31971854c62792e",
+    ),
+    # the lowest grid levels sit below every atom: constant capped payoffs
+    "positive": (
+        "value,weight\n0.5,1\n1,2\n1,1\n2.5,3\n4,1\n4,0.5\n",
+        "20a3dcc536b83ec63040c349df6ad4037ec9b38af142d53b082ec8e57366f140",
+    ),
+    # no positive atom: the 400-point grid on (0, 1] caps nothing
+    "negative": (
+        "-1\n-2\n-0.5\n-2\n",
+        "a41c1d293eccf1fbc50a8bd75cef12d3aeeff36d4b8fc2075915d2362fa790be",
+    ),
+}
 
 
 class TestAnalyze:
@@ -251,6 +296,32 @@ class TestMsharpe:
         assert len(rows) > 100
         best = max(float(r["sharpe"]) for r in rows)
         assert best == pytest.approx(math.sqrt(29) / 4, abs=1e-3)
+
+    def test_law_near_the_top_of_the_float_range(self, capsys, tmp_path):
+        # the squares of these atoms overflow; the ratios are those of {1, -1, 3}
+        path = self.write(tmp_path, "1e200\n-1e200\n3e200\n")
+        code, out, _ = run(capsys, "msharpe", path)
+        assert code == 0
+        assert json.loads(out) == {
+            "mean": 1e200,
+            "sharpe": 0.612372435696,
+            "sr_m": 0.612372435696,
+            "alpha_hat": 2.72727272727e-201,
+            "truncation_level": 3.66666666667e200,
+            "case_tag": "standard",
+        }
+        code, out, _ = run(capsys, "msharpe", "--format", "csv", path)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert max(float(r["sharpe"]) for r in rows) == 0.612372435696
+
+    @pytest.mark.parametrize("name", sorted(CAP_SWEEP_DIGESTS))
+    def test_cap_sweep_bytes_are_pinned(self, capsys, tmp_path, name):
+        text, digest = CAP_SWEEP_DIGESTS[name]
+        path = self.write(tmp_path, text)
+        code, out, _ = run(capsys, "msharpe", "--format", "csv", path)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestGenerateAndSelftest:

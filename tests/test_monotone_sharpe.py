@@ -66,6 +66,21 @@ class TestAlphaHat:
 
 
 class TestMonotoneSharpe:
+    @pytest.mark.parametrize("shift", [-600, 600])
+    def test_power_of_two_scaling_is_exact(self, shift):
+        # squares of the scaled atoms leave the float range; the results
+        # must not notice
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            X = random_standard_law(rng)
+            Y = RandomVariable(X.law, np.ldexp(X.values, shift))
+            want, got = monotone_sharpe(X), monotone_sharpe(Y)
+            assert sharpe_ratio(Y) == sharpe_ratio(X)
+            assert got.sr_m == want.sr_m
+            assert got.alpha_hat == math.ldexp(want.alpha_hat, -shift)
+            assert got.truncation_level == math.ldexp(want.truncation_level, shift)
+            assert solve_alpha_hat(Y) == got.alpha_hat
+
     def test_trinomial_golden(self, trinomial_law):
         res = monotone_sharpe(trinomial_law)
         assert res.case_tag == CASE_STANDARD

@@ -22,7 +22,12 @@ from mmvport import (
     variance,
 )
 from mmvport.monotone_sharpe import alpha_root_bisection, solve_alpha_hat
-from mmvport.probability import _kink_walk, cash_level_bisection
+from mmvport.probability import (
+    _capped_sharpe_ratios,
+    _fsum_rows,
+    _kink_walk,
+    cash_level_bisection,
+)
 
 from oracles import _line_maximum, zoom_fmmv
 
@@ -345,3 +350,159 @@ class TestKinkWalk:
         capped = np.minimum(alpha * x, 1.0)
         residual = math.fsum((p * capped).tolist()) - math.fsum((p * capped**2).tolist())
         assert abs(residual) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# exact batched summation and the cap sweep built on it
+
+
+def bits(values):
+    """IEEE bit patterns: equal exactly when the floats are, sign of zero too."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def batched_fsum(rows):
+    """_fsum_rows over the rows of a matrix, and the rows it summed again."""
+    terms = np.array(rows, dtype=float)
+    again = []
+
+    def row_terms(i):
+        again.append(i)
+        return terms[i].tolist()
+
+    return _fsum_rows(iter(terms.T), terms.shape[0], row_terms), again
+
+
+def outcome(sums):
+    """Bit patterns of the sums, or the type of the exception raised."""
+    try:
+        return bits(sums())
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def adversarial_rows(rng, count, width=8):
+    """Rows built from ties, cancelling pairs, extreme and subnormal terms."""
+    rows = []
+    for _ in range(count):
+        row = []
+        while len(row) < width:
+            kind = int(rng.integers(5))
+            sign = float(rng.choice([-1.0, 1.0]))
+            big = sign * math.ldexp(rng.uniform(1.0, 2.0), int(rng.integers(-997, 997)))
+            if kind == 0:  # a term and half its ulp, either way: a rounding tie
+                row += [big, sign * float(rng.choice([-1.0, 1.0])) * math.ulp(big) / 2]
+            elif kind == 1:  # exact cancellation
+                row += [big, -big]
+            elif kind == 2:  # magnitudes from about 1e-300 to 1e300
+                row.append(big)
+            elif kind == 3:  # subnormal
+                row.append(sign * math.ldexp(float(rng.integers(1, 1 << 20)), -1074))
+            else:
+                row.append(sign * 0.0)
+        row = row[:width]
+        rng.shuffle(row)
+        rows.append(row)
+    return rows
+
+
+class TestFsumRows:
+    def test_adversarial_rows_match_fsum(self):
+        rows = adversarial_rows(np.random.default_rng(53), 20000)
+        got, again = batched_fsum(rows)
+        assert bits(got) == bits([math.fsum(r) for r in rows])
+        assert 0 < len(again) < len(rows)
+
+    def test_ties_zeros_and_subnormals(self):
+        rows = [
+            [1.0, 2.0**-53, 0.0],  # half-way between 1 and its successor
+            [1.0, -(2.0**-54), 0.0],  # half-way between 1 and its predecessor
+            [1.0, 2.0**-53, 2.0**-105],  # just above that tie
+            [1e300, 1.0, -1e300],
+            [1e300, 1e-300, -1e300],
+            [-0.0, -0.0, -0.0],
+            [0.0, -0.0, 0.0],
+            [5e-324, 5e-324, -5e-324],
+            [2.2250738585072014e-308, -5e-324, 0.0],
+        ]
+        got, again = batched_fsum(rows)
+        assert bits(got) == bits([math.fsum(r) for r in rows])
+        assert 0 in again and 1 in again
+
+    def test_near_ties_round_below_a_power_of_two(self):
+        # s + e rounds to 1.0 while the exact sums lie just below the
+        # midpoint under 1: the gap toward zero and the error bound decide
+        tie = [1.0, -(2.0**-54), -(2.0**-200)]
+        near = [1.0, -(2.0**-54) + 2.0**-105] + [-0.99 * 2.0**-108] * 20
+        got, again = batched_fsum([tie + [0.0] * 19, near])
+        assert bits(got) == bits([1.0 - 2.0**-53] * 2)
+        assert again == [0, 1]
+
+    def test_certifies_mean_like_rows(self):
+        # terms p x of a uniform law: none is a near-tie, so none is summed
+        # again (s + e can be an exact tie when the terms' last bits are
+        # coarse next to the sum's, and math.fsum then decides)
+        rows = np.random.default_rng(54).uniform(-2.0, 5.0, size=(500, 200)) / 200
+        got, again = batched_fsum(rows)
+        assert bits(got) == bits([math.fsum(r) for r in rows.tolist()])
+        assert again == []
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [math.inf, 1.0],
+            [1.0, -math.inf],
+            [math.inf, -math.inf],
+            [math.nan, 1.0],
+            [1e308, 1e308, -1e308],
+            [1e308, -1e308, 1e308],
+            [1.7976931348623157e308, 9.979201547673599e291],
+        ],
+    )
+    def test_non_finite_rows_behave_as_fsum(self, row):
+        assert outcome(lambda: batched_fsum([row])[0]) == outcome(
+            lambda: [math.fsum(row)]
+        )
+
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda width: st.lists(
+                st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=width, max_size=width),
+                min_size=1, max_size=6,
+            )
+        )
+    )
+    def test_any_finite_rows(self, rows):
+        assert outcome(lambda: batched_fsum(rows)[0]) == outcome(
+            lambda: [math.fsum(r) for r in rows]
+        )
+
+
+class TestCappedSharpeRatios:
+    @given(st.data())
+    def test_matches_the_per_level_loop(self, data):
+        pool = data.draw(st.lists(PAYOFFS, min_size=1, max_size=4))
+        m = data.draw(st.integers(1, 12))
+        values = data.draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+        # far from 1 the squares of the unscaled atoms leave the float range
+        shift = data.draw(st.sampled_from([0, 0, -600, 600, 1000, -1040]))
+        x = np.ldexp(np.array(values), shift)
+        X = RandomVariable(DiscreteLaw(random_law(data.draw, m)), x)
+        top = max(float(x.max()), 0.0) or 1.0
+        extra = data.draw(st.lists(st.sampled_from(pool + [0.0, -0.0]), max_size=4))
+        levels = np.concatenate(
+            [np.unique(x[x > 0.0]), np.linspace(top / 400, top, 400),
+             np.ldexp(np.array(extra, dtype=float), shift)]
+        )
+        want = [sharpe_ratio(X.cap(level)) for level in levels]
+        assert bits(_capped_sharpe_ratios(X, levels)) == bits(want)
+
+    def test_levels_far_below_the_largest_atom(self):
+        # capped at 2^-995, the payoff's squares underflow unless it is
+        # scaled by its own largest value, level by level
+        x = np.array([2.0**-1000, 3 * 2.0**-998, 2.0**-990, 0.75, 1.0])
+        X = RandomVariable(DiscreteLaw.from_weights([1.0, 2.0, 1.0, 3.0, 1.0]), x)
+        levels = np.concatenate([x, np.ldexp(1.0, np.arange(-1001, 1, 7))])
+        want = [sharpe_ratio(X.cap(level)) for level in levels]
+        assert bits(_capped_sharpe_ratios(X, levels)) == bits(want)
