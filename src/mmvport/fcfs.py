@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -266,13 +267,23 @@ def _sig(value: float) -> float:
     return float(f"{value:.12g}")
 
 
+def _sig_all(values: np.ndarray) -> list:
+    """``[_sig(v) for v in values]`` in one pass over the array.
+
+    Each value is written with '.12g' and read back, as ``_sig`` does; inf
+    and nan come back as themselves.
+    """
+    return list(map(float, map(format, values.tolist(), repeat(".12g"))))
+
+
 def report_to_dict(report: FcfsReport) -> dict:
     """Serialize a report to the documented plain-dict shape (12 digits)."""
     tree = report.tree
-    strategy = {
-        nid: [_sig(v) for v in report.allocation.strategy.holdings[nid]]
-        for nid in tree.nonterminal_ids
-    }
+    d = tree.assets
+    held = _sig_all(report.allocation.strategy.vector)
+    strategy = dict(
+        zip(tree.nonterminal_ids, (held[i : i + d] for i in range(0, len(held), d)))
+    )
     return {
         "u": _sig(report.u),
         "u_m": _sig(report.u_m),
@@ -286,10 +297,10 @@ def report_to_dict(report: FcfsReport) -> dict:
         "fcfs_payoff": (
             None
             if report.fcfs_payoff is None
-            else [_sig(v) for v in report.fcfs_payoff]
+            else _sig_all(report.fcfs_payoff)
         ),
-        "signed_density": [_sig(v) for v in report.signed_density],
-        "nonneg_density": [_sig(v) for v in report.nonneg_density],
+        "signed_density": _sig_all(report.signed_density),
+        "nonneg_density": _sig_all(report.nonneg_density),
         "strategy": strategy,
         "marginal": bool(report.marginal),
     }

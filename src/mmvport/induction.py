@@ -48,50 +48,47 @@ class TreeLevels:
     For each nonterminal level t: ``dS[t]`` (nodes, children, assets) price
     increments, ``p[t]`` conditional and ``path[t]`` path probabilities of
     the children (zero where padded), ``mask[t]`` the real children,
-    ``ids[t]`` the node ids and ``nonterminal[t]`` each node's position in
-    :attr:`ScenarioTree.nonterminal_ids`.  ``leaf_rank`` maps the last
-    level onto :attr:`ScenarioTree.leaf_ids`.
+    ``ids[t]`` the node ids (an object array) and ``nonterminal[t]`` each
+    node's position in :attr:`ScenarioTree.nonterminal_ids`.  ``leaf_rank``
+    maps the last level onto :attr:`ScenarioTree.leaf_ids`.  Built from the
+    tree's arrays, walking the children level by level.
     """
 
     def __init__(self, tree):
-        nodes = tree.nodes
-        index = tree._index
-        rank = [0] * len(nodes)
-        n_inner = n_leaf = 0
-        for pos, node in enumerate(nodes):
-            if node.children:
-                rank[pos], n_inner = n_inner, n_inner + 1
-            else:
-                rank[pos], n_leaf = n_leaf, n_leaf + 1
-        prices = np.array([node.prices for node in nodes], dtype=float)
-        cond = np.array([node.cond_prob for node in nodes])
-        path = np.array([node.path_prob for node in nodes])
+        offsets, below = tree.child_offsets, tree.child_index
+        counts_all = np.diff(offsets)
+        inner = counts_all > 0
+        # position among the nonterminal nodes, or among the leaves
+        rank = np.where(inner, np.cumsum(inner), np.cumsum(~inner)) - 1
+        names = np.array(tree.ids, dtype=object)
+        prices, cond, path = tree.prices, tree.cond_prob, tree.path_prob
 
         self.periods = tree.periods
         self.assets = tree.assets
-        self.n_nonterminal = n_inner
+        self.n_nonterminal = int(inner.sum())
         self.dS, self.p, self.path, self.mask = [], [], [], []
         self.regular, self.ids, self.nonterminal = [], [], []
-        level = [index["__root__"]]
+        level = np.array([int(np.argmin(tree.parent))])
         for _ in range(tree.periods):
-            counts = np.array([len(nodes[pos].children) for pos in level])
-            kids = np.array(
-                [index[c] for pos in level for c in nodes[pos].children]
-            )
-            n, b = len(level), int(counts.max())
+            counts = counts_all[level]
+            b = int(counts.max())
             mask = np.arange(b) < counts[:, None]
-            parents = np.repeat(np.array(level), counts)
+            # each node's children, in order: its CSR segment
+            ends = np.cumsum(counts)
+            kids = below[np.repeat(offsets[level] - ends + counts, counts)
+                         + np.arange(ends[-1])]
+            parents = np.repeat(level, counts)
             self.dS.append(self._pad(prices[kids] - prices[parents], mask))
             self.p.append(self._pad(cond[kids], mask))
             self.path.append(self._pad(path[kids], mask))
             self.mask.append(mask)
             self.regular.append(bool(counts.min() == b))
-            self.ids.append([nodes[pos].id for pos in level])
-            self.nonterminal.append(np.array([rank[pos] for pos in level]))
-            level = kids.tolist()
-        self.leaf_rank = np.array([rank[pos] for pos in level])
-        self.leaf_p = path[np.array(level)]
-        self.n_leaves = n_leaf
+            self.ids.append(names[level])
+            self.nonterminal.append(rank[level])
+            level = kids
+        self.leaf_rank = rank[level]
+        self.leaf_p = path[level]
+        self.n_leaves = len(inner) - self.n_nonterminal
 
     @staticmethod
     def _pad(flat: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -25,21 +25,27 @@ to 1 within 1e-9 and are renormalized exactly on load.  Node order in the
 file is preserved and used as the canonical enumeration order for leaves,
 for strategy vectors and for every array this package reports.
 
+A tree is stored as arrays over its nodes, in file order: ``ids``,
+``parent`` (the parent's position, -1 at the root), ``t``, ``cond_prob``,
+``path_prob``, a read-only (nodes, assets) ``prices`` and the children in
+CSR form (``child_offsets`` into ``child_index``, each family in file
+order).  Every step that builds or reads a tree is a pass over these
+arrays: loading screens the entries in one pass and checks the structure
+with numpy, naming the fault a node-by-node walk of the file meets first;
+the generator fills the arrays directly from bulk draws of its random
+stream; :func:`market_to_json` fills one string template per node.
+``ScenarioTree.nodes``, ``ScenarioTree.node`` and ``Strategy.holdings``
+are views built on first use for callers that want objects per node; no
+solver, serializer or CLI path builds them.
+
 Every solver works level by level on the stacked one-step markets of
 ``ScenarioTree.levels`` (see :mod:`mmvport.induction`): wealth is a
 forward sweep, the martingale check of a density a backward aggregation
 of E[z dS | node], and the two opportunity processes behind every optimum
-one backward sweep, cached as ``ScenarioTree.opportunity``.
-
-Two dense linear-algebra views remain for the reference implementations
-in the tests; no solver in the package uses them:
-
-* ``gain_matrix`` B, of shape (leaves, nonterminal*assets): wealth of a
-  self-financing strategy theta from initial wealth x is x + B @ theta.
-* ``constraint_system`` (A, b): A z = b collects E[z] = 1 together with the
-  node-wise conditional increment constraints E[z * 1_node * dS] = 0 that
-  characterize martingale densities.  On a finite tree these node-wise
-  constraints are exactly the martingale property.
+one backward sweep, cached as ``ScenarioTree.opportunity``.  The dense
+views of the earlier pipeline, the gain matrix and the martingale
+constraint system over all leaves, now live only with the reference
+implementations in the tests (``tests/oracles.py``).
 
 Viability means a strictly positive martingale density exists.  On a
 finite tree that holds iff every one-step submarket is free of arbitrage
@@ -57,8 +63,10 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress, repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -96,9 +104,13 @@ _EXPECTATION_TOL = 1e-10
 _MARTINGALE_TOL = 1e-9
 _DENSITY_FLOOR = -1e-12
 _VIABILITY_FLOOR = 1e-9
+_TWOPI = 2.0 * math.pi  # as in random.gauss
 
 _TOP_KEYS = {"assets", "periods", "nodes"}
 _NODE_KEYS = {"id", "parent", "t", "p", "prices"}
+_ABSENT = object()
+# depths at or past this are kept as Python integers, so no check wraps
+_LARGE_T = 2**62
 
 
 def _require_int(obj, name: str) -> int:
@@ -110,7 +122,10 @@ def _require_int(obj, name: str) -> int:
 def _require_number(obj, name: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ParseError(f"{name} must be a number, got {obj!r}")
-    value = float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:  # an integer past the largest double
+        value = math.inf
     if not math.isfinite(value):
         raise ParseError(f"{name} must be finite, got {obj!r}")
     return value
@@ -118,7 +133,7 @@ def _require_number(obj, name: str) -> float:
 
 @dataclass(frozen=True)
 class TreeNode:
-    """Immutable node of a scenario tree."""
+    """Immutable node of a scenario tree, a view of one entry of its arrays."""
 
     id: str
     parent: str | None
@@ -131,35 +146,78 @@ class TreeNode:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioTree:
-    """Validated scenario-tree market.
+    """Validated scenario-tree market, one array entry per node.
+
+    Entry k of ``ids``, ``parent`` (the parent's position, -1 at the
+    root), ``t``, ``cond_prob``, ``path_prob`` and of the (nodes, assets)
+    ``prices`` describes the k-th node of the file.  The children of node
+    k are ``child_index[child_offsets[k]:child_offsets[k + 1]]``, in file
+    order.  The arrays are read-only.  ``nodes`` and ``node(id)`` are
+    :class:`TreeNode` views built on first use; no solver reads them.
 
     Construct via :func:`load_market`, :func:`market_from_dict` or
-    :func:`generate_random_market`; the constructor expects fully built
-    nodes and re-checks nothing.
+    :func:`generate_random_market`; the constructor re-checks nothing.
     """
 
     assets: int
     periods: int
-    nodes: tuple[TreeNode, ...]
-    _index: dict = field(repr=False)
+    ids: tuple[str, ...]
+    parent: np.ndarray
+    t: np.ndarray
+    cond_prob: np.ndarray
+    path_prob: np.ndarray
+    prices: np.ndarray
+    child_offsets: np.ndarray
+    child_index: np.ndarray
+
+    @cached_property
+    def nodes(self) -> tuple[TreeNode, ...]:
+        ids = self.ids
+        offsets = self.child_offsets.tolist()
+        kids = [ids[k] for k in self.child_index.tolist()]
+        return tuple(
+            TreeNode(
+                id=nid,
+                parent=None if up < 0 else ids[up],
+                t=t,
+                cond_prob=cond,
+                prices=row,
+                children=tuple(kids[offsets[k] : offsets[k + 1]]),
+                path_prob=path,
+            )
+            for k, (nid, up, t, cond, path, row) in enumerate(
+                zip(
+                    ids,
+                    self.parent.tolist(),
+                    self.t.tolist(),
+                    self.cond_prob.tolist(),
+                    self.path_prob.tolist(),
+                    self.prices,
+                )
+            )
+        )
+
+    @cached_property
+    def _position(self) -> dict:
+        return dict(zip(self.ids, range(len(self.ids))))
 
     def node(self, node_id: str) -> TreeNode:
         try:
-            return self.nodes[self._index[node_id]]
+            return self.nodes[self._position[node_id]]
         except KeyError:
             raise DimensionMismatch(f"unknown node id {node_id!r}") from None
 
     @property
     def root(self) -> TreeNode:
-        return self.nodes[self._index["__root__"]]
+        return self.nodes[int(np.argmin(self.parent))]
 
     @cached_property
     def leaf_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes if n.t == self.periods)
+        return tuple(compress(self.ids, (self.t == self.periods).tolist()))
 
     @cached_property
     def nonterminal_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes if n.t < self.periods)
+        return tuple(compress(self.ids, (self.t < self.periods).tolist()))
 
     @property
     def n_leaves(self) -> int:
@@ -167,29 +225,13 @@ class ScenarioTree:
 
     @cached_property
     def leaf_probabilities(self) -> np.ndarray:
-        p = np.array([self.node(i).path_prob for i in self.leaf_ids])
+        p = self.path_prob[self.t == self.periods]
         p.setflags(write=False)
         return p
 
     @cached_property
     def law(self) -> DiscreteLaw:
         return DiscreteLaw.from_weights(self.leaf_probabilities)
-
-    @cached_property
-    def gain_matrix(self) -> np.ndarray:
-        """B with wealth = x + B @ theta, theta stacked per nonterminal node."""
-        d = self.assets
-        col = {nid: j * d for j, nid in enumerate(self.nonterminal_ids)}
-        B = np.zeros((self.n_leaves, len(self.nonterminal_ids) * d))
-        for w, leaf_id in enumerate(self.leaf_ids):
-            node = self.node(leaf_id)
-            while node.parent is not None:
-                parent = self.node(node.parent)
-                j = col[parent.id]
-                B[w, j : j + d] = node.prices - parent.prices
-                node = parent
-        B.setflags(write=False)
-        return B
 
     @cached_property
     def levels(self) -> TreeLevels:
@@ -206,102 +248,213 @@ class ScenarioTree:
         """Backward sweep of both opportunity processes, once per tree."""
         return Opportunity(self.levels)
 
-    @cached_property
-    def constraint_system(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A, b) with A z = b iff z is a martingale density candidate."""
-        p = self.leaf_probabilities
-        A = np.vstack([p, (self.gain_matrix * p[:, None]).T])
-        b = np.zeros(A.shape[0])
-        b[0] = 1.0
-        A.setflags(write=False)
-        b.setflags(write=False)
-        return A, b
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
-def _build_tree(assets: int, periods: int, raw_nodes: list[dict]) -> ScenarioTree:
-    seen: dict[str, dict] = {}
-    children: dict[str, list[str]] = {}
-    root_id = None
-    for entry in raw_nodes:
-        nid = entry["id"]
+def _row_fsums(table: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of every row of a 2-d float table."""
+    return np.fromiter(map(math.fsum, table.tolist()), float, len(table))
+
+
+def _node_entry(k: int, node, assets: int) -> tuple:
+    """Check node entry #k in the file format's order of rules.
+
+    Returns (id, parent, t, p, prices) with p = 1.0 at the root.
+    """
+    if not isinstance(node, dict):
+        raise ParseError(f"node #{k} is not an object")
+    unknown = set(node) - _NODE_KEYS
+    if unknown:
+        raise ParseError(f"node #{k}: unknown keys {sorted(unknown)}")
+    for key in ("id", "parent", "t", "prices"):
+        if key not in node:
+            raise ParseError(f"node #{k}: missing key {key!r}")
+    nid = node["id"]
+    if not isinstance(nid, str) or not nid:
+        raise ParseError(f"node #{k}: id must be a nonempty string")
+    pid = node["parent"]
+    if pid is not None and not isinstance(pid, str):
+        raise ParseError(f"node {nid!r}: parent must be a string or null")
+    t = _require_int(node["t"], f"node {nid!r}: t")
+    if t < 0:
+        raise ValidationError(f"node {nid!r}: t must be nonnegative")
+    prices = node["prices"]
+    if not isinstance(prices, list) or len(prices) != assets:
+        raise ParseError(f"node {nid!r}: prices must be a list of length {assets}")
+    prices = [_require_number(v, f"node {nid!r}: price") for v in prices]
+    if pid is None:
+        if "p" in node and _require_number(node["p"], "root p") != 1.0:
+            raise ValidationError("root probability must be omitted or 1.0")
+        prob = 1.0
+    else:
+        if "p" not in node:
+            raise ParseError(f"node {nid!r}: missing probability p")
+        prob = _require_number(node["p"], f"node {nid!r}: p")
+        if prob <= 0.0:
+            raise ValidationError(f"node {nid!r}: p must be strictly positive")
+    return nid, pid, t, prob, prices
+
+
+def _node_columns(nodes: list, assets: int):
+    """(ids, parents, ts, p, prices) from one screening pass, or None.
+
+    The screen passes only entries that keep every rule of
+    :func:`_node_entry` and returns None on anything else; the caller then
+    walks the entries with :func:`_node_entry`, which names the first
+    fault, or returns the columns of entries the screen is merely stricter
+    about (a dict subclass, a second root left to the structural checks).
+    """
+    if set(map(type, nodes)) != {dict}:
+        return None
+    try:
+        ids, parents, ts, rows = (
+            list(map(dict.__getitem__, nodes, repeat(key)))
+            for key in ("id", "parent", "t", "prices")
+        )
+    except KeyError:
+        return None
+    probs = list(map(dict.get, nodes, repeat("p"), repeat(_ABSENT)))
+    n = len(nodes)
+    absent = probs.count(_ABSENT)
+    if (
+        sum(map(len, nodes)) != 5 * n - absent  # no unknown keys
+        or parents.count(None) != 1
+        or set(map(type, ids)) != {str}
+        or not all(ids)
+        or not set(map(type, parents)) <= {str, type(None)}
+        or set(map(type, ts)) != {int}
+        or min(ts) < 0
+        or set(map(type, rows)) != {list}
+        or set(map(len, rows)) != {assets}
+    ):
+        return None
+    root = parents.index(None)
+    if absent > (probs[root] is _ABSENT):
+        return None
+    if probs[root] is _ABSENT:
+        probs[root] = 1.0
+    flat = list(chain.from_iterable(rows))
+    if not set(map(type, flat)) | set(map(type, probs)) <= {float, int}:
+        return None
+    try:
+        prices = np.array(flat, dtype=float).reshape(n, assets)
+        p = np.array(probs, dtype=float)
+    except OverflowError:
+        return None
+    if not (
+        np.all(np.isfinite(prices)) and np.all(np.isfinite(p)) and np.all(p > 0.0)
+        and p[root] == 1.0
+    ):
+        return None
+    return ids, parents, ts, p, prices
+
+
+def _raise_first_repeat(ids, parents) -> None:
+    """Refuse the first entry that repeats an id or is a second root."""
+    seen = set()
+    rooted = False
+    for nid, pid in zip(ids, parents):
         if nid in seen:
             raise ValidationError(f"duplicate node id {nid!r}")
-        seen[nid] = entry
-        children.setdefault(nid, [])
-        if entry["parent"] is None:
-            if root_id is not None:
+        seen.add(nid)
+        if pid is None:
+            if rooted:
                 raise ValidationError("more than one root node")
-            root_id = nid
-    if root_id is None:
-        raise ValidationError("no root node (parent null)")
-    for entry in raw_nodes:
-        pid = entry["parent"]
-        if pid is not None:
-            if pid not in seen:
-                raise ValidationError(
-                    f"node {entry['id']!r} references unknown parent {pid!r}"
-                )
-            children[pid].append(entry["id"])
+            rooted = True
 
-    if seen[root_id]["t"] != 0:
+
+def _build_tree(assets, periods, ids, parents, ts, p, prices) -> ScenarioTree:
+    """Structural checks and probabilities on the node columns.
+
+    Each check finds every offending entry at once and reports the first
+    in file order, so a file with several faults gets the message of the
+    fault met first by a node-by-node walk.
+    """
+    n = len(ids)
+    position = dict(zip(ids, range(n)))
+    roots = parents.count(None)
+    if len(position) < n or roots > 1:
+        _raise_first_repeat(ids, parents)
+    if roots == 0:
+        raise ValidationError("no root node (parent null)")
+    root = parents.index(None)
+    parent = np.fromiter(map(position.get, parents, repeat(-1)), np.intp, n)
+    unknown = parent < 0
+    unknown[root] = False
+    if np.any(unknown):
+        k = int(np.argmax(unknown))
+        raise ValidationError(
+            f"node {ids[k]!r} references unknown parent {parents[k]!r}"
+        )
+    if ts[root] != 0:
         raise ValidationError("root must sit at t = 0")
-    for entry in raw_nodes:
-        nid, pid, t = entry["id"], entry["parent"], entry["t"]
-        if pid is not None and t != seen[pid]["t"] + 1:
+
+    t = np.array(ts, dtype=np.int64 if max(ts) < _LARGE_T else object)
+    below = np.flatnonzero(parent >= 0)
+    kids = np.bincount(parent[below], minlength=n)
+    wrong_t = t != t[parent] + 1
+    wrong_t[root] = False
+    beyond = t > periods
+    misplaced = (t == periods) != (kids == 0)
+    bad = wrong_t | beyond | misplaced
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        nid = ids[k]
+        if wrong_t[k]:
             raise ValidationError(
-                f"node {nid!r} has t = {t}, parent sits at t = {seen[pid]['t']}"
+                f"node {nid!r} has t = {ts[k]}, parent sits at t = {ts[parent[k]]}"
             )
-        if t > periods:
+        if beyond[k]:
             raise ValidationError(f"node {nid!r} sits beyond the horizon")
-        if (t == periods) != (len(children[nid]) == 0):
-            raise ValidationError(
-                f"node {nid!r}: leaves must sit exactly at t = periods"
-            )
+        raise ValidationError(f"node {nid!r}: leaves must sit exactly at t = periods")
+    t = t.astype(np.int64)
+
+    # children grouped by parent, each group in file order
+    child_index = below[np.argsort(parent[below], kind="stable")]
+    child_offsets = np.concatenate(([0], np.cumsum(kids)))
 
     # sibling probability sums, then exact renormalization
-    cond: dict[str, float] = {root_id: 1.0}
-    for pid, kids in children.items():
-        if not kids:
-            continue
-        probs = [seen[k]["p"] for k in kids]
-        total = math.fsum(probs)
-        if abs(total - 1.0) > _SIBLING_SUM_TOL:
-            raise ValidationError(
-                f"children of {pid!r} have probabilities summing to {total!r}"
-            )
-        for k, pr in zip(kids, probs):
-            cond[k] = pr / total
-
-    # path probabilities top-down; a stack, not recursion, so that deep
-    # trees never meet the interpreter's recursion limit
-    path: dict[str, float] = {root_id: 1.0}
-    stack = [root_id]
-    while stack:
-        nid = stack.pop()
-        for k in children[nid]:
-            path[k] = path[nid] * cond[k]
-            stack.append(k)
-
-    nodes = []
-    index = {}
-    for pos, entry in enumerate(raw_nodes):
-        nid = entry["id"]
-        prices = np.array(entry["prices"], dtype=float)
-        prices.setflags(write=False)
-        nodes.append(
-            TreeNode(
-                id=nid,
-                parent=entry["parent"],
-                t=entry["t"],
-                cond_prob=cond[nid],
-                prices=prices,
-                children=tuple(children[nid]),
-                path_prob=path[nid],
-            )
+    families = np.flatnonzero(kids)
+    counts = kids[families]
+    mask = np.arange(counts.max()) < counts[:, None]
+    table = np.zeros(mask.shape)
+    table[mask] = p[child_index]
+    totals = _row_fsums(table)
+    off = np.abs(totals - 1.0) > _SIBLING_SUM_TOL
+    if np.any(off):
+        j = int(np.argmax(off))
+        raise ValidationError(
+            f"children of {ids[families[j]]!r} have probabilities summing to "
+            f"{float(totals[j])!r}"
         )
-        index[nid] = pos
-    index["__root__"] = index[root_id]
-    return ScenarioTree(assets=assets, periods=periods, nodes=tuple(nodes), _index=index)
+    family_total = np.ones(n)
+    family_total[families] = totals
+    cond = p / family_total[parent]
+    cond[root] = 1.0
+
+    # path probabilities level by level, parent times child
+    path = np.ones(n)
+    by_depth = np.argsort(t, kind="stable")
+    bounds = np.cumsum(np.bincount(t)).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        level = by_depth[lo:hi]
+        path[level] = path[parent[level]] * cond[level]
+
+    return ScenarioTree(
+        assets=assets,
+        periods=periods,
+        ids=tuple(ids),
+        parent=_frozen(parent),
+        t=_frozen(t),
+        cond_prob=_frozen(cond),
+        path_prob=_frozen(path),
+        prices=_frozen(prices),
+        child_offsets=_frozen(child_offsets),
+        child_index=_frozen(child_index),
+    )
 
 
 def market_from_dict(obj) -> ScenarioTree:
@@ -318,48 +471,16 @@ def market_from_dict(obj) -> ScenarioTree:
     periods = _require_int(obj["periods"], "periods")
     if assets < 1 or periods < 1:
         raise ValidationError("assets and periods must be at least 1")
-    if not isinstance(obj["nodes"], list) or not obj["nodes"]:
+    nodes = obj["nodes"]
+    if not isinstance(nodes, list) or not nodes:
         raise ParseError("nodes must be a nonempty list")
 
-    raw_nodes = []
-    for k, node in enumerate(obj["nodes"]):
-        if not isinstance(node, dict):
-            raise ParseError(f"node #{k} is not an object")
-        unknown = set(node) - _NODE_KEYS
-        if unknown:
-            raise ParseError(f"node #{k}: unknown keys {sorted(unknown)}")
-        for key in ("id", "parent", "t", "prices"):
-            if key not in node:
-                raise ParseError(f"node #{k}: missing key {key!r}")
-        nid = node["id"]
-        if not isinstance(nid, str) or not nid:
-            raise ParseError(f"node #{k}: id must be a nonempty string")
-        pid = node["parent"]
-        if pid is not None and not isinstance(pid, str):
-            raise ParseError(f"node {nid!r}: parent must be a string or null")
-        t = _require_int(node["t"], f"node {nid!r}: t")
-        if t < 0:
-            raise ValidationError(f"node {nid!r}: t must be nonnegative")
-        prices = node["prices"]
-        if not isinstance(prices, list) or len(prices) != assets:
-            raise ParseError(
-                f"node {nid!r}: prices must be a list of length {assets}"
-            )
-        prices = [_require_number(v, f"node {nid!r}: price") for v in prices]
-        if pid is None:
-            if "p" in node and _require_number(node["p"], "root p") != 1.0:
-                raise ValidationError("root probability must be omitted or 1.0")
-            prob = 1.0
-        else:
-            if "p" not in node:
-                raise ParseError(f"node {nid!r}: missing probability p")
-            prob = _require_number(node["p"], f"node {nid!r}: p")
-            if prob <= 0.0:
-                raise ValidationError(f"node {nid!r}: p must be strictly positive")
-        raw_nodes.append(
-            {"id": nid, "parent": pid, "t": t, "p": prob, "prices": prices}
-        )
-    return _build_tree(assets, periods, raw_nodes)
+    columns = _node_columns(nodes, assets)
+    if columns is None:
+        entries = [_node_entry(k, node, assets) for k, node in enumerate(nodes)]
+        ids, parents, ts, probs, rows = zip(*entries)
+        columns = ids, parents, ts, np.array(probs), np.array(rows, dtype=float)
+    return _build_tree(assets, periods, *columns)
 
 
 def load_market(path) -> ScenarioTree:
@@ -367,7 +488,7 @@ def load_market(path) -> ScenarioTree:
     text = Path(path).read_text(encoding="utf-8")
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer too long to convert
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     return market_from_dict(obj)
 
@@ -392,18 +513,55 @@ def load_packaged_market(name: str) -> ScenarioTree:
 
 
 def market_to_dict(tree: ScenarioTree) -> dict:
+    ids = tree.ids
     nodes = []
-    for n in tree.nodes:
-        entry = {"id": n.id, "parent": n.parent, "t": n.t}
-        if n.parent is not None:
-            entry["p"] = n.cond_prob
-        entry["prices"] = [float(v) for v in n.prices]
+    for nid, up, t, cond, row in zip(
+        ids,
+        tree.parent.tolist(),
+        tree.t.tolist(),
+        tree.cond_prob.tolist(),
+        tree.prices.tolist(),
+    ):
+        entry = {"id": nid, "parent": None if up < 0 else ids[up], "t": t}
+        if up >= 0:
+            entry["p"] = cond
+        entry["prices"] = row
         nodes.append(entry)
     return {"assets": tree.assets, "periods": tree.periods, "nodes": nodes}
 
 
 def market_to_json(tree: ScenarioTree) -> str:
-    return json.dumps(market_to_dict(tree), indent=2) + "\n"
+    """``json.dumps(market_to_dict(tree), indent=2)`` and a newline, byte for byte.
+
+    Every node is one string template filled from the arrays: ids through
+    the encoder's own ``encode_basestring_ascii``, numbers through
+    ``int.__repr__`` and ``float.__repr__`` as ``json`` writes them (every
+    stored number is finite).
+    """
+    d = tree.assets
+    ids = list(map(encode_basestring_ascii, tree.ids))
+    root = int(np.argmin(tree.parent))
+    head = '    {{\n      "id": {},\n      "parent": {},\n      "t": {},\n'
+    tail = '      "prices": [\n' + ",\n".join(["        {}"] * d) + "\n      ]\n    }}"
+    fill = (head + '      "p": {},\n' + tail).format
+    columns = [map(float.__repr__, tree.prices[:, a].tolist()) for a in range(d)]
+    nodes = list(
+        map(
+            fill,
+            ids,
+            [ids[k] for k in tree.parent.tolist()],
+            map(int.__repr__, tree.t.tolist()),
+            map(float.__repr__, tree.cond_prob.tolist()),
+            *columns,
+        )
+    )
+    nodes[root] = (head + tail).format(
+        ids[root], "null", 0, *map(float.__repr__, tree.prices[root].tolist())
+    )
+    return (
+        f'{{\n  "assets": {tree.assets},\n  "periods": {tree.periods},\n'
+        '  "nodes": [\n' + ",\n".join(nodes) + "\n  ]\n}\n"
+    )
 
 
 def save_market(tree: ScenarioTree, path) -> None:
@@ -415,12 +573,18 @@ class Strategy:
     """Asset holdings chosen at every nonterminal node.
 
     ``vector`` stacks the holdings in nonterminal file order, ``assets``
-    entries per node, and is the coordinate form used by the solvers.
+    entries per node, and is the coordinate form used by the solvers;
+    ``holdings`` maps each nonterminal id to its read-only row of it and
+    is built on first use.
     """
 
     tree: ScenarioTree
-    holdings: dict
     vector: np.ndarray
+
+    @cached_property
+    def holdings(self) -> dict:
+        rows = self.vector.reshape(-1, self.tree.assets)
+        return dict(zip(self.tree.nonterminal_ids, rows))
 
     @classmethod
     def from_vector(cls, tree: ScenarioTree, vec) -> "Strategy":
@@ -435,12 +599,7 @@ class Strategy:
             raise ValidationError("strategy holdings must be finite")
         v = v.copy()
         v.setflags(write=False)
-        holdings = {}
-        for j, nid in enumerate(tree.nonterminal_ids):
-            h = v[j * d : (j + 1) * d].copy()
-            h.setflags(write=False)
-            holdings[nid] = h
-        return cls(tree=tree, holdings=holdings, vector=v)
+        return cls(tree=tree, vector=v)
 
     @classmethod
     def from_holdings(cls, tree: ScenarioTree, holdings) -> "Strategy":
@@ -721,6 +880,125 @@ def _simplex_floors(dS, p, mask, child_value, child_feasible, ids):
     return q_all, value, feasible
 
 
+class _Draws:
+    """The stream of ``random.Random(seed)``, drawn a block at a time.
+
+    Blocks of ``random()`` values are mapped into the generator's
+    ``uniform`` and ``gauss`` draws with the same arithmetic as the scalar
+    calls: ``a + (b - a) * u``, and the ``math`` functions of
+    ``random.gauss`` on its pairs.  The second value of a pair, which
+    ``gauss`` keeps for its next call, is carried from one block to the
+    next.
+    """
+
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+        self.spare = None
+
+    def random(self, size: int) -> np.ndarray:
+        draws = map(random.Random.random, repeat(self.rng, size))
+        return np.fromiter(draws, float, size)
+
+    def uniform(self, a: float, b: float, size: int) -> np.ndarray:
+        return a + (b - a) * self.random(size)
+
+    def level(self, parents: int, branching: int, assets: int):
+        """One level of the generator's draws, in the order it makes them.
+
+        Each parent draws ``branching`` uniform(0.2, 1) probabilities,
+        ``branching`` uniform(0.05, 1) weights, then ``assets`` rows of
+        ``branching`` gauss(0, 1) values.  A gauss call that finds no
+        spare value draws a pair of uniforms, so parent j's uniforms start
+        after the pairs its predecessors drew.  Returns arrays of shape
+        (parents, branching), (parents, branching) and
+        (parents, assets, branching).
+        """
+        b, g = branching, assets * branching
+        calls = parents * g
+        spare = int(self.spare is not None)
+        pairs = (calls - spare + 1) // 2
+        q = np.arange(pairs)
+        # pair q is drawn by call 2q + spare, after its parent's uniforms
+        # and after every earlier pair
+        first = 2 * b * ((2 * q + spare) // g + 1) + 2 * q
+        j = np.arange(parents)
+        start = 2 * b * j + 2 * ((j * g - spare + 1) // 2)
+        u = self.random(2 * b * parents + 2 * pairs)
+        x2pi = (u[first] * _TWOPI).tolist()
+        log = np.fromiter(map(math.log, (1.0 - u[first + 1]).tolist()), float, pairs)
+        g2rad = np.sqrt(-2.0 * log)
+        values = np.empty(calls)
+        if spare:
+            values[0] = self.spare
+        cos = np.fromiter(map(math.cos, x2pi), float, pairs) * g2rad
+        sin = np.fromiter(map(math.sin, x2pi), float, pairs) * g2rad
+        values[spare::2] = cos
+        values[spare + 1 :: 2] = sin[: (calls - spare) // 2]
+        self.spare = float(sin[-1]) if (calls - spare) % 2 else None
+        block = u[start[:, None] + np.arange(2 * b)]
+        raw_p = 0.2 + (1.0 - 0.2) * block[:, :b]
+        weights = 0.05 + (1.0 - 0.05) * block[:, b:]
+        gauss = 0.0 + values * 1.0
+        return raw_p, weights, gauss.reshape(parents, assets, b)
+
+
+def _random_tree(draws: _Draws, periods, branching, assets, spread) -> ScenarioTree:
+    """One draw of the generator's tree, nodes numbered breadth first.
+
+    At each node: p = raw / fsum(raw) and, as loading the written file
+    does, again divided by the fsum of the siblings; prices move by
+    spread * max(0.25, |price|) * (g - sum q g) for gauss draws g and
+    weights q = w / fsum(w), so q prices the increments to zero.
+    """
+    b = branching
+    sizes = [b**t for t in range(periods + 1)]
+    n = sum(sizes)
+    prices = np.empty((n, assets))
+    cond = np.ones(n)
+    path = np.ones(n)
+    prices[0] = draws.uniform(0.8, 1.2, assets)
+    lo = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for size in sizes[:-1]:
+            hi = lo + size
+            raw_p, weights, gauss = draws.level(size, b, assets)
+            p = raw_p / _row_fsums(raw_p)[:, None]
+            q = weights / _row_fsums(weights)[:, None]
+            kids = slice(hi, hi + size * b)
+            cond[kids] = (p / _row_fsums(p)[:, None]).reshape(-1)
+            path[kids] = np.repeat(path[lo:hi], b) * cond[kids]
+            moved = prices[kids].reshape(size, b, assets)
+            for a in range(assets):
+                level = prices[lo:hi, a]
+                center = _row_fsums(q * gauss[:, a])
+                scale = spread * np.maximum(0.25, np.abs(level))
+                delta = scale[:, None] * (gauss[:, a] - center[:, None])
+                moved[:, :, a] = level[:, None] + delta
+            lo = hi
+
+    ids = tuple(map("n{}".format, range(n)))
+    # a huge spread can overflow; refuse as loading the written file would
+    bad = ~np.isfinite(prices)
+    if np.any(bad):
+        k, a = np.argwhere(bad)[0].tolist()
+        raise ParseError(
+            f"node {ids[k]!r}: price must be finite, got {prices[k, a].item()!r}"
+        )
+    below = np.arange(1, n)
+    return ScenarioTree(
+        assets=assets,
+        periods=periods,
+        ids=ids,
+        parent=_frozen(np.concatenate(([-1], (below - 1) // b))),
+        t=_frozen(np.repeat(np.arange(periods + 1), sizes)),
+        cond_prob=_frozen(cond),
+        path_prob=_frozen(path),
+        prices=_frozen(prices),
+        child_offsets=_frozen(np.minimum(b * np.arange(n + 1), n - 1)),
+        child_index=_frozen(below),
+    )
+
+
 def generate_random_market(
     seed: int,
     periods: int = 2,
@@ -752,50 +1030,9 @@ def generate_random_market(
         if leaves > 200_000:
             raise ValidationError("tree would exceed 200000 leaves")
 
-    rng = random.Random(seed)
+    draws = _Draws(seed)
     for _ in range(max_attempts):
-        nodes = [
-            {
-                "id": "n0",
-                "parent": None,
-                "t": 0,
-                "prices": [rng.uniform(0.8, 1.2) for _ in range(assets)],
-            }
-        ]
-        counter = 1
-        frontier = [nodes[0]]
-        for t in range(periods):
-            next_frontier = []
-            for parent in frontier:
-                raw_p = [rng.uniform(0.2, 1.0) for _ in range(branching)]
-                total_p = math.fsum(raw_p)
-                weights = [rng.uniform(0.05, 1.0) for _ in range(branching)]
-                total_w = math.fsum(weights)
-                q = [w / total_w for w in weights]
-                deltas = []
-                for a in range(assets):
-                    raw = [rng.gauss(0.0, 1.0) for _ in range(branching)]
-                    center = math.fsum(qk * rk for qk, rk in zip(q, raw))
-                    scale = spread * max(0.25, abs(parent["prices"][a]))
-                    deltas.append([scale * (rk - center) for rk in raw])
-                for k in range(branching):
-                    child = {
-                        "id": f"n{counter}",
-                        "parent": parent["id"],
-                        "t": t + 1,
-                        "p": raw_p[k] / total_p,
-                        "prices": [
-                            parent["prices"][a] + deltas[a][k]
-                            for a in range(assets)
-                        ],
-                    }
-                    counter += 1
-                    nodes.append(child)
-                    next_frontier.append(child)
-            frontier = next_frontier
-        tree = market_from_dict(
-            {"assets": assets, "periods": periods, "nodes": nodes}
-        )
+        tree = _random_tree(draws, periods, branching, assets, float(spread))
         if check_viability(tree):
             return tree
     raise GenerationFailure(

@@ -216,8 +216,9 @@ def _mean_var(X: RandomVariable) -> tuple[float, float]:
     """(mean, variance), the variance accumulated as E[(X - m)^2]."""
     p = X.law.probabilities
     m = _fsum_dot(p, X.values)
-    centred = X.values - m
-    return m, _fsum_dot(p, centred * centred)
+    with np.errstate(over="ignore"):  # a variance past the float range is inf
+        centred = X.values - m
+        return m, _fsum_dot(p, centred * centred)
 
 
 def moments(X: RandomVariable) -> tuple[float, float, float]:
@@ -374,16 +375,18 @@ def _capped_sharpe_ratios(X: RandomVariable, levels) -> np.ndarray:
 
 
 def quadratic_utility(w):
-    """U(w) = w - w^2/2, elementwise."""
+    """U(w) = w - w^2/2, elementwise; -inf where w^2 passes the float range."""
     w = np.asarray(w, dtype=float)
-    out = w - 0.5 * w * w
+    with np.errstate(over="ignore"):
+        out = w - 0.5 * w * w
     return float(out) if out.ndim == 0 else out
 
 
 def truncated_utility(w):
     """U(min(w, 1)), elementwise; constant 1/2 above the bliss level."""
     w = np.minimum(np.asarray(w, dtype=float), 1.0)
-    out = w - 0.5 * w * w
+    with np.errstate(over="ignore"):
+        out = w - 0.5 * w * w
     return float(out) if out.ndim == 0 else out
 
 

@@ -10,19 +10,64 @@ active-set QP, global clip-set iteration over the full gain matrix) are
 the pipeline the package ran before its node-by-node backward induction;
 they share no recursion with it and check it on small trees.  The
 clip-set loop keeps its own line search, a walk over the crossings in
-[0, 1], so it does not lean on the package's kink walk either.
+[0, 1], so it does not lean on the package's kink walk either.  The dense
+views of a tree (gain matrix, martingale constraint system) are built here
+from its per-node views, and the node-by-node market parser and random
+generator the columnar tree replaced are kept as the references for the
+array passes that load and generate markets now.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 from scipy import optimize
 
-from mmvport import RandomVariable
+from mmvport import ParseError, RandomVariable, ValidationError
+
+
+# ---------------------------------------------------------------------------
+# dense views of a tree, built from its TreeNode views
+
+
+def gain_matrix(tree):
+    """B with wealth = x + B @ theta, theta stacked per nonterminal node.
+
+    Shape (leaves, nonterminal * assets), leaves and nonterminal nodes in
+    file order.
+    """
+    d = tree.assets
+    col = {nid: j * d for j, nid in enumerate(tree.nonterminal_ids)}
+    B = np.zeros((tree.n_leaves, len(tree.nonterminal_ids) * d))
+    for w, leaf_id in enumerate(tree.leaf_ids):
+        node = tree.node(leaf_id)
+        while node.parent is not None:
+            parent = tree.node(node.parent)
+            j = col[parent.id]
+            B[w, j : j + d] = node.prices - parent.prices
+            node = parent
+    B.setflags(write=False)
+    return B
+
+
+def constraint_system(tree):
+    """(A, b) with A z = b iff z is a martingale density candidate.
+
+    A stacks E[z] = 1 over the node-wise conditional increment constraints
+    E[z 1_node dS] = 0, which on a finite tree are exactly the martingale
+    property.
+    """
+    p = tree.leaf_probabilities
+    A = np.vstack([p, (gain_matrix(tree) * p[:, None]).T])
+    b = np.zeros(A.shape[0])
+    b[0] = 1.0
+    A.setflags(write=False)
+    b.setflags(write=False)
+    return A, b
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +109,7 @@ def exact_signed_density(tree):
     or None when the Gram is singular (redundant market directions).
     """
     p = _rationalize(tree.leaf_probabilities)
-    B = tree.gain_matrix
+    B = gain_matrix(tree)
     rows = [[Fraction(1)] * len(p)]
     for j in range(B.shape[1]):
         rows.append(_rationalize(B[:, j]))
@@ -94,7 +139,7 @@ def brute_nonneg_density(tree, tol=1e-9):
     candidate that is feasible.  Exponential; use on <= 12 leaves.
     """
     p = tree.leaf_probabilities
-    A, b = tree.constraint_system
+    A, b = constraint_system(tree)
     L = p.size
     if L > 12:
         raise ValueError("brute-force oracle limited to 12 leaves")
@@ -107,7 +152,7 @@ def brute_nonneg_density(tree, tol=1e-9):
                 continue
             # stationarity on free leaves: z_f in the span of C rows there
             Cf = np.vstack(
-                [np.ones(len(free)), tree.gain_matrix[free, :].T]
+                [np.ones(len(free)), gain_matrix(tree)[free, :].T]
             )
             pf = p[free]
             G = (Cf * pf) @ Cf.T
@@ -136,7 +181,7 @@ def viability_linprog(tree, floor=1e-9):
     Works on the original variables (free z, bounded t) so it shares no
     reformulation with the package's solver.  Returns (viable, t_star).
     """
-    A, b = tree.constraint_system
+    A, b = constraint_system(tree)
     rows, L = A.shape
     # variables: z (free) then t
     c = np.zeros(L + 1)
@@ -172,7 +217,7 @@ def damped_newton_truncated(tree, initial_wealth, iterations=200):
     backtracking line search.  Returns the best objective value found.
     """
     p = tree.leaf_probabilities
-    B = tree.gain_matrix
+    B = gain_matrix(tree)
     theta = np.zeros(B.shape[1])
 
     def value(t):
@@ -208,7 +253,7 @@ def damped_newton_truncated(tree, initial_wealth, iterations=200):
 def scipy_quadratic_value(tree, initial_wealth):
     """Best E[U(x + B theta)] found by scipy's BFGS (independent method)."""
     p = tree.leaf_probabilities
-    B = tree.gain_matrix
+    B = gain_matrix(tree)
 
     def negative(t):
         w = initial_wealth + B @ t
@@ -268,6 +313,217 @@ def golden_max(fn, lo, hi, iterations=200):
 
 
 # ---------------------------------------------------------------------------
+# the node-by-node market parser: one dict per entry, dict lookups for the
+# structure, one math.fsum per sibling group; the columnar parser of the
+# package must give the same columns or the same error
+
+
+_SIBLING_SUM_TOL = 1e-9
+_TOP_KEYS = {"assets", "periods", "nodes"}
+_NODE_KEYS = {"id", "parent", "t", "p", "prices"}
+
+
+def _require_int(obj, name: str) -> int:
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise ParseError(f"{name} must be an integer, got {obj!r}")
+    return obj
+
+
+def _require_number(obj, name: str) -> float:
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise ParseError(f"{name} must be a number, got {obj!r}")
+    value = float(obj)
+    if not math.isfinite(value):
+        raise ParseError(f"{name} must be finite, got {obj!r}")
+    return value
+
+
+def _reference_build_tree(assets: int, periods: int, raw_nodes: list[dict]) -> dict:
+    seen: dict[str, dict] = {}
+    children: dict[str, list[str]] = {}
+    root_id = None
+    for entry in raw_nodes:
+        nid = entry["id"]
+        if nid in seen:
+            raise ValidationError(f"duplicate node id {nid!r}")
+        seen[nid] = entry
+        children.setdefault(nid, [])
+        if entry["parent"] is None:
+            if root_id is not None:
+                raise ValidationError("more than one root node")
+            root_id = nid
+    if root_id is None:
+        raise ValidationError("no root node (parent null)")
+    for entry in raw_nodes:
+        pid = entry["parent"]
+        if pid is not None:
+            if pid not in seen:
+                raise ValidationError(
+                    f"node {entry['id']!r} references unknown parent {pid!r}"
+                )
+            children[pid].append(entry["id"])
+
+    if seen[root_id]["t"] != 0:
+        raise ValidationError("root must sit at t = 0")
+    for entry in raw_nodes:
+        nid, pid, t = entry["id"], entry["parent"], entry["t"]
+        if pid is not None and t != seen[pid]["t"] + 1:
+            raise ValidationError(
+                f"node {nid!r} has t = {t}, parent sits at t = {seen[pid]['t']}"
+            )
+        if t > periods:
+            raise ValidationError(f"node {nid!r} sits beyond the horizon")
+        if (t == periods) != (len(children[nid]) == 0):
+            raise ValidationError(
+                f"node {nid!r}: leaves must sit exactly at t = periods"
+            )
+
+    # sibling probability sums, then exact renormalization
+    cond: dict[str, float] = {root_id: 1.0}
+    for pid, kids in children.items():
+        if not kids:
+            continue
+        probs = [seen[k]["p"] for k in kids]
+        total = math.fsum(probs)
+        if abs(total - 1.0) > _SIBLING_SUM_TOL:
+            raise ValidationError(
+                f"children of {pid!r} have probabilities summing to {total!r}"
+            )
+        for k, pr in zip(kids, probs):
+            cond[k] = pr / total
+
+    # path probabilities top-down; a stack, not recursion, so that deep
+    # trees never meet the interpreter's recursion limit
+    path: dict[str, float] = {root_id: 1.0}
+    stack = [root_id]
+    while stack:
+        nid = stack.pop()
+        for k in children[nid]:
+            path[k] = path[nid] * cond[k]
+            stack.append(k)
+
+    # (the package built one TreeNode per entry here; the reference returns
+    # the same quantities as columns in file order)
+    return {
+        "ids": tuple(entry["id"] for entry in raw_nodes),
+        "parent": [entry["parent"] for entry in raw_nodes],
+        "t": [entry["t"] for entry in raw_nodes],
+        "cond_prob": np.array([cond[entry["id"]] for entry in raw_nodes]),
+        "path_prob": np.array([path[entry["id"]] for entry in raw_nodes]),
+        "prices": np.array([entry["prices"] for entry in raw_nodes], dtype=float),
+    }
+
+
+def reference_market_from_dict(obj) -> dict:
+    """The node-by-node parser the columnar one replaced, as columns."""
+    if not isinstance(obj, dict):
+        raise ParseError("market document must be a JSON object")
+    unknown = set(obj) - _TOP_KEYS
+    if unknown:
+        raise ParseError(f"unknown top-level keys: {sorted(unknown)}")
+    missing = _TOP_KEYS - set(obj)
+    if missing:
+        raise ParseError(f"missing top-level keys: {sorted(missing)}")
+    assets = _require_int(obj["assets"], "assets")
+    periods = _require_int(obj["periods"], "periods")
+    if assets < 1 or periods < 1:
+        raise ValidationError("assets and periods must be at least 1")
+    if not isinstance(obj["nodes"], list) or not obj["nodes"]:
+        raise ParseError("nodes must be a nonempty list")
+
+    raw_nodes = []
+    for k, node in enumerate(obj["nodes"]):
+        if not isinstance(node, dict):
+            raise ParseError(f"node #{k} is not an object")
+        unknown = set(node) - _NODE_KEYS
+        if unknown:
+            raise ParseError(f"node #{k}: unknown keys {sorted(unknown)}")
+        for key in ("id", "parent", "t", "prices"):
+            if key not in node:
+                raise ParseError(f"node #{k}: missing key {key!r}")
+        nid = node["id"]
+        if not isinstance(nid, str) or not nid:
+            raise ParseError(f"node #{k}: id must be a nonempty string")
+        pid = node["parent"]
+        if pid is not None and not isinstance(pid, str):
+            raise ParseError(f"node {nid!r}: parent must be a string or null")
+        t = _require_int(node["t"], f"node {nid!r}: t")
+        if t < 0:
+            raise ValidationError(f"node {nid!r}: t must be nonnegative")
+        prices = node["prices"]
+        if not isinstance(prices, list) or len(prices) != assets:
+            raise ParseError(
+                f"node {nid!r}: prices must be a list of length {assets}"
+            )
+        prices = [_require_number(v, f"node {nid!r}: price") for v in prices]
+        if pid is None:
+            if "p" in node and _require_number(node["p"], "root p") != 1.0:
+                raise ValidationError("root probability must be omitted or 1.0")
+            prob = 1.0
+        else:
+            if "p" not in node:
+                raise ParseError(f"node {nid!r}: missing probability p")
+            prob = _require_number(node["p"], f"node {nid!r}: p")
+            if prob <= 0.0:
+                raise ValidationError(f"node {nid!r}: p must be strictly positive")
+        raw_nodes.append(
+            {"id": nid, "parent": pid, "t": t, "p": prob, "prices": prices}
+        )
+    return _reference_build_tree(assets, periods, raw_nodes)
+
+
+
+def reference_random_document(seed, periods, branching, assets, spread, attempt=0):
+    """The generator's document as it drew it node by node with ``random``.
+
+    ``attempt`` documents are drawn and dropped first, as when the
+    generator rejects non-viable draws.  Probabilities are the drawn ones,
+    divided once; loading divides them again by the sibling sums.
+    """
+    rng = random.Random(seed)
+    for _ in range(attempt + 1):
+        nodes = [
+            {
+                "id": "n0",
+                "parent": None,
+                "t": 0,
+                "prices": [rng.uniform(0.8, 1.2) for _ in range(assets)],
+            }
+        ]
+        counter = 1
+        frontier = [nodes[0]]
+        for t in range(periods):
+            next_frontier = []
+            for parent in frontier:
+                raw_p = [rng.uniform(0.2, 1.0) for _ in range(branching)]
+                total_p = math.fsum(raw_p)
+                weights = [rng.uniform(0.05, 1.0) for _ in range(branching)]
+                total_w = math.fsum(weights)
+                q = [w / total_w for w in weights]
+                deltas = []
+                for a in range(assets):
+                    raw = [rng.gauss(0.0, 1.0) for _ in range(branching)]
+                    center = math.fsum(qk * rk for qk, rk in zip(q, raw))
+                    scale = spread * max(0.25, abs(parent["prices"][a]))
+                    deltas.append([scale * (rk - center) for rk in raw])
+                for k in range(branching):
+                    child = {
+                        "id": f"n{counter}",
+                        "parent": parent["id"],
+                        "t": t + 1,
+                        "p": raw_p[k] / total_p,
+                        "prices": [
+                            parent["prices"][a] + deltas[a][k]
+                            for a in range(assets)
+                        ],
+                    }
+                    counter += 1
+                    nodes.append(child)
+                    next_frontier.append(child)
+            frontier = next_frontier
+    return {"assets": assets, "periods": periods, "nodes": nodes}
+
+# ---------------------------------------------------------------------------
 # path-walking wealth
 
 
@@ -313,7 +569,7 @@ def _dense_reduced(A, b, p, free):
 
 def dense_signed_density(tree):
     """Variance-optimal signed density from the Gram system (A D^-1 A') y = b."""
-    A, b = tree.constraint_system
+    A, b = constraint_system(tree)
     z, _ = _dense_reduced(A, b, tree.leaf_probabilities, np.ones(tree.n_leaves, bool))
     return z
 
@@ -327,7 +583,7 @@ def dense_nonneg_density(tree):
     leaf released on a spurious multiplier (it blocks again at once with
     a zero-length step) stays pinned until another leaf is pinned.
     """
-    A, b = tree.constraint_system
+    A, b = constraint_system(tree)
     p = tree.leaf_probabilities
     L = tree.n_leaves
     pinned = np.zeros(L, dtype=bool)
@@ -379,7 +635,7 @@ def dense_quadratic(tree, initial_wealth):
     from mmvport.induction import _weighted_fit
 
     return _weighted_fit(
-        tree.gain_matrix, tree.leaf_probabilities, 1.0 - initial_wealth
+        gain_matrix(tree), tree.leaf_probabilities, 1.0 - initial_wealth
     )
 
 
@@ -425,7 +681,7 @@ def dense_truncated(tree, initial_wealth, max_rounds=100):
     from mmvport.induction import _weighted_fit
     from mmvport.probability import truncated_utility
 
-    B = tree.gain_matrix
+    B = gain_matrix(tree)
     p = tree.leaf_probabilities
     gap = 1.0 - initial_wealth
     theta = np.zeros(B.shape[1])

@@ -45,7 +45,7 @@ from mmvport import (
     verify_remark_foc,
 )
 
-from oracles import golden_max
+from oracles import gain_matrix, golden_max
 
 # ---------------------------------------------------------------------------
 # frozen golden values (exact fractions worked by hand and reproduced by the
@@ -162,7 +162,7 @@ def test_criterion_1_golden_trinomial_chain():
     # the same numbers at the law level: one asset, one period
     sr = monotone_sharpe(terminal_wealth(tree, r.hull_solution.strategy, 0.0))
     # the hull strategy is alpha-hat itself, so its payoff caps at 1
-    gains = RandomVariable(DiscreteLaw(p), tree.gain_matrix[:, 0])
+    gains = RandomVariable(DiscreteLaw(p), gain_matrix(tree)[:, 0])
     law_result = monotone_sharpe(gains)
     assert law_result.sr_m == pytest.approx(TRI_SR_M, abs=tol)
     assert law_result.alpha_hat == pytest.approx(TRI_ALPHA, abs=tol)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mmvport import analyze, load_packaged_market, market_to_json
-from mmvport.cli import main
+from mmvport.cli import _build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +209,46 @@ class TestAnalyze:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("prices", "[1" + "0" * 400 + "]", "price must be finite"),
+            ("p", "1" + "0" * 400, "p must be finite"),
+            # past the interpreter's digit limit json.loads itself refuses it
+            ("prices", "[1" + "0" * 5000 + "]", "invalid JSON"),
+        ],
+    )
+    def test_integer_past_the_float_range_is_a_parse_error(
+        self, capsys, tmp_path, field, value, expected
+    ):
+        fields = {"prices": "[2.0]", "p": "0.5"}
+        fields[field] = value
+        text = (
+            '{"assets": 1, "periods": 1, "nodes": ['
+            '{"id": "r", "parent": null, "t": 0, "prices": [1.0]}, '
+            f'{{"id": "u", "parent": "r", "t": 1, "p": {fields["p"]}, '
+            f'"prices": {fields["prices"]}}}, '
+            '{"id": "d", "parent": "r", "t": 1, "p": 0.5, "prices": [0.5]}]}'
+        )
+        path = tmp_path / "huge-int.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "analyze", path)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert expected in lines[0]
+
+    def test_parser_is_reused_after_a_usage_error(self, capsys, trinomial_file):
+        assert _build_parser() is _build_parser()
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--format", "xml", str(trinomial_file)])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        code, out, _ = run(capsys, "analyze", trinomial_file)
+        assert code == 0
+        assert json.loads(out)["fcfs_exists"] is True
+
 
 class TestMsharpe:
     def write(self, tmp_path, text, name="law.csv"):
@@ -324,7 +364,46 @@ class TestMsharpe:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of `generate` and of `analyze --verify` on a few shapes, recorded
+# before the tree went columnar; both byte streams must stay the same
+TREE_DIGESTS = [
+    ((2, 1, 1), 3, 0,
+     "a6cc8996bcb858c8a7df4fa754a601017737417ea4411abf637fa7fce8704f6d",
+     "ca8936a76d0d5a7b51038437350d5b72d4580f30495a22574fb276a319d3221c"),
+    ((3, 5, 1), 17, 0,
+     "62c4e58aea9b506f380d5d5f6b7e98cde2098c175a11a24b679014b884c9cf02",
+     "87cfb8c34957096ca8561a527e01b9e54d09d697d1f30a775179c50d20543a34"),
+    ((4, 4, 3), 29, 0,
+     "8b83a9119c30435ec0712942ff0ca8fcced83a92738ebc77cc980a1fa7ff14ec",
+     "915ae242a5cc67299a139ebf29497f3d4adb24b6f8ee983c63161a03e0a25573"),
+    ((2, 10, 1), 41, 0,
+     "724408390af45582b2ed41c363809b78df1bdfa1737438e145b4fe588023bace",
+     "fd3e41d27c7deed13338445b33f82c7f99de10a0d97c11ad266db99d66f5b0b9"),
+    ((3, 3, 2), 5, 0,
+     "02b590d21194f10d11c6683c36376769dc13b7612376c86781320e0e289e8619",
+     "8fef16fec1d3fe8055f9787449515c697750b43a11c14cdd652549815997f9b7"),
+]
+
+
 class TestGenerateAndSelftest:
+    @pytest.mark.parametrize("shape, seed, exit_code, market, report", TREE_DIGESTS)
+    def test_generate_and_analyze_bytes_are_pinned(
+        self, capsys, tmp_path, shape, seed, exit_code, market, report
+    ):
+        branching, periods, assets = shape
+        market_path, report_path = tmp_path / "m.json", tmp_path / "r.json"
+        code, _, _ = run(
+            capsys, "generate", "--seed", seed, "--periods", periods,
+            "--branching", branching, "--assets", assets, "--out", market_path,
+        )
+        assert code == 0
+        assert hashlib.sha256(market_path.read_bytes()).hexdigest() == market
+        code, _, _ = run(
+            capsys, "analyze", "--verify", market_path, "--out", report_path
+        )
+        assert code == exit_code
+        assert hashlib.sha256(report_path.read_bytes()).hexdigest() == report
+
     def test_generate_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for target in (a, b):

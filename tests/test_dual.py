@@ -14,7 +14,7 @@ from mmvport import (
 )
 
 from conftest import small_tree
-from oracles import brute_nonneg_density, exact_signed_density
+from oracles import brute_nonneg_density, constraint_system, exact_signed_density
 
 
 class TestSignedDensity:
@@ -55,7 +55,7 @@ class TestSignedDensity:
         for seed in range(25):
             tree = small_tree(seed)
             sol = variance_optimal_signed(tree)
-            A, b = tree.constraint_system
+            A, b = constraint_system(tree)
             z = sol.density.values
             assert np.max(np.abs(A @ z - b)) < 1e-8
             p = tree.leaf_probabilities
@@ -106,7 +106,7 @@ class TestNonnegDensity:
             nonneg = variance_optimal_nonneg(tree)
             z = nonneg.density.values
             assert np.min(z) >= -1e-12
-            A, b = tree.constraint_system
+            A, b = constraint_system(tree)
             assert np.max(np.abs(A @ z - b)) < 1e-7
             # restricting the feasible set can only raise the second moment
             assert nonneg.second_moment >= signed.second_moment - 1e-9

@@ -3,6 +3,7 @@ replaced, on trees of every shape the package meets: the selftest suites,
 a ragged tree, redundant assets, and the markets the dense pipeline could
 not analyze."""
 
+import json
 import math
 
 import numpy as np
@@ -12,15 +13,18 @@ from mmvport import (
     MeasureDensity,
     ScenarioTree,
     SolverFailure,
+    Strategy,
     analyze,
     generate_random_market,
     load_packaged_market,
     market_from_dict,
     market_to_dict,
+    market_to_json,
     optimal_quadratic,
     optimal_truncated,
     variance_optimal_nonneg,
     variance_optimal_signed,
+    report_to_dict,
     verify_fcfs_certificate,
 )
 from mmvport.selftest import _suite_trees
@@ -30,6 +34,7 @@ from oracles import (
     dense_quadratic,
     dense_signed_density,
     dense_truncated,
+    gain_matrix,
     node_wealth,
 )
 
@@ -53,7 +58,7 @@ def assert_matches_dense(tree):
 
     hull = optimal_truncated(tree, 0.0)
     theta = dense_truncated(tree, 0.0)
-    W = tree.gain_matrix @ theta
+    W = gain_matrix(tree) @ theta
     assert np.max(np.abs(hull.payoff.values - W)) <= 1e-8
     fcfs = np.maximum(1.0 - W, 0.0)
     assert np.max(np.abs(np.maximum(1.0 - hull.payoff.values, 0.0) - fcfs)) <= 1e-8
@@ -130,11 +135,18 @@ def test_identical_asset_columns_hold_minimum_norm():
 
 
 def test_analyze_never_builds_the_dense_views(monkeypatch):
-    def refuse(self):
-        raise AssertionError("the dense view was built")
+    # the dense views live in the test oracles only, and no path from a
+    # document to a verified report builds a TreeNode or a holdings dict
+    assert not hasattr(ScenarioTree, "gain_matrix")
+    assert not hasattr(ScenarioTree, "constraint_system")
 
-    monkeypatch.setattr(ScenarioTree, "gain_matrix", property(refuse))
-    monkeypatch.setattr(ScenarioTree, "constraint_system", property(refuse))
+    def refuse(self, *args):
+        raise AssertionError("a per-node view was built")
+
+    for name in ("nodes", "root"):
+        monkeypatch.setattr(ScenarioTree, name, property(refuse))
+    monkeypatch.setattr(ScenarioTree, "node", refuse)
+    monkeypatch.setattr(Strategy, "holdings", property(refuse))
     trees = [
         load_packaged_market("trinomial"),
         load_packaged_market("binomial"),
@@ -142,7 +154,8 @@ def test_analyze_never_builds_the_dense_views(monkeypatch):
     ]
     claims = 0
     for tree in trees:
-        report = analyze(tree)
+        report = analyze(market_from_dict(json.loads(market_to_json(tree))))
+        report_to_dict(report)
         if report.fcfs_exists:
             assert verify_fcfs_certificate(report) is True
             claims += 1

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from mmvport import (
     ParseError,
     Strategy,
     ValidationError,
+    analyze,
     check_viability,
     generate_random_market,
     load_market,
@@ -22,7 +24,12 @@ from mmvport import (
 from mmvport.market import MeasureDensity
 
 from conftest import small_tree
-from oracles import viability_linprog, wealth_by_paths
+from oracles import (
+    constraint_system,
+    gain_matrix,
+    viability_linprog,
+    wealth_by_paths,
+)
 
 
 def doc(nodes, assets=1, periods=1):
@@ -121,7 +128,7 @@ class TestSerialization:
         again = market_from_dict(market_to_dict(tree))
         assert again.leaf_ids == tree.leaf_ids
         assert np.allclose(again.leaf_probabilities, tree.leaf_probabilities)
-        assert np.allclose(again.gain_matrix, tree.gain_matrix)
+        assert np.allclose(gain_matrix(again), gain_matrix(tree))
 
         path = tmp_path / "m.json"
         save_market(tree, path)
@@ -138,6 +145,67 @@ class TestSerialization:
     def test_json_is_plain_data(self):
         obj = json.loads(market_to_json(small_tree(7)))
         assert set(obj) == {"assets", "periods", "nodes"}
+
+
+class TestColumnarLayout:
+    @staticmethod
+    def retained_objects(doc):
+        """Objects the collector tracks that a parsed and analyzed tree keeps."""
+        gc.collect()
+        before = len(gc.get_objects())
+        tree = market_from_dict(doc)
+        report = analyze(tree)
+        gc.collect()
+        grown = len(gc.get_objects()) - before
+        assert report.tree is tree
+        return grown
+
+    def test_no_objects_per_node(self):
+        # arrays per tree and per level, not objects per node: a tree with
+        # four times the nodes keeps the same handful of container objects
+        docs = [
+            market_to_dict(generate_random_market(seed=T, periods=T))
+            for T in (2, 10, 12)
+        ]
+        self.retained_objects(docs[0])  # first-use caches
+        small, large = (self.retained_objects(doc) for doc in docs[1:])
+        assert abs(large - small) <= 16 and large < 200
+
+    def test_lazy_node_views_match_the_arrays(self):
+        tree = small_tree(4)
+        assert [n.id for n in tree.nodes] == list(tree.ids)
+        assert tree.root.parent is None and tree.root.t == 0
+        for k, node in enumerate(tree.nodes):
+            assert tree.node(node.id) is node
+            assert node.cond_prob == tree.cond_prob[k]
+            assert node.path_prob == tree.path_prob[k]
+            up = tree.parent[k]
+            assert node.parent == (None if up < 0 else tree.ids[up])
+            assert not node.prices.flags.writeable
+        with pytest.raises(DimensionMismatch):
+            tree.node("ghost")
+        d = tree.assets
+        strategy = Strategy.from_vector(tree, np.arange(len(tree.nonterminal_ids) * d))
+        for j, nid in enumerate(tree.nonterminal_ids):
+            row = strategy.holdings[nid]
+            assert row.tolist() == strategy.vector[j * d : (j + 1) * d].tolist()
+            assert not row.flags.writeable
+
+    def test_writer_matches_json_dumps(self):
+        for seed in range(12):
+            tree = small_tree(seed)
+            text = json.dumps(market_to_dict(tree), indent=2) + "\n"
+            assert market_to_json(tree) == text
+        # a file with the root last and unicode ids
+        nodes = [
+            {"id": "h\u00f6her", "parent": "w\u00fcrzel", "t": 1, "p": 0.25,
+             "prices": [-0.0]},
+            {"id": "tief\"", "parent": "w\u00fcrzel", "t": 1, "p": 0.75,
+             "prices": [3e-320]},
+            {"id": "w\u00fcrzel", "parent": None, "t": 0, "prices": [1e-5]},
+        ]
+        tree = market_from_dict({"assets": 1, "periods": 1, "nodes": nodes})
+        assert market_to_json(tree) == json.dumps(market_to_dict(tree), indent=2) + "\n"
 
 
 class TestWealthAndStrategies:
@@ -171,9 +239,9 @@ class TestWealthAndStrategies:
 class TestConstraintSystem:
     def test_shapes_and_rhs(self):
         tree = small_tree(8)
-        A, b = tree.constraint_system
+        A, b = constraint_system(tree)
         L = tree.n_leaves
-        assert A.shape == (1 + tree.gain_matrix.shape[1], L)
+        assert A.shape == (1 + gain_matrix(tree).shape[1], L)
         assert b[0] == 1.0 and np.all(b[1:] == 0.0)
         # first row is the leaf law, others are probability-weighted gains
         assert np.allclose(A[0], tree.leaf_probabilities)
@@ -208,7 +276,7 @@ class TestViability:
             assert cert.density is not None
             z = cert.density
             assert np.all(z > 0.0)
-            A, b = tree.constraint_system
+            A, b = constraint_system(tree)
             assert np.max(np.abs(A @ z - b)) < 1e-7
 
     def test_arbitrage_not_viable(self, arbitrage_tree):

@@ -20,6 +20,7 @@ from mmvport.probability import truncated_utility
 from conftest import small_tree
 from oracles import (
     damped_newton_truncated,
+    gain_matrix,
     scipy_quadratic_value,
     wealth_by_paths,
 )
@@ -28,7 +29,7 @@ from oracles import (
 def quadratic_gradient(tree, solution):
     """E[(1 - W) * gain] for every traded (node, asset) coordinate."""
     p = tree.leaf_probabilities
-    B = tree.gain_matrix
+    B = gain_matrix(tree)
     w = solution.payoff.values
     return B.T @ (p * (1.0 - w))
 
@@ -52,7 +53,7 @@ class TestQuadratic:
         tree = small_tree(3)
         sol = optimal_quadratic(tree, 0.0)
         p = tree.leaf_probabilities
-        B = tree.gain_matrix
+        B = gain_matrix(tree)
         theta = sol.strategy.vector.copy()
 
         def objective(vec):

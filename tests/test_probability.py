@@ -148,6 +148,15 @@ class TestUtilityFunctionals:
         X = rv([1.0, -1.0])
         assert mean_variance_value(X) == pytest.approx(-0.5, abs=1e-15)
 
+    def test_values_past_the_float_range_are_minus_infinity(self):
+        # the squares overflow; the functionals are truly below -1e308 and
+        # return -inf without a RuntimeWarning (which pytest turns into an
+        # error here)
+        X = rv([1e200, -1e200, 3e200])
+        assert mean_variance_value(X) == -math.inf
+        assert expected_quadratic_utility(X) == -math.inf
+        assert expected_truncated_utility(X) == -math.inf
+
 
 class TestMonotoneMeanVarianceValue:
     def test_foc_holds_at_reported_cash(self):
