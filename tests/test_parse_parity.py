@@ -10,6 +10,7 @@ parsers, or bit-identical columns.
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +265,39 @@ def test_hand_written_shapes_match_the_reference(nodes):
         kids = tree.child_index[tree.child_offsets[k] : tree.child_offsets[k + 1]]
         assert node.children == tuple(tree.ids[c] for c in kids)
         assert np.array_equal(node.prices, tree.prices[k])
+
+
+def _wide_then_narrow(width, fan):
+    nodes = [{"id": "r", "parent": None, "t": 0, "prices": [1.0]}]
+    nodes += [
+        {"id": f"a{i}", "parent": "r", "t": 1, "p": 1.0 / width,
+         "prices": [1.0 + i % 3]}
+        for i in range(width)
+    ]
+    nodes += [
+        {"id": f"a{i}.{j}", "parent": f"a{i}", "t": 2, "p": 1.0 / fan,
+         "prices": [float(j)]}
+        for i in range(width)
+        for j in range(fan)
+    ]
+    return {"assets": 1, "periods": 2, "nodes": nodes}
+
+
+def test_wide_then_narrow_tree_matches_the_reference_in_node_sized_memory():
+    # 2000 families of 2 under one family of 2000: sibling sums must not
+    # pad every family to the widest one (2001 x 2000 entries)
+    doc = _wide_then_narrow(2000, 2)
+    assert_same(doc)
+    broken = copy.deepcopy(doc)
+    broken["nodes"][-1]["p"] = 0.5 + 2e-9
+    assert_same(broken)
+    tracemalloc.start()
+    try:
+        market_from_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6  # about 1.6 MB when each family is summed alone
 
 
 def _doc(periods, *rows):
