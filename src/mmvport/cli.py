@@ -209,6 +209,8 @@ def _read_law(path: str, col: str | None) -> RandomVariable:
             raw = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
     if not raw:
         raise ParseError(f"{path}: no rows")
 

@@ -52,11 +52,13 @@ Viability means a strictly positive martingale density exists.  On a
 finite tree that holds iff every one-step submarket is free of arbitrage
 (Harrison & Pliska 1981; Dalang, Morton & Willinger 1990), so it is
 decided node by node: one backward sweep finds the largest density floor
-of every subtree, in closed form level by level for one asset and by an
-(assets + 1)-row linear program per node with the in-house simplex
-otherwise, and one forward sweep multiplies the local risk-neutral
-weights into a certificate density.  The cost grows linearly with the
-number of nodes.
+of every subtree, and one forward sweep multiplies the local risk-neutral
+weights into a certificate density.  Each node's floor is an
+(assets + 1)-row linear program.  For one asset it has a closed form,
+evaluated level by level; for several, the regular nodes of a level are
+solved in one batched enumeration of their bases, each optimum proved by
+its duals, and every other node by the in-house simplex.  The cost grows
+linearly with the number of nodes.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, islice, repeat
+from itertools import chain, combinations, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -105,6 +107,16 @@ _EXPECTATION_TOL = 1e-10
 _MARTINGALE_TOL = 1e-9
 _DENSITY_FLOOR = -1e-12
 _VIABILITY_FLOOR = 1e-9
+# widest family whose C(children, assets) bases are enumerated at once;
+# wider ones go to the simplex
+_BASIS_WIDTH = 8
+# (assets + 1)-square systems per batched solve, bounding the work arrays
+_BASIS_BATCH = 1 << 14
+# a basis whose determinant is below this share of the product of its
+# column norms (Hadamard's bound) counts as singular: a solve with it can
+# lose more than about 1e-11 relative, so its node goes to the simplex
+_BASIS_SINGULAR = 1e-5
+_REDUCED_COST_TOL = 1e-9
 
 _TOP_KEYS = {"assets", "periods", "nodes"}
 _NODE_KEYS = {"id", "parent", "t", "p", "prices"}
@@ -490,9 +502,10 @@ def market_from_dict(obj) -> ScenarioTree:
 
 def load_market(path) -> ScenarioTree:
     """Load a market JSON file."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        obj = json.loads(text)
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
     except ValueError as exc:  # bad JSON, or an integer too long to convert
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     return market_from_dict(obj)
@@ -755,8 +768,9 @@ def _node_local_viability(tree: ScenarioTree) -> ViabilityCertificate:
     q_k >= t p_k / V(k).  A child whose subtree has no nonnegative density
     must get zero mass; when some child has V = 0 the floor is 0 and only
     feasibility is asked.  Each level is solved at once for one asset
-    (:func:`_one_asset_floors`) and node by node otherwise
-    (:func:`_simplex_floors`).
+    (:func:`_one_asset_floors`).  For several assets the regular nodes of
+    a level are solved in one batched basis enumeration, with the simplex
+    as the fallback for the others (:func:`_several_asset_floors`).
 
     The certificate density is the product of q_k / p_k along each path,
     so its smallest atom is at least V(root), which equals the optimum of
@@ -765,7 +779,7 @@ def _node_local_viability(tree: ScenarioTree) -> ViabilityCertificate:
     breaks viability; the certificate names it.
     """
     levels = tree.levels
-    floors = _one_asset_floors if tree.assets == 1 else _simplex_floors
+    floors = _one_asset_floors if tree.assets == 1 else _several_asset_floors
     value = np.ones(levels.n_leaves)
     feasible = np.ones(levels.n_leaves, dtype=bool)
     weights = [None] * tree.periods
@@ -835,13 +849,105 @@ def _one_asset_floors(dS, p, mask, child_value, child_feasible, ids):
     return q, value, feasible
 
 
+def _several_asset_floors(dS, p, mask, child_value, child_feasible, ids):
+    """One-step floors for a level of several-asset nodes.
+
+    A node is regular when all of its b children are real, feasible and
+    have V > 0, with assets < b <= ``_BASIS_WIDTH``.  The regular nodes
+    of the level are solved together by :func:`_basis_floors`; every
+    other node, and a regular node without a certified optimal basis,
+    gets its own LP from :func:`_simplex_floors`.  Returns
+    (q, V, feasible).
+    """
+    n, b, d = dS.shape
+    q = np.zeros_like(p)
+    value = np.zeros(n)
+    feasible = np.ones(n, dtype=bool)
+    rest = np.ones(n, dtype=bool)
+    if d < b <= _BASIS_WIDTH:
+        regular = np.flatnonzero(
+            np.all(mask & child_feasible & (child_value > 0.0), axis=1)
+        )
+        bases = np.array(list(combinations(range(b), d)))
+        size = max(1, _BASIS_BATCH // len(bases))
+        for lo in range(0, len(regular), size):
+            nodes = regular[lo : lo + size]
+            # a node with non-finite entries has no invertible basis; the
+            # simplex meets, and warns about, them as before
+            with np.errstate(all="ignore"):
+                q_c, value_c, solved = _basis_floors(
+                    dS[nodes], p[nodes], child_value[nodes], bases
+                )
+            nodes = nodes[solved]
+            q[nodes], value[nodes] = q_c[solved], value_c[solved]
+            rest[nodes] = False
+    if np.any(rest):
+        q[rest], value[rest], feasible[rest] = _simplex_floors(
+            dS[rest], p[rest], mask[rest], child_value[rest],
+            child_feasible[rest], ids[rest],
+        )
+    return q, value, feasible
+
+
+def _basis_floors(dS, p, child_value, bases):
+    """The LP of :func:`_simplex_floors` on regular nodes, by enumeration.
+
+    When the (d + 1)-row matrix has full row rank, which needs b > d, an
+    optimum with tau > 0 sits at a basis of tau and d of the children
+    (the rows of ``bases``).  Every such square system of every node is
+    solved in one batched solve, on the same row-scaled matrix the
+    simplex sees; singular bases are set aside.  Of the bases with
+    w >= 0 and tau > 0 each node takes the one with the largest tau, and
+    accepts it only if the duals y of that basis leave every reduced cost
+    c_j - y.A_j at least -1e-9, which proves it optimal.  Returns
+    (q, V, solved); a node that is not solved needs the simplex.
+    """
+    n, b, d = dS.shape
+    r = p / child_value
+    total = r.sum(axis=1)
+    rho = r / total[:, None]
+    A = np.ones((n, d + 1, b + 1))
+    A[:, 1:, :b] = dS.transpose(0, 2, 1)
+    A[:, 1:, b] = np.einsum("nk,nkd->nd", rho, dS)
+    scale = np.max(np.abs(A), axis=2, keepdims=True)
+    scale[scale == 0.0] = 1.0
+    A /= scale
+
+    columns = np.hstack([bases, np.full((len(bases), 1), b)])
+    B = A[:, :, columns].transpose(0, 2, 1, 3)  # (nodes, bases, d+1, d+1)
+    hadamard = np.prod(np.linalg.norm(B, axis=2), axis=2)
+    invertible = np.abs(np.linalg.det(B)) > _BASIS_SINGULAR * hadamard
+    unit = np.eye(d + 1)
+    B[~invertible] = unit
+    x = np.linalg.solve(B, unit[0])
+    w, tau = x[..., :d], x[..., d]
+    usable = invertible & np.all(w >= 0.0, axis=2) & (tau > 0.0)
+    best = np.argmax(np.where(usable, tau, -np.inf), axis=1)
+    rows = np.arange(n)
+    solved = usable[rows, best]
+
+    y = np.linalg.solve(B[rows, best].transpose(0, 2, 1), -unit[d])
+    reduced = -np.einsum("nij,ni->nj", A, y)
+    reduced[:, b] -= 1.0
+    solved &= np.all(reduced >= -_REDUCED_COST_TOL, axis=1)
+
+    tau = tau[rows, best]
+    q = tau[:, None] * rho
+    q[rows[:, None], bases[best]] += w[rows, best]
+    return q, tau / total, solved
+
+
 def _simplex_floors(dS, p, mask, child_value, child_feasible, ids):
     """One-step floors node by node: an (assets + 1)-row LP each.
 
     With q = t r + w, w >= 0, the variables are (w, tau) with
     tau = t sum(r) in [0, 1] and the tau column r / sum(r), which keeps
     the column well scaled however small a child's V is.  Rows are scaled
-    by their largest entry.  Returns (q, V, feasible).
+    by their largest entry.  The simplex solves the nodes that the batched
+    basis enumeration of :func:`_basis_floors` does not take: ragged
+    families, children with V = 0 or no density, no more children than
+    assets, families wider than ``_BASIS_WIDTH`` and nodes without a
+    certified basis.  Returns (q, V, feasible).
     """
     n, _, d = dS.shape
     q_all = np.zeros_like(p)

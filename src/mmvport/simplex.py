@@ -3,10 +3,12 @@
 Solves  min c.x  subject to  A x = b,  x >= 0  on small dense problems.
 Bland's smallest-index pivoting rule is used throughout, which rules out
 cycling even on the degenerate bases that scenario-tree viability programs
-produce routinely.  The implementation is a plain full-tableau method: the
-package feeds it one viability program per tree node, of
-(assets + 1) rows and at most branching + 1 columns, where dense pivoting
-is both fast and easy to audit.
+produce routinely.  The implementation is a plain full-tableau method, for
+the viability programs of (assets + 1) rows and at most branching + 1
+columns, where dense pivoting is both fast and easy to audit.  Regular
+nodes of a tree level are solved in one batched basis enumeration
+(``market._basis_floors``); the simplex takes every node that enumeration
+does not, one program each.
 
 The caller must pass b >= 0 (flip row signs beforehand).
 """

@@ -191,6 +191,50 @@ class TestAnalyze:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "'dn'" in lines[0]
 
+    def test_non_viable_two_asset_market_names_the_interior_node(
+        self, capsys, tmp_path
+    ):
+        # every node has three children, so each is solved by the batched
+        # basis enumeration first; node "dn" has an arbitrage (its first
+        # asset only falls), gives no certified basis and must still be
+        # named by the simplex it falls back to
+        def family(parent, t, prices, moves):
+            return [
+                {"id": f"{parent}{k}", "parent": parent, "t": t, "p": 1 / 3,
+                 "prices": [x + dx for x, dx in zip(prices, move)]}
+                for k, move in enumerate(moves)
+            ]
+
+        balanced = ((0.5, -0.2), (-0.3, 0.4), (-0.2, -0.2))
+        falling = ((-0.1, 0.1), (-0.2, -0.1), (-0.3, 0.0))
+        nodes = [{"id": "r", "parent": None, "t": 0, "prices": [1.0, 1.0]}]
+        level = [("up", (1.5, 0.8)), ("mid", (0.7, 1.4)), ("dn", (0.8, 0.8))]
+        for name, prices in level:
+            nodes.append({"id": name, "parent": "r", "t": 1, "p": 1 / 3,
+                          "prices": list(prices)})
+        for name, prices in level:
+            moves = falling if name == "dn" else balanced
+            nodes += family(name, 2, prices, moves)
+        doc = {"assets": 2, "periods": 2, "nodes": nodes}
+        path = tmp_path / "interior2.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "analyze", path)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "'dn'" in lines[0]
+
+    def test_non_utf8_market_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        code, out, err = run(capsys, "analyze", path)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "UTF-8" in lines[0]
+
     def test_overflowing_price_moves_exit_3(self, capsys, tmp_path):
         doc = {
             "assets": 1,
@@ -295,6 +339,16 @@ class TestMsharpe:
         path = self.write(tmp_path, "1,0.5\n2\n")
         code, _, err = run(capsys, "msharpe", path)
         assert code == 2
+
+    def test_non_utf8_law_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "utf16.csv"
+        path.write_bytes(b"\xff\xfe1\x00\n\x002\x00\n\x00")
+        code, out, err = run(capsys, "msharpe", path)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "UTF-8" in lines[0]
 
     def test_non_numeric_cell_rejected(self, capsys, tmp_path):
         path = self.write(tmp_path, "value\n1\noops\n")

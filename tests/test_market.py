@@ -1,8 +1,11 @@
 import gc
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mmvport import (
     DimensionMismatch,
@@ -21,6 +24,7 @@ from mmvport import (
     save_market,
     terminal_wealth,
 )
+from mmvport import market
 from mmvport.market import MeasureDensity
 
 from conftest import small_tree
@@ -258,7 +262,115 @@ class TestConstraintSystem:
             MeasureDensity.from_values(tree, np.array([2.0, 1.0]))  # drift
 
 
+@st.composite
+def one_step_levels(draw):
+    """A level of one-step markets, as the backward sweep hands it over.
+
+    Each node's increments are priced to zero by random positive weights,
+    so it is viable unless it is made an arbitrage (the first asset only
+    rises) or has children whose subtrees have V = 0 (some of them with
+    no nonnegative density at all).  Ragged levels pad short families;
+    near-degenerate nodes repeat a child's increment, or make one asset
+    a multiple of another, up to noise of 1e-13 to 1e-4.
+    """
+    assets = draw(st.integers(2, 3))
+    width = draw(st.sampled_from((2, 3, 4, 5, 8, 9)))
+    ragged = draw(st.booleans())
+    dead = draw(st.booleans())
+    arbitrage = draw(st.booleans())
+    noise = draw(st.sampled_from((0.0, 1e-13, 1e-8, 1e-4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(1, 13))
+    counts = rng.integers(2, width + 1, n) if ragged else np.full(n, width)
+    mask = np.arange(width) < counts[:, None]
+    p = rng.uniform(0.2, 1.0, (n, width)) * mask
+    p /= p.sum(axis=1, keepdims=True)
+    dS = rng.normal(0.0, 1.0, (n, width, assets))
+    if noise:
+        near = rng.random(n) < 0.5
+        dS[near, 1] = dS[near, 0]
+        dS[~near, :, 1] = 1.7 * dS[~near, :, 0]
+        dS += noise * rng.normal(0.0, 1.0, dS.shape)
+    q = rng.uniform(0.05, 1.0, (n, width)) * mask
+    q /= q.sum(axis=1, keepdims=True)
+    dS -= np.einsum("nk,nkd->nd", q, dS)[:, None, :]
+    dS *= np.exp(rng.uniform(-3.0, 3.0, (n, 1, assets)))
+    if arbitrage:
+        dS[rng.random(n) < 0.3, :, 0] = rng.uniform(0.1, 1.0, width)
+    dS *= mask[:, :, None]
+    value = rng.uniform(0.05, 1.0, (n, width))
+    feasible = np.ones((n, width), dtype=bool)
+    if dead:
+        zero = rng.random((n, width)) < 0.2
+        value[zero] = 0.0
+        feasible[zero] = rng.random(int(zero.sum())) < 0.5
+    value *= mask
+    ids = np.array([f"n{k}" for k in range(n)], dtype=object)
+    return dS, p, mask, value, feasible, ids
+
+
+def first_broken(ids, value, mask, child_value):
+    broken = (value <= 1e-9) & np.all(~mask | (child_value > 1e-9), axis=1)
+    return ids[int(np.argmax(broken))] if np.any(broken) else None
+
+
 class TestViability:
+    @given(one_step_levels())
+    def test_batched_floors_match_the_simplex(self, level):
+        dS, p, mask, child_value, child_feasible, ids = level
+        q, value, feasible = market._several_asset_floors(*level)
+        q0, value0, feasible0 = market._simplex_floors(*level)
+        np.testing.assert_array_equal(feasible, feasible0)
+        np.testing.assert_array_equal(value > 1e-9, value0 > 1e-9)
+        assert first_broken(ids, value, mask, child_value) == first_broken(
+            ids, value0, mask, child_value
+        )
+        np.testing.assert_allclose(value, value0, rtol=1e-10, atol=0.0)
+        # a node keeps the simplex's weights bit for bit or has its own,
+        # which must price the increments to zero
+        own = feasible & np.any(q != q0, axis=1)
+        q, dS = q[own], dS[own]
+        assert np.all(q >= 0.0)
+        assert np.all(np.abs(q.sum(axis=1) - 1.0) <= 1e-12)
+        scale = np.max(np.abs(dS), axis=1, initial=0.0)
+        drift = np.einsum("nk,nkd->nd", q, dS)
+        assert np.all(np.abs(drift) <= 1e-12 * np.maximum(scale, 1e-300))
+
+    def test_generated_four_asset_tree_needs_no_simplex(self, monkeypatch):
+        fallback = []
+
+        def counting(dS, *args):
+            fallback.append(len(dS))
+            return simplex_floors(dS, *args)
+
+        simplex_floors = market._simplex_floors
+        monkeypatch.setattr(market, "_simplex_floors", counting)
+        tree = generate_random_market(seed=0, periods=4, branching=4, assets=3)
+        assert check_viability(tree)
+        assert sum(fallback) == 0
+
+    def test_a_feasible_basis_that_is_not_optimal_is_refused(self):
+        # with one basis hidden, a node whose optimum sat there may find
+        # another feasible basis of smaller tau; its duals must refuse it
+        rng = np.random.default_rng(3)
+        n, b, d = 30, 5, 2
+        dS = rng.normal(0.0, 1.0, (n, b, d))
+        q = rng.uniform(0.05, 1.0, (n, b))
+        q /= q.sum(axis=1, keepdims=True)
+        dS -= np.einsum("nk,nkd->nd", q, dS)[:, None, :]
+        p = np.full((n, b), 1.0 / b)
+        child_value = rng.uniform(0.05, 1.0, (n, b))
+        bases = np.array(list(combinations(range(b), d)))
+        _, value, solved = market._basis_floors(dS, p, child_value, bases)
+        assert solved.all()
+        refused = 0
+        for hidden in range(len(bases)):
+            rest = np.delete(bases, hidden, axis=0)
+            _, v, ok = market._basis_floors(dS, p, child_value, rest)
+            np.testing.assert_allclose(v[ok], value[ok], rtol=1e-12, atol=0.0)
+            refused += int(np.sum(~ok))
+        assert refused > 0
+
     def test_agrees_with_reference_lp(self):
         for seed in range(40):
             tree = small_tree(seed)
