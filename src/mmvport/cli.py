@@ -39,7 +39,6 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +49,7 @@ from .errors import (
     ParseError,
     SolverError,
 )
-from .fcfs import analyze, report_to_dict, verify_fcfs_certificate
+from .fcfs import _sig, analyze, report_to_dict, verify_fcfs_certificate
 from .market import generate_random_market, load_market, market_to_json
 from .monotone_sharpe import monotone_sharpe
 from .probability import (
@@ -62,7 +61,7 @@ from .probability import (
 )
 from .selftest import run_selftest
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 _CSV_FIELDS = (
     "u",
@@ -81,33 +80,14 @@ _CSV_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, parsed and validated."""
-
-    command: str
-    input_paths: tuple = ()
-    output_path: str | None = None
-    fmt: str = "json"
-    col: str | None = None
-    seed: int | None = None
-    periods: int = 2
-    branching: int = 2
-    assets: int = 1
-    spread: float = 0.3
-    jobs: int = 1
-    verify: bool = False
-    quick: bool = False
-
-
 def _fmt_number(value):
     """12-significant-digit float, with infinities as strings."""
     if value is None:
         return None
-    value = float(value)
+    value = _sig(float(value))
     if math.isinf(value):
         return "inf" if value > 0 else "-inf"
-    return float(f"{value:.12g}")
+    return value
 
 
 def _write_output(text: str, output_path: str | None) -> None:
@@ -154,16 +134,16 @@ def _reports_to_csv(rows) -> str:
     return buf.getvalue()
 
 
-def cmd_analyze(config: RunConfig) -> int:
-    tasks = [(path, config.verify) for path in config.input_paths]
-    if config.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+def cmd_analyze(args: argparse.Namespace) -> int:
+    tasks = [(path, args.verify) for path in args.inputs]
+    if args.jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             payloads = list(pool.map(_analyze_path, tasks))
     else:
         payloads = [_analyze_path(task) for task in tasks]
 
-    rows = list(zip(config.input_paths, payloads))
-    if config.fmt == "csv":
+    rows = list(zip(args.inputs, payloads))
+    if args.format == "csv":
         text = _reports_to_csv(rows)
     elif len(payloads) == 1:
         text = json.dumps(payloads[0], indent=2)
@@ -172,9 +152,9 @@ def cmd_analyze(config: RunConfig) -> int:
             [{"input": path, "report": payload} for path, payload in rows],
             indent=2,
         )
-    _write_output(text, config.output_path)
+    _write_output(text, args.out)
 
-    if config.verify and any(
+    if args.verify and any(
         payload.get("certificate_valid") is False for payload in payloads
     ):
         print("error: certificate verification failed", file=sys.stderr)
@@ -278,10 +258,10 @@ def _cap_sweep_csv(X: RandomVariable) -> str:
     return buf.getvalue()
 
 
-def cmd_msharpe(config: RunConfig) -> int:
-    X = _read_law(config.input_paths[0], config.col)
-    if config.fmt == "csv":
-        _write_output(_cap_sweep_csv(X), config.output_path)
+def cmd_msharpe(args: argparse.Namespace) -> int:
+    X = _read_law(args.input, args.col)
+    if args.format == "csv":
+        _write_output(_cap_sweep_csv(X), args.out)
         return 0
     result = monotone_sharpe(X)
     payload = {
@@ -292,24 +272,24 @@ def cmd_msharpe(config: RunConfig) -> int:
         "truncation_level": _fmt_number(result.truncation_level),
         "case_tag": result.case_tag,
     }
-    _write_output(json.dumps(payload, indent=2), config.output_path)
+    _write_output(json.dumps(payload, indent=2), args.out)
     return 0
 
 
-def cmd_generate(config: RunConfig) -> int:
+def cmd_generate(args: argparse.Namespace) -> int:
     tree = generate_random_market(
-        seed=config.seed,
-        periods=config.periods,
-        branching=config.branching,
-        assets=config.assets,
-        spread=config.spread,
+        seed=args.seed,
+        periods=args.periods,
+        branching=args.branching,
+        assets=args.assets,
+        spread=args.spread,
     )
-    _write_output(market_to_json(tree), config.output_path)
+    _write_output(market_to_json(tree), args.out)
     return 0
 
 
-def cmd_selftest(config: RunConfig) -> int:
-    results = run_selftest(quick=config.quick)
+def cmd_selftest(args: argparse.Namespace) -> int:
+    results = run_selftest(quick=args.quick)
     return 0 if all(r.passed for r in results) else 3
 
 
@@ -334,6 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="re-derive any claimed free cash-flow certificate",
     )
+    p.set_defaults(run=cmd_analyze)
 
     p = sub.add_parser("msharpe", help="monotone Sharpe ratio of a CSV sample")
     p.add_argument("input", metavar="FILE", help="CSV of values or value,weight")
@@ -348,6 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="json",
         help="json summary or csv cap-sweep table level,sharpe",
     )
+    p.set_defaults(run=cmd_msharpe)
 
     p = sub.add_parser("generate", help="generate a random viable market")
     p.add_argument("--seed", type=int, required=True)
@@ -356,6 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assets", type=int, default=1)
     p.add_argument("--spread", type=float, default=0.3)
     p.add_argument("--out", help="write the market here instead of stdout")
+    p.set_defaults(run=cmd_generate)
 
     p = sub.add_parser("selftest", help="run the built-in acceptance suite")
     p.add_argument(
@@ -363,57 +346,15 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="smaller sampled suites, identical tolerances",
     )
+    p.set_defaults(run=cmd_selftest)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.command == "analyze":
-        return RunConfig(
-            command="analyze",
-            input_paths=tuple(args.inputs),
-            output_path=args.out,
-            fmt=args.format,
-            jobs=max(1, args.jobs),
-            verify=args.verify,
-        )
-    if args.command == "msharpe":
-        return RunConfig(
-            command="msharpe",
-            input_paths=(args.input,),
-            output_path=args.out,
-            fmt=args.format,
-            col=args.col,
-        )
-    if args.command == "generate":
-        return RunConfig(
-            command="generate",
-            seed=args.seed,
-            periods=args.periods,
-            branching=args.branching,
-            assets=args.assets,
-            spread=args.spread,
-            output_path=args.out,
-        )
-    return RunConfig(command="selftest", quick=args.quick)
-
-
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "msharpe": cmd_msharpe,
-    "generate": cmd_generate,
-    "selftest": cmd_selftest,
-}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    config = _config_from_args(args)
     try:
-        return _COMMANDS[config.command](config)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InputError as exc:
+        return args.run(args)
+    except (FileNotFoundError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, CertificateInvalid) as exc:

@@ -262,17 +262,15 @@ def verify_fcfs_certificate(report: FcfsReport) -> bool:
 
 
 def _sig(value: float) -> float:
-    if math.isinf(value) or math.isnan(value):
-        return value
+    """``value`` rounded to 12 significant digits.
+
+    inf, -inf and nan pass through '.12g' and ``float`` unchanged.
+    """
     return float(f"{value:.12g}")
 
 
 def _sig_all(values: np.ndarray) -> list:
-    """``[_sig(v) for v in values]`` in one pass over the array.
-
-    Each value is written with '.12g' and read back, as ``_sig`` does; inf
-    and nan come back as themselves.
-    """
+    """The vector form of :func:`_sig`: ``[_sig(v) for v in values]``."""
     return list(map(float, map(format, values.tolist(), repeat(".12g"))))
 
 

@@ -51,7 +51,8 @@ class TreeLevels:
     ``ids[t]`` the node ids (an object array) and ``nonterminal[t]`` each
     node's position in :attr:`ScenarioTree.nonterminal_ids`.  ``leaf_rank``
     maps the last level onto :attr:`ScenarioTree.leaf_ids`.  Built from the
-    tree's arrays, walking the children level by level.
+    tree's arrays, walking the children level by level; a node whose
+    increments overflow is refused with :class:`SolverFailure`.
     """
 
     def __init__(self, tree):
@@ -78,12 +79,16 @@ class TreeLevels:
             kids = below[np.repeat(offsets[level] - ends + counts, counts)
                          + np.arange(ends[-1])]
             parents = np.repeat(level, counts)
-            self.dS.append(self._pad(prices[kids] - prices[parents], mask))
+            ids = names[level]
+            with np.errstate(over="ignore"):
+                dS = self._pad(prices[kids] - prices[parents], mask)
+            _require_finite(dS.reshape(len(ids), -1), ids)
+            self.dS.append(dS)
             self.p.append(self._pad(cond[kids], mask))
             self.path.append(self._pad(path[kids], mask))
             self.mask.append(mask)
             self.regular.append(bool(counts.min() == b))
-            self.ids.append(names[level])
+            self.ids.append(ids)
             self.nonterminal.append(rank[level])
             level = kids
         self.leaf_rank = rank[level]

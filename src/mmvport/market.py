@@ -33,8 +33,8 @@ order).  Every step that builds or reads a tree is a pass over these
 arrays: loading screens the entries in one pass and checks the structure
 with numpy, naming the fault a node-by-node walk of the file meets first;
 the generator writes its draws straight into the columns, with no
-document in between; :func:`market_to_json` fills one string template per
-node.
+document in between, and both assemble the tree with :func:`_assemble`;
+:func:`market_to_json` fills one string template per node.
 ``ScenarioTree.nodes``, ``ScenarioTree.node`` and ``Strategy.holdings``
 are views built on first use for callers that want objects per node; no
 solver, serializer or CLI path builds them.
@@ -382,7 +382,7 @@ def _raise_first_repeat(ids, parents) -> None:
 
 
 def _build_tree(assets, periods, ids, parents, ts, p, prices) -> ScenarioTree:
-    """Structural checks and probabilities on the node columns.
+    """Structural checks on the node columns, then :func:`_assemble`.
 
     Each check finds every offending entry at once and reports the first
     in file order, so a file with several faults gets the message of the
@@ -426,6 +426,20 @@ def _build_tree(assets, periods, ids, parents, ts, p, prices) -> ScenarioTree:
             raise ValidationError(f"node {nid!r} sits beyond the horizon")
         raise ValidationError(f"node {nid!r}: leaves must sit exactly at t = periods")
     t = t.astype(np.int64)
+    return _assemble(assets, periods, ids, parent, t, p, prices)
+
+
+def _assemble(assets, periods, ids, parent, t, p, prices) -> ScenarioTree:
+    """The tree of structurally sound node columns.
+
+    ``parent`` holds each node's parent position (-1 at the root) and
+    ``t`` its depth.  Each family's p must sum to 1 within 1e-9 and is
+    divided by its exact sum; the path probabilities are the products of
+    these along each path.
+    """
+    n = len(ids)
+    below = np.flatnonzero(parent >= 0)
+    kids = np.bincount(parent[below], minlength=n)
 
     # children grouped by parent, each group in file order
     child_index = below[np.argsort(parent[below], kind="stable")]
@@ -450,7 +464,7 @@ def _build_tree(assets, periods, ids, parents, ts, p, prices) -> ScenarioTree:
     family_total = np.ones(n)
     family_total[families] = totals
     cond = p / family_total[parent]
-    cond[root] = 1.0
+    cond[parent < 0] = 1.0
 
     # path probabilities level by level, parent times child
     path = np.ones(n)
@@ -998,25 +1012,24 @@ def _random_tree(rng, periods, branching, assets, spread) -> ScenarioTree:
     Nonterminal node j, in order, draws ``branching`` uniform(0.2, 1)
     probabilities, ``branching`` uniform(0.05, 1) weights w and then, per
     asset, ``branching`` gauss(0, 1) values g for its children
-    ``b j + 1, ..., b j + b``.  p = raw / fsum(raw) and, as loading the
-    written file does, again divided by the fsum of the siblings; prices
-    move by spread * max(0.25, |price|) * (g - fsum(q g)) with
-    q = w / fsum(w), so q prices the increments to zero.
+    ``b j + 1, ..., b j + b``.  p = raw / fsum(raw), which
+    :func:`_assemble` divides by the fsum of the siblings as loading the
+    written file does; prices move by
+    spread * max(0.25, |price|) * (g - fsum(q g)) with q = w / fsum(w),
+    so q prices the increments to zero.
     """
     b = branching
     sizes = [b**t for t in range(periods + 1)]
     n = sum(sizes)
     uniform, gauss, fsum = rng.uniform, rng.gauss, math.fsum
     prices = [[uniform(0.8, 1.2) for _ in range(assets)]]
-    cond = [1.0]
+    p = [1.0]
     # the (n - 1) / b nonterminal nodes come first in breadth-first order;
     # their children are appended behind the loop as it goes
     for row in islice(prices, (n - 1) // b):
         raw_p = [uniform(0.2, 1.0) for _ in range(b)]
         total_p = fsum(raw_p)
-        p = [r / total_p for r in raw_p]
-        total = fsum(p)
-        cond += [x / total for x in p]
+        p += [r / total_p for r in raw_p]
         weights = [uniform(0.05, 1.0) for _ in range(b)]
         total_w = fsum(weights)
         q = [w / total_w for w in weights]
@@ -1037,27 +1050,9 @@ def _random_tree(rng, periods, branching, assets, spread) -> ScenarioTree:
         raise ParseError(
             f"node {ids[k]!r}: price must be finite, got {prices[k, a].item()!r}"
         )
-    cond = np.array(cond)
-    path = np.ones(n)
-    lo = 0
-    for size in sizes[:-1]:
-        hi = lo + size
-        kids = slice(hi, hi + size * b)
-        path[kids] = np.repeat(path[lo:hi], b) * cond[kids]
-        lo = hi
-    below = np.arange(1, n)
-    return ScenarioTree(
-        assets=assets,
-        periods=periods,
-        ids=ids,
-        parent=_frozen(np.concatenate(([-1], (below - 1) // b))),
-        t=_frozen(np.repeat(np.arange(periods + 1), sizes)),
-        cond_prob=_frozen(cond),
-        path_prob=_frozen(path),
-        prices=_frozen(prices),
-        child_offsets=_frozen(np.minimum(b * np.arange(n + 1), n - 1)),
-        child_index=_frozen(below),
-    )
+    parent = np.concatenate(([-1], (np.arange(1, n) - 1) // b))
+    t = np.repeat(np.arange(periods + 1), sizes)
+    return _assemble(assets, periods, ids, parent, t, np.array(p), prices)
 
 
 def generate_random_market(

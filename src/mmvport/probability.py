@@ -222,7 +222,7 @@ def _mean_var(X: RandomVariable) -> tuple[float, float]:
 
 
 def moments(X: RandomVariable) -> tuple[float, float, float]:
-    """Return (mean, second moment, variance) in one pass over the atoms.
+    """Return (mean, second moment, variance): three fsum passes over the atoms.
 
     The variance is accumulated as E[(X - m)^2], which is nonnegative by
     construction and exact for constant payoffs.

@@ -121,10 +121,13 @@ class TestAnalyze:
 
     def test_jobs_match_serial(self, capsys, trinomial_file, binomial_file):
         _, serial, _ = run(capsys, "analyze", trinomial_file, binomial_file)
-        _, parallel, _ = run(
-            capsys, "analyze", "--jobs", "2", trinomial_file, binomial_file
-        )
-        assert json.loads(serial) == json.loads(parallel)
+        # fewer than two workers runs serially
+        for jobs in ("2", "0", "-1"):
+            code, out, _ = run(
+                capsys, "analyze", "--jobs", jobs, trinomial_file, binomial_file
+            )
+            assert code == 0
+            assert json.loads(out) == json.loads(serial), jobs
 
     def test_csv_format(self, capsys, trinomial_file, binomial_file):
         code, out, _ = run(
@@ -236,22 +239,28 @@ class TestAnalyze:
         assert "UTF-8" in lines[0]
 
     def test_overflowing_price_moves_exit_3(self, capsys, tmp_path):
-        doc = {
-            "assets": 1,
-            "periods": 1,
-            "nodes": [
-                {"id": "r", "parent": None, "t": 0, "prices": [0.0]},
-                {"id": "u", "parent": "r", "t": 1, "p": 0.5, "prices": [1e300]},
-                {"id": "d", "parent": "r", "t": 1, "p": 0.5, "prices": [-1e300]},
-            ],
-        }
-        path = tmp_path / "huge.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        code, out, err = run(capsys, "analyze", path)
-        assert code == 3
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
+        squares = [
+            {"id": "r", "parent": None, "t": 0, "prices": [0.0]},
+            {"id": "u", "parent": "r", "t": 1, "p": 0.5, "prices": [1e300]},
+            {"id": "d", "parent": "r", "t": 1, "p": 0.5, "prices": [-1e300]},
+        ]
+        # finite prices whose increments themselves overflow
+        increments = [
+            {"id": "r", "parent": None, "t": 0, "prices": [1e308, 1.0]},
+            {"id": "a", "parent": "r", "t": 1, "p": 0.25, "prices": [1.7e308, 1.1]},
+            {"id": "b", "parent": "r", "t": 1, "p": 0.25, "prices": [-0.9e308, 1.1]},
+            {"id": "c", "parent": "r", "t": 1, "p": 0.5, "prices": [1e308, 0.6286]},
+        ]
+        for assets, nodes in ((1, squares), (2, increments)):
+            doc = {"assets": assets, "periods": 1, "nodes": nodes}
+            path = tmp_path / "huge.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            code, out, err = run(capsys, "analyze", path)
+            assert code == 3
+            assert out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+            assert "at node 'r' overflows" in lines[0]
 
     @pytest.mark.parametrize(
         "field, value, expected",

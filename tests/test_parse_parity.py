@@ -365,6 +365,11 @@ def test_generator_draws_match_the_reference(
     assert parents == ref["parent"]
     for name in ("cond_prob", "path_prob", "prices"):
         assert getattr(tree, name).tobytes() == ref[name].tobytes(), name
+    # the generator's depths and children are those loading its file builds
+    loaded = market_from_dict(market_to_dict(tree))
+    for name in ("t", "child_offsets", "child_index"):
+        got, want = getattr(tree, name), getattr(loaded, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize(
