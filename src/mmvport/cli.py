@@ -137,7 +137,7 @@ def _reports_to_csv(rows) -> str:
 def cmd_analyze(args: argparse.Namespace) -> int:
     tasks = [(path, args.verify) for path in args.inputs]
     if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             payloads = list(pool.map(_analyze_path, tasks))
     else:
         payloads = [_analyze_path(task) for task in tasks]

@@ -22,6 +22,7 @@ problems before survive as reference implementations in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -77,7 +78,5 @@ def variance_optimal_nonneg(tree: ScenarioTree) -> DualSolution:
         density=MeasureDensity.from_values(tree, z),
         second_moment=a,
         signed=False,
-        active_set=tuple(
-            leaf for leaf, value in zip(tree.leaf_ids, z) if value <= _ZERO_TOL
-        ),
+        active_set=tuple(compress(tree.leaf_ids, (z <= _ZERO_TOL).tolist())),
     )

@@ -54,11 +54,13 @@ finite tree that holds iff every one-step submarket is free of arbitrage
 decided node by node: one backward sweep finds the largest density floor
 of every subtree, and one forward sweep multiplies the local risk-neutral
 weights into a certificate density.  Each node's floor is an
-(assets + 1)-row linear program.  For one asset it has a closed form,
-evaluated level by level; for several, the regular nodes of a level are
-solved in one batched enumeration of their bases, each optimum proved by
-its duals, and every other node by the in-house simplex.  The cost grows
-linearly with the number of nodes.
+(assets + 1)-row linear program, written down once per level by
+:func:`_floor_programs`.  For one asset it has a closed form, evaluated
+level by level; for several, the nodes of a level with more children
+than assets and at most ``_BASIS_WIDTH`` of them are solved in one
+batched enumeration of their bases, each optimum proved by its duals,
+and every node without such a proof by the in-house simplex.  The cost
+grows linearly with the number of nodes.
 """
 
 from __future__ import annotations
@@ -782,9 +784,9 @@ def _node_local_viability(tree: ScenarioTree) -> ViabilityCertificate:
     q_k >= t p_k / V(k).  A child whose subtree has no nonnegative density
     must get zero mass; when some child has V = 0 the floor is 0 and only
     feasibility is asked.  Each level is solved at once for one asset
-    (:func:`_one_asset_floors`).  For several assets the regular nodes of
-    a level are solved in one batched basis enumeration, with the simplex
-    as the fallback for the others (:func:`_several_asset_floors`).
+    (:func:`_one_asset_floors`).  For several assets the level's programs
+    go to one batched basis enumeration, with the simplex as the fallback
+    for the nodes it cannot certify (:func:`_several_asset_floors`).
 
     The certificate density is the product of q_k / p_k along each path,
     so its smallest atom is at least V(root), which equals the optimum of
@@ -839,14 +841,10 @@ def _one_asset_floors(dS, p, mask, child_value, child_feasible, ids):
     """
     s = dS[:, :, 0]
     rows = np.arange(s.shape[0])
-    allowed = mask & child_feasible
+    allowed, floor, r = _floor_weights(p, mask, child_value, child_feasible)
     feasible = (
         np.any(allowed & (s < 0.0), axis=1) & np.any(allowed & (s > 0.0), axis=1)
     ) | np.any(allowed & (s == 0.0), axis=1)
-    floor = np.all(~mask | (child_value > 0.0), axis=1)
-    r = np.divide(
-        p, child_value, out=np.zeros_like(p), where=mask & (child_value > 0.0)
-    )
     m = np.sum(r * s, axis=1)
     low = np.argmin(np.where(allowed, s, np.inf), axis=1)
     high = np.argmax(np.where(allowed, s, -np.inf), axis=1)
@@ -866,67 +864,94 @@ def _one_asset_floors(dS, p, mask, child_value, child_feasible, ids):
 def _several_asset_floors(dS, p, mask, child_value, child_feasible, ids):
     """One-step floors for a level of several-asset nodes.
 
-    A node is regular when all of its b children are real, feasible and
-    have V > 0, with assets < b <= ``_BASIS_WIDTH``.  The regular nodes
-    of the level are solved together by :func:`_basis_floors`; every
-    other node, and a regular node without a certified optimal basis,
-    gets its own LP from :func:`_simplex_floors`.  Returns
-    (q, V, feasible).
+    When assets < b <= ``_BASIS_WIDTH``, every node of the level tries
+    the batched basis enumeration of :func:`_basis_floors`; a node
+    without a certified optimal basis, and every node of other levels,
+    gets its own LP from :func:`_simplex_floors`.  Both read the programs
+    of :func:`_floor_programs`.  Returns (q, V, feasible).
     """
     n, b, d = dS.shape
+    A, rho, total, floor = _floor_programs(dS, p, mask, child_value, child_feasible)
     q = np.zeros_like(p)
     value = np.zeros(n)
     feasible = np.ones(n, dtype=bool)
     rest = np.ones(n, dtype=bool)
     if d < b <= _BASIS_WIDTH:
-        regular = np.flatnonzero(
-            np.all(mask & child_feasible & (child_value > 0.0), axis=1)
-        )
         bases = np.array(list(combinations(range(b), d)))
         size = max(1, _BASIS_BATCH // len(bases))
-        for lo in range(0, len(regular), size):
-            nodes = regular[lo : lo + size]
-            # a node with non-finite entries has no invertible basis; the
-            # simplex meets, and warns about, them as before
+        for lo in range(0, n, size):
+            part = slice(lo, lo + size)
+            # a node without a floor has only singular bases and may
+            # divide by a zero sum(r); it is set aside unsolved
             with np.errstate(all="ignore"):
                 q_c, value_c, solved = _basis_floors(
-                    dS[nodes], p[nodes], child_value[nodes], bases
+                    A[part], rho[part], total[part], bases
                 )
-            nodes = nodes[solved]
+            nodes = lo + np.flatnonzero(solved)
             q[nodes], value[nodes] = q_c[solved], value_c[solved]
             rest[nodes] = False
     if np.any(rest):
         q[rest], value[rest], feasible[rest] = _simplex_floors(
-            dS[rest], p[rest], mask[rest], child_value[rest],
-            child_feasible[rest], ids[rest],
+            A[rest], rho[rest], total[rest], floor[rest], ids[rest]
         )
     return q, value, feasible
 
 
-def _basis_floors(dS, p, child_value, bases):
-    """The LP of :func:`_simplex_floors` on regular nodes, by enumeration.
+def _floor_weights(p, mask, child_value, child_feasible):
+    """(allowed, floor, r) of a level's one-step floor programs.
 
-    When the (d + 1)-row matrix has full row rank, which needs b > d, an
-    optimum with tau > 0 sits at a basis of tau and d of the children
-    (the rows of ``bases``).  Every such square system of every node is
-    solved in one batched solve, on the same row-scaled matrix the
-    simplex sees; singular bases are set aside.  Of the bases with
-    w >= 0 and tau > 0 each node takes the one with the largest tau, and
-    accepts it only if the duals y of that basis leave every reduced cost
-    c_j - y.A_j at least -1e-9, which proves it optimal.  Returns
-    (q, V, solved); a node that is not solved needs the simplex.
+    A child is allowed when it is real and its subtree has a nonnegative
+    density; a node has a floor when every real child has V > 0; and
+    r_k = p_k / V(k) where V(k) > 0, else 0.
+    """
+    live = mask & (child_value > 0.0)
+    r = np.divide(p, child_value, out=np.zeros_like(p), where=live)
+    return mask & child_feasible, np.all(live | ~mask, axis=1), r
+
+
+def _floor_programs(dS, p, mask, child_value, child_feasible):
+    """The one-step floor programs of a level, as row-scaled matrices.
+
+    With q = t r + w, w >= 0 (see :func:`_floor_weights`), a node's
+    program has the variables (w, tau), tau = t sum(r) in [0, 1], and the
+    rows sum_k q_k = 1 and sum_k q_k dS_k = 0: column k is (1, dS_k) and
+    the tau column is (1, rho.dS) with rho = r / sum(r), which keeps it
+    well scaled however small a child's V is.  A child that is not
+    allowed, padded or without a density, gets a zero column.  Without a
+    floor rho and the tau column are zero and only feasibility is asked.
+    Rows are scaled by their largest entry, which for the sum row is 1.
+    Returns (A, rho, sum(r), floor), A of shape
+    (nodes, assets + 1, children + 1).
     """
     n, b, d = dS.shape
-    r = p / child_value
+    allowed, floor, r = _floor_weights(p, mask, child_value, child_feasible)
     total = r.sum(axis=1)
-    rho = r / total[:, None]
-    A = np.ones((n, d + 1, b + 1))
-    A[:, 1:, :b] = dS.transpose(0, 2, 1)
+    rho = np.divide(r, total[:, None], out=np.zeros_like(r), where=floor[:, None])
+    A = np.zeros((n, d + 1, b + 1))
+    A[:, 0, :b] = allowed
+    A[:, 0, b] = floor
+    A[:, 1:, :b] = np.where(allowed[:, :, None], dS, 0.0).transpose(0, 2, 1)
     A[:, 1:, b] = np.einsum("nk,nkd->nd", rho, dS)
     scale = np.max(np.abs(A), axis=2, keepdims=True)
     scale[scale == 0.0] = 1.0
     A /= scale
+    return A, rho, total, floor
 
+
+def _basis_floors(A, rho, total, bases):
+    """Floor programs of :func:`_floor_programs` solved by enumeration.
+
+    When a program has full row rank, which needs b > d, an optimum with
+    tau > 0 sits at a basis of tau and d of the children (the rows of
+    ``bases``).  Every such square system of every node is solved in one
+    batched solve; singular bases, among them every basis with a zero
+    column, are set aside.  Of the bases with w >= 0 and tau > 0 each
+    node takes the one with the largest tau, and accepts it only if the
+    duals y of that basis leave every reduced cost c_j - y.A_j at least
+    -1e-9, which proves it optimal.  Returns (q, V, solved); a node that
+    is not solved needs the simplex.
+    """
+    n, d, b = A.shape[0], bases.shape[1], A.shape[2] - 1
     columns = np.hstack([bases, np.full((len(bases), 1), b)])
     B = A[:, :, columns].transpose(0, 2, 1, 3)  # (nodes, bases, d+1, d+1)
     hadamard = np.prod(np.linalg.norm(B, axis=2), axis=2)
@@ -951,59 +976,35 @@ def _basis_floors(dS, p, child_value, bases):
     return q, tau / total, solved
 
 
-def _simplex_floors(dS, p, mask, child_value, child_feasible, ids):
-    """One-step floors node by node: an (assets + 1)-row LP each.
+def _simplex_floors(A, rho, total, floor, ids):
+    """Floor programs of :func:`_floor_programs`, one simplex LP each.
 
-    With q = t r + w, w >= 0, the variables are (w, tau) with
-    tau = t sum(r) in [0, 1] and the tau column r / sum(r), which keeps
-    the column well scaled however small a child's V is.  Rows are scaled
-    by their largest entry.  The simplex solves the nodes that the batched
-    basis enumeration of :func:`_basis_floors` does not take: ragged
-    families, children with V = 0 or no density, no more children than
-    assets, families wider than ``_BASIS_WIDTH`` and nodes without a
-    certified basis.  Returns (q, V, feasible).
+    This solves the nodes that :func:`_basis_floors` does not certify.  A
+    zero column has reduced cost 0, so under Bland's rule it never
+    enters, and the pivots on the other columns are those of the program
+    without it.  Returns (q, V, feasible).
     """
-    n, _, d = dS.shape
-    q_all = np.zeros_like(p)
-    value = np.zeros(n)
+    n, m, columns = A.shape
+    x = np.zeros((n, columns))
     feasible = np.ones(n, dtype=bool)
+    rhs = np.zeros(m)
+    rhs[0] = 1.0
     for i in range(n):
-        c = int(mask[i].sum())
-        step, kid_value = dS[i, :c], child_value[i, :c]
-        allowed = child_feasible[i, :c]
-        # infeasible children have V = 0, so a floor needs every child
-        floor = bool(np.all(kid_value > 0.0))
-        n_w = int(allowed.sum())
-        A = np.ones((d + 1, n_w + floor))
-        A[1:, :n_w] = step[allowed].T
-        cost = np.zeros(n_w + floor)
-        if floor:
-            r = p[i, :c] / kid_value
-            rho = r / r.sum()
-            A[1:, -1] = rho @ step
-            cost[-1] = -1.0
-        scale = np.max(np.abs(A), axis=1, initial=0.0)
-        scale[scale == 0.0] = 1.0
-        rhs = np.zeros(d + 1)
-        rhs[0] = 1.0  # the sum row is all ones, so its scale is 1
-
-        result = solve_lp(cost, A / scale[:, None], rhs)
+        cost = np.zeros(columns)
+        cost[-1] = -1.0 if floor[i] else 0.0
+        result = solve_lp(cost, A[i], rhs)
         if result.status == STATUS_INFEASIBLE:
             feasible[i] = False
-            continue
-        if result.status != STATUS_OPTIMAL:
+        elif result.status != STATUS_OPTIMAL:
             raise SolverFailure(
                 f"viability program at node {ids[i]!r} ended with "
                 f"{result.status}"
             )
-        q = np.zeros(c)
-        q[allowed] = result.x[:n_w]
-        if floor:
-            tau = float(result.x[-1])
-            q += tau * rho
-            value[i] = tau / float(r.sum())
-        q_all[i, :c] = q
-    return q_all, value, feasible
+        else:
+            x[i] = result.x
+    q = x[:, :-1] + x[:, -1:] * rho
+    value = np.divide(x[:, -1], total, out=np.zeros(n), where=floor)
+    return q, value, feasible
 
 
 def _random_tree(rng, periods, branching, assets, spread) -> ScenarioTree:

@@ -384,10 +384,7 @@ def quadratic_utility(w):
 
 def truncated_utility(w):
     """U(min(w, 1)), elementwise; constant 1/2 above the bliss level."""
-    w = np.minimum(np.asarray(w, dtype=float), 1.0)
-    with np.errstate(over="ignore"):
-        out = w - 0.5 * w * w
-    return float(out) if out.ndim == 0 else out
+    return quadratic_utility(np.minimum(np.asarray(w, dtype=float), 1.0))
 
 
 def expected_quadratic_utility(X: RandomVariable) -> float:

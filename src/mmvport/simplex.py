@@ -5,10 +5,10 @@ Bland's smallest-index pivoting rule is used throughout, which rules out
 cycling even on the degenerate bases that scenario-tree viability programs
 produce routinely.  The implementation is a plain full-tableau method, for
 the viability programs of (assets + 1) rows and at most branching + 1
-columns, where dense pivoting is both fast and easy to audit.  Regular
-nodes of a tree level are solved in one batched basis enumeration
-(``market._basis_floors``); the simplex takes every node that enumeration
-does not, one program each.
+columns, where dense pivoting is both fast and easy to audit.  The nodes
+of a tree level are solved in one batched basis enumeration
+(``market._basis_floors``) where they can be; the simplex takes every node
+that enumeration cannot certify, one program each.
 
 The caller must pass b >= 0 (flip row signs beforehand).
 """
@@ -83,7 +83,7 @@ def _run_simplex(
     raise IterationLimit("simplex exceeded its pivot budget")
 
 
-def solve_lp(c, A, b, max_iter: int | None = None) -> LpResult:
+def solve_lp(c, A, b) -> LpResult:
     """Minimize c.x subject to A x = b, x >= 0 (b must be nonnegative)."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -91,8 +91,7 @@ def solve_lp(c, A, b, max_iter: int | None = None) -> LpResult:
     m, n = A.shape
     if np.any(b < 0.0):
         raise ValueError("solve_lp expects b >= 0; flip row signs first")
-    if max_iter is None:
-        max_iter = 200 * (m + n + 1)
+    max_iter = 200 * (m + n + 1)
 
     # phase 1: artificial basis, minimize the sum of artificials
     tableau = np.zeros((m + 1, n + m + 1))

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from mmvport import analyze, load_packaged_market, market_to_json
+from mmvport import analyze, cli, load_packaged_market, market_to_json
 from mmvport.cli import _build_parser, main
 
 
@@ -128,6 +128,33 @@ class TestAnalyze:
             )
             assert code == 0
             assert json.loads(out) == json.loads(serial), jobs
+
+    def test_pool_has_no_more_workers_than_inputs(
+        self, capsys, monkeypatch, trinomial_file, binomial_file
+    ):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        _, serial, _ = run(capsys, "analyze", trinomial_file, binomial_file)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        code, out, _ = run(
+            capsys, "analyze", "--jobs", "4", trinomial_file, binomial_file
+        )
+        assert code == 0
+        assert sizes == [2]
+        assert out == serial
 
     def test_csv_format(self, capsys, trinomial_file, binomial_file):
         code, out, _ = run(

@@ -309,6 +309,20 @@ def one_step_levels(draw):
     return dS, p, mask, value, feasible, ids
 
 
+@pytest.fixture
+def simplex_nodes(monkeypatch):
+    """Node counts of the calls that reach the simplex fallback."""
+    counts = []
+    simplex_floors = market._simplex_floors
+
+    def counting(A, *args):
+        counts.append(len(A))
+        return simplex_floors(A, *args)
+
+    monkeypatch.setattr(market, "_simplex_floors", counting)
+    return counts
+
+
 def first_broken(ids, value, mask, child_value):
     broken = (value <= 1e-9) & np.all(~mask | (child_value > 1e-9), axis=1)
     return ids[int(np.argmax(broken))] if np.any(broken) else None
@@ -319,7 +333,8 @@ class TestViability:
     def test_batched_floors_match_the_simplex(self, level):
         dS, p, mask, child_value, child_feasible, ids = level
         q, value, feasible = market._several_asset_floors(*level)
-        q0, value0, feasible0 = market._simplex_floors(*level)
+        program = market._floor_programs(*level[:5])
+        q0, value0, feasible0 = market._simplex_floors(*program, ids)
         np.testing.assert_array_equal(feasible, feasible0)
         np.testing.assert_array_equal(value > 1e-9, value0 > 1e-9)
         assert first_broken(ids, value, mask, child_value) == first_broken(
@@ -336,18 +351,45 @@ class TestViability:
         drift = np.einsum("nk,nkd->nd", q, dS)
         assert np.all(np.abs(drift) <= 1e-12 * np.maximum(scale, 1e-300))
 
-    def test_generated_four_asset_tree_needs_no_simplex(self, monkeypatch):
-        fallback = []
+    @given(one_step_levels())
+    def test_weights_stay_on_allowed_children(self, level):
+        # both solvers read one program, so their agreement cannot show a
+        # column that should be zero: a padded child, or one without a
+        # density, must get no mass
+        dS, p, mask, child_value, child_feasible, _ = level
+        q, _, feasible = market._several_asset_floors(*level)
+        assert np.all(q[~(mask & child_feasible)] == 0.0)
+        assert np.all(np.abs(q[feasible].sum(axis=1) - 1.0) <= 1e-12)
 
-        def counting(dS, *args):
-            fallback.append(len(dS))
-            return simplex_floors(dS, *args)
-
-        simplex_floors = market._simplex_floors
-        monkeypatch.setattr(market, "_simplex_floors", counting)
+    def test_generated_four_asset_tree_needs_no_simplex(self, simplex_nodes):
         tree = generate_random_market(seed=0, periods=4, branching=4, assets=3)
         assert check_viability(tree)
-        assert sum(fallback) == 0
+        assert sum(simplex_nodes) == 0
+
+    def test_ragged_families_need_no_simplex(self, simplex_nodes):
+        # the root's children have 3, 4 and 3 children of their own, so
+        # level 1 pads two of its three families
+        steps = {
+            "a": [(0.1, 0.0), (-0.1, 0.1), (0.0, -0.1)],
+            "b": [(0.1, 0.1), (-0.1, 0.1), (-0.1, -0.1), (0.1, -0.1)],
+            "c": [(0.05, 0.05), (-0.1, 0.0), (0.05, -0.05)],
+        }
+        ups = {"a": (0.1, -0.1), "b": (-0.1, 0.2), "c": (0.0, -0.05)}
+        nodes = [{"id": "r", "parent": None, "t": 0, "prices": [1.0, 1.0]}]
+        for name, moves in steps.items():
+            price = [1.0 + ups[name][0], 1.0 + ups[name][1]]
+            nodes.append({"id": name, "parent": "r", "t": 1,
+                          "p": 0.4 if name == "c" else 0.3, "prices": price})
+            weights = [0.2, 0.3, 0.5] if len(moves) == 3 else [0.1, 0.2, 0.3, 0.4]
+            for k, (move, w) in enumerate(zip(moves, weights)):
+                nodes.append({"id": f"{name}{k}", "parent": name, "t": 2, "p": w,
+                              "prices": [price[0] + move[0], price[1] + move[1]]})
+        tree = market_from_dict(doc(nodes, assets=2, periods=2))
+        ours = check_viability(tree)
+        ref, t_star = viability_linprog(tree)
+        assert ours and ref
+        assert ours.bound == pytest.approx(t_star, rel=1e-9, abs=0.0)
+        assert sum(simplex_nodes) == 0
 
     def test_a_feasible_basis_that_is_not_optimal_is_refused(self):
         # with one basis hidden, a node whose optimum sat there may find
@@ -361,12 +403,14 @@ class TestViability:
         p = np.full((n, b), 1.0 / b)
         child_value = rng.uniform(0.05, 1.0, (n, b))
         bases = np.array(list(combinations(range(b), d)))
-        _, value, solved = market._basis_floors(dS, p, child_value, bases)
+        live = np.ones((n, b), dtype=bool)
+        A, rho, total, _ = market._floor_programs(dS, p, live, child_value, live)
+        _, value, solved = market._basis_floors(A, rho, total, bases)
         assert solved.all()
         refused = 0
         for hidden in range(len(bases)):
             rest = np.delete(bases, hidden, axis=0)
-            _, v, ok = market._basis_floors(dS, p, child_value, rest)
+            _, v, ok = market._basis_floors(A, rho, total, rest)
             np.testing.assert_allclose(v[ok], value[ok], rtol=1e-12, atol=0.0)
             refused += int(np.sum(~ok))
         assert refused > 0
