@@ -228,11 +228,12 @@ def _read_law(path: str, col: str | None) -> RandomVariable:
         out = []
         for lineno, row in enumerate(body, start=2 if header else 1):
             cell = row[idx].strip()
-            if not _is_number(cell):
+            try:
+                out.append(float(cell))
+            except ValueError:
                 raise ParseError(
                     f"{path}:{lineno}: {label} column has non-numeric {cell!r}"
-                )
-            out.append(float(cell))
+                ) from None
         return out
 
     values = _column(indices[0], "value")

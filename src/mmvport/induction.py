@@ -19,10 +19,10 @@ z_n = (1 - W_m)^+ / Lm_root, with second moments 1 / L_root and
 :class:`TreeLevels` stacks each level's one-step markets into
 (nodes, children, assets) arrays, the children of one node contiguous in
 the next level; ragged levels are padded with zero-probability children
-and masked.  Every sweep is one numpy pass per level, so the cost grows
-linearly with the number of nodes.  :class:`Opportunity` runs the
-backward sweep once per tree and answers forward sweeps from any initial
-wealth.
+and masked.  Every sweep is one numpy pass per level, the several-asset
+truncated step included, so the cost grows linearly with the number of
+nodes.  :class:`Opportunity` runs the backward sweep once per tree and
+answers forward sweeps from any initial wealth.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IterationLimit, SolverFailure
-from .probability import _kink_walk, truncated_utility
+from .probability import _fsum_rows, _kink_walk, truncated_utility
 
 __all__ = ["TreeLevels", "Opportunity"]
 
@@ -205,52 +205,45 @@ def _quadratic_step(dS: np.ndarray, w: np.ndarray, ids: list, t: int):
     return phi, np.sum(w * residual * residual, axis=1)
 
 
-def _weighted_fit(B: np.ndarray, p: np.ndarray, target: float) -> np.ndarray:
-    """Min-norm theta with B theta ~ target in the sqrt(p) metric.
+def _clip_set(dS: np.ndarray, w: np.ndarray, ids, t: int):
+    """Maximize sum_k w_k U(min(phi . dS_k, 1)) from phi = 0 at every node.
 
-    Singular values below 1e-10 of the largest are truncated: directions
-    that move wealth by nothing but noise (redundant assets, near-parallel
-    increments) must not leak into the strategy.
+    Clip-set iteration over the stacked nodes: fit the quadratic objective
+    with weights w 1{W < 1}, then move toward that fit by s in [0, 1], the
+    exact line maximum of the true objective (a kink walk).  Every step
+    strictly increases the objective and s = 1 lands on the restricted
+    maximizer, so the clip set settles in a handful of rounds.  A node stops
+    at a vanishing gradient, at an objective that stops rising (keeping the
+    previous iterate) or at a zero step.  Returns (phi, most rounds taken).
     """
-    w = np.sqrt(p)
-    try:
-        theta, *_ = np.linalg.lstsq(w[:, None] * B, w * target, rcond=_RCOND)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"weighted least-squares fit failed: {exc}") from exc
-    return theta
-
-
-def _clip_set(B: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, int]:
-    """Maximize sum p U(min(B theta, 1)) from theta = 0; (theta, rounds).
-
-    Clip-set iteration: fit the quadratic objective on the rows currently
-    below the cap, then move toward that candidate by t in [0, 1], the
-    exact line maximum of the true objective: the kink walk's minimizer of
-    sum p ((1 - W - t B step)^+)^2.  Every step strictly increases the
-    objective and a step of 1 lands on the restricted maximizer, so the
-    clip set settles in a handful of rounds.
-    """
-    grad_scale = 2.0 * (1.0 + float(np.max(np.abs(B), initial=0.0)))
-    theta = np.zeros(B.shape[1])
-    best_value = -math.inf
-    best_theta = theta
+    grad_scale = 2.0 * (1.0 + np.max(np.abs(dS), axis=(1, 2)))
+    phi = np.zeros((len(dS), dS.shape[2]))
+    iterate, best = phi.copy(), np.full(len(phi), -math.inf)
+    live = np.arange(len(phi))
     for rounds in range(1, _MAX_CLIP_ROUNDS + 1):
-        W = B @ theta
+        B, p, theta = dS[live], w[live], iterate[live]
+        W = _gains(B, theta)
         below = W < 1.0
-        grad = B.T @ (p * (1.0 - W) * below)
-        if float(np.max(np.abs(grad), initial=0.0)) <= _GRAD_TOL * grad_scale:
-            return theta, rounds
-        value = math.fsum((p * truncated_utility(W)).tolist())
-        if value <= best_value + 1e-15 * (1.0 + abs(best_value)):
-            # numerical floor reached; keep the best iterate seen
-            return best_theta, rounds
-        best_value = value
-        best_theta = theta
-        step = _weighted_fit(B[below], p[below], 1.0) - theta
-        t = float(_kink_walk(1.0 - W, B @ step, p, lo=0.0, hi=1.0)[0])
-        if t <= 0.0:
-            return theta, rounds
-        theta = theta + t * step
+        grad = np.einsum("nkd,nk->nd", B, p * (1.0 - W) * below)
+        moving = np.max(np.abs(grad), axis=1) > _GRAD_TOL * grad_scale[live]
+        terms = p * truncated_utility(W)
+        value = _fsum_rows(terms.T, len(live), lambda i: terms[i].tolist())
+        # against the first round's -inf the margin is NaN: no stall
+        with np.errstate(invalid="ignore"):
+            flat = value <= best[live] + 1e-15 * (1.0 + np.abs(best[live]))
+        phi[live[~moving]] = theta[~moving]
+        go = moving & ~flat
+        live, B, p, theta, W = live[go], B[go], p[go], theta[go], W[go]
+        # phi keeps the best iterate: a node that stalls next round ends there
+        best[live], phi[live] = value[go], theta
+        target, _ = _quadratic_step(B, p * below[go], ids[live], t)
+        step = target - theta
+        s = _kink_walk(1.0 - W, _gains(B, step), p, lo=0.0, hi=1.0)
+        ahead = s > 0.0
+        live = live[ahead]
+        iterate[live] = theta[ahead] + s[ahead, None] * step[ahead]
+        if live.size == 0:
+            return phi, rounds
     raise IterationLimit(
         f"clip-set iteration did not settle in {_MAX_CLIP_ROUNDS} rounds"
     )
@@ -309,17 +302,14 @@ class Opportunity:
         """Truncated steps at the nodes whose quadratic step overshoots bliss.
 
         One asset: one kink walk over the stacked rows, minimizing
-        sum_k wm_k ((1 - phi dS_k)^+)^2.  Several: the clip-set loop per node.
+        sum_k wm_k ((1 - phi dS_k)^+)^2; several: one :func:`_clip_set`.
         """
         dS = self.levels.dS[t][idx]
         if dS.shape[2] == 1:
-            phim[idx, 0] = _kink_walk(1.0, dS[:, :, 0], wm)
-            self.clip_rounds = max(self.clip_rounds, 2)
-            return
-        counts = self.levels.mask[t][idx].sum(axis=1)
-        for row, (i, c) in enumerate(zip(idx, counts)):
-            phim[i], rounds = _clip_set(dS[row, :c], wm[row, :c])
-            self.clip_rounds = max(self.clip_rounds, rounds)
+            phim[idx, 0], rounds = _kink_walk(1.0, dS[:, :, 0], wm), 2
+        else:
+            phim[idx], rounds = _clip_set(dS, wm, self.levels.ids[t][idx], t)
+        self.clip_rounds = max(self.clip_rounds, rounds)
 
     @property
     def a_signed(self) -> float:

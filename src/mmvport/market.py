@@ -119,6 +119,7 @@ _BASIS_BATCH = 1 << 14
 # lose more than about 1e-11 relative, so its node goes to the simplex
 _BASIS_SINGULAR = 1e-5
 _REDUCED_COST_TOL = 1e-9
+_POINT_TOL = 1e-9  # a simplex point further below 0 or off its rows is refused
 
 _TOP_KEYS = {"assets", "periods", "nodes"}
 _NODE_KEYS = {"id", "parent", "t", "p", "prices"}
@@ -980,9 +981,10 @@ def _simplex_floors(A, rho, total, floor, ids):
     """Floor programs of :func:`_floor_programs`, one simplex LP each.
 
     This solves the nodes that :func:`_basis_floors` does not certify.  A
-    zero column has reduced cost 0, so under Bland's rule it never
-    enters, and the pivots on the other columns are those of the program
-    without it.  Returns (q, V, feasible).
+    zero column has reduced cost 0, so under Bland's rule it never enters,
+    and the pivots on the other columns are those of the program without
+    it.  A point below 0 or off a row by more than 1e-9 is refused with
+    SolverFailure.  Returns (q, V, feasible).
     """
     n, m, columns = A.shape
     x = np.zeros((n, columns))
@@ -1002,6 +1004,11 @@ def _simplex_floors(A, rho, total, floor, ids):
             )
         else:
             x[i] = result.x
+    off = np.abs(np.einsum("nmc,nc->nm", A, x) - rhs).max(axis=1)
+    bad = feasible & ((off > _POINT_TOL) | (x.min(axis=1) < -_POINT_TOL))
+    if np.any(bad):
+        node = ids[int(np.argmax(bad))]
+        raise SolverFailure(f"viability program at node {node!r} left its constraints")
     q = x[:, :-1] + x[:, -1:] * rho
     value = np.divide(x[:, -1], total, out=np.zeros(n), where=floor)
     return q, value, feasible

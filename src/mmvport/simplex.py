@@ -118,6 +118,7 @@ def solve_lp(c, A, b) -> LpResult:
                     break
             if pivot_col < 0:
                 continue
+            tableau[i, -1] = 0.0  # a phase-1 residue a tiny pivot would blow up
             _pivot(tableau, i, pivot_col)
             basis[i] = pivot_col
         keep_rows.append(i)

@@ -630,10 +630,15 @@ def dense_nonneg_density(tree):
     return np.where((z < 0.0) & (z >= -_DENSE_ZERO_TOL), 0.0, z)
 
 
+def _weighted_fit(B, p, target):
+    """Min-norm theta with B theta ~ target in the sqrt(p) metric (lstsq)."""
+    w = np.sqrt(p)
+    theta, *_ = np.linalg.lstsq(w[:, None] * B, w * target, rcond=1e-10)
+    return theta
+
+
 def dense_quadratic(tree, initial_wealth):
     """Min-norm theta maximizing E[U(x + B theta)], by global least squares."""
-    from mmvport.induction import _weighted_fit
-
     return _weighted_fit(
         gain_matrix(tree), tree.leaf_probabilities, 1.0 - initial_wealth
     )
@@ -678,7 +683,6 @@ def _line_maximum(p: np.ndarray, W: np.ndarray, g: np.ndarray) -> float:
 
 def dense_truncated(tree, initial_wealth, max_rounds=100):
     """theta maximizing E[U(min(x + B theta, 1))] by the global clip-set loop."""
-    from mmvport.induction import _weighted_fit
     from mmvport.probability import truncated_utility
 
     B = gain_matrix(tree)
@@ -703,6 +707,37 @@ def dense_truncated(tree, initial_wealth, max_rounds=100):
         t = _line_maximum(p, W, B @ step)
         if t <= 0.0:
             return theta
+        theta = theta + t * step
+    raise ArithmeticError("clip set did not settle")
+
+
+def clip_set_reference(B, p, max_rounds=100):
+    """One node's truncated step by the per-node clip-set loop; (theta, rounds).
+
+    Maximizes sum p U(min(B theta, 1)) from theta = 0 with the stopping
+    rules of the package's level-batched iteration, one node at a time,
+    each fit its own ``lstsq`` on the rows below the cap and each line
+    search one kink walk.
+    """
+    from mmvport.probability import _kink_walk, truncated_utility
+
+    grad_scale = 2.0 * (1.0 + float(np.max(np.abs(B), initial=0.0)))
+    theta = np.zeros(B.shape[1])
+    best_value, best_theta = -math.inf, theta
+    for rounds in range(1, max_rounds + 1):
+        W = B @ theta
+        below = W < 1.0
+        grad = B.T @ (p * (1.0 - W) * below)
+        if float(np.max(np.abs(grad), initial=0.0)) <= 1e-11 * grad_scale:
+            return theta, rounds
+        value = math.fsum((p * truncated_utility(W)).tolist())
+        if value <= best_value + 1e-15 * (1.0 + abs(best_value)):
+            return best_theta, rounds
+        best_value, best_theta = value, theta
+        step = _weighted_fit(B[below], p[below], 1.0) - theta
+        t = float(_kink_walk(1.0 - W, B @ step, p, lo=0.0, hi=1.0)[0])
+        if t <= 0.0:
+            return theta, rounds
         theta = theta + t * step
     raise ArithmeticError("clip set did not settle")
 

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from mmvport import (
     MeasureDensity,
@@ -27,9 +29,11 @@ from mmvport import (
     report_to_dict,
     verify_fcfs_certificate,
 )
+from mmvport import induction
 from mmvport.selftest import _suite_trees
 
 from oracles import (
+    clip_set_reference,
     dense_nonneg_density,
     dense_quadratic,
     dense_signed_density,
@@ -210,3 +214,91 @@ def test_sure_arbitrage_leaves_no_density():
     assert optimal_quadratic(tree, 0.0).value == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(SolverFailure, match="arbitrage"):
         variance_optimal_signed(tree)
+
+
+@st.composite
+def binding_levels(draw):
+    """Several-asset one-step markets whose quadratic step overshoots bliss.
+
+    Like a level of the backward sweep: weights w = p L_next, zero on the
+    padding of ragged families, and increments priced to zero by random
+    positive weights, with a rare large rise on the first child so that
+    the quadratic step of many nodes goes past bliss there.  Returns the
+    binding nodes as (dS, w, mask).
+    """
+    assets = draw(st.integers(2, 3))
+    width = draw(st.integers(2, 9))
+    ragged = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(1, 13))
+    counts = rng.integers(2, width + 1, n) if ragged else np.full(n, width)
+    mask = np.arange(width) < counts[:, None]
+    w = rng.uniform(0.2, 1.0, (n, width)) * mask
+    w[:, 0] *= rng.uniform(0.02, 0.3, n)
+    dS = rng.normal(0.0, 1.0, (n, width, assets))
+    dS[:, 0, 0] += rng.uniform(2.0, 20.0, n)
+    q = rng.uniform(0.05, 1.0, (n, width)) * mask
+    q /= q.sum(axis=1, keepdims=True)
+    dS -= np.einsum("nk,nkd->nd", q, dS)[:, None, :]
+    dS *= np.exp(rng.uniform(-3.0, 3.0, (n, 1, assets)))
+    dS *= mask[:, :, None]
+    phi, _ = induction._quadratic_step(dS, w, np.arange(n), 0)
+    over = np.any((induction._gains(dS, phi) > 1.0) & (w > 0.0), axis=1)
+    assume(np.any(over))
+    return dS[over], w[over], mask[over]
+
+
+@given(binding_levels())
+def test_batched_clip_set_matches_the_per_node_loop(level):
+    dS, w, mask = level
+    phi, rounds = induction._clip_set(dS, w, np.arange(len(dS)), 0)
+    counts = mask.sum(axis=1)
+    reference = [clip_set_reference(B[:c], p[:c]) for B, p, c in zip(dS, w, counts)]
+    for got, (want, _) in zip(phi, reference):
+        assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+    assert rounds == max(r for _, r in reference)
+
+
+def iid_tree(periods, p, steps, root):
+    """Tree whose every node moves by the same increments with the same p."""
+    nodes = [{"id": "r", "parent": None, "t": 0, "prices": list(root)}]
+    frontier = nodes[:]
+    for t in range(1, periods + 1):
+        grown = []
+        for parent in frontier:
+            for k, (pk, step) in enumerate(zip(p, steps)):
+                prices = [a + b for a, b in zip(parent["prices"], step)]
+                grown.append({"id": f"{parent['id']}{k}", "parent": parent["id"],
+                              "t": t, "p": pk, "prices": prices})
+        nodes += grown
+        frontier = grown
+    return market_from_dict({"assets": len(root), "periods": periods, "nodes": nodes})
+
+
+def test_a_jump_tree_runs_one_clip_set_per_level(monkeypatch):
+    # the rare jump of the first asset makes the quadratic step overshoot
+    # bliss at every node, so the truncated step binds everywhere
+    tree = iid_tree(
+        3, (0.1, 0.4, 0.3, 0.2),
+        ((10.0, 0.2), (1.0, 1.0), (-1.0, 0.5), (0.5, -1.0)), (1.0, 1.0),
+    )
+    calls = []
+    clip_set = induction._clip_set
+
+    def counting(dS, *args):
+        calls.append(len(dS))
+        return clip_set(dS, *args)
+
+    monkeypatch.setattr(induction, "_clip_set", counting)
+    hull = optimal_truncated(tree, 0.0)
+    assert calls == [16, 4, 1]
+    # past bliss every payoff is as good, so compare below it only
+    theta = dense_truncated(tree, 0.0)
+    W = gain_matrix(tree) @ theta
+    capped = np.minimum(hull.payoff.values, 1.0)
+    assert np.max(np.abs(capped - np.minimum(W, 1.0))) <= 1e-8
+    wealth = node_wealth(tree, theta, 0.0)
+    for j, nid in enumerate(tree.nonterminal_ids):
+        if wealth[nid] < 1.0 - 1e-9:
+            ours = hull.strategy.vector[2 * j : 2 * j + 2]
+            assert np.max(np.abs(ours - theta[2 * j : 2 * j + 2])) <= 1e-8, nid

@@ -11,6 +11,7 @@ from mmvport import (
     DimensionMismatch,
     GenerationFailure,
     ParseError,
+    SolverFailure,
     Strategy,
     ValidationError,
     analyze,
@@ -328,6 +329,32 @@ def first_broken(ids, value, mask, child_value):
     return ids[int(np.argmax(broken))] if np.any(broken) else None
 
 
+# one-period increments whose scaled floor-program rows are nearly
+# dependent (one asset about twice another); each child is one row
+NEAR_DEPENDENT = (
+    [[0.5714285714285714, 1.1428571214285714, 1.0],
+     [-0.4285714285714286, -0.8571428185714289, -1.0],
+     [-1.4285714285714286, -2.8571428485714288, -2.0]],
+    [[-1.0, -1.9999999600000002, 1.0999999999999999],
+     [1.0, 2.0, -1.9000000000000001],
+     [-1.0, -2.00000001, 2.0999999999999996]],
+    [[-2.6, -5.200000000999999], [3.4, 6.800000009],
+     [1.4, 2.7999999890000002], [-1.6, -3.199999991]],
+)
+
+
+def near_dependent_market(rows):
+    """Root prices all 1, child k at 1 + rows[k], children equally likely."""
+    d = len(rows[0])
+    nodes = [{"id": "r", "parent": None, "t": 0, "prices": [1.0] * d}]
+    nodes += [
+        {"id": f"c{k}", "parent": "r", "t": 1, "p": 1.0 / len(rows),
+         "prices": [1.0 + v for v in row]}
+        for k, row in enumerate(rows)
+    ]
+    return market_from_dict(doc(nodes, assets=d))
+
+
 class TestViability:
     @given(one_step_levels())
     def test_batched_floors_match_the_simplex(self, level):
@@ -423,6 +450,28 @@ class TestViability:
             assert bool(ours) == ref
             # the node-local optimum is the full-tree optimum max min z
             assert ours.bound == pytest.approx(t_star, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("rows", NEAR_DEPENDENT[:2])
+    def test_near_dependent_rows_keep_a_valid_floor(self, rows):
+        # the simplex's drive-out pivot on a tiny entry once turned a phase-1
+        # residue into negative weights and floors above 1
+        tree = near_dependent_market(rows)
+        cert = check_viability(tree)
+        _, t_star = viability_linprog(tree)
+        assert cert.bound <= 1.0
+        assert cert.bound <= cert.density.min()
+        assert cert.bound == pytest.approx(t_star, rel=1e-8, abs=0.0)
+
+    def test_a_simplex_point_off_its_rows_is_refused(self, tmp_path, capsys):
+        from mmvport.cli import main
+
+        tree = near_dependent_market(NEAR_DEPENDENT[2])
+        with pytest.raises(SolverFailure, match="node 'r'"):
+            check_viability(tree)
+        path = tmp_path / "market.json"
+        path.write_text(market_to_json(tree), encoding="utf-8")
+        assert main(["analyze", str(path)]) == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_certificate_is_valid_density(self):
         for seed in range(10):

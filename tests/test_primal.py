@@ -214,11 +214,16 @@ def test_analyze_allocation_matches_mmv_allocation():
 
 def test_linalg_error_becomes_solver_failure(monkeypatch):
     # a several-asset node whose quadratic step overshoots bliss runs the
-    # clip-set iteration, whose local fit is a least-squares solve
-    def broken(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+    # clip-set iteration, whose local fit is a least-squares solve; on this
+    # complete tree only that fit zeroes rows, those of capped children
+    pinv = np.linalg.pinv
+
+    def broken(a, *args, **kwargs):
+        if np.any(np.all(a == 0.0, axis=-1)):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return pinv(a, *args, **kwargs)
 
     tree = generate_random_market(seed=1389, periods=3, branching=4, assets=2)
-    monkeypatch.setattr(np.linalg, "lstsq", broken)
+    monkeypatch.setattr(np.linalg, "pinv", broken)
     with pytest.raises(SolverFailure, match="least-squares"):
         optimal_truncated(tree, 0.0)
