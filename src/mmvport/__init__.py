@@ -4,151 +4,28 @@ Computes variance-optimal martingale densities (signed and nonnegative),
 optimal strategies for quadratic and truncated quadratic utility, monotone
 mean-variance allocations, monotone Sharpe ratios and free
 cash-flow-stream extractability certificates on finite discrete markets.
+
+The root re-exports the ``__all__`` of each module named in ``_MODULES``.
 """
 
-from .errors import (
-    CertificateInvalid,
-    DimensionMismatch,
-    DomainError,
-    GenerationFailure,
-    InconsistentEquivalence,
-    InputError,
-    IterationLimit,
-    MmvError,
-    NoDownside,
-    NonpositiveMean,
-    ParseError,
-    SingularSystem,
-    SolverError,
-    SolverFailure,
-    ValidationError,
-    ViabilityError,
-)
-from .probability import (
-    DiscreteLaw,
-    HullValue,
-    RandomVariable,
-    expected_quadratic_utility,
-    expected_truncated_utility,
-    mean,
-    mean_variance_value,
-    moments,
-    monotone_mean_variance_value,
-    second_moment,
-    sharpe_ratio,
-    variance,
-)
-from .monotone_sharpe import (
-    MonotoneSharpeResult,
-    monotone_sharpe,
-    oracle_grid_sr,
-    solve_alpha_hat,
-    sr_to_value,
-    value_to_sr,
-)
-from .market import (
-    MeasureDensity,
-    ScenarioTree,
-    Strategy,
-    TreeNode,
-    ViabilityCertificate,
-    check_viability,
-    generate_random_market,
-    load_market,
-    load_packaged_market,
-    market_from_dict,
-    market_to_dict,
-    market_to_json,
-    save_market,
-    terminal_wealth,
-)
-from .dual import DualSolution, variance_optimal_nonneg, variance_optimal_signed
-from .primal import (
-    MmvAllocation,
-    PrimalSolution,
-    mmv_allocation,
-    optimal_quadratic,
-    optimal_truncated,
-    cash_level_residual,
-    verify_remark_foc,
-)
-from .fcfs import FcfsReport, analyze, report_to_dict, verify_fcfs_certificate
-from .selftest import CriterionResult, run_selftest
+import sys
+
+from .errors import *
+from .probability import *
+from .monotone_sharpe import *
+from .market import *
+from .dual import *
+from .primal import *
+from .fcfs import *
+from .selftest import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "MmvError",
-    "InputError",
-    "ParseError",
-    "ValidationError",
-    "DimensionMismatch",
-    "ViabilityError",
-    "SolverError",
-    "SolverFailure",
-    "IterationLimit",
-    "SingularSystem",
-    "GenerationFailure",
-    "InconsistentEquivalence",
-    "DomainError",
-    "NonpositiveMean",
-    "NoDownside",
-    "CertificateInvalid",
-    # probability
-    "DiscreteLaw",
-    "RandomVariable",
-    "HullValue",
-    "mean",
-    "second_moment",
-    "variance",
-    "moments",
-    "sharpe_ratio",
-    "expected_quadratic_utility",
-    "expected_truncated_utility",
-    "mean_variance_value",
-    "monotone_mean_variance_value",
-    # monotone sharpe
-    "MonotoneSharpeResult",
-    "monotone_sharpe",
-    "solve_alpha_hat",
-    "oracle_grid_sr",
-    "sr_to_value",
-    "value_to_sr",
-    # market
-    "TreeNode",
-    "ScenarioTree",
-    "Strategy",
-    "MeasureDensity",
-    "ViabilityCertificate",
-    "load_market",
-    "load_packaged_market",
-    "market_from_dict",
-    "market_to_dict",
-    "market_to_json",
-    "save_market",
-    "terminal_wealth",
-    "check_viability",
-    "generate_random_market",
-    # dual
-    "DualSolution",
-    "variance_optimal_signed",
-    "variance_optimal_nonneg",
-    # primal
-    "PrimalSolution",
-    "MmvAllocation",
-    "optimal_quadratic",
-    "optimal_truncated",
-    "mmv_allocation",
-    "cash_level_residual",
-    "verify_remark_foc",
-    # analyzer
-    "FcfsReport",
-    "analyze",
-    "verify_fcfs_certificate",
-    "report_to_dict",
-    # selftest
-    "CriterionResult",
-    "run_selftest",
+_MODULES = (
+    "errors", "probability", "monotone_sharpe", "market",
+    "dual", "primal", "fcfs", "selftest",
+)
+# Read from sys.modules: the function monotone_sharpe shadows its module here.
+__all__ = ["__version__"] + [
+    name for mod in _MODULES for name in sys.modules[f"{__name__}.{mod}"].__all__
 ]

@@ -23,7 +23,8 @@ Four subcommands:
 ``selftest``
     Run the built-in acceptance suite (see :mod:`mmvport.selftest`).
 
-Exit codes: 0 success, 2 bad input (parse/validation/missing file),
+Exit codes: 0 success, 1 closed output pipe, 2 bad input
+(parse/validation, or a file the OS refuses to read or write),
 3 solver or verification failure, 4 mathematically degenerate request
 (e.g. monotone Sharpe of a law with nonpositive mean and real downside).
 Infinite values are serialized as the strings "inf"/"-inf".
@@ -37,6 +38,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -191,6 +193,8 @@ def _read_law(path: str, col: str | None) -> RandomVariable:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
+    except csv.Error as exc:
+        raise ParseError(f"{path}: invalid CSV ({exc})") from exc
     if not raw:
         raise ParseError(f"{path}: no rows")
 
@@ -354,8 +358,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(args)
-    except (FileNotFoundError, InputError) as exc:
+        status = args.run(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull so the
+        # interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (OSError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, CertificateInvalid) as exc:

@@ -8,6 +8,25 @@ three families: bad input (:class:`InputError`), solver breakdowns
 
 from __future__ import annotations
 
+__all__ = [
+    "MmvError",
+    "InputError",
+    "ParseError",
+    "ValidationError",
+    "DimensionMismatch",
+    "ViabilityError",
+    "SolverError",
+    "SolverFailure",
+    "IterationLimit",
+    "SingularSystem",
+    "GenerationFailure",
+    "InconsistentEquivalence",
+    "DomainError",
+    "NonpositiveMean",
+    "NoDownside",
+    "CertificateInvalid",
+]
+
 
 class MmvError(Exception):
     """Base class for all package errors."""

@@ -95,6 +95,7 @@ __all__ = [
     "MeasureDensity",
     "ViabilityCertificate",
     "load_market",
+    "load_packaged_market",
     "market_from_dict",
     "market_to_dict",
     "market_to_json",
@@ -523,7 +524,9 @@ def load_market(path) -> ScenarioTree:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
-    except ValueError as exc:  # bad JSON, or an integer too long to convert
+    # bad JSON, an integer too long to convert, or nesting past the
+    # decoder's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     return market_from_dict(obj)
 
@@ -539,7 +542,7 @@ def load_packaged_market(name: str) -> ScenarioTree:
     ref = resources.files(__package__).joinpath("markets", f"{name}.json")
     try:
         text = ref.read_text(encoding="utf-8")
-    except (FileNotFoundError, OSError) as exc:
+    except OSError as exc:
         raise ParseError(
             f"no packaged market named {name!r}; "
             "available: binomial, trinomial"

@@ -5,11 +5,22 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mmvport import analyze, cli, load_packaged_market, market_to_json
+import mmvport
+from mmvport import (
+    analyze,
+    cli,
+    generate_random_market,
+    load_packaged_market,
+    market_to_json,
+)
 from mmvport.cli import _build_parser, main
 
 
@@ -176,9 +187,10 @@ class TestAnalyze:
         assert json.loads(target.read_text())["fcfs_exists"] is True
 
     def test_missing_file(self, capsys, tmp_path):
-        code, _, err = run(capsys, "analyze", tmp_path / "nope.json")
+        path = tmp_path / "nope.json"
+        code, _, err = run(capsys, "analyze", path)
         assert code == 2
-        assert err != ""
+        assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
 
     def test_non_viable_market(self, capsys, tmp_path):
         doc = {
@@ -544,3 +556,58 @@ class TestGenerateAndSelftest:
         assert len(lines) == 7
         assert all(" PASS " in line for line in lines)
         assert out.splitlines()[-1].startswith("selftest PASS")
+
+
+class TestExitContract:
+    # (subcommand, file to create, its content or None for a directory)
+    REFUSED = [
+        ("analyze", "dir", None),
+        ("generate", "dir", None),
+        ("analyze", "brackets.json", "[" * 5000),
+        ("analyze", "nested.json", '{"a": ' * 5000 + "1" + "}" * 5000),
+        ("msharpe", "wide.csv", "x" * 200_000 + "\n"),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, name, content",
+        REFUSED,
+        ids=["dir", "out-dir", "deep-array", "deep-object", "wide-cell"],
+    )
+    def test_refused_input_is_one_line_and_exit_2(
+        self, capsys, tmp_path, command, name, content
+    ):
+        path = tmp_path / name
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_text(content, encoding="utf-8")
+        if command == "generate":
+            argv = ("generate", "--seed", "0", "--out", path)
+        else:
+            argv = (command, path)
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_closed_output_pipe_exits_1_quietly(self, tmp_path):
+        # a report of about 250 KB, several times a pipe's buffer
+        path = tmp_path / "m.json"
+        tree = generate_random_market(seed=0, periods=12, branching=2, assets=1)
+        path.write_text(market_to_json(tree), encoding="utf-8")
+        src = str(Path(mmvport.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mmvport.cli", "analyze", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
