@@ -25,7 +25,9 @@ Four subcommands:
 
 Exit codes: 0 success, 1 closed output pipe, 2 bad input
 (parse/validation, or a file the OS refuses to read or write),
-3 solver or verification failure, 4 mathematically degenerate request
+3 solver or verification failure, or a request too large for the memory
+available (such as ``generate --assets 100000``, whose viability program
+alone would need tens of GB), 4 mathematically degenerate request
 (e.g. monotone Sharpe of a law with nonpositive mean and real downside).
 Infinite values are serialized as the strings "inf"/"-inf".
 """
@@ -371,6 +373,10 @@ def main(argv=None) -> int:
         return 2
     except (SolverError, CertificateInvalid) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 3
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

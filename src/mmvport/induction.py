@@ -1,4 +1,4 @@
-"""Backward induction over the levels of a scenario tree.
+"""Backward induction over a scenario tree, one family of nodes at a time.
 
 On a finite tree every optimum the package reports is built from one-step
 problems at the nonterminal nodes.  The two opportunity processes obey
@@ -16,149 +16,138 @@ from 0, the variance-optimal densities are z_s = (1 - W_q) / L_root and
 z_n = (1 - W_m)^+ / Lm_root, with second moments 1 / L_root and
 1 / Lm_root.
 
-:class:`TreeLevels` stacks each level's one-step markets into
-(nodes, children, assets) arrays, the children of one node contiguous in
-the next level; ragged levels are padded with zero-probability children
-and masked.  Every sweep is one numpy pass per level, the several-asset
-truncated step included, so the cost grows linearly with the number of
-nodes.  :class:`Opportunity` runs the backward sweep once per tree and
-answers forward sweeps from any initial wealth.
+:class:`TreeLevels` groups the nonterminal nodes into families: the nodes
+of one depth with the same number of children, so every one-step solver
+sees same-width (nodes, children, assets) stacks.  Each sweep keeps its
+state in arrays over the tree's node positions and runs one numpy pass
+per family, the several-asset truncated step included, so the cost
+grows linearly with the number of nodes.  :class:`Opportunity` runs the
+backward sweep once per tree and answers forward sweeps from any initial
+wealth.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import IterationLimit, SolverFailure
 from .probability import _fsum_rows, _kink_walk, truncated_utility
 
-__all__ = ["TreeLevels", "Opportunity"]
+__all__ = ["Family", "TreeLevels", "Opportunity"]
 
 _RCOND = 1e-10
 _GRAD_TOL = 1e-11
 _MAX_CLIP_ROUNDS = 100
 
 
-class TreeLevels:
-    """A tree's one-step markets stacked level by level.
+class Family(NamedTuple):
+    """The nonterminal nodes of one depth with the same number of children.
 
-    For each nonterminal level t: ``dS[t]`` (nodes, children, assets) price
-    increments, ``p[t]`` conditional and ``path[t]`` path probabilities of
-    the children (zero where padded), ``mask[t]`` the real children,
-    ``ids[t]`` the node ids (an object array) and ``nonterminal[t]`` each
-    node's position in :attr:`ScenarioTree.nonterminal_ids`.  ``leaf_rank``
-    maps the last level onto :attr:`ScenarioTree.leaf_ids`.  Built from the
-    tree's arrays, walking the children level by level; a node whose
-    increments overflow is refused with :class:`SolverFailure`.
+    ``t`` is the depth, ``nodes`` their tree positions in file order,
+    ``kids`` the (nodes, children) positions of their children, each row
+    in file order; ``dS`` the (nodes, children, assets) price increments,
+    ``p`` the children's conditional probabilities and ``ids`` the node
+    ids (an object array).
+    """
+
+    t: int
+    nodes: np.ndarray
+    kids: np.ndarray
+    dS: np.ndarray
+    p: np.ndarray
+    ids: np.ndarray
+
+
+class TreeLevels:
+    """A tree's one-step markets, grouped into same-width families.
+
+    ``families`` lists the :class:`Family` of every (depth, width), root
+    first.  Every sweep keeps its state in arrays over the tree's
+    positions: a backward sweep walks the families in reverse and sets
+    ``v[fam.nodes]`` from ``v[fam.kids]``, a forward sweep walks them in
+    order and sets ``x[fam.kids]`` from ``x[fam.nodes]``.  ``leaves`` and
+    ``nonterminal`` are the positions of the leaves and of the other
+    nodes in file order, so ``x[leaves]`` is in leaf order and
+    ``theta[nonterminal]`` in holdings order.  A node whose increments
+    overflow is refused with :class:`SolverFailure`.
     """
 
     def __init__(self, tree):
         offsets, below = tree.child_offsets, tree.child_index
-        counts_all = np.diff(offsets)
-        inner = counts_all > 0
-        # position among the nonterminal nodes, or among the leaves
-        rank = np.where(inner, np.cumsum(inner), np.cumsum(~inner)) - 1
-        names = np.array(tree.ids, dtype=object)
-        prices, cond, path = tree.prices, tree.cond_prob, tree.path_prob
-
-        self.periods = tree.periods
+        counts = np.diff(offsets)
+        inner = counts > 0
         self.assets = tree.assets
-        self.n_nonterminal = int(inner.sum())
-        self.dS, self.p, self.path, self.mask = [], [], [], []
-        self.regular, self.ids, self.nonterminal = [], [], []
-        level = np.array([int(np.argmin(tree.parent))])
-        for _ in range(tree.periods):
-            counts = counts_all[level]
-            b = int(counts.max())
-            mask = np.arange(b) < counts[:, None]
-            # each node's children, in order: its CSR segment
-            ends = np.cumsum(counts)
-            kids = below[np.repeat(offsets[level] - ends + counts, counts)
-                         + np.arange(ends[-1])]
-            parents = np.repeat(level, counts)
-            ids = names[level]
-            with np.errstate(over="ignore"):
-                dS = self._pad(prices[kids] - prices[parents], mask)
-            _require_finite(dS.reshape(len(ids), -1), ids)
-            self.dS.append(dS)
-            self.p.append(self._pad(cond[kids], mask))
-            self.path.append(self._pad(path[kids], mask))
-            self.mask.append(mask)
-            self.regular.append(bool(counts.min() == b))
-            self.ids.append(ids)
-            self.nonterminal.append(rank[level])
-            level = kids
-        self.leaf_rank = rank[level]
-        self.leaf_p = path[level]
-        self.n_leaves = len(inner) - self.n_nonterminal
+        self.n_nodes = len(counts)
+        self.root = int(np.argmin(tree.parent))
+        self.leaves = np.flatnonzero(~inner)
+        self.nonterminal = np.flatnonzero(inner)
+        self.path_prob = tree.path_prob
 
-    @staticmethod
-    def _pad(flat: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        out = np.zeros(mask.shape + flat.shape[1:], dtype=flat.dtype)
-        out[mask] = flat
-        return out
-
-    def spread(self, values: np.ndarray, t: int) -> np.ndarray:
-        """Values on level t + 1 as a padded (nodes, children) array."""
-        if self.regular[t]:
-            return values.reshape(self.mask[t].shape + values.shape[1:])
-        return self._pad(values, self.mask[t])
-
-    def gather(self, padded: np.ndarray, t: int) -> np.ndarray:
-        """Inverse of :meth:`spread`: level t + 1 in order."""
-        if self.regular[t]:
-            return padded.reshape((-1,) + padded.shape[2:])
-        return padded[self.mask[t]]
-
-    def to_leaf_order(self, level_values: np.ndarray) -> np.ndarray:
-        out = np.empty(self.n_leaves)
-        out[self.leaf_rank] = level_values
-        return out
+        with np.errstate(over="ignore"):
+            steps = tree.prices - tree.prices[tree.parent]
+        names = np.array(tree.ids, dtype=object)
+        nodes = self.nonterminal
+        nodes = nodes[np.lexsort((nodes, counts[nodes], tree.t[nodes]))]
+        depth, width = tree.t[nodes], counts[nodes]
+        cuts = np.flatnonzero((np.diff(depth) != 0) | (np.diff(width) != 0)) + 1
+        self.families = []
+        for fam in np.split(nodes, cuts):
+            kids = below[offsets[fam, None] + np.arange(counts[fam[0]])]
+            dS = steps[kids]
+            _require_finite(dS.reshape(len(fam), -1), names[fam])
+            self.families.append(Family(
+                int(tree.t[fam[0]]), fam, kids, dS, tree.cond_prob[kids], names[fam]
+            ))
 
     def propagate(self, initial_wealth: float, holdings) -> np.ndarray:
         """Terminal wealth, in leaf order, of a self-financing strategy.
 
-        ``holdings(t, x)`` returns the (nodes, assets) holdings on level t
-        given the wealth x there; the same arithmetic serves every
-        caller, so a strategy's wealth does not depend on who rebuilds it.
+        ``holdings(fam, x)`` returns the (nodes, assets) holdings of a
+        family given the wealth x at its nodes; the same arithmetic serves
+        every caller, so a strategy's wealth does not depend on who
+        rebuilds it.
         """
-        x = np.full(1, float(initial_wealth))
-        for t in range(self.periods):
-            gains = np.einsum("nkd,nd->nk", self.dS[t], holdings(t, x))
-            x = self.gather(x[:, None] + gains, t)
-        return self.to_leaf_order(x)
+        x = np.empty(self.n_nodes)
+        x[self.root] = initial_wealth
+        for fam in self.families:
+            here = x[fam.nodes]
+            x[fam.kids] = here[:, None] + _gains(fam.dS, holdings(fam, here))
+        return x[self.leaves]
 
-    def increment_moments(self, leaf_values: np.ndarray) -> list:
-        """E[v dS 1_n] per (node, asset), level by level, for v on the leaves.
+    def increment_moments(self, leaf_values: np.ndarray) -> np.ndarray:
+        """E[v dS 1_n] per (node, asset) for v on the leaves; 0 at a leaf.
 
         One backward aggregation of the p-weighted leaf values: the mass
         under each child times that child's increment.
         """
-        mass = self.leaf_p * np.asarray(leaf_values, dtype=float)[self.leaf_rank]
-        out = [None] * self.periods
-        for t in reversed(range(self.periods)):
-            padded = self.spread(mass, t)
-            out[t] = np.einsum("nk,nkd->nd", padded, self.dS[t])
-            mass = padded.sum(axis=1)
+        mass = np.zeros(self.n_nodes)
+        mass[self.leaves] = self.path_prob[self.leaves] * np.asarray(
+            leaf_values, dtype=float
+        )
+        out = np.zeros((self.n_nodes, self.assets))
+        for fam in reversed(self.families):
+            under = mass[fam.kids]
+            out[fam.nodes] = np.einsum("nk,nkd->nd", under, fam.dS)
+            mass[fam.nodes] = under.sum(axis=1)
         return out
 
     @cached_property
-    def increment_scales(self) -> list:
+    def increment_scales(self) -> np.ndarray:
         """sum_k P_k |dS_k| per (node, asset): the size of each moment row."""
-        return [
-            np.einsum("nk,nkd->nd", path, np.abs(dS))
-            for path, dS in zip(self.path, self.dS)
-        ]
+        out = np.zeros((self.n_nodes, self.assets))
+        for fam in self.families:
+            out[fam.nodes] = np.einsum(
+                "nk,nkd->nd", self.path_prob[fam.kids], np.abs(fam.dS)
+            )
+        return out
 
     def max_moment(self, leaf_values: np.ndarray) -> float:
         """Largest |E[v dS 1_n]| over all nodes and assets."""
-        return max(
-            (float(np.max(np.abs(m))) for m in self.increment_moments(leaf_values)),
-            default=0.0,
-        )
+        return float(np.max(np.abs(self.increment_moments(leaf_values))))
 
 
 def _gains(dS: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -178,7 +167,7 @@ def _require_finite(sums: np.ndarray, ids: list) -> None:
 
 
 def _quadratic_step(dS: np.ndarray, w: np.ndarray, ids: list, t: int):
-    """phi minimizing sum_k w_k (1 - phi . dS_k)^2 at every node of a level.
+    """phi minimizing sum_k w_k (1 - phi . dS_k)^2 at every node of a family.
 
     Closed form for one asset; a stacked pseudo-inverse otherwise, whose
     1e-10 relative cutoff keeps directions the increments only see as
@@ -249,8 +238,8 @@ def _clip_set(dS: np.ndarray, w: np.ndarray, ids, t: int):
     )
 
 
-def _inverse_root(process: list) -> float:
-    root = float(process[0][0])
+def _inverse_root(value) -> float:
+    root = float(value)
     if root <= 0.0:
         # only a market with an arbitrage can replicate bliss surely
         raise SolverFailure(
@@ -263,63 +252,62 @@ def _inverse_root(process: list) -> float:
 class Opportunity:
     """Both opportunity processes of a tree and their one-step optimizers.
 
-    ``L[t]``/``Lm[t]`` hold the quadratic and truncated opportunity
-    processes on level t, ``phi[t]``/``phim[t]`` the holdings per unit of
-    bliss gap.  ``clip_rounds`` is the largest number of rounds any node's
-    truncated step took: 1 where the quadratic step already stays below
-    bliss, 2 for a one-asset kink walk, the clip-set rounds otherwise.
-    Raises SolverFailure naming the node whose one-step sums overflow.
+    ``L``/``Lm`` hold the quadratic and truncated opportunity processes
+    over the tree's node positions (1 on the leaves), ``phi``/``phim``
+    the (nodes, assets) holdings per unit of bliss gap (0 on the leaves).
+    ``clip_rounds`` is the largest number of rounds any node's truncated
+    step took: 1 where the quadratic step already stays below bliss, 2
+    for a one-asset kink walk, the clip-set rounds otherwise.  Raises
+    SolverFailure naming the node whose one-step sums overflow.
     """
 
     def __init__(self, levels: TreeLevels):
         self.levels = levels
-        T = levels.periods
-        self.L, self.Lm = [None] * T, [None] * T
-        self.phi, self.phim = [None] * T, [None] * T
+        n, d = levels.n_nodes, levels.assets
+        self.L, self.Lm = np.ones(n), np.ones(n)
+        self.phi, self.phim = np.zeros((n, d)), np.zeros((n, d))
         self.clip_rounds = 1
-        L_next = Lm_next = np.ones(levels.n_leaves)
-        for t in reversed(range(T)):
-            dS, ids = levels.dS[t], levels.ids[t]
-            # the processes coincide until truncation first binds
-            shared = Lm_next is L_next
-            w = levels.p[t] * levels.spread(L_next, t)
-            phi, L = _quadratic_step(dS, w, ids, t)
-            if shared:
-                wm, phim, Lm = w, phi.copy(), L.copy()
-            else:
-                wm = levels.p[t] * levels.spread(Lm_next, t)
-                phim, Lm = _quadratic_step(dS, wm, ids, t)
-            over = np.any((_gains(dS, phim) > 1.0) & (wm > 0.0), axis=1)
+        # until a truncated step first binds, Lm = L on every node solved
+        # so far, and the quadratic step of a family serves both processes
+        split = False
+        for fam in reversed(levels.families):
+            w = fam.p * self.L[fam.kids]
+            phi, L = _quadratic_step(fam.dS, w, fam.ids, fam.t)
+            self.phi[fam.nodes], self.L[fam.nodes] = phi, L
+            if split:
+                w = fam.p * self.Lm[fam.kids]
+                phi, L = _quadratic_step(fam.dS, w, fam.ids, fam.t)
+            over = np.any((_gains(fam.dS, phi) > 1.0) & (w > 0.0), axis=1)
             if np.any(over):
+                split = True
                 idx = np.flatnonzero(over)
-                self._truncate(t, idx, wm[idx], phim)
-                gap = np.maximum(1.0 - _gains(dS[idx], phim[idx]), 0.0)
-                Lm[idx] = np.sum(wm[idx] * gap * gap, axis=1)
-            self.L[t], self.Lm[t], self.phi[t], self.phim[t] = L, Lm, phi, phim
-            L_next, Lm_next = L, (L if shared and not np.any(over) else Lm)
+                self._truncate(fam, idx, w[idx], phi)
+                gap = np.maximum(1.0 - _gains(fam.dS[idx], phi[idx]), 0.0)
+                L[idx] = np.sum(w[idx] * gap * gap, axis=1)
+            self.phim[fam.nodes], self.Lm[fam.nodes] = phi, L
 
-    def _truncate(self, t: int, idx: np.ndarray, wm: np.ndarray, phim) -> None:
+    def _truncate(self, fam: Family, idx: np.ndarray, wm: np.ndarray, phim) -> None:
         """Truncated steps at the nodes whose quadratic step overshoots bliss.
 
         One asset: one kink walk over the stacked rows, minimizing
         sum_k wm_k ((1 - phi dS_k)^+)^2; several: one :func:`_clip_set`.
         """
-        dS = self.levels.dS[t][idx]
+        dS = fam.dS[idx]
         if dS.shape[2] == 1:
             phim[idx, 0], rounds = _kink_walk(1.0, dS[:, :, 0], wm), 2
         else:
-            phim[idx], rounds = _clip_set(dS, wm, self.levels.ids[t][idx], t)
+            phim[idx], rounds = _clip_set(dS, wm, fam.ids[idx], fam.t)
         self.clip_rounds = max(self.clip_rounds, rounds)
 
     @property
     def a_signed(self) -> float:
         """Second moment of the signed variance-optimal density, 1/L_root."""
-        return _inverse_root(self.L)
+        return _inverse_root(self.L[self.levels.root])
 
     @property
     def a_nonneg(self) -> float:
         """Second moment of the nonnegative one, 1/Lm_root."""
-        return _inverse_root(self.Lm)
+        return _inverse_root(self.Lm[self.levels.root])
 
     def forward(self, initial_wealth: float, truncated: bool):
         """Optimal (holdings vector, terminal wealth in leaf order) from x.
@@ -329,13 +317,13 @@ class Opportunity:
         """
         levels = self.levels
         phis = self.phim if truncated else self.phi
-        theta = np.zeros((levels.n_nonterminal, levels.assets))
+        theta = np.zeros_like(phis)
 
-        def holdings(t, x):
+        def holdings(fam, x):
             gap = np.maximum(1.0 - x, 0.0) if truncated else 1.0 - x
-            held = gap[:, None] * phis[t]
-            theta[levels.nonterminal[t]] = held
+            held = gap[:, None] * phis[fam.nodes]
+            theta[fam.nodes] = held
             return held
 
         wealth = levels.propagate(initial_wealth, holdings)
-        return theta.reshape(-1), wealth
+        return theta[levels.nonterminal].reshape(-1), wealth

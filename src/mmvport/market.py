@@ -39,8 +39,10 @@ document in between, and both assemble the tree with :func:`_assemble`;
 are views built on first use for callers that want objects per node; no
 solver, serializer or CLI path builds them.
 
-Every solver works level by level on the stacked one-step markets of
-``ScenarioTree.levels`` (see :mod:`mmvport.induction`): wealth is a
+Every solver works family by family on the stacked one-step markets of
+``ScenarioTree.levels`` (see :mod:`mmvport.induction`), the nodes of one
+depth with the same number of children, keeping its state in arrays over
+the node positions: wealth is a
 forward sweep, the martingale check of a density a backward aggregation
 of E[z dS | node], and the two opportunity processes behind every optimum
 one backward sweep, cached as ``ScenarioTree.opportunity``.  The dense
@@ -54,9 +56,9 @@ finite tree that holds iff every one-step submarket is free of arbitrage
 decided node by node: one backward sweep finds the largest density floor
 of every subtree, and one forward sweep multiplies the local risk-neutral
 weights into a certificate density.  Each node's floor is an
-(assets + 1)-row linear program, written down once per level by
+(assets + 1)-row linear program, written down once per family by
 :func:`_floor_programs`.  For one asset it has a closed form, evaluated
-level by level; for several, the nodes of a level with more children
+family by family; for several, the nodes of a family with more children
 than assets and at most ``_BASIS_WIDTH`` of them are solved in one
 batched enumeration of their bases, each optimum proved by its duals,
 and every node without such a proof by the in-house simplex.  The cost
@@ -251,7 +253,7 @@ class ScenarioTree:
 
     @cached_property
     def levels(self) -> TreeLevels:
-        """The one-step markets stacked level by level."""
+        """The one-step markets stacked family by family."""
         return TreeLevels(self)
 
     @cached_property
@@ -668,10 +670,9 @@ def terminal_wealth(
     if strategy.tree is not tree:
         raise DimensionMismatch("strategy belongs to a different tree")
     levels = tree.levels
-    held = strategy.vector.reshape(-1, tree.assets)
-    wealth = levels.propagate(
-        initial_wealth, lambda t, x: held[levels.nonterminal[t]]
-    )
+    held = np.zeros((levels.n_nodes, tree.assets))
+    held[levels.nonterminal] = strategy.vector.reshape(-1, tree.assets)
+    wealth = levels.propagate(initial_wealth, lambda fam, x: held[fam.nodes])
     return RandomVariable(tree.law, wealth)
 
 
@@ -708,15 +709,16 @@ class MeasureDensity:
             )
         levels = tree.levels
         zmax = max(1.0, float(np.max(np.abs(z))))
-        moments = levels.increment_moments(z)
-        for t, (got, size) in enumerate(zip(moments, levels.increment_scales)):
-            bad = np.abs(got) > _MARTINGALE_TOL * np.maximum(1.0, size * zmax)
-            if np.any(bad):
-                node = levels.ids[t][int(np.argmax(bad.any(axis=1)))]
-                raise ValidationError(
-                    "density violates a node-wise martingale constraint "
-                    f"at node {node!r}"
-                )
+        scale = _MARTINGALE_TOL * np.maximum(1.0, levels.increment_scales * zmax)
+        bad = np.abs(levels.increment_moments(z)) > scale
+        bad = np.flatnonzero(bad.any(axis=1))
+        if bad.size:
+            # the shallowest such node, the first in file order
+            node = tree.ids[bad[np.argmin(tree.t[bad])]]
+            raise ValidationError(
+                "density violates a node-wise martingale constraint "
+                f"at node {node!r}"
+            )
         z = z.copy()
         z.setflags(write=False)
         return cls(
@@ -787,65 +789,65 @@ def _node_local_viability(tree: ScenarioTree) -> ViabilityCertificate:
     V(n) = max t subject to sum_k q_k dS_k = 0, sum_k q_k = 1 and
     q_k >= t p_k / V(k).  A child whose subtree has no nonnegative density
     must get zero mass; when some child has V = 0 the floor is 0 and only
-    feasibility is asked.  Each level is solved at once for one asset
-    (:func:`_one_asset_floors`).  For several assets the level's programs
+    feasibility is asked.  Each family is solved at once for one asset
+    (:func:`_one_asset_floors`).  For several assets the family's programs
     go to one batched basis enumeration, with the simplex as the fallback
     for the nodes it cannot certify (:func:`_several_asset_floors`).
 
     The certificate density is the product of q_k / p_k along each path,
     so its smallest atom is at least V(root), which equals the optimum of
-    the full-tree program.  The deepest node whose floor is at most 1e-9
-    while every child's exceeds it is the one whose own one-step market
-    breaks viability; the certificate names it.
+    the full-tree program.  A node whose floor is at most 1e-9 while every
+    child's exceeds it is one whose own one-step market breaks viability;
+    the certificate names the deepest such node, the first in file order.
     """
     levels = tree.levels
     floors = _one_asset_floors if tree.assets == 1 else _several_asset_floors
-    value = np.ones(levels.n_leaves)
-    feasible = np.ones(levels.n_leaves, dtype=bool)
-    weights = [None] * tree.periods
-    offending = None
-    for t in reversed(range(tree.periods)):
-        mask = levels.mask[t]
-        child_value = levels.spread(value, t)
-        weights[t], value, feasible = floors(
-            levels.dS[t], levels.p[t], mask, child_value,
-            levels.spread(feasible, t), levels.ids[t],
+    value = np.ones(levels.n_nodes)
+    feasible = np.ones(levels.n_nodes, dtype=bool)
+    broken = np.zeros(levels.n_nodes, dtype=bool)
+    weights = []
+    for fam in reversed(levels.families):
+        child_value = value[fam.kids]
+        q, value[fam.nodes], feasible[fam.nodes] = floors(
+            fam.dS, fam.p, child_value, feasible[fam.kids], fam.ids
         )
-        broken = (value <= _VIABILITY_FLOOR) & np.all(
-            ~mask | (child_value > _VIABILITY_FLOOR), axis=1
+        weights.append(q)
+        broken[fam.nodes] = (value[fam.nodes] <= _VIABILITY_FLOOR) & np.all(
+            child_value > _VIABILITY_FLOOR, axis=1
         )
-        if offending is None and np.any(broken):
-            offending = levels.ids[t][int(np.argmax(broken))]
+    broken = np.flatnonzero(broken)
+    offending = tree.ids[broken[np.argmax(tree.t[broken])]] if broken.size else None
 
-    if not feasible[0]:
+    if not feasible[levels.root]:
         return ViabilityCertificate(False, None, None, "infeasible", offending)
-    bound = float(value[0])
+    bound = float(value[levels.root])
     if bound <= _VIABILITY_FLOOR:
         return ViabilityCertificate(False, None, bound, "degenerate", offending)
 
-    ratio = np.ones(1)
-    for t, (q, p, mask) in enumerate(zip(weights, levels.p, levels.mask)):
-        step = np.divide(q, p, out=np.zeros_like(q), where=mask)
-        ratio = levels.gather(ratio[:, None] * step, t)
-    z = levels.to_leaf_order(ratio)
+    ratio = np.empty(levels.n_nodes)
+    ratio[levels.root] = 1.0
+    for fam, q in zip(levels.families, reversed(weights)):
+        ratio[fam.kids] = ratio[fam.nodes, None] * (q / fam.p)
+    z = ratio[levels.leaves]
     z.setflags(write=False)
     return ViabilityCertificate(True, z, bound, "viable")
 
 
-def _one_asset_floors(dS, p, mask, child_value, child_feasible, ids):
-    """Closed-form one-step floors for a level of one-asset nodes.
+def _one_asset_floors(dS, p, child_value, allowed, ids):
+    """Closed-form one-step floors for a family of one-asset nodes.
 
     With r_k = p_k / V(k), R = sum r and m = sum r_k dS_k, the floor t
     puts mass t r_k on every child and the extra mass t |m| / |dS_e| on
     the child e whose increment has the sign opposite to m and the
     largest size:  t = 1 / (R + m / |dS_min|) for m > 0, the mirror image
     for m < 0 and 1 / R for m = 0.  No such child means V = 0.  Feasible
-    (some nonnegative weights price the increments) means the allowed
-    increments straddle 0 or one is 0.  Returns (q, V, feasible).
+    (some nonnegative weights price the increments) means the increments
+    of the allowed children, those whose subtree has a nonnegative
+    density, straddle 0 or one is 0.  Returns (q, V, feasible).
     """
     s = dS[:, :, 0]
     rows = np.arange(s.shape[0])
-    allowed, floor, r = _floor_weights(p, mask, child_value, child_feasible)
+    floor, r = _floor_weights(p, child_value)
     feasible = (
         np.any(allowed & (s < 0.0), axis=1) & np.any(allowed & (s > 0.0), axis=1)
     ) | np.any(allowed & (s == 0.0), axis=1)
@@ -865,17 +867,17 @@ def _one_asset_floors(dS, p, mask, child_value, child_feasible, ids):
     return q, value, feasible
 
 
-def _several_asset_floors(dS, p, mask, child_value, child_feasible, ids):
-    """One-step floors for a level of several-asset nodes.
+def _several_asset_floors(dS, p, child_value, child_feasible, ids):
+    """One-step floors for a family of several-asset nodes.
 
-    When assets < b <= ``_BASIS_WIDTH``, every node of the level tries
+    When assets < b <= ``_BASIS_WIDTH``, every node of the family tries
     the batched basis enumeration of :func:`_basis_floors`; a node
-    without a certified optimal basis, and every node of other levels,
+    without a certified optimal basis, and every node of other families,
     gets its own LP from :func:`_simplex_floors`.  Both read the programs
     of :func:`_floor_programs`.  Returns (q, V, feasible).
     """
     n, b, d = dS.shape
-    A, rho, total, floor = _floor_programs(dS, p, mask, child_value, child_feasible)
+    A, rho, total, floor = _floor_programs(dS, p, child_value, child_feasible)
     q = np.zeros_like(p)
     value = np.zeros(n)
     feasible = np.ones(n, dtype=bool)
@@ -901,40 +903,40 @@ def _several_asset_floors(dS, p, mask, child_value, child_feasible, ids):
     return q, value, feasible
 
 
-def _floor_weights(p, mask, child_value, child_feasible):
-    """(allowed, floor, r) of a level's one-step floor programs.
+def _floor_weights(p, child_value):
+    """(floor, r) of a family's one-step floor programs.
 
-    A child is allowed when it is real and its subtree has a nonnegative
-    density; a node has a floor when every real child has V > 0; and
-    r_k = p_k / V(k) where V(k) > 0, else 0.
+    A node has a floor when every child has V > 0, and
+    r_k = p_k / V(k) where V(k) > 0, else 0.  Only children whose
+    subtree has a nonnegative density may carry mass.
     """
-    live = mask & (child_value > 0.0)
+    live = child_value > 0.0
     r = np.divide(p, child_value, out=np.zeros_like(p), where=live)
-    return mask & child_feasible, np.all(live | ~mask, axis=1), r
+    return np.all(live, axis=1), r
 
 
-def _floor_programs(dS, p, mask, child_value, child_feasible):
-    """The one-step floor programs of a level, as row-scaled matrices.
+def _floor_programs(dS, p, child_value, child_feasible):
+    """The one-step floor programs of a family, as row-scaled matrices.
 
     With q = t r + w, w >= 0 (see :func:`_floor_weights`), a node's
     program has the variables (w, tau), tau = t sum(r) in [0, 1], and the
     rows sum_k q_k = 1 and sum_k q_k dS_k = 0: column k is (1, dS_k) and
     the tau column is (1, rho.dS) with rho = r / sum(r), which keeps it
-    well scaled however small a child's V is.  A child that is not
-    allowed, padded or without a density, gets a zero column.  Without a
-    floor rho and the tau column are zero and only feasibility is asked.
+    well scaled however small a child's V is.  A child whose subtree has
+    no nonnegative density gets a zero column.  Without a floor rho and
+    the tau column are zero and only feasibility is asked.
     Rows are scaled by their largest entry, which for the sum row is 1.
     Returns (A, rho, sum(r), floor), A of shape
     (nodes, assets + 1, children + 1).
     """
     n, b, d = dS.shape
-    allowed, floor, r = _floor_weights(p, mask, child_value, child_feasible)
+    floor, r = _floor_weights(p, child_value)
     total = r.sum(axis=1)
     rho = np.divide(r, total[:, None], out=np.zeros_like(r), where=floor[:, None])
     A = np.zeros((n, d + 1, b + 1))
-    A[:, 0, :b] = allowed
+    A[:, 0, :b] = child_feasible
     A[:, 0, b] = floor
-    A[:, 1:, :b] = np.where(allowed[:, :, None], dS, 0.0).transpose(0, 2, 1)
+    A[:, 1:, :b] = np.where(child_feasible[:, :, None], dS, 0.0).transpose(0, 2, 1)
     A[:, 1:, b] = np.einsum("nk,nkd->nd", rho, dS)
     scale = np.max(np.abs(A), axis=2, keepdims=True)
     scale[scale == 0.0] = 1.0

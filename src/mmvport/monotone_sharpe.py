@@ -66,7 +66,6 @@ __all__ = [
 
 CASE_STANDARD = "standard"
 CASE_NO_DOWNSIDE = "no-downside"
-CASE_NONPOSITIVE_MEAN = "nonpositive-mean"
 
 
 @dataclass(frozen=True)
@@ -84,8 +83,8 @@ class MonotoneSharpeResult:
     case_tag: str
 
 
-def _fsum_where(p: np.ndarray, terms: np.ndarray, mask: np.ndarray) -> float:
-    sel = mask.nonzero()[0]
+def _fsum_where(p: np.ndarray, terms: np.ndarray, keep: np.ndarray) -> float:
+    sel = keep.nonzero()[0]
     if sel.size == 0:
         return 0.0
     return math.fsum((p[sel] * terms[sel]).tolist())
@@ -122,8 +121,8 @@ def alpha_root_bisection(
     x = X.values
 
     def slope(a: float) -> float:
-        mask = a * x <= 1.0
-        return _fsum_where(p, x, mask) - a * _fsum_where(p, x * x, mask)
+        below = a * x <= 1.0
+        return _fsum_where(p, x, below) - a * _fsum_where(p, x * x, below)
 
     lo = 0.0
     hi = 1.0 / float(np.min(x[x > 0.0]))

@@ -487,6 +487,54 @@ TREE_DIGESTS = [
 ]
 
 
+def ragged_doc(assets, seed):
+    """Viable three-period market whose nodes have 2, 3 or 4 children.
+
+    Each family's first child is a rare large rise of the first asset, so
+    the truncated step binds and the market has a free cash-flow stream.
+    """
+    rng = np.random.default_rng(seed)
+    nodes = [{"id": "r", "parent": None, "t": 0, "prices": [1.0] * assets}]
+    frontier = [nodes[0]]
+    for t in (1, 2, 3):
+        grown = []
+        for parent in frontier:
+            b = int(rng.integers(2, 5))
+            q = rng.uniform(0.1, 1.0, b)
+            p = rng.uniform(0.2, 1.0, b)
+            raw = rng.normal(size=(b, assets))
+            raw[0, 0] += 12.0
+            p[0] *= 0.05
+            moves = 0.3 * (raw - (q / q.sum()) @ raw)
+            for k in range(b):
+                grown.append({
+                    "id": f"{parent['id']}{k}", "parent": parent["id"], "t": t,
+                    "p": float(p[k] / p.sum()),
+                    "prices": [float(v) for v in parent["prices"] + moves[k]],
+                })
+        nodes += grown
+        frontier = grown
+    return {"assets": assets, "periods": 3, "nodes": nodes}
+
+
+# sha256 of `analyze --verify` on ragged markets (assets, seed), recorded
+# while each level was still padded to its widest node
+RAGGED_DIGESTS = [
+    (1, 1, "01c853c6b9424b80cbc696be7da643dc41fb966eac055159dafe2ca9e0e97cf0"),
+    (2, 2, "88629d35ef01426f18ba481697b54fe1592ab08a0bd8737906ae65950e268aa9"),
+]
+
+
+@pytest.mark.parametrize("assets, seed, report", RAGGED_DIGESTS)
+def test_ragged_analyze_bytes_are_pinned(capsys, tmp_path, assets, seed, report):
+    market_path, report_path = tmp_path / "m.json", tmp_path / "r.json"
+    market_path.write_text(json.dumps(ragged_doc(assets, seed)), encoding="utf-8")
+    code, _, _ = run(capsys, "analyze", "--verify", market_path, "--out", report_path)
+    assert code == 0
+    assert json.loads(report_path.read_text(encoding="utf-8"))["fcfs_exists"]
+    assert hashlib.sha256(report_path.read_bytes()).hexdigest() == report
+
+
 class TestGenerateAndSelftest:
     @pytest.mark.parametrize("shape, seed, exit_code, market, report", TREE_DIGESTS)
     def test_generate_and_analyze_bytes_are_pinned(
@@ -589,6 +637,21 @@ class TestExitContract:
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_out_of_memory_is_one_line_and_exit_3(self, capsys, monkeypatch):
+        # what numpy raises for a tableau too large to allocate, simulated
+        def too_large(**kwargs):
+            raise MemoryError(
+                "Unable to allocate 74.5 GiB for an array with shape "
+                "(100002, 100005) and data type float64"
+            )
+
+        monkeypatch.setattr(cli, "generate_random_market", too_large)
+        code, out, err = run(capsys, "generate", "--seed", "1", "--assets", "100000")
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: out of memory: Unable to allocate")
 
     def test_closed_output_pipe_exits_1_quietly(self, tmp_path):
         # a report of about 250 KB, several times a pipe's buffer

@@ -5,6 +5,7 @@ not analyze."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mmvport import (
     Strategy,
     analyze,
     generate_random_market,
+    load_market,
     load_packaged_market,
     market_from_dict,
     market_to_dict,
@@ -118,8 +120,50 @@ def ragged_market(seed):
 def test_ragged_tree_matches_dense_solvers():
     for seed in range(6):
         tree = ragged_market(seed)
-        assert not all(tree.levels.regular)
+        widths = np.diff(tree.child_offsets)
+        assert np.ptp(widths[widths > 0]) > 0
         assert_matches_dense(tree)
+
+
+def wide_then_narrow(n):
+    """Viable one-asset market: the root has n children, the first child n.
+
+    Every other child has 2 children.  The first child's moves are skewed
+    upward, so its truncated step binds.
+    """
+    nodes = [{"id": "r", "parent": None, "t": 0, "prices": [1.0]}]
+    for i, move in enumerate(np.linspace(-0.1, 0.2, n).tolist()):
+        nodes.append({"id": f"a{i}", "parent": "r", "t": 1, "p": 1.0 / n,
+                      "prices": [1.0 + move]})
+    for i in range(n):
+        price = nodes[1 + i]["prices"][0]
+        moves = (np.linspace(-0.02, 0.5, n) if i == 0
+                 else np.array([0.05, -0.05]) * (1.0 + i / n))
+        for k, move in enumerate(moves.tolist()):
+            nodes.append({"id": f"a{i}.{k}", "parent": f"a{i}", "t": 2,
+                          "p": 1.0 / len(moves), "prices": [price + move]})
+    return {"assets": 1, "periods": 2, "nodes": nodes}
+
+
+def test_wide_then_narrow_tree_matches_dense_solvers():
+    assert_matches_dense(market_from_dict(wide_then_narrow(40)))
+
+
+def test_wide_then_narrow_tree_needs_memory_linear_in_nodes(tmp_path):
+    # one node with 2000 children beside 1999 nodes with 2: a layout that
+    # pads every level to its widest node needs about 200 MB here
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(wide_then_narrow(2000)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        tree = load_market(path)
+        report = analyze(tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tree.ids) == 7999
+    assert report.fcfs_exists
+    assert peak <= 16e6
 
 
 def test_identical_asset_columns_hold_minimum_norm():

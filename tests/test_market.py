@@ -265,26 +265,23 @@ class TestConstraintSystem:
 
 @st.composite
 def one_step_levels(draw):
-    """A level of one-step markets, as the backward sweep hands it over.
+    """A family of one-step markets, as the backward sweep hands it over.
 
     Each node's increments are priced to zero by random positive weights,
     so it is viable unless it is made an arbitrage (the first asset only
     rises) or has children whose subtrees have V = 0 (some of them with
-    no nonnegative density at all).  Ragged levels pad short families;
-    near-degenerate nodes repeat a child's increment, or make one asset
-    a multiple of another, up to noise of 1e-13 to 1e-4.
+    no nonnegative density at all).  Near-degenerate nodes repeat a
+    child's increment, or make one asset a multiple of another, up to
+    noise of 1e-13 to 1e-4.
     """
     assets = draw(st.integers(2, 3))
     width = draw(st.sampled_from((2, 3, 4, 5, 8, 9)))
-    ragged = draw(st.booleans())
     dead = draw(st.booleans())
     arbitrage = draw(st.booleans())
     noise = draw(st.sampled_from((0.0, 1e-13, 1e-8, 1e-4)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = int(rng.integers(1, 13))
-    counts = rng.integers(2, width + 1, n) if ragged else np.full(n, width)
-    mask = np.arange(width) < counts[:, None]
-    p = rng.uniform(0.2, 1.0, (n, width)) * mask
+    p = rng.uniform(0.2, 1.0, (n, width))
     p /= p.sum(axis=1, keepdims=True)
     dS = rng.normal(0.0, 1.0, (n, width, assets))
     if noise:
@@ -292,22 +289,20 @@ def one_step_levels(draw):
         dS[near, 1] = dS[near, 0]
         dS[~near, :, 1] = 1.7 * dS[~near, :, 0]
         dS += noise * rng.normal(0.0, 1.0, dS.shape)
-    q = rng.uniform(0.05, 1.0, (n, width)) * mask
+    q = rng.uniform(0.05, 1.0, (n, width))
     q /= q.sum(axis=1, keepdims=True)
     dS -= np.einsum("nk,nkd->nd", q, dS)[:, None, :]
     dS *= np.exp(rng.uniform(-3.0, 3.0, (n, 1, assets)))
     if arbitrage:
         dS[rng.random(n) < 0.3, :, 0] = rng.uniform(0.1, 1.0, width)
-    dS *= mask[:, :, None]
     value = rng.uniform(0.05, 1.0, (n, width))
     feasible = np.ones((n, width), dtype=bool)
     if dead:
         zero = rng.random((n, width)) < 0.2
         value[zero] = 0.0
         feasible[zero] = rng.random(int(zero.sum())) < 0.5
-    value *= mask
     ids = np.array([f"n{k}" for k in range(n)], dtype=object)
-    return dS, p, mask, value, feasible, ids
+    return dS, p, value, feasible, ids
 
 
 @pytest.fixture
@@ -324,8 +319,8 @@ def simplex_nodes(monkeypatch):
     return counts
 
 
-def first_broken(ids, value, mask, child_value):
-    broken = (value <= 1e-9) & np.all(~mask | (child_value > 1e-9), axis=1)
+def first_broken(ids, value, child_value):
+    broken = (value <= 1e-9) & np.all(child_value > 1e-9, axis=1)
     return ids[int(np.argmax(broken))] if np.any(broken) else None
 
 
@@ -358,14 +353,14 @@ def near_dependent_market(rows):
 class TestViability:
     @given(one_step_levels())
     def test_batched_floors_match_the_simplex(self, level):
-        dS, p, mask, child_value, child_feasible, ids = level
+        dS, p, child_value, child_feasible, ids = level
         q, value, feasible = market._several_asset_floors(*level)
-        program = market._floor_programs(*level[:5])
+        program = market._floor_programs(*level[:4])
         q0, value0, feasible0 = market._simplex_floors(*program, ids)
         np.testing.assert_array_equal(feasible, feasible0)
         np.testing.assert_array_equal(value > 1e-9, value0 > 1e-9)
-        assert first_broken(ids, value, mask, child_value) == first_broken(
-            ids, value0, mask, child_value
+        assert first_broken(ids, value, child_value) == first_broken(
+            ids, value0, child_value
         )
         np.testing.assert_allclose(value, value0, rtol=1e-10, atol=0.0)
         # a node keeps the simplex's weights bit for bit or has its own,
@@ -381,11 +376,11 @@ class TestViability:
     @given(one_step_levels())
     def test_weights_stay_on_allowed_children(self, level):
         # both solvers read one program, so their agreement cannot show a
-        # column that should be zero: a padded child, or one without a
-        # density, must get no mass
-        dS, p, mask, child_value, child_feasible, _ = level
+        # column that should be zero: a child without a density must get
+        # no mass
+        dS, p, child_value, child_feasible, _ = level
         q, _, feasible = market._several_asset_floors(*level)
-        assert np.all(q[~(mask & child_feasible)] == 0.0)
+        assert np.all(q[~child_feasible] == 0.0)
         assert np.all(np.abs(q[feasible].sum(axis=1) - 1.0) <= 1e-12)
 
     def test_generated_four_asset_tree_needs_no_simplex(self, simplex_nodes):
@@ -395,7 +390,7 @@ class TestViability:
 
     def test_ragged_families_need_no_simplex(self, simplex_nodes):
         # the root's children have 3, 4 and 3 children of their own, so
-        # level 1 pads two of its three families
+        # depth 1 holds two families
         steps = {
             "a": [(0.1, 0.0), (-0.1, 0.1), (0.0, -0.1)],
             "b": [(0.1, 0.1), (-0.1, 0.1), (-0.1, -0.1), (0.1, -0.1)],
@@ -431,7 +426,7 @@ class TestViability:
         child_value = rng.uniform(0.05, 1.0, (n, b))
         bases = np.array(list(combinations(range(b), d)))
         live = np.ones((n, b), dtype=bool)
-        A, rho, total, _ = market._floor_programs(dS, p, live, child_value, live)
+        A, rho, total, _ = market._floor_programs(dS, p, child_value, live)
         _, value, solved = market._basis_floors(A, rho, total, bases)
         assert solved.all()
         refused = 0
