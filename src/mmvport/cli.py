@@ -38,7 +38,9 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
+import json.encoder
 import math
 import os
 import sys
@@ -104,6 +106,56 @@ def _write_output(text: str, output_path: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
+def _float_lists(lists, indent: str) -> list:
+    """The ``json.dumps(v, indent=2)`` text of each list of floats v, ``indent`` deep.
+
+    All the floats go through the C encoder in one call, whose ", "
+    separators are then split: a float's text never contains ", ".
+    """
+    inner = indent + "  "
+    sep = ",\n" + inner
+    flat = json.dumps(list(itertools.chain.from_iterable(lists)))[1:-1].split(", ")
+    texts, i = [], 0
+    for v in lists:
+        j = i + len(v)
+        texts.append(f"[\n{inner}{sep.join(flat[i:j])}\n{indent}]" if v else "[]")
+        i = j
+    return texts
+
+
+def _floats_only(values) -> bool:
+    return set(map(type, values)) <= {float}
+
+
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for a value nested ``indent`` deep.
+
+    ``value`` is built of dicts with string keys, lists and scalars, as a
+    report is.  Its vectors are lists of floats, alone or as the values of
+    a dict (the strategy); they are written by :func:`_float_lists`, which
+    takes a few C-encoder calls where the indented encoder takes a Python
+    call per float.
+    """
+    inner = indent + "  "
+    if isinstance(value, list) and _floats_only(value):
+        return _float_lists([value], indent)[0]
+    if isinstance(value, dict) and value:
+        values = list(value.values())
+        if all(type(v) is list for v in values) and _floats_only(
+            itertools.chain.from_iterable(values)
+        ):
+            texts = _float_lists(values, inner)
+        else:
+            texts = [_json_text(v, inner) for v in values]
+        keys = map(json.encoder.encode_basestring_ascii, value)
+        items = ",\n".join(f"{inner}{k}: {t}" for k, t in zip(keys, texts))
+        return f"{{\n{items}\n{indent}}}"
+    if isinstance(value, list) and value:
+        items = ",\n".join(inner + _json_text(v, inner) for v in value)
+        return f"[\n{items}\n{indent}]"
+    return json.dumps(value)  # a scalar, [] or {}
+
+
 def _analyze_path(task) -> dict:
     path, verify = task
     report = analyze(load_market(path))
@@ -150,11 +202,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.format == "csv":
         text = _reports_to_csv(rows)
     elif len(payloads) == 1:
-        text = json.dumps(payloads[0], indent=2)
+        text = _json_text(payloads[0])
     else:
-        text = json.dumps(
-            [{"input": path, "report": payload} for path, payload in rows],
-            indent=2,
+        text = _json_text(
+            [{"input": path, "report": payload} for path, payload in rows]
         )
     _write_output(text, args.out)
 

@@ -41,10 +41,13 @@ Conventions
 * Moment accumulation uses compensated summation (``math.fsum``) so that the
   functional identities hold to near machine precision even on laws with
   thousands of atoms and wildly mixed magnitudes.  The cap sweep sums all
-  cap levels at once with ``_fsum_rows``, a Sum2 cascade (Ogita, Rump &
-  Oishi 2005) whose error bound certifies, level by level, that it returns
-  what ``math.fsum`` returns; a level it cannot certify is summed again by
-  ``math.fsum``.
+  cap levels at once with ``_fsum_rows``, over (``_BLOCK``, levels) blocks
+  of atoms: the error-free extraction of AccSum (Rump, Ogita & Oishi 2008)
+  splits each term into a high part on a power-of-two grid, summed exactly,
+  and a remainder whose float sum has an a-priori error bound, which
+  certifies, level by level, that it returns what ``math.fsum`` returns; a
+  level it cannot certify is summed again by ``math.fsum``.  The memory is
+  O(_BLOCK x levels).
 * Sharpe ratios and the monotone Sharpe cap are computed on X / 2^k with
   2^k the power of two just above max |X| (``_scaled``): exact, so the
   bits are those of X on every law whose squares stay in range, and finite
@@ -81,6 +84,7 @@ __all__ = [
 
 _PROB_SUM_TOL = 1e-12
 _UNIT = 2.0**-53  # unit roundoff of IEEE double
+_BLOCK = 16  # atoms per block of the cap sweep
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -128,11 +132,22 @@ class DiscreteLaw:
 
     @classmethod
     def from_weights(cls, weights) -> "DiscreteLaw":
-        """Normalize strictly positive weights into a law."""
+        """Normalize strictly positive weights into a law.
+
+        Weights whose sum passes the float range are first divided by the
+        power of two just above the largest, which is exact except for
+        weights it takes below the normal range (one it takes to 0 is
+        refused as any zero weight is).
+        """
         w = np.atleast_1d(np.asarray(weights, dtype=float))
         if w.size == 0 or np.any(w <= 0.0) or not np.all(np.isfinite(w)):
             raise ValidationError("weights must be finite and strictly positive")
-        return cls(w / math.fsum(w.tolist()))
+        try:
+            total = math.fsum(w.tolist())
+        except OverflowError:
+            w = np.ldexp(w, -math.frexp(float(w.max()))[1])
+            total = math.fsum(w.tolist())
+        return cls(w / total)
 
     def same_space(self, other: "DiscreteLaw") -> bool:
         if self is other:
@@ -275,45 +290,46 @@ def sharpe_ratio(X: RandomVariable) -> float:
     return m / math.sqrt(var)
 
 
-def _fsum_rows(columns, size: int, row_terms) -> np.ndarray:
-    """``math.fsum`` of each of ``size`` rows, fed one column at a time.
+def _fsum_rows(blocks, n: int, largest, row_terms) -> np.ndarray:
+    """``math.fsum`` of each row, fed a block of terms at a time.
 
-    ``columns`` yields float arrays of shape (size,), term j of every row;
-    ``row_terms(i)`` returns row i's terms in column order.  Each row is
-    summed by the Sum2 cascade of Ogita, Rump & Oishi (2005): a running
-    sum s, the float sum e of the TwoSum errors, and a = sum |t|, so that
-    |s + e - S| <= gamma_n^2 a for the exact sum S of n terms.  TwoSum(s, e)
-    = c0 + r exactly; c0 is the correctly rounded S, as ``math.fsum``
-    returns it, wherever |r| plus twice that bound stays strictly below
-    half the gap from c0 to its neighbour toward zero.  That half gap
-    rounds to 0 for |c0| <= 2^-1021 and a non-finite row makes r or the
-    bound NaN or inf, so every other row (non-finite, zero or subnormal
-    c0, or a near-tie) is summed again by ``math.fsum`` over
-    ``row_terms``, and each result is exact.  O(size) memory.
+    ``blocks`` yields float arrays of shape (k, rows), k terms of every
+    row, n >= 1 terms in all; ``largest``, a scalar or one value per row,
+    bounds |t| over each row's terms and ``row_terms(i)`` returns row i's
+    terms.  Each row is summed by the error-free extraction of AccSum
+    (Rump, Ogita & Oishi 2008): with sigma the power of two at least
+    2^M largest, 2^M >= n + 2, the high parts q = (sigma + t) - sigma are multiples of u sigma whose
+    sums stay below sigma, so their sum tau is exact in any order, and the
+    remainders t - q are exact with |t - q| <= u sigma, so their float sum
+    rho is within gamma_n n u sigma <= 2 n^2 u^2 sigma of theirs.  A block
+    thus reduces in two C-level sums.  TwoSum(tau, rho) = c0 + r exactly;
+    c0 is the correctly rounded row sum, as ``math.fsum`` returns it,
+    wherever |r| plus that bound stays strictly below half the gap from c0
+    to its neighbour toward zero.  That half gap rounds to 0 for
+    |c0| <= 2^-1021, and a non-finite row (or one whose sigma overflows)
+    makes sigma, r or the bound NaN or inf, so every other row
+    (non-finite, zero or subnormal c0, or a near-tie) is summed again by
+    ``math.fsum`` over ``row_terms``, and each result is exact.  The
+    memory is that of one block.
     """
-    s, e, a = np.zeros(size), np.zeros(size), np.zeros(size)
-    s_new, z, q = np.empty(size), np.empty(size), np.empty(size)
-    n = 0
+    spread = (n + 1).bit_length()  # M, the least with 2^M >= n + 2
+    tau = rho = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in columns:
-            # TwoSum: s + t = s_new + q exactly
-            np.add(s, t, out=s_new)
-            np.subtract(s_new, s, out=z)
-            np.subtract(s_new, z, out=q)
-            np.subtract(s, q, out=q)
-            np.subtract(t, z, out=z)
-            q += z
-            e += q
-            s, s_new = s_new, s
-            np.abs(t, out=z)
-            a += z
-            n += 1
-        c0 = s + e
-        z = c0 - s
-        r = (s - (c0 - z)) + (e - z)
-        nu = n * _UNIT
-        gamma = nu / (1.0 - nu)
-        bound = (2.0 * gamma * gamma) * a
+        sigma = np.ldexp(
+            np.where(np.isfinite(largest), 1.0, largest),
+            np.frexp(largest)[1] + spread,
+        )
+        for t in blocks:
+            q = np.add(t, sigma)
+            q -= sigma
+            tau += q.sum(axis=0)
+            np.subtract(t, q, out=q)
+            rho += q.sum(axis=0)
+        c0 = tau + rho
+        z = c0 - tau
+        r = (tau - (c0 - z)) + (rho - z)
+        # 2 n^2 u^2 sigma is exact above the subnormal range, rounded up below
+        bound = np.nextafter(sigma * (2.0 * n * n * _UNIT * _UNIT), math.inf)
         half_gap = np.spacing(np.nextafter(np.abs(c0), 0.0)) / 2.0
         exact = np.abs(r) + bound < half_gap
     out = np.where(exact, c0, 0.0)
@@ -330,9 +346,12 @@ def _capped_sharpe_ratios(X: RandomVariable, levels) -> np.ndarray:
     max(|min(min X, level)|, |min(max X, level)|).  Its mean and centred
     variance are the exact sums of the same IEEE terms p_j y_j and
     p_j (c c), with y_j the scaled min(x_j, level) and c = y_j - m, taken
-    for every level at once by ``_fsum_rows`` in a loop over the atoms.
+    for every level at once by ``_fsum_rows`` over (``_BLOCK``, levels)
+    blocks of atoms.  The bounds it needs hold a priori: |y| < 1, so the
+    mean terms are at most max p, and the probabilities sum to 1 within
+    1e-12, so |m| < 1 + 2^-30 and the square terms stay below 4.5 max p.
     min(X, level) is constant exactly when level <= min X or X is
-    constant.  O(levels x atoms) time and O(levels) memory.
+    constant.  O(levels x atoms) time and O(_BLOCK x levels) memory.
     """
     p = X.law.probabilities
     x = X.values
@@ -341,32 +360,32 @@ def _capped_sharpe_ratios(X: RandomVariable, levels) -> np.ndarray:
     shift = -np.frexp(
         np.maximum(np.abs(np.minimum(lo, levels)), np.abs(np.minimum(hi, levels)))
     )[1]
-    buf = np.empty_like(levels)
+    p_max = p.max()
+    buf = np.empty((_BLOCK, levels.size))
 
-    def capped(j):  # atom j at every level
-        np.minimum(x[j], levels, out=buf)
-        return np.ldexp(buf, shift, out=buf)
+    def capped():  # each block of atoms at every level, and their p
+        for j in range(0, x.size, _BLOCK):
+            atoms = x[j : j + _BLOCK, None]
+            y = np.minimum(atoms, levels, out=buf[: len(atoms)])
+            yield np.ldexp(y, shift, out=y), p[j : j + _BLOCK, None]
 
     def level(i):  # every atom at level i, as sharpe_ratio sees it
         return np.ldexp(np.minimum(x, levels[i]), shift[i])
 
-    def means():
-        for j in range(x.size):
-            yield np.multiply(capped(j), p[j], out=buf)
-
-    m = _fsum_rows(means(), levels.size, lambda i: (p * level(i)).tolist())
+    means = (np.multiply(y, w, out=y) for y, w in capped())
+    m = _fsum_rows(means, x.size, p_max, lambda i: (p * level(i)).tolist())
 
     def squares():
-        for j in range(x.size):
-            c = np.subtract(capped(j), m, out=buf)
+        for y, w in capped():
+            c = np.subtract(y, m, out=y)
             np.multiply(c, c, out=c)
-            yield np.multiply(c, p[j], out=c)
+            yield np.multiply(c, w, out=c)
 
     def square_terms(i):
         c = level(i) - m[i]
         return (p * (c * c)).tolist()
 
-    var = _fsum_rows(squares(), levels.size, square_terms)
+    var = _fsum_rows(squares(), x.size, 4.5 * p_max, square_terms)
     flat = (levels <= lo) | (lo == hi) | (var <= 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = m / np.sqrt(var)

@@ -167,6 +167,29 @@ class TestAnalyze:
         assert sizes == [2]
         assert out == serial
 
+    def test_report_writer_matches_the_indented_encoder(
+        self, tmp_path, trinomial_file, binomial_file
+    ):
+        market_path = tmp_path / "ragged.json"
+        market_path.write_text(json.dumps(ragged_doc(2, 2)), encoding="utf-8")
+        claimed = cli._analyze_path((str(trinomial_file), True))
+        plain = dict(cli._analyze_path((str(binomial_file), True)), fcfs_payoff=None)
+        two_assets = cli._analyze_path((str(market_path), True))
+        broken = dict(
+            claimed,
+            certificate_valid=False,
+            certificate_error='density, "off" by\n1e-3',
+            strategy={"r": [0.5, -1e-300], "r, 0": [], "r\u00e9": [math.inf]},
+        )
+        for payload in (claimed, plain, two_assets, broken):
+            assert cli._json_text(payload) == json.dumps(payload, indent=2)
+        array = [
+            {"input": name, "report": payload}
+            for name, payload in (("a.json", claimed), ("b, c.json", plain),
+                                  ("d.json", two_assets), ("e.json", broken))
+        ]
+        assert cli._json_text(array) == json.dumps(array, indent=2)
+
     def test_csv_format(self, capsys, trinomial_file, binomial_file):
         code, out, _ = run(
             capsys, "analyze", "--format", "csv", trinomial_file, binomial_file
@@ -456,6 +479,21 @@ class TestMsharpe:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert max(float(r["sharpe"]) for r in rows) == 0.612372435696
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_weights_past_the_float_range(self, capsys, tmp_path, fmt):
+        # the weights sum past the largest float: the law is the equal-weight one
+        huge = self.write(tmp_path, "value,weight\n1,1e308\n-1,1e308\n2,1e308\n")
+        equal = self.write(tmp_path, "value\n1\n-1\n2\n", "equal.csv")
+        code, out, err = run(capsys, "msharpe", "--format", fmt, huge)
+        assert (code, err) == (0, "")
+        assert run(capsys, "msharpe", "--format", fmt, equal) == (0, out, "")
+        # a weight the rescaling takes to 0 is refused in one line
+        tiny = self.write(tmp_path, "value,weight\n1,1e308\n-1,1e-300\n2,1e308\n",
+                          "tiny.csv")
+        code, out, err = run(capsys, "msharpe", "--format", fmt, tiny)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
     @pytest.mark.parametrize("name", sorted(CAP_SWEEP_DIGESTS))
     def test_cap_sweep_bytes_are_pinned(self, capsys, tmp_path, name):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +22,10 @@ from mmvport import (
     sharpe_ratio,
     variance,
 )
+from mmvport import probability
 from mmvport.monotone_sharpe import alpha_root_bisection, solve_alpha_hat
 from mmvport.probability import (
+    _BLOCK,
     _capped_sharpe_ratios,
     _fsum_rows,
     _kink_walk,
@@ -371,7 +374,11 @@ def bits(values):
 
 
 def batched_fsum(rows):
-    """_fsum_rows over the rows of a matrix, and the rows it summed again."""
+    """_fsum_rows over the rows of a matrix, and the rows it summed again.
+
+    The terms go in blocks of three columns, bounded by each row's largest
+    |t|.
+    """
     terms = np.array(rows, dtype=float)
     again = []
 
@@ -379,7 +386,9 @@ def batched_fsum(rows):
         again.append(i)
         return terms[i].tolist()
 
-    return _fsum_rows(iter(terms.T), terms.shape[0], row_terms), again
+    blocks = (terms.T[j : j + 3] for j in range(0, terms.shape[1], 3))
+    largest = np.max(np.abs(terms), axis=1)
+    return _fsum_rows(blocks, terms.shape[1], largest, row_terms), again
 
 
 def outcome(sums):
@@ -492,7 +501,8 @@ class TestCappedSharpeRatios:
     @given(st.data())
     def test_matches_the_per_level_loop(self, data):
         pool = data.draw(st.lists(PAYOFFS, min_size=1, max_size=4))
-        m = data.draw(st.integers(1, 12))
+        # up to four blocks of atoms, the last one short
+        m = data.draw(st.integers(1, 3 * _BLOCK + 1))
         values = data.draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
         # far from 1 the squares of the unscaled atoms leave the float range
         shift = data.draw(st.sampled_from([0, 0, -600, 600, 1000, -1040]))
@@ -515,3 +525,36 @@ class TestCappedSharpeRatios:
         levels = np.concatenate([x, np.ldexp(1.0, np.arange(-1001, 1, 7))])
         want = [sharpe_ratio(X.cap(level)) for level in levels]
         assert bits(_capped_sharpe_ratios(X, levels)) == bits(want)
+
+    def test_a_mean_crossing_zero_is_summed_again(self, monkeypatch):
+        # min(X, K) has mean (K - 2) / 3 on [1, 5]: zero at the level 2, where
+        # no error bound separates the sum from 0, so math.fsum decides
+        X = RandomVariable(DiscreteLaw.uniform(3), np.array([-3.0, 1.0, 5.0]))
+        levels = np.concatenate([np.linspace(5 / 400, 5.0, 400), [2.0]])
+        again = []
+
+        def counted(blocks, n, largest, row_terms):
+            def terms(i):
+                again.append(float(levels[i]))
+                return row_terms(i)
+
+            return _fsum_rows(blocks, n, largest, terms)
+
+        monkeypatch.setattr(probability, "_fsum_rows", counted)
+        want = [sharpe_ratio(X.cap(level)) for level in levels]
+        assert bits(_capped_sharpe_ratios(X, levels)) == bits(want)
+        assert 2.0 in again
+
+    def test_memory_is_that_of_a_block(self):
+        # an atoms x levels matrix of this law would take about 100 MB
+        x = np.random.default_rng(55).uniform(-2.0, 5.0, 4000)
+        X = RandomVariable(DiscreteLaw.uniform(x.size), x)
+        levels = np.unique(np.concatenate([x[x > 0.0], np.linspace(5 / 400, 5.0, 400)]))
+        assert levels.size > 3000
+        tracemalloc.start()
+        try:
+            _capped_sharpe_ratios(X, levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
