@@ -54,6 +54,7 @@ from .errors import (
     InputError,
     ParseError,
     SolverError,
+    ValidationError,
 )
 from .fcfs import _sig, analyze, report_to_dict, verify_fcfs_certificate
 from .market import generate_random_market, load_market, market_to_json
@@ -238,16 +239,22 @@ def _resolve_column(token: str, header, path: str) -> int:
 
 
 def _read_law(path: str, col: str | None) -> RandomVariable:
-    """Read a sampled law from CSV: values plus optional weight column."""
+    """Read a sampled law from CSV: values plus optional weight column.
+
+    Rows with no visible text are skipped; the first row is a header when
+    one of its cells is not a number.  A refused cell is named by its
+    position among the rows read (counting the header) and its text.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            raw = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
     except csv.Error as exc:
         raise ParseError(f"{path}: invalid CSV ({exc})") from exc
+    raw = list(itertools.compress(rows, map(str.strip, map("".join, rows))))
     if not raw:
         raise ParseError(f"{path}: no rows")
 
@@ -260,7 +267,7 @@ def _read_law(path: str, col: str | None) -> RandomVariable:
         raise ParseError(f"{path}: header but no data rows")
 
     width = len(body[0])
-    if any(len(row) != width for row in body):
+    if len(set(map(len, body))) != 1:
         raise ParseError(f"{path}: rows have inconsistent column counts")
 
     if col is not None:
@@ -281,39 +288,80 @@ def _read_law(path: str, col: str | None) -> RandomVariable:
         if not 0 <= idx < width:
             raise ParseError(f"{path}: column index {idx} out of range")
 
-    def _column(idx: int, label: str):
-        out = []
-        for lineno, row in enumerate(body, start=2 if header else 1):
-            cell = row[idx].strip()
-            try:
-                out.append(float(cell))
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{lineno}: {label} column has non-numeric {cell!r}"
-                ) from None
-        return out
+    first_line = 2 if header else 1
 
-    values = _column(indices[0], "value")
+    def column(idx: int, label: str) -> np.ndarray:
+        cells = [row[idx].strip() for row in body]
+        try:
+            return np.array(list(map(float, cells)))
+        except ValueError:
+            line, cell = next(
+                (i, c) for i, c in enumerate(cells, first_line) if not _is_number(c)
+            )
+            raise ParseError(
+                f"{path}:{line}: {label} column has non-numeric {cell!r}"
+            ) from None
+
+    def refuse(ok: np.ndarray, idx: int, label: str, what) -> None:
+        # name the first cell where ok is False, and what(i) is wrong with it
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ValidationError(
+                f"{path}:{first_line + i}: {label} column has {what(i)} "
+                f"{body[i][idx].strip()!r}"
+            )
+
+    values = column(indices[0], "value")
     if len(indices) == 2:
-        weights = _column(indices[1], "weight")
+        weights = column(indices[1], "weight")
+        finite = np.isfinite(weights)
+        refuse(finite & (weights > 0.0), indices[1], "weight",
+               lambda i: "non-positive" if finite[i] else "non-finite")
         law = DiscreteLaw.from_weights(weights)
     else:
-        law = DiscreteLaw.uniform(len(values))
+        law = DiscreteLaw.uniform(values.size)
+    refuse(np.isfinite(values), indices[0], "value", lambda i: "non-finite")
     return RandomVariable(law, values)
 
 
+def _repr_layout(text: str) -> str:
+    """``repr(float(text))`` for a ``'.12g'`` text."""
+    mantissa, e, exponent = text.partition("e")
+    if not e:
+        return text if text.lstrip("-") in ("inf", "nan") else text + ".0"
+    exponent = int(exponent)
+    if exponent <= -308:  # near or below the normal range: fewer digits may do
+        return repr(float(text))
+    if not 12 <= exponent <= 15:
+        return text
+    sign = "-" if mantissa.startswith("-") else ""
+    digits = mantissa.lstrip("-").replace(".", "")
+    return f"{sign}{digits.ljust(exponent + 1, '0')}.0"
+
+
+def _sig_texts(values) -> list:
+    """``[repr(_sig(v)) for v in values]``, formatting each float once.
+
+    A decimal of at most 15 significant digits is the shortest text of the
+    double nearest to it, when that double is normal, so the repr of a
+    double read from a ``'.12g'`` text has the text's digits.  Only the
+    layout differs: repr writes exponents 12 to 15 in positional form and
+    ends an integer with ".0" (``_repr_layout``); every other text is
+    already the repr.
+    """
+    texts = map(format, values, itertools.repeat(".12g"))
+    return [t if "." in t and "e" not in t else _repr_layout(t) for t in texts]
+
+
 def _cap_sweep_csv(X: RandomVariable) -> str:
+    """The level,sharpe table, as ``csv.writer`` writes ``_fmt_number`` of each."""
     vmax = float(X.values.max())
     top = vmax if vmax > 0 else 1.0
     atoms = np.unique(X.values[X.values > 0])
     levels = np.unique(np.concatenate([atoms, np.linspace(top / 400, top, 400)]))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["level", "sharpe"])
     ratios = _capped_sharpe_ratios(X, levels)
-    for level, ratio in zip(levels.tolist(), ratios.tolist()):
-        writer.writerow([_fmt_number(level), _fmt_number(ratio)])
-    return buf.getvalue()
+    rows = zip(_sig_texts(levels.tolist()), _sig_texts(ratios.tolist()))
+    return "level,sharpe\n" + "".join(f"{a},{b}\n" for a, b in rows)
 
 
 def cmd_msharpe(args: argparse.Namespace) -> int:

@@ -46,8 +46,10 @@ Conventions
   splits each term into a high part on a power-of-two grid, summed exactly,
   and a remainder whose float sum has an a-priori error bound, which
   certifies, level by level, that it returns what ``math.fsum`` returns; a
-  level it cannot certify is summed again by ``math.fsum``.  The memory is
-  O(_BLOCK x levels).
+  level it cannot certify is summed again by ``math.fsum``.  Over sorted
+  atoms the mean terms below each level are prefix sums shared by the
+  levels of one scaling shift, so the mean pass sums per level only the
+  blocks at or above it.  The memory is O(_BLOCK x levels + atoms).
 * Sharpe ratios and the monotone Sharpe cap are computed on X / 2^k with
   2^k the power of two just above max |X| (``_scaled``): exact, so the
   bits are those of X on every law whose squares stay in range, and finite
@@ -56,6 +58,7 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -290,41 +293,66 @@ def sharpe_ratio(X: RandomVariable) -> float:
     return m / math.sqrt(var)
 
 
-def _fsum_rows(blocks, n: int, largest, row_terms) -> np.ndarray:
+def _sigma(largest, n: int):
+    """AccSum's extraction unit for n terms of magnitude at most ``largest``.
+
+    The power of two 2^M times the one above ``largest``, with M the least
+    integer such that 2^M >= n + 2; NaN or inf where ``largest`` is not
+    finite, and inf where it overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.ldexp(
+            np.where(np.isfinite(largest), 1.0, largest),
+            np.frexp(largest)[1] + (n + 1).bit_length(),
+        )
+
+
+def _fsum_rows(blocks, n: int, largest, row_terms, start=(0.0, 0.0)) -> np.ndarray:
     """``math.fsum`` of each row, fed a block of terms at a time.
 
-    ``blocks`` yields float arrays of shape (k, rows), k terms of every
-    row, n >= 1 terms in all; ``largest``, a scalar or one value per row,
+    Each row has n >= 1 terms; ``largest``, a scalar or one value per row,
     bounds |t| over each row's terms and ``row_terms(i)`` returns row i's
-    terms.  Each row is summed by the error-free extraction of AccSum
-    (Rump, Ogita & Oishi 2008): with sigma the power of two at least
-    2^M largest, 2^M >= n + 2, the high parts q = (sigma + t) - sigma are multiples of u sigma whose
-    sums stay below sigma, so their sum tau is exact in any order, and the
-    remainders t - q are exact with |t - q| <= u sigma, so their float sum
-    rho is within gamma_n n u sigma <= 2 n^2 u^2 sigma of theirs.  A block
-    thus reduces in two C-level sums.  TwoSum(tau, rho) = c0 + r exactly;
-    c0 is the correctly rounded row sum, as ``math.fsum`` returns it,
-    wherever |r| plus that bound stays strictly below half the gap from c0
-    to its neighbour toward zero.  That half gap rounds to 0 for
-    |c0| <= 2^-1021, and a non-finite row (or one whose sigma overflows)
-    makes sigma, r or the bound NaN or inf, so every other row
-    (non-finite, zero or subnormal c0, or a near-tie) is summed again by
-    ``math.fsum`` over ``row_terms``, and each result is exact.  The
-    memory is that of one block.
+    terms.  ``blocks`` yields float arrays of shape (k, w), k terms of each
+    of the first w rows.  Without ``start`` every block covers every row
+    and together they hold all n terms.  ``start`` is a pair (tau, rho) of
+    row arrays for terms summed beforehand, split with the ``_sigma`` of
+    ``largest`` and n: tau the exact sum of their high parts and rho any
+    float sum of their remainders; the blocks then hold the other terms,
+    and may cover only a leading slice of the rows.
+
+    Each row is summed by the error-free extraction of AccSum (Rump, Ogita
+    & Oishi 2008): with sigma the power of two at least 2^M largest,
+    2^M >= n + 2, the high parts q = (sigma + t) - sigma are multiples of
+    u sigma whose sums stay below sigma, so their sum tau is exact in any
+    order and over any split of the terms, and the remainders t - q are
+    exact with |t - q| <= u sigma, so a float sum rho of them, by any
+    summation tree (a prefix sum carried in by ``start`` and then the
+    blocks' column sums, say), is within gamma_n n u sigma <= 2 n^2 u^2
+    sigma of theirs.  A block thus reduces in two C-level sums.
+    TwoSum(tau, rho) = c0 + r exactly; c0 is the correctly rounded row sum,
+    as ``math.fsum`` returns it, wherever |r| plus that bound stays
+    strictly below half the gap from c0 to its neighbour toward zero.  That
+    half gap rounds to 0 for |c0| <= 2^-1021, and a non-finite row (or one
+    whose sigma overflows) makes sigma, r or the bound NaN or inf, so every
+    other row (non-finite, zero or subnormal c0, or a near-tie) is summed
+    again by ``math.fsum`` over ``row_terms``, and each result is exact.
+    The memory is that of one block.
     """
-    spread = (n + 1).bit_length()  # M, the least with 2^M >= n + 2
-    tau = rho = 0.0
+    sigma = _sigma(largest, n)
+    tau, rho = (np.array(v, dtype=float) for v in start)
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma = np.ldexp(
-            np.where(np.isfinite(largest), 1.0, largest),
-            np.frexp(largest)[1] + spread,
-        )
         for t in blocks:
-            q = np.add(t, sigma)
-            q -= sigma
-            tau += q.sum(axis=0)
+            w = t.shape[1]
+            s = sigma[:w] if sigma.ndim else sigma
+            q = np.add(t, s)
+            q -= s
+            high = q.sum(axis=0)
             np.subtract(t, q, out=q)
-            rho += q.sum(axis=0)
+            if tau.ndim:  # add into the first w rows
+                tau[:w] += high
+                rho[:w] += q.sum(axis=0)
+            else:
+                tau, rho = tau + high, rho + q.sum(axis=0)
         c0 = tau + rho
         z = c0 - tau
         r = (tau - (c0 - z)) + (rho - z)
@@ -346,37 +374,71 @@ def _capped_sharpe_ratios(X: RandomVariable, levels) -> np.ndarray:
     max(|min(min X, level)|, |min(max X, level)|).  Its mean and centred
     variance are the exact sums of the same IEEE terms p_j y_j and
     p_j (c c), with y_j the scaled min(x_j, level) and c = y_j - m, taken
-    for every level at once by ``_fsum_rows`` over (``_BLOCK``, levels)
-    blocks of atoms.  The bounds it needs hold a priori: |y| < 1, so the
-    mean terms are at most max p, and the probabilities sum to 1 within
-    1e-12, so |m| < 1 + 2^-30 and the square terms stay below 4.5 max p.
-    min(X, level) is constant exactly when level <= min X or X is
-    constant.  O(levels x atoms) time and O(_BLOCK x levels) memory.
+    for every level at once by ``_fsum_rows``.  The bounds it needs hold a
+    priori: |y| < 1, so the mean terms are at most max p, and the
+    probabilities sum to 1 within 1e-12, so |m| < 1 + 2^-30 and the square
+    terms stay below 4.5 max p.  min(X, level) is constant exactly when
+    level <= min X or X is constant.
+
+    Exact sums do not depend on the order of their terms, so the atoms
+    (with their p) and the levels are sorted.  Below a level K the mean
+    term p_j ldexp(x_j, s_K) depends on K only through its shift s_K, which
+    takes a few values; for each, the high parts and the remainders of
+    these terms are prefix-summed once over the sorted atoms.  A level
+    starts from the prefix that ends at the ``_BLOCK``-atom block holding
+    its first atom >= K (tau exact, rho one more summation tree under the
+    same gamma_n n u sigma bound), so only the blocks from there on are
+    summed per level: the levels that need a block are a leading slice of
+    the sorted levels.  The variance terms depend on each level's mean and
+    are summed over every (``_BLOCK``, levels) block.  O(levels x atoms)
+    time, the mean pass only over the atoms at or above each level, and
+    O(_BLOCK x levels + atoms) memory.
     """
-    p = X.law.probabilities
-    x = X.values
     levels = np.asarray(levels, dtype=float)
-    lo, hi = float(x.min()), float(x.max())
+    order = np.argsort(levels, kind="stable")
+    lv = levels[order]
+    ranked = np.argsort(X.values, kind="stable")
+    x, p = X.values[ranked], X.law.probabilities[ranked]
+    lo, hi = float(x[0]), float(x[-1])
     shift = -np.frexp(
-        np.maximum(np.abs(np.minimum(lo, levels)), np.abs(np.minimum(hi, levels)))
+        np.maximum(np.abs(np.minimum(lo, lv)), np.abs(np.minimum(hi, lv)))
     )[1]
     p_max = p.max()
-    buf = np.empty((_BLOCK, levels.size))
+    # level i needs the atoms from the block holding its first atom >= lv[i];
+    # block b is needed by the first width[b] levels
+    first = np.searchsorted(x, lv) // _BLOCK
+    width = np.searchsorted(first, np.arange(-(-x.size // _BLOCK)), side="right")
+    sigma = _sigma(p_max, x.size)
+    tau = np.zeros(lv.size)
+    rho = np.zeros(lv.size)
+    for s in np.unique(shift).tolist():
+        rows = np.flatnonzero(shift == s)
+        ends = first[rows] * _BLOCK
+        t = np.ldexp(x[: ends.max()], s)
+        t *= p[: ends.max()]
+        q = t + sigma
+        q -= sigma
+        t -= q
+        tau[rows] = np.concatenate([[0.0], np.cumsum(q)])[ends]
+        rho[rows] = np.concatenate([[0.0], np.cumsum(t)])[ends]
+    buf = np.empty(_BLOCK * lv.size)
 
-    def capped():  # each block of atoms at every level, and their p
-        for j in range(0, x.size, _BLOCK):
+    def capped(widths):  # each block of atoms at its leading levels, and their p
+        for j, w in zip(range(0, x.size, _BLOCK), widths):
             atoms = x[j : j + _BLOCK, None]
-            y = np.minimum(atoms, levels, out=buf[: len(atoms)])
-            yield np.ldexp(y, shift, out=y), p[j : j + _BLOCK, None]
+            y = buf[: atoms.size * w].reshape(atoms.size, w)
+            np.minimum(atoms, lv[:w], out=y)
+            yield np.ldexp(y, shift[:w], out=y), p[j : j + _BLOCK, None]
 
     def level(i):  # every atom at level i, as sharpe_ratio sees it
-        return np.ldexp(np.minimum(x, levels[i]), shift[i])
+        return np.ldexp(np.minimum(x, lv[i]), shift[i])
 
-    means = (np.multiply(y, w, out=y) for y, w in capped())
-    m = _fsum_rows(means, x.size, p_max, lambda i: (p * level(i)).tolist())
+    means = (np.multiply(y, w, out=y) for y, w in capped(width.tolist()))
+    m = _fsum_rows(means, x.size, p_max, lambda i: (p * level(i)).tolist(),
+                   start=(tau, rho))
 
     def squares():
-        for y, w in capped():
+        for y, w in capped(itertools.repeat(lv.size)):
             c = np.subtract(y, m, out=y)
             np.multiply(c, c, out=c)
             yield np.multiply(c, w, out=c)
@@ -386,11 +448,13 @@ def _capped_sharpe_ratios(X: RandomVariable, levels) -> np.ndarray:
         return (p * (c * c)).tolist()
 
     var = _fsum_rows(squares(), x.size, 4.5 * p_max, square_terms)
-    flat = (levels <= lo) | (lo == hi) | (var <= 0.0)
+    flat = (lv <= lo) | (lo == hi) | (var <= 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = m / np.sqrt(var)
     signs = np.where(m > 0.0, math.inf, np.where(m < 0.0, -math.inf, 0.0))
-    return np.where(flat, signs, ratios)
+    out = np.empty(lv.size)
+    out[order] = np.where(flat, signs, ratios)
+    return out
 
 
 def quadratic_utility(w):

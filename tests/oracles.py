@@ -14,11 +14,13 @@ clip-set loop keeps its own line search, a walk over the crossings in
 views of a tree (gain matrix, martingale constraint system) are built here
 from its per-node views, and the node-by-node market parser and random
 generator the columnar tree replaced are kept as the references for the
-array passes that load and generate markets now.
+array passes that load and generate markets now.  The cell-by-cell law
+CSV reader is kept as the reference for the column-at-a-time one.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 import random
@@ -27,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import optimize
 
-from mmvport import ParseError, RandomVariable, ValidationError
+from mmvport import DiscreteLaw, ParseError, RandomVariable, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -758,3 +760,96 @@ def node_wealth(tree, vector, initial_wealth):
             )
             stack.append(child)
     return wealth
+
+
+# ---------------------------------------------------------------------------
+# the cell-by-cell law CSV reader
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _resolve_column(token: str, header, path: str) -> int:
+    token = token.strip()
+    if header is not None and token in header:
+        return header.index(token)
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(
+            f"{path}: column {token!r} is neither a header name nor an index"
+        ) from None
+
+
+def reference_read_law(path: str, col: str | None) -> RandomVariable:
+    """Read a sampled law from CSV one cell at a time: values plus weights.
+
+    A non-finite value or a bad weight is refused by the law and payoff
+    constructors, without naming the cell.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            raw = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
+    except csv.Error as exc:
+        raise ParseError(f"{path}: invalid CSV ({exc})") from exc
+    if not raw:
+        raise ParseError(f"{path}: no rows")
+
+    header = None
+    body = raw
+    if any(not _is_number(c) for c in raw[0] if c.strip()):
+        header = [c.strip() for c in raw[0]]
+        body = raw[1:]
+    if not body:
+        raise ParseError(f"{path}: header but no data rows")
+
+    width = len(body[0])
+    if any(len(row) != width for row in body):
+        raise ParseError(f"{path}: rows have inconsistent column counts")
+
+    if col is not None:
+        tokens = [t for t in col.split(",") if t.strip()]
+        if len(tokens) not in (1, 2):
+            raise ParseError("--col takes one or two comma-separated columns")
+        indices = [_resolve_column(t, header, path) for t in tokens]
+    elif width == 1:
+        indices = [0]
+    elif width == 2:
+        indices = [0, 1]
+    else:
+        raise ParseError(
+            f"{path}: {width} columns; pick the value (and optional "
+            "weight) column with --col"
+        )
+    for idx in indices:
+        if not 0 <= idx < width:
+            raise ParseError(f"{path}: column index {idx} out of range")
+
+    def _column(idx: int, label: str):
+        out = []
+        for lineno, row in enumerate(body, start=2 if header else 1):
+            cell = row[idx].strip()
+            try:
+                out.append(float(cell))
+            except ValueError:
+                raise ParseError(
+                    f"{path}:{lineno}: {label} column has non-numeric {cell!r}"
+                ) from None
+        return out
+
+    values = _column(indices[0], "value")
+    if len(indices) == 2:
+        weights = _column(indices[1], "weight")
+        law = DiscreteLaw.from_weights(weights)
+    else:
+        law = DiscreteLaw.uniform(len(values))
+    return RandomVariable(law, values)

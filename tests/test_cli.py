@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mmvport
 from mmvport import (
@@ -21,7 +23,8 @@ from mmvport import (
     load_packaged_market,
     market_to_json,
 )
-from mmvport.cli import _build_parser, main
+from mmvport.cli import _build_parser, _sig_texts, main
+from mmvport.fcfs import _sig
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +61,33 @@ def _heavy_law():
         f"{v!r},{w!r}\n" for v, w in zip(values.tolist(), weights.tolist())
     )
 
+
+def _bench_law(family, n, seed=0):
+    """The benchmark's CSV text of one payoff law, keyed on (seed, family, n)."""
+    rng = np.random.default_rng([seed, 0 if family == "uniform" else 1, n])
+    if family == "uniform":
+        values = rng.uniform(-2.0, 5.0, n)
+        return "value\n" + "".join(f"{v!r}\n" for v in values.tolist())
+    tail = rng.random(n) < 0.01
+    values = np.where(tail, 20.0 * rng.pareto(1.2, n), rng.normal(0.3, 1.0, n))
+    weights = rng.uniform(0.5, 1.5, n)
+    return "value,weight\n" + "".join(
+        f"{v!r},{w!r}\n" for v, w in zip(values.tolist(), weights.tolist())
+    )
+
+
+# sha256 of `msharpe` (json, csv) on the benchmark's 1 000-atom seed-0 laws,
+# recorded before the law reader and the cap-sweep writer went one pass
+BENCH_LAW_DIGESTS = {
+    "uniform": (
+        "c7c7fad47b6c2d32ddd98f74dee8eca55f4b7fb7665a670371ac81e37bd094d6",
+        "c03454f1075eb41b30e82a8ef723bd9d45225ad3f5f8a1f8b79df5c8238d27ea",
+    ),
+    "heavy": (
+        "25b1b9a83b05ad5b76428d7b71c87adb5eb2be9ab1c96908ea36dbec22f51cf6",
+        "aa229d5f563d694208d934c85396305f512b8f9fd7c85c3f276f6ff592fbfc49",
+    ),
+}
 
 # sha256 of `msharpe --format csv` on each law, recorded before the cap
 # sweep was batched; the sweep must keep these bytes
@@ -502,6 +532,59 @@ class TestMsharpe:
         code, out, _ = run(capsys, "msharpe", "--format", "csv", path)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("family", sorted(BENCH_LAW_DIGESTS))
+    def test_bench_law_bytes_are_pinned(self, capsys, tmp_path, family):
+        path = self.write(tmp_path, _bench_law(family, 1000))
+        for fmt, digest in zip(("json", "csv"), BENCH_LAW_DIGESTS[family]):
+            code, out, _ = run(capsys, "msharpe", "--format", fmt, path)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("value\n1\nnan\n", 3, "value column has non-finite 'nan'"),
+            ("2\n\n-1\n inf \n", 3, "value column has non-finite 'inf'"),
+            ("1,1\n1e999,2\n", 2, "value column has non-finite '1e999'"),
+            ("value,weight\n1,1\n2,0\n", 3, "weight column has non-positive '0'"),
+            ("value,weight\n1,-0\n", 2, "weight column has non-positive '-0'"),
+            ("value,weight\n1,1\n2,-3\n3,inf\n", 3,
+             "weight column has non-positive '-3'"),
+            ("1,1e999\nnan,-1\n", 1, "weight column has non-finite '1e999'"),
+        ],
+    )
+    def test_refused_cell_is_named(self, capsys, tmp_path, text, line, message):
+        path = self.write(tmp_path, text)
+        for fmt in ("json", "csv"):
+            code, out, err = run(capsys, "msharpe", "--format", fmt, path)
+            assert (code, out) == (2, "")
+            assert err == f"error: {path}:{line}: {message}\n"
+
+
+# floats whose '.12g' text needs repr's layout, or none of its digits
+EDGE_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+    2.2250738585072014e-308, 2.225073858507201e-308, 1e-308, 1.7976931348623157e308,
+    1e-5, 9.99999999999949e-5, 99999.99999995, 123456789012.0, 999999999999.5,
+    9.9999999999995e15, -9.9999999999995e11, 1e11, 1e12, 1e15, 1e16, 1e17,
+    1234567890123.0, -1234567890123456.0, 12345678901234567.0,
+]
+
+
+@given(
+    st.floats()
+    | st.sampled_from(EDGE_FLOATS)
+    | st.floats(1e11, 1e17)
+    | st.floats(-1e17, -1e11)
+    | st.floats(-2.3e-308, 2.3e-308)
+)
+def test_one_pass_text_is_the_repr_of_the_twelve_digit_float(value):
+    assert _sig_texts([value]) == [repr(_sig(value))]
+
+
+def test_edge_floats_format_as_their_repr():
+    assert _sig_texts(EDGE_FLOATS) == [repr(_sig(v)) for v in EDGE_FLOATS]
 
 
 # sha256 of `generate` and of `analyze --verify` on a few shapes, recorded

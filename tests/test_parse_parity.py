@@ -1,15 +1,20 @@
-"""The columnar parser and generator against the node-by-node references.
+"""The columnar parsers and generator against the cell- and node-by-node references.
 
 Valid documents are mutated by hypothesis: keys dropped or renamed, values
 of the wrong type, bools, NaN and infinities, duplicate ids, a second
 root, unknown parents, wrong depths, leaves off the horizon, sibling sums
 off by a little, shuffled node order, and several of these in one file.
 Each document must give the same exception class and message from both
-parsers, or bit-identical columns.
+parsers, or bit-identical columns.  Law CSV texts are drawn the same way
+(blank rows, quoted cells, CRLF, headers, ragged rows, odd numerals and a
+cell past the CSV field limit) and read by the column-at-a-time law
+reader and the cell-by-cell reference.
 """
 
+import ast
 import copy
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,13 +24,21 @@ from hypothesis import strategies as st
 
 import mmvport.market
 from mmvport import (
+    InputError,
     ParseError,
+    ValidationError,
     generate_random_market,
     market_from_dict,
     market_to_dict,
 )
 
-from oracles import reference_market_from_dict, reference_random_document
+from mmvport.cli import _read_law
+
+from oracles import (
+    reference_market_from_dict,
+    reference_random_document,
+    reference_read_law,
+)
 
 KEYS = ("id", "parent", "t", "p", "prices")
 JUNK = (
@@ -384,3 +397,82 @@ def test_generator_refuses_prices_past_the_float_range_like_the_reference(seed, 
             seed=seed, periods=4, branching=3, assets=2, spread=spread
         )
     assert str(got.value) == str(ref.value)
+
+
+# ---------------------------------------------------------------------------
+# law CSV files
+
+NUMERALS = (
+    "1", "-1", "2.5", "0.1", "-2.75", "3", "0", "-0", " 2 ", "1_0", "+7",
+    "1e5", "1e308", "1e-300", '"4"', '" 5 "', "\t6\t",
+)
+ODD_CELLS = (
+    "nan", "inf", "-inf", "1e999", "-1e999", "", "  ", "abc", "value", "w",
+    '"1,5"', "0x10", "1__0", "--1", '"7\n"',
+)
+NAMES = ("value", "weight", "w", "junk", " b ", "1")
+COLUMNS = (
+    "value", "w", "value,w", "w,value", "0", "1", " 1 ", "0,1",
+    "1,0", "0,2", "2", "5", "x", "0,1,2", ",", "value,",
+)
+BLANK_ROWS = ("", "   ", " , ", ",", '""', "\t")
+WIDE_CELL = "1" * 200_000  # past the CSV module's field limit
+
+
+@st.composite
+def law_text(draw):
+    width = draw(st.integers(1, 3))
+    ragged = draw(st.integers(0, 5)) == 0
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        w = draw(st.integers(1, 4)) if ragged and draw(st.booleans()) else width
+        cells = [
+            draw(st.sampled_from(NUMERALS if draw(st.integers(0, 11)) else ODD_CELLS))
+            for _ in range(w)
+        ]
+        rows.append(",".join(cells))
+    if draw(st.booleans()):
+        rows.insert(0, ",".join(draw(st.sampled_from(NAMES)) for _ in range(width)))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(BLANK_ROWS)))
+    if draw(st.integers(0, 29)) == 13:
+        rows[draw(st.integers(0, len(rows) - 1))] = WIDE_CELL
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    return end.join(rows) + (end if draw(st.booleans()) else "")
+
+
+def read_outcome(read, path, col):
+    """(value bits, probability bits), or the error's class and text."""
+    try:
+        X = read(str(path), col)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return X.values.tobytes(), X.law.probabilities.tobytes()
+
+
+@settings(max_examples=400)
+@given(law_text(), st.one_of(st.none(), st.sampled_from(COLUMNS)))
+def test_law_reader_matches_the_cell_by_cell_reference(tmp_path_factory, text, col):
+    path = tmp_path_factory.getbasetemp() / "law.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    want = read_outcome(reference_read_law, path, col)
+    got = read_outcome(_read_law, path, col)
+    if want[0] is not ValidationError or got == want:
+        assert got == want
+        return
+    # the reference lets the law or the payoff refuse a weight or a value;
+    # the reader names the cell
+    assert got[0] is ValidationError
+    named = re.fullmatch(
+        re.escape(str(path)) + r":(\d+): (value|weight) column has "
+        r"(non-finite|non-positive) ('.*')",
+        got[1],
+    )
+    assert named is not None, got[1]
+    label = "weight" if want[1].startswith("weights") else "value"
+    assert named.group(2) == label
+    cell = float(ast.literal_eval(named.group(4)))
+    if named.group(3) == "non-finite":
+        assert not math.isfinite(cell)
+    else:
+        assert label == "weight" and cell <= 0.0

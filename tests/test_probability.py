@@ -517,6 +517,30 @@ class TestCappedSharpeRatios:
         want = [sharpe_ratio(X.cap(level)) for level in levels]
         assert bits(_capped_sharpe_ratios(X, levels)) == bits(want)
 
+    @given(st.data())
+    def test_order_of_atoms_and_levels_does_not_matter(self, data):
+        m = data.draw(st.integers(1, 5 * _BLOCK))
+        ties = data.draw(st.lists(PAYOFFS, min_size=1, max_size=3))
+        cell = st.sampled_from(ties) | st.floats(-5.0, 5.0)
+        shift = data.draw(st.sampled_from([0, 0, -600, 600, -1040]))
+        x = np.ldexp(np.array(data.draw(st.lists(cell, min_size=m, max_size=m))), shift)
+        p = random_law(data.draw, m)
+        X = RandomVariable(DiscreteLaw(p), x)
+        lo, hi = float(x.min()), float(x.max())
+        top = max(hi, 0.0) or 1.0
+        levels = np.concatenate([
+            x, x[: data.draw(st.integers(0, m))],  # every atom, some twice
+            np.linspace(top / 40, top, 40),
+            [0.0, -0.0, 0.0, lo, hi, lo - abs(lo) - 1.0, hi + abs(hi) + 1.0,
+             np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)],
+        ])
+        want = _capped_sharpe_ratios(X, levels)
+        assert bits(want) == bits([sharpe_ratio(X.cap(level)) for level in levels])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        atoms, order = rng.permutation(m), rng.permutation(levels.size)
+        Y = RandomVariable(DiscreteLaw(p[atoms]), x[atoms])
+        assert bits(_capped_sharpe_ratios(Y, levels[order])) == bits(want[order])
+
     def test_levels_far_below_the_largest_atom(self):
         # capped at 2^-995, the payoff's squares underflow unless it is
         # scaled by its own largest value, level by level
@@ -530,15 +554,16 @@ class TestCappedSharpeRatios:
         # min(X, K) has mean (K - 2) / 3 on [1, 5]: zero at the level 2, where
         # no error bound separates the sum from 0, so math.fsum decides
         X = RandomVariable(DiscreteLaw.uniform(3), np.array([-3.0, 1.0, 5.0]))
-        levels = np.concatenate([np.linspace(5 / 400, 5.0, 400), [2.0]])
+        # sorted, as the sweep sums them: row i is levels[i]
+        levels = np.unique(np.concatenate([np.linspace(5 / 400, 5.0, 400), [2.0]]))
         again = []
 
-        def counted(blocks, n, largest, row_terms):
+        def counted(blocks, n, largest, row_terms, **start):
             def terms(i):
                 again.append(float(levels[i]))
                 return row_terms(i)
 
-            return _fsum_rows(blocks, n, largest, terms)
+            return _fsum_rows(blocks, n, largest, terms, **start)
 
         monkeypatch.setattr(probability, "_fsum_rows", counted)
         want = [sharpe_ratio(X.cap(level)) for level in levels]
