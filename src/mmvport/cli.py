@@ -63,6 +63,7 @@ from .probability import (
     DiscreteLaw,
     RandomVariable,
     _capped_sharpe_ratios,
+    _normalized,
     mean,
     sharpe_ratio,
 )
@@ -238,12 +239,24 @@ def _resolve_column(token: str, header, path: str) -> int:
         ) from None
 
 
+def _row_lines(path: str) -> list:
+    """The line of ``path`` on which each CSV row with visible text starts."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        lines, start = [], 1
+        for row in reader:
+            if "".join(row).strip():
+                lines.append(start)
+            start = reader.line_num + 1
+    return lines
+
+
 def _read_law(path: str, col: str | None) -> RandomVariable:
     """Read a sampled law from CSV: values plus optional weight column.
 
     Rows with no visible text are skipped; the first row is a header when
-    one of its cells is not a number.  A refused cell is named by its
-    position among the rows read (counting the header) and its text.
+    one of its cells is not a number.  A refused cell is named by the line
+    of the file its row starts on, and its text.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -288,18 +301,17 @@ def _read_law(path: str, col: str | None) -> RandomVariable:
         if not 0 <= idx < width:
             raise ParseError(f"{path}: column index {idx} out of range")
 
-    first_line = 2 if header else 1
+    def line(i: int) -> int:  # the line of body[i]; read only to name a cell
+        return _row_lines(path)[i + (header is not None)]
 
     def column(idx: int, label: str) -> np.ndarray:
         cells = [row[idx].strip() for row in body]
         try:
             return np.array(list(map(float, cells)))
         except ValueError:
-            line, cell = next(
-                (i, c) for i, c in enumerate(cells, first_line) if not _is_number(c)
-            )
+            i, cell = next((i, c) for i, c in enumerate(cells) if not _is_number(c))
             raise ParseError(
-                f"{path}:{line}: {label} column has non-numeric {cell!r}"
+                f"{path}:{line(i)}: {label} column has non-numeric {cell!r}"
             ) from None
 
     def refuse(ok: np.ndarray, idx: int, label: str, what) -> None:
@@ -307,7 +319,7 @@ def _read_law(path: str, col: str | None) -> RandomVariable:
         if not ok.all():
             i = int(np.argmin(ok))
             raise ValidationError(
-                f"{path}:{first_line + i}: {label} column has {what(i)} "
+                f"{path}:{line(i)}: {label} column has {what(i)} "
                 f"{body[i][idx].strip()!r}"
             )
 
@@ -317,7 +329,10 @@ def _read_law(path: str, col: str | None) -> RandomVariable:
         finite = np.isfinite(weights)
         refuse(finite & (weights > 0.0), indices[1], "weight",
                lambda i: "non-positive" if finite[i] else "non-finite")
-        law = DiscreteLaw.from_weights(weights)
+        probabilities = _normalized(weights)
+        refuse(probabilities > 0.0, indices[1], "weight",
+               lambda i: "underflowing")  # its probability rounds to 0
+        law = DiscreteLaw(probabilities)
     else:
         law = DiscreteLaw.uniform(values.size)
     refuse(np.isfinite(values), indices[0], "value", lambda i: "non-finite")

@@ -41,15 +41,22 @@ Conventions
 * Moment accumulation uses compensated summation (``math.fsum``) so that the
   functional identities hold to near machine precision even on laws with
   thousands of atoms and wildly mixed magnitudes.  The cap sweep sums all
-  cap levels at once with ``_fsum_rows``, over (``_BLOCK``, levels) blocks
-  of atoms: the error-free extraction of AccSum (Rump, Ogita & Oishi 2008)
-  splits each term into a high part on a power-of-two grid, summed exactly,
-  and a remainder whose float sum has an a-priori error bound, which
-  certifies, level by level, that it returns what ``math.fsum`` returns; a
-  level it cannot certify is summed again by ``math.fsum``.  Over sorted
-  atoms the mean terms below each level are prefix sums shared by the
-  levels of one scaling shift, so the mean pass sums per level only the
-  blocks at or above it.  The memory is O(_BLOCK x levels + atoms).
+  cap levels at once with ``_fsum_rows``, over tiles of ``_BLOCK`` sorted
+  atoms by at most ``_WIDTH`` sorted levels: the error-free extraction of
+  AccSum (Rump, Ogita & Oishi 2008) splits each term into a high part on a
+  power-of-two grid, summed exactly, and a remainder whose float sum has an
+  a-priori error bound, which certifies, level by level, that it returns
+  what ``math.fsum`` returns; a level it cannot certify is summed again by
+  ``math.fsum``.  Against a block of atoms the levels fall in three
+  regions: upper (every atom at or above the level, so each term is p_j
+  times one number per level), lower (every atom below it: no ``min``) and
+  mixed (at most one block per level).  The mean terms of lower blocks are
+  prefix sums shared by the levels of one scaling shift, and with equal
+  probabilities a level's upper terms are one value, added as count times
+  its high part and remainder.  The time is O(levels x atoms below each
+  level) plus O(levels x _BLOCK), and, with unequal probabilities, one
+  outer product per upper block; the memory is O(_BLOCK x _WIDTH + levels
+  + atoms).
 * Sharpe ratios and the monotone Sharpe cap are computed on X / 2^k with
   2^k the power of two just above max |X| (``_scaled``): exact, so the
   bits are those of X on every law whose squares stay in range, and finite
@@ -58,7 +65,7 @@ Conventions
 
 from __future__ import annotations
 
-import itertools
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -87,13 +94,35 @@ __all__ = [
 
 _PROB_SUM_TOL = 1e-12
 _UNIT = 2.0**-53  # unit roundoff of IEEE double
-_BLOCK = 16  # atoms per block of the cap sweep
+_BLOCK = 64  # atoms per block of the cap sweep
+_WIDTH = 768  # levels per tile of the cap sweep: 384 KB of terms
+# numpy's ufunc buffer during the cap sweep, in elements.  At numpy's 8192
+# the operands a tile broadcasts are copied through 64 KB buffers, more
+# than a 48 KB first-level cache; at 512 the sweep ran 1.05-1.3x faster
+# (most on unequal probabilities) on a 2-core Xeon, numpy 2.4, in-process
+# medians over the benchmark's six cap-sweep laws.
+_UFUNC_BUFFER = 512
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _normalized(w: np.ndarray) -> np.ndarray:
+    """Finite positive weights over their sum; 0 where that underflows.
+
+    Weights whose sum passes the float range are first divided by the
+    power of two just above the largest, which is exact except for weights
+    it takes below the normal range.
+    """
+    try:
+        total = math.fsum(w.tolist())
+    except OverflowError:
+        w = np.ldexp(w, -math.frexp(float(w.max()))[1])
+        total = math.fsum(w.tolist())
+    return w / total
 
 
 @dataclass(frozen=True)
@@ -135,22 +164,15 @@ class DiscreteLaw:
 
     @classmethod
     def from_weights(cls, weights) -> "DiscreteLaw":
-        """Normalize strictly positive weights into a law.
+        """Normalize strictly positive weights into a law (``_normalized``).
 
-        Weights whose sum passes the float range are first divided by the
-        power of two just above the largest, which is exact except for
-        weights it takes below the normal range (one it takes to 0 is
-        refused as any zero weight is).
+        A weight whose probability underflows to 0 is refused as any zero
+        probability is.
         """
         w = np.atleast_1d(np.asarray(weights, dtype=float))
         if w.size == 0 or np.any(w <= 0.0) or not np.all(np.isfinite(w)):
             raise ValidationError("weights must be finite and strictly positive")
-        try:
-            total = math.fsum(w.tolist())
-        except OverflowError:
-            w = np.ldexp(w, -math.frexp(float(w.max()))[1])
-            total = math.fsum(w.tolist())
-        return cls(w / total)
+        return cls(_normalized(w))
 
     def same_space(self, other: "DiscreteLaw") -> bool:
         if self is other:
@@ -216,6 +238,16 @@ class RandomVariable:
 
     def max(self) -> float:
         return float(self.values.max())
+
+
+@contextlib.contextmanager
+def _ufunc_buffer(size: int):
+    """numpy's ufunc buffer set to ``size`` elements within the block."""
+    old = np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 def _fsum_dot(p: np.ndarray, x: np.ndarray) -> float:
@@ -307,18 +339,20 @@ def _sigma(largest, n: int):
         )
 
 
-def _fsum_rows(blocks, n: int, largest, row_terms, start=(0.0, 0.0)) -> np.ndarray:
+def _fsum_rows(blocks, n: int, largest, row_terms, start=(0.0, 0.0),
+               scratch=None) -> np.ndarray:
     """``math.fsum`` of each row, fed a block of terms at a time.
 
     Each row has n >= 1 terms; ``largest``, a scalar or one value per row,
     bounds |t| over each row's terms and ``row_terms(i)`` returns row i's
-    terms.  ``blocks`` yields float arrays of shape (k, w), k terms of each
-    of the first w rows.  Without ``start`` every block covers every row
-    and together they hold all n terms.  ``start`` is a pair (tau, rho) of
-    row arrays for terms summed beforehand, split with the ``_sigma`` of
-    ``largest`` and n: tau the exact sum of their high parts and rho any
-    float sum of their remainders; the blocks then hold the other terms,
-    and may cover only a leading slice of the rows.
+    terms.  ``blocks`` yields pairs (a, t): t a float array of shape (k, w)
+    holding k terms of each of rows a to a + w - 1.  Without ``start`` every
+    block covers every row and together they hold all n terms.  ``start``
+    is a pair (tau, rho) of row arrays for terms summed beforehand, split
+    with the ``_sigma`` of ``largest`` and n (``_split``): tau the exact sum
+    of their high parts and rho a float sum of their remainders within the
+    bound below; the blocks then hold the other terms, each block a range
+    of the rows.
 
     Each row is summed by the error-free extraction of AccSum (Rump, Ogita
     & Oishi 2008): with sigma the power of two at least 2^M largest,
@@ -336,23 +370,31 @@ def _fsum_rows(blocks, n: int, largest, row_terms, start=(0.0, 0.0)) -> np.ndarr
     whose sigma overflows) makes sigma, r or the bound NaN or inf, so every
     other row (non-finite, zero or subnormal c0, or a near-tie) is summed
     again by ``math.fsum`` over ``row_terms``, and each result is exact.
-    The memory is that of one block.
+    The high parts go to ``scratch``, a float array at least as large as
+    every block (by default one is allocated as the blocks need it), so
+    the memory is that of one block.
     """
     sigma = _sigma(largest, n)
     tau, rho = (np.array(v, dtype=float) for v in start)
+    if scratch is None:
+        scratch = np.empty(0)
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in blocks:
-            w = t.shape[1]
-            s = sigma[:w] if sigma.ndim else sigma
-            q = np.add(t, s)
+        for a, t in blocks:
+            k, w = t.shape
+            if scratch.size < t.size:
+                scratch = np.empty(t.size)
+            q = scratch[: t.size].reshape(k, w)
+            s = sigma[a : a + w] if sigma.ndim else sigma
+            np.add(t, s, out=q)
             q -= s
-            high = q.sum(axis=0)
+            high = np.add.reduce(q, axis=0)
             np.subtract(t, q, out=q)
-            if tau.ndim:  # add into the first w rows
-                tau[:w] += high
-                rho[:w] += q.sum(axis=0)
+            low = np.add.reduce(q, axis=0)
+            if tau.ndim:  # add into rows a to a + w - 1
+                tau[a : a + w] += high
+                rho[a : a + w] += low
             else:
-                tau, rho = tau + high, rho + q.sum(axis=0)
+                tau, rho = tau + high, rho + low
         c0 = tau + rho
         z = c0 - tau
         r = (tau - (c0 - z)) + (rho - z)
@@ -366,10 +408,17 @@ def _fsum_rows(blocks, n: int, largest, row_terms, start=(0.0, 0.0)) -> np.ndarr
     return out
 
 
+def _split(t: np.ndarray, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """AccSum's high parts (sigma + t) - sigma of the terms t, and remainders."""
+    q = t + sigma
+    q -= sigma
+    return q, t - q
+
+
 def _capped_sharpe_ratios(X: RandomVariable, levels) -> np.ndarray:
     """``[sharpe_ratio(X.cap(level)) for level in levels]``, bit for bit.
 
-    Each capped payoff min(X, level) is scaled by the power of two that
+    Each capped payoff min(X, level) is scaled by the power of two 2^s that
     ``sharpe_ratio`` picks for it, from max |min(X, level)| =
     max(|min(min X, level)|, |min(max X, level)|).  Its mean and centred
     variance are the exact sums of the same IEEE terms p_j y_j and
@@ -381,73 +430,127 @@ def _capped_sharpe_ratios(X: RandomVariable, levels) -> np.ndarray:
     level <= min X or X is constant.
 
     Exact sums do not depend on the order of their terms, so the atoms
-    (with their p) and the levels are sorted.  Below a level K the mean
-    term p_j ldexp(x_j, s_K) depends on K only through its shift s_K, which
-    takes a few values; for each, the high parts and the remainders of
-    these terms are prefix-summed once over the sorted atoms.  A level
-    starts from the prefix that ends at the ``_BLOCK``-atom block holding
-    its first atom >= K (tau exact, rho one more summation tree under the
-    same gamma_n n u sigma bound), so only the blocks from there on are
-    summed per level: the levels that need a block are a leading slice of
-    the sorted levels.  The variance terms depend on each level's mean and
-    are summed over every (``_BLOCK``, levels) block.  O(levels x atoms)
-    time, the mean pass only over the atoms at or above each level, and
-    O(_BLOCK x levels + atoms) memory.
+    (with their p) and the levels are sorted, and each ``_BLOCK``-atom block
+    of sorted atoms splits the sorted levels K into three regions:
+
+    * upper, the levels at or below the block's smallest atom: there
+      min(x, K) = K, so each term is fl(p_j C) with C one number per level,
+      C_K = ldexp(K, s) for the mean and fl(fl(C_K - m)^2) for the
+      variance: one outer product in place of min, ldexp, subtract, square
+      and multiply;
+    * lower, the levels above the block's largest atom: there
+      y = ldexp(x, s) and no ``min`` is needed;
+    * mixed, the levels in between, which keep the path ``sharpe_ratio``
+      takes (min, then ldexp).  A level has at most one mixed block, and
+      none when it sits at a block boundary.
+
+    Below a level the mean term p_j ldexp(x_j, s) depends on the level only
+    through its shift s, which takes a few values; for each, the high parts
+    and remainders of these terms are prefix-summed once over the sorted
+    atoms, and each level starts from the prefix at the end of its lower
+    blocks (tau exact, rho one more summation tree under the same
+    gamma_n n u sigma bound).  So the mean pass sums only the mixed and
+    upper blocks of each level, and the variance pass every block.
+
+    When all probabilities are equal (an input property: ``uniform`` laws
+    and equal weights), a level's upper terms are all one value t, and
+    they are added as count x (sigma + t) - sigma and count x the
+    remainder, in ``start``.  The first product is exact: the high parts of
+    all n terms sum below sigma, and count times one of them is a multiple
+    of u sigma below sigma.  The second is one rounding in place of
+    count - 1 additions, so each remainder still passes at most n
+    roundings and rho stays within the gamma_n n u sigma <= 2 n^2 u^2 sigma
+    bound that ``_fsum_rows`` certifies against.  Upper blocks then cost
+    nothing per atom.
+
+    Time: O(levels x atoms below each level) for the lower blocks of the
+    variance, plus O(levels x _BLOCK) for the mixed blocks, plus, with
+    unequal probabilities, one outer product and extraction per upper
+    block, in both passes.  The terms go to ``_fsum_rows`` in tiles of
+    ``_BLOCK`` atoms by at most ``_WIDTH`` levels, held in one preallocated
+    buffer with one more for the high parts, so the memory is
+    O(_BLOCK x _WIDTH + levels + atoms).  The tiles broadcast a column of
+    atoms against a row of levels; numpy streams such operands through its
+    ufunc buffer, which is set to ``_UFUNC_BUFFER`` elements while the
+    tiles are summed (see the constant).
     """
     levels = np.asarray(levels, dtype=float)
     order = np.argsort(levels, kind="stable")
     lv = levels[order]
     ranked = np.argsort(X.values, kind="stable")
     x, p = X.values[ranked], X.law.probabilities[ranked]
+    n = x.size
     lo, hi = float(x[0]), float(x[-1])
     shift = -np.frexp(
         np.maximum(np.abs(np.minimum(lo, lv)), np.abs(np.minimum(hi, lv)))
     )[1]
-    p_max = p.max()
-    # level i needs the atoms from the block holding its first atom >= lv[i];
-    # block b is needed by the first width[b] levels
-    first = np.searchsorted(x, lv) // _BLOCK
-    width = np.searchsorted(first, np.arange(-(-x.size // _BLOCK)), side="right")
-    sigma = _sigma(p_max, x.size)
+    top = np.ldexp(np.minimum(lv, hi), shift)  # C_K, for atoms at or above K
+    below = np.searchsorted(x, lv)  # atoms below each level
+    # level i has the whole blocks of atoms [0, ends[i]) below it, those of
+    # [rises[i], n) at or above it, and its mixed block in between
+    ends = np.where(below == n, n, below - below % _BLOCK)
+    rises = np.minimum(below + -below % _BLOCK, n)
+    starts = range(0, n, _BLOCK)
+    # block b is upper for the levels [0, upper[b]), mixed for
+    # [upper[b], lower[b]) and lower for [lower[b], levels.size)
+    upper = np.searchsorted(rises, starts, side="right").tolist()
+    lower = np.searchsorted(ends, [min(j + _BLOCK, n) for j in starts]).tolist()
+    p_max = float(p.max())
+    equal = p_max == float(p.min())
+    sigma = _sigma(p_max, n)
     tau = np.zeros(lv.size)
     rho = np.zeros(lv.size)
     for s in np.unique(shift).tolist():
         rows = np.flatnonzero(shift == s)
-        ends = first[rows] * _BLOCK
-        t = np.ldexp(x[: ends.max()], s)
-        t *= p[: ends.max()]
-        q = t + sigma
-        q -= sigma
-        t -= q
-        tau[rows] = np.concatenate([[0.0], np.cumsum(q)])[ends]
-        rho[rows] = np.concatenate([[0.0], np.cumsum(t)])[ends]
-    buf = np.empty(_BLOCK * lv.size)
+        end = ends[rows].max()
+        q, r = _split(np.ldexp(x[:end], s) * p[:end], sigma)
+        tau[rows] = np.concatenate([[0.0], np.cumsum(q)])[ends[rows]]
+        rho[rows] = np.concatenate([[0.0], np.cumsum(r)])[ends[rows]]
+    count = n - rises  # atoms in a level's upper blocks
+    if equal:
+        q, r = _split(top * p_max, sigma)
+        tau += count * q
+        rho += count * r
+    buf, scratch = np.empty((2, _BLOCK * min(_WIDTH, lv.size)))
 
-    def capped(widths):  # each block of atoms at its leading levels, and their p
-        for j, w in zip(range(0, x.size, _BLOCK), widths):
-            atoms = x[j : j + _BLOCK, None]
-            y = buf[: atoms.size * w].reshape(atoms.size, w)
-            np.minimum(atoms, lv[:w], out=y)
-            yield np.ldexp(y, shift[:w], out=y), p[j : j + _BLOCK, None]
+    def tiles(square, c):
+        # each block's terms, at most _WIDTH levels at a time: its upper
+        # levels (p times c; none when the probabilities are equal), then its
+        # mixed levels and, in the square pass, its lower levels
+        for b, j in enumerate(starts):
+            xb, pb = x[j : j + _BLOCK, None], p[j : j + _BLOCK, None]
+            k, u, w = xb.size, upper[b], lower[b]
+            for a in range(0, 0 if equal else u, _WIDTH):
+                e = min(a + _WIDTH, u)
+                yield a, np.multiply(pb, c[a:e], out=buf[: k * (e - a)].reshape(k, e - a))
+            last = lv.size if square else w
+            for a in range(u, last, _WIDTH):
+                e = min(a + _WIDTH, last)
+                t = buf[: k * (e - a)].reshape(k, e - a)
+                mid = min(max(w, a), e)  # mixed levels [a, mid), lower [mid, e)
+                y = np.minimum(xb, lv[a:mid], out=t[:, : mid - a])
+                np.ldexp(y, shift[a:mid], out=y)
+                if square:
+                    np.ldexp(xb, shift[mid:e], out=t[:, mid - a :])
+                    t -= m[a:e]
+                    np.square(t, out=t)
+                np.multiply(t, p_max if equal else pb, out=t)
+                yield a, t
 
     def level(i):  # every atom at level i, as sharpe_ratio sees it
         return np.ldexp(np.minimum(x, lv[i]), shift[i])
-
-    means = (np.multiply(y, w, out=y) for y, w in capped(width.tolist()))
-    m = _fsum_rows(means, x.size, p_max, lambda i: (p * level(i)).tolist(),
-                   start=(tau, rho))
-
-    def squares():
-        for y, w in capped(itertools.repeat(lv.size)):
-            c = np.subtract(y, m, out=y)
-            np.multiply(c, c, out=c)
-            yield np.multiply(c, w, out=c)
 
     def square_terms(i):
         c = level(i) - m[i]
         return (p * (c * c)).tolist()
 
-    var = _fsum_rows(squares(), x.size, 4.5 * p_max, square_terms)
+    with _ufunc_buffer(_UFUNC_BUFFER):
+        m = _fsum_rows(tiles(False, top), n, p_max, lambda i: (p * level(i)).tolist(),
+                       start=(tau, rho), scratch=scratch)
+        squares = np.square(top - m)  # fl(fl(C_K - m)^2)
+        q, r = _split(squares * p_max, _sigma(4.5 * p_max, n)) if equal else (0.0, 0.0)
+        var = _fsum_rows(tiles(True, squares), n, 4.5 * p_max, square_terms,
+                         start=(count * q, count * r), scratch=scratch)
     flat = (lv <= lo) | (lo == hi) | (var <= 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = m / np.sqrt(var)

@@ -789,12 +789,19 @@ def _resolve_column(token: str, header, path: str) -> int:
 def reference_read_law(path: str, col: str | None) -> RandomVariable:
     """Read a sampled law from CSV one cell at a time: values plus weights.
 
+    A non-numeric cell is named by the line of the file its row starts on.
     A non-finite value or a bad weight is refused by the law and payoff
     constructors, without naming the cell.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            raw = [row for row in csv.reader(fh) if any(c.strip() for c in row)]
+            reader = csv.reader(fh)
+            raw, lines, start = [], [], 1
+            for row in reader:
+                if any(c.strip() for c in row):
+                    raw.append(row)
+                    lines.append(start)
+                start = reader.line_num + 1
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -809,6 +816,7 @@ def reference_read_law(path: str, col: str | None) -> RandomVariable:
     if any(not _is_number(c) for c in raw[0] if c.strip()):
         header = [c.strip() for c in raw[0]]
         body = raw[1:]
+        lines = lines[1:]
     if not body:
         raise ParseError(f"{path}: header but no data rows")
 
@@ -836,7 +844,7 @@ def reference_read_law(path: str, col: str | None) -> RandomVariable:
 
     def _column(idx: int, label: str):
         out = []
-        for lineno, row in enumerate(body, start=2 if header else 1):
+        for lineno, row in zip(lines, body):
             cell = row[idx].strip()
             try:
                 out.append(float(cell))

@@ -545,13 +545,20 @@ class TestMsharpe:
         "text, line, message",
         [
             ("value\n1\nnan\n", 3, "value column has non-finite 'nan'"),
-            ("2\n\n-1\n inf \n", 3, "value column has non-finite 'inf'"),
+            ("2\n\n-1\n inf \n", 4, "value column has non-finite 'inf'"),
+            # a quoted cell over two lines and blank lines shift nothing
+            ('value\n" 1\n"\n\n \r\ninf\n', 6, "value column has non-finite 'inf'"),
+            ('value,weight\n\n"2\n",x\n', 3, "weight column has non-numeric 'x'"),
             ("1,1\n1e999,2\n", 2, "value column has non-finite '1e999'"),
             ("value,weight\n1,1\n2,0\n", 3, "weight column has non-positive '0'"),
             ("value,weight\n1,-0\n", 2, "weight column has non-positive '-0'"),
             ("value,weight\n1,1\n2,-3\n3,inf\n", 3,
              "weight column has non-positive '-3'"),
             ("1,1e999\nnan,-1\n", 1, "weight column has non-finite '1e999'"),
+            # positive, but its probability underflows once the weights,
+            # whose sum passes the float range, are scaled into it
+            ("value,weight\n1,1e308\n-1,1e-300\n2,1e308\n", 3,
+             "weight column has underflowing '1e-300'"),
         ],
     )
     def test_refused_cell_is_named(self, capsys, tmp_path, text, line, message):

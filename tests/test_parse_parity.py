@@ -465,14 +465,17 @@ def test_law_reader_matches_the_cell_by_cell_reference(tmp_path_factory, text, c
     assert got[0] is ValidationError
     named = re.fullmatch(
         re.escape(str(path)) + r":(\d+): (value|weight) column has "
-        r"(non-finite|non-positive) ('.*')",
+        r"(non-finite|non-positive|underflowing) ('.*')",
         got[1],
     )
     assert named is not None, got[1]
-    label = "weight" if want[1].startswith("weights") else "value"
+    label = "value" if want[1].startswith("payoff") else "weight"
     assert named.group(2) == label
     cell = float(ast.literal_eval(named.group(4)))
     if named.group(3) == "non-finite":
         assert not math.isfinite(cell)
-    else:
+    elif named.group(3) == "non-positive":
         assert label == "weight" and cell <= 0.0
+    else:  # a positive weight whose probability the law refuses as 0
+        assert want[1] == "atom probabilities must be strictly positive"
+        assert label == "weight" and 0.0 < cell < math.inf

@@ -26,6 +26,7 @@ from mmvport import probability
 from mmvport.monotone_sharpe import alpha_root_bisection, solve_alpha_hat
 from mmvport.probability import (
     _BLOCK,
+    _WIDTH,
     _capped_sharpe_ratios,
     _fsum_rows,
     _kink_walk,
@@ -288,6 +289,18 @@ def random_law(draw, m):
     return DiscreteLaw.from_weights(weights).probabilities
 
 
+def sweep_law(draw, m):
+    """Probabilities of m atoms: equal, equal but for one atom, or drawn."""
+    kind = draw(st.sampled_from(["equal", "all but one", "drawn"]))
+    if kind == "equal":
+        return DiscreteLaw.uniform(m).probabilities
+    if kind == "all but one":
+        weights = np.ones(m)
+        weights[draw(st.integers(0, m - 1))] = draw(st.floats(0.05, 3.0))
+        return DiscreteLaw.from_weights(weights).probabilities
+    return random_law(draw, m)
+
+
 class TestKinkWalk:
     @given(walk_rows())
     def test_first_order_conditions(self, case):
@@ -386,7 +399,7 @@ def batched_fsum(rows):
         again.append(i)
         return terms[i].tolist()
 
-    blocks = (terms.T[j : j + 3] for j in range(0, terms.shape[1], 3))
+    blocks = ((0, terms.T[j : j + 3]) for j in range(0, terms.shape[1], 3))
     largest = np.max(np.abs(terms), axis=1)
     return _fsum_rows(blocks, terms.shape[1], largest, row_terms), again
 
@@ -507,12 +520,19 @@ class TestCappedSharpeRatios:
         # far from 1 the squares of the unscaled atoms leave the float range
         shift = data.draw(st.sampled_from([0, 0, -600, 600, 1000, -1040]))
         x = np.ldexp(np.array(values), shift)
-        X = RandomVariable(DiscreteLaw(random_law(data.draw, m)), x)
+        X = RandomVariable(DiscreteLaw(sweep_law(data.draw, m)), x)
         top = max(float(x.max()), 0.0) or 1.0
         extra = data.draw(st.lists(st.sampled_from(pool + [0.0, -0.0]), max_size=4))
+        # more than _WIDTH levels splits each block's levels into tiles
+        grid = data.draw(st.sampled_from([400, 400, _WIDTH + 1]))
+        ranked = np.sort(x)
         levels = np.concatenate(
-            [np.unique(x[x > 0.0]), np.linspace(top / 400, top, 400),
-             np.ldexp(np.array(extra, dtype=float), shift)]
+            [np.unique(x[x > 0.0]), np.linspace(top / grid, top, grid),
+             np.ldexp(np.array(extra, dtype=float), shift),
+             # the first and last atom of every block, and their neighbours
+             ranked[::_BLOCK], ranked[_BLOCK - 1 :: _BLOCK],
+             np.nextafter(ranked[::_BLOCK], -math.inf),
+             np.nextafter(ranked[_BLOCK - 1 :: _BLOCK], math.inf)]
         )
         want = [sharpe_ratio(X.cap(level)) for level in levels]
         assert bits(_capped_sharpe_ratios(X, levels)) == bits(want)
@@ -524,7 +544,7 @@ class TestCappedSharpeRatios:
         cell = st.sampled_from(ties) | st.floats(-5.0, 5.0)
         shift = data.draw(st.sampled_from([0, 0, -600, 600, -1040]))
         x = np.ldexp(np.array(data.draw(st.lists(cell, min_size=m, max_size=m))), shift)
-        p = random_law(data.draw, m)
+        p = sweep_law(data.draw, m)
         X = RandomVariable(DiscreteLaw(p), x)
         lo, hi = float(x.min()), float(x.max())
         top = max(hi, 0.0) or 1.0
@@ -570,12 +590,20 @@ class TestCappedSharpeRatios:
         assert bits(_capped_sharpe_ratios(X, levels)) == bits(want)
         assert 2.0 in again
 
-    def test_memory_is_that_of_a_block(self):
-        # an atoms x levels matrix of this law would take about 100 MB
-        x = np.random.default_rng(55).uniform(-2.0, 5.0, 4000)
-        X = RandomVariable(DiscreteLaw.uniform(x.size), x)
-        levels = np.unique(np.concatenate([x[x > 0.0], np.linspace(5 / 400, 5.0, 400)]))
-        assert levels.size > 3000
+    @pytest.mark.parametrize("family", ["uniform", "heavy"])
+    def test_memory_is_that_of_a_block(self, family):
+        # an atoms x levels matrix of these laws would take about 100 MB
+        rng = np.random.default_rng(55)
+        if family == "uniform":  # equal probabilities
+            x = rng.uniform(-2.0, 5.0, 4000)
+            law, top = DiscreteLaw.uniform(x.size), 5.0
+        else:  # a normal body with a 1% Pareto tail, unequal probabilities
+            tail = rng.random(4000) < 0.01
+            x = np.where(tail, 20.0 * rng.pareto(1.2, 4000), rng.normal(0.3, 1.0, 4000))
+            law, top = DiscreteLaw.from_weights(rng.uniform(0.5, 1.5, 4000)), float(x.max())
+        X = RandomVariable(law, x)
+        levels = np.unique(np.concatenate([x[x > 0.0], np.linspace(top / 400, top, 400)]))
+        assert levels.size > (3000 if family == "uniform" else 2800)
         tracemalloc.start()
         try:
             _capped_sharpe_ratios(X, levels)
