@@ -29,7 +29,11 @@ Exit codes: 0 success, 1 closed output pipe, 2 bad input
 available (such as ``generate --assets 100000``, whose viability program
 alone would need tens of GB), 4 mathematically degenerate request
 (e.g. monotone Sharpe of a law with nonpositive mean and real downside).
-Infinite values are serialized as the strings "inf"/"-inf".
+
+Every float ``analyze`` and ``msharpe`` print follows one rule, whose home
+is :func:`mmvport.fcfs._twelve_digits`: 12 significant digits, formatted
+once from the engine's float (:func:`mmvport.fcfs._sig_texts`).  JSON
+writes inf, -inf and nan as the strings "inf", "-inf" and "nan".
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ import io
 import itertools
 import json
 import json.encoder
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -56,7 +59,13 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .fcfs import _sig, analyze, report_to_dict, verify_fcfs_certificate
+from .fcfs import (
+    _NUMBERS,
+    _report_fields,
+    _sig_texts,
+    analyze,
+    verify_fcfs_certificate,
+)
 from .market import generate_random_market, load_market, market_to_json
 from .monotone_sharpe import monotone_sharpe
 from .probability import (
@@ -71,31 +80,10 @@ from .selftest import run_selftest
 
 __all__ = ["main"]
 
-_CSV_FIELDS = (
-    "u",
-    "u_m",
-    "u_mv",
-    "u_mmv",
-    "sr_max",
-    "sr_m_max",
-    "c_hat_m",
-    "equiv_a",
-    "equiv_b",
-    "equiv_c",
-    "equiv_d",
-    "fcfs_exists",
-    "marginal",
-)
+_CSV_FLAGS = ("equiv_a", "equiv_b", "equiv_c", "equiv_d", "fcfs_exists", "marginal")
 
-
-def _fmt_number(value):
-    """12-significant-digit float, with infinities as strings."""
-    if value is None:
-        return None
-    value = _sig(float(value))
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
+# the JSON text of a number text that is no JSON number
+_QUOTED = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
 
 
 def _write_output(text: str, output_path: str | None) -> None:
@@ -108,60 +96,59 @@ def _write_output(text: str, output_path: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _float_lists(lists, indent: str) -> list:
-    """The ``json.dumps(v, indent=2)`` text of each list of floats v, ``indent`` deep.
+def _is_vector(value) -> bool:
+    """Whether ``value`` is a list of floats: empty or starting with one."""
+    return type(value) is list and (not value or isinstance(value[0], float))
 
-    All the floats go through the C encoder in one call, whose ", "
-    separators are then split: a float's text never contains ", ".
-    """
+
+def _vector_texts(vectors, indent: str) -> list:
+    """The JSON text of each list of floats in ``vectors``, nested ``indent``
+    deep, from one formatting call for all of their floats."""
     inner = indent + "  "
     sep = ",\n" + inner
-    flat = json.dumps(list(itertools.chain.from_iterable(lists)))[1:-1].split(", ")
-    texts, i = [], 0
-    for v in lists:
-        j = i + len(v)
-        texts.append(f"[\n{inner}{sep.join(flat[i:j])}\n{indent}]" if v else "[]")
-        i = j
-    return texts
-
-
-def _floats_only(values) -> bool:
-    return set(map(type, values)) <= {float}
+    flat = _sig_texts(itertools.chain.from_iterable(vectors))
+    flat = list(map(_QUOTED.get, flat, flat))
+    bounds = itertools.pairwise(itertools.accumulate(map(len, vectors), initial=0))
+    return [
+        f"[\n{inner}{sep.join(flat[i:j])}\n{indent}]" if i < j else "[]"
+        for i, j in bounds
+    ]
 
 
 def _json_text(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2)`` for a value nested ``indent`` deep.
+    """``json.dumps(value, indent=2)`` for a value nested ``indent`` deep,
+    with every float written by the 12-digit rule of :mod:`mmvport.fcfs`.
 
     ``value`` is built of dicts with string keys, lists and scalars, as a
-    report is.  Its vectors are lists of floats, alone or as the values of
-    a dict (the strategy); they are written by :func:`_float_lists`, which
-    takes a few C-encoder calls where the indented encoder takes a Python
-    call per float.
+    report is; a list that starts with a float holds only floats.  Such
+    vectors, alone or as all the values of a dict (the strategy), are
+    written by :func:`_vector_texts`, one formatting call for all of them.
     """
     inner = indent + "  "
-    if isinstance(value, list) and _floats_only(value):
-        return _float_lists([value], indent)[0]
     if isinstance(value, dict) and value:
         values = list(value.values())
-        if all(type(v) is list for v in values) and _floats_only(
-            itertools.chain.from_iterable(values)
-        ):
-            texts = _float_lists(values, inner)
+        if all(map(_is_vector, values)):
+            texts = _vector_texts(values, inner)
         else:
             texts = [_json_text(v, inner) for v in values]
         keys = map(json.encoder.encode_basestring_ascii, value)
         items = ",\n".join(f"{inner}{k}: {t}" for k, t in zip(keys, texts))
         return f"{{\n{items}\n{indent}}}"
-    if isinstance(value, list) and value:
+    if _is_vector(value):
+        return _vector_texts([value], indent)[0]
+    if isinstance(value, list):
         items = ",\n".join(inner + _json_text(v, inner) for v in value)
         return f"[\n{items}\n{indent}]"
-    return json.dumps(value)  # a scalar, [] or {}
+    if isinstance(value, float):
+        text = _sig_texts([value])[0]
+        return _QUOTED.get(text, text)
+    return json.dumps(value)  # a str, bool, None or {}
 
 
 def _analyze_path(task) -> dict:
     path, verify = task
     report = analyze(load_market(path))
-    payload = report_to_dict(report)
+    payload = _report_fields(report, list)
     if verify:
         if report.fcfs_exists:
             try:
@@ -176,19 +163,14 @@ def _analyze_path(task) -> dict:
 
 
 def _reports_to_csv(rows) -> str:
-    fields = ("input",) + _CSV_FIELDS
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
+    writer.writerow(("input",) + _NUMBERS + _CSV_FLAGS)
     for path, payload in rows:
-        record = dict(payload)
-        for key in "abcd":
-            record[f"equiv_{key}"] = record["equiv"][key]
-        row = [path]
-        for name in _CSV_FIELDS:
-            value = record[name]
-            row.append(str(value).lower() if isinstance(value, bool) else value)
-        writer.writerow(row)
+        flags = [payload["equiv"][k] for k in "abcd"]
+        flags += [payload["fcfs_exists"], payload["marginal"]]
+        numbers = _sig_texts(payload[name] for name in _NUMBERS)
+        writer.writerow([path, *numbers, *(str(f).lower() for f in flags)])
     return buf.getvalue()
 
 
@@ -339,37 +321,8 @@ def _read_law(path: str, col: str | None) -> RandomVariable:
     return RandomVariable(law, values)
 
 
-def _repr_layout(text: str) -> str:
-    """``repr(float(text))`` for a ``'.12g'`` text."""
-    mantissa, e, exponent = text.partition("e")
-    if not e:
-        return text if text.lstrip("-") in ("inf", "nan") else text + ".0"
-    exponent = int(exponent)
-    if exponent <= -308:  # near or below the normal range: fewer digits may do
-        return repr(float(text))
-    if not 12 <= exponent <= 15:
-        return text
-    sign = "-" if mantissa.startswith("-") else ""
-    digits = mantissa.lstrip("-").replace(".", "")
-    return f"{sign}{digits.ljust(exponent + 1, '0')}.0"
-
-
-def _sig_texts(values) -> list:
-    """``[repr(_sig(v)) for v in values]``, formatting each float once.
-
-    A decimal of at most 15 significant digits is the shortest text of the
-    double nearest to it, when that double is normal, so the repr of a
-    double read from a ``'.12g'`` text has the text's digits.  Only the
-    layout differs: repr writes exponents 12 to 15 in positional form and
-    ends an integer with ".0" (``_repr_layout``); every other text is
-    already the repr.
-    """
-    texts = map(format, values, itertools.repeat(".12g"))
-    return [t if "." in t and "e" not in t else _repr_layout(t) for t in texts]
-
-
 def _cap_sweep_csv(X: RandomVariable) -> str:
-    """The level,sharpe table, as ``csv.writer`` writes ``_fmt_number`` of each."""
+    """The level,sharpe table, each number by the 12-digit rule."""
     vmax = float(X.values.max())
     top = vmax if vmax > 0 else 1.0
     atoms = np.unique(X.values[X.values > 0])
@@ -386,14 +339,14 @@ def cmd_msharpe(args: argparse.Namespace) -> int:
         return 0
     result = monotone_sharpe(X)
     payload = {
-        "mean": _fmt_number(mean(X)),
-        "sharpe": _fmt_number(sharpe_ratio(X)),
-        "sr_m": _fmt_number(result.sr_m),
-        "alpha_hat": _fmt_number(result.alpha_hat),
-        "truncation_level": _fmt_number(result.truncation_level),
+        "mean": mean(X),
+        "sharpe": sharpe_ratio(X),
+        "sr_m": result.sr_m,
+        "alpha_hat": result.alpha_hat,
+        "truncation_level": result.truncation_level,
         "case_tag": result.case_tag,
     }
-    _write_output(json.dumps(payload, indent=2), args.out)
+    _write_output(_json_text(payload), args.out)
     return 0
 
 

@@ -14,7 +14,8 @@ and truncated quadratic utility.  1 - W_q is orthogonal to every gain, so
 z_s prices all increments and, lying in the span of 1 and the gains,
 minimizes E[z^2]; the first-order condition of the truncated problem does
 the same for (1 - W_m)^+ among nonnegative densities.  Each density is
-re-verified node by node by :meth:`MeasureDensity.from_values`.  The
+re-verified node by node by :meth:`MeasureDensity.from_values`; one that
+fails there is a solver failure, not bad input.  The
 dense Gram system and the global active-set QP that solved these
 problems before survive as reference implementations in the tests.
 """
@@ -26,6 +27,7 @@ from itertools import compress
 
 import numpy as np
 
+from .errors import SolverFailure, ValidationError
 from .market import MeasureDensity, ScenarioTree
 
 __all__ = ["DualSolution", "variance_optimal_signed", "variance_optimal_nonneg"]
@@ -49,6 +51,14 @@ class DualSolution:
     active_set: tuple[str, ...]
 
 
+def _checked(tree: ScenarioTree, z: np.ndarray) -> MeasureDensity:
+    """The density the engine built, as re-verified by ``from_values``."""
+    try:
+        return MeasureDensity.from_values(tree, z)
+    except ValidationError as exc:
+        raise SolverFailure(f"the engine's density fails its check: {exc}") from exc
+
+
 def variance_optimal_signed(tree: ScenarioTree) -> DualSolution:
     """Minimize E[z^2] over signed martingale densities."""
     engine = tree.opportunity
@@ -56,7 +66,7 @@ def variance_optimal_signed(tree: ScenarioTree) -> DualSolution:
     _, wealth = engine.forward(0.0, truncated=False)
     z = a * (1.0 - wealth)
     return DualSolution(
-        density=MeasureDensity.from_values(tree, z),
+        density=_checked(tree, z),
         second_moment=a,
         signed=bool(z.min() < -_SIGNED_FLAG_TOL),
         active_set=(),
@@ -75,7 +85,7 @@ def variance_optimal_nonneg(tree: ScenarioTree) -> DualSolution:
     _, wealth = engine.forward(0.0, truncated=True)
     z = a * np.maximum(1.0 - wealth, 0.0)
     return DualSolution(
-        density=MeasureDensity.from_values(tree, z),
+        density=_checked(tree, z),
         second_moment=a,
         signed=False,
         active_set=tuple(compress(tree.leaf_ids, (z <= _ZERO_TOL).tolist())),

@@ -261,44 +261,71 @@ def verify_fcfs_certificate(report: FcfsReport) -> bool:
     return True
 
 
-def _sig(value: float) -> float:
-    """``value`` rounded to 12 significant digits.
+def _twelve_digits(values):
+    """The ``'.12g'`` text of each float in ``values``, as an iterator: the
+    package's one rule for reported numbers, 12 significant digits."""
+    return map(format, values, repeat(".12g"))
 
-    inf, -inf and nan pass through '.12g' and ``float`` unchanged.
+
+def _repr_layout(text: str) -> str:
+    """``repr(float(text))`` for a ``'.12g'`` text."""
+    mantissa, e, exponent = text.partition("e")
+    if not e:
+        return text if text.lstrip("-") in ("inf", "nan") else text + ".0"
+    exponent = int(exponent)
+    if exponent <= -308:  # near or below the normal range: fewer digits may do
+        return repr(float(text))
+    if not 12 <= exponent <= 15:
+        return text
+    sign = "-" if mantissa.startswith("-") else ""
+    digits = mantissa.lstrip("-").replace(".", "")
+    return f"{sign}{digits.ljust(exponent + 1, '0')}.0"
+
+
+def _sig_texts(values) -> list:
+    """``repr(float(t))`` for the :func:`_twelve_digits` text t of each float.
+
+    Each float is formatted once.  A decimal of at most 15 significant
+    digits is the shortest text of the double nearest to it, when that
+    double is normal, so the repr of a double read from a ``'.12g'`` text
+    has the text's digits.  Only the layout differs: repr writes exponents
+    12 to 15 in positional form and ends an integer with ".0"
+    (:func:`_repr_layout`); every other text is already the repr.
     """
-    return float(f"{value:.12g}")
+    return [
+        t if "." in t and "e" not in t else _repr_layout(t)
+        for t in _twelve_digits(values)
+    ]
 
 
-def _sig_all(values: np.ndarray) -> list:
-    """The vector form of :func:`_sig`: ``[_sig(v) for v in values]``."""
-    return list(map(float, map(format, values.tolist(), repeat(".12g"))))
+_NUMBERS = ("u", "u_m", "u_mv", "u_mmv", "sr_max", "sr_m_max", "c_hat_m")
+
+
+def _report_fields(report: FcfsReport, numbers) -> dict:
+    """The shape of :func:`report_to_dict`, each list of floats x as numbers(x)."""
+    tree = report.tree
+    d = tree.assets
+    held = numbers(report.allocation.strategy.vector.tolist())
+    payoff = report.fcfs_payoff
+    return {
+        **dict(zip(_NUMBERS, numbers([getattr(report, k) for k in _NUMBERS]))),
+        "equiv": {k: bool(report.equiv[k]) for k in "abcd"},
+        "fcfs_exists": bool(report.fcfs_exists),
+        "fcfs_payoff": None if payoff is None else numbers(payoff.tolist()),
+        "signed_density": numbers(report.signed_density.tolist()),
+        "nonneg_density": numbers(report.nonneg_density.tolist()),
+        "strategy": dict(
+            zip(tree.nonterminal_ids, (held[i : i + d] for i in range(0, len(held), d)))
+        ),
+        "marginal": bool(report.marginal),
+    }
 
 
 def report_to_dict(report: FcfsReport) -> dict:
-    """Serialize a report to the documented plain-dict shape (12 digits)."""
-    tree = report.tree
-    d = tree.assets
-    held = _sig_all(report.allocation.strategy.vector)
-    strategy = dict(
-        zip(tree.nonterminal_ids, (held[i : i + d] for i in range(0, len(held), d)))
-    )
-    return {
-        "u": _sig(report.u),
-        "u_m": _sig(report.u_m),
-        "u_mv": _sig(report.u_mv),
-        "u_mmv": _sig(report.u_mmv),
-        "sr_max": _sig(report.sr_max),
-        "sr_m_max": _sig(report.sr_m_max),
-        "c_hat_m": _sig(report.c_hat_m),
-        "equiv": {k: bool(report.equiv[k]) for k in "abcd"},
-        "fcfs_exists": bool(report.fcfs_exists),
-        "fcfs_payoff": (
-            None
-            if report.fcfs_payoff is None
-            else _sig_all(report.fcfs_payoff)
-        ),
-        "signed_density": _sig_all(report.signed_density),
-        "nonneg_density": _sig_all(report.nonneg_density),
-        "strategy": strategy,
-        "marginal": bool(report.marginal),
-    }
+    """Serialize a report to the documented plain-dict shape.
+
+    Every float is rounded to 12 significant digits: it is the float read
+    back from its :func:`_twelve_digits` text, the one home of the rule.
+    The CLI writes the same texts, in repr's layout, without this dict.
+    """
+    return _report_fields(report, lambda x: list(map(float, _twelve_digits(x))))

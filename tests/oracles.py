@@ -15,7 +15,8 @@ views of a tree (gain matrix, martingale constraint system) are built here
 from its per-node views, and the node-by-node market parser and random
 generator the columnar tree replaced are kept as the references for the
 array passes that load and generate markets now.  The cell-by-cell law
-CSV reader is kept as the reference for the column-at-a-time one.
+CSV reader is kept as the reference for the column-at-a-time one.  One
+builder, ``iid_tree``, makes trees whose every node repeats one step.
 """
 
 from __future__ import annotations
@@ -29,7 +30,33 @@ from fractions import Fraction
 import numpy as np
 from scipy import optimize
 
-from mmvport import DiscreteLaw, ParseError, RandomVariable, ValidationError
+from mmvport import (
+    DiscreteLaw,
+    ParseError,
+    RandomVariable,
+    ValidationError,
+    market_from_dict,
+)
+
+
+# ---------------------------------------------------------------------------
+# a tree of one repeated step, for the paper's identities
+
+
+def iid_tree(periods, p, steps, root):
+    """Tree whose every node moves by the same increments with the same p."""
+    nodes = [{"id": "r", "parent": None, "t": 0, "prices": list(root)}]
+    frontier = nodes[:]
+    for t in range(1, periods + 1):
+        grown = []
+        for parent in frontier:
+            for k, (pk, step) in enumerate(zip(p, steps)):
+                prices = [a + b for a, b in zip(parent["prices"], step)]
+                grown.append({"id": f"{parent['id']}{k}", "parent": parent["id"],
+                              "t": t, "p": pk, "prices": prices})
+        nodes += grown
+        frontier = grown
+    return market_from_dict({"assets": len(root), "periods": periods, "nodes": nodes})
 
 
 # ---------------------------------------------------------------------------

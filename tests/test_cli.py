@@ -23,8 +23,9 @@ from mmvport import (
     load_packaged_market,
     market_to_json,
 )
-from mmvport.cli import _build_parser, _sig_texts, main
-from mmvport.fcfs import _sig
+from mmvport.cli import _build_parser, main
+from mmvport.fcfs import _sig_texts, report_to_dict
+from mmvport.market import load_market
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +46,27 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def twelve_digits(value):
+    """``value`` with every float rounded to 12 significant digits as a float,
+    and inf, -inf and nan as strings: the rule the CLI's writer follows."""
+    if isinstance(value, dict):
+        return {k: twelve_digits(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [twelve_digits(v) for v in value]
+    if isinstance(value, float):
+        value = float(f"{value:.12g}")
+        return value if math.isfinite(value) else repr(value)
+    return value
+
+
+def strict_json(text):
+    """``json.loads(text)``, refusing JSON's non-standard NaN and Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def _uniform_law():
@@ -200,25 +222,54 @@ class TestAnalyze:
     def test_report_writer_matches_the_indented_encoder(
         self, tmp_path, trinomial_file, binomial_file
     ):
+        # the reference is the writer's old path: json.dumps of report_to_dict
+        # and the certificate fields, with infinities as "inf" and "-inf"
         market_path = tmp_path / "ragged.json"
         market_path.write_text(json.dumps(ragged_doc(2, 2)), encoding="utf-8")
-        claimed = cli._analyze_path((str(trinomial_file), True))
-        plain = dict(cli._analyze_path((str(binomial_file), True)), fcfs_payoff=None)
-        two_assets = cli._analyze_path((str(market_path), True))
-        broken = dict(
-            claimed,
-            certificate_valid=False,
-            certificate_error='density, "off" by\n1e-3',
-            strategy={"r": [0.5, -1e-300], "r, 0": [], "r\u00e9": [math.inf]},
-        )
-        for payload in (claimed, plain, two_assets, broken):
-            assert cli._json_text(payload) == json.dumps(payload, indent=2)
-        array = [
-            {"input": name, "report": payload}
-            for name, payload in (("a.json", claimed), ("b, c.json", plain),
-                                  ("d.json", two_assets), ("e.json", broken))
-        ]
-        assert cli._json_text(array) == json.dumps(array, indent=2)
+        written, reference = {}, {}
+        for name, path in (("claimed", trinomial_file), ("plain", binomial_file),
+                           ("two_assets", market_path)):
+            report = analyze(load_market(str(path)))
+            written[name] = cli._analyze_path((str(path), True))
+            certificate = {k: v for k, v in written[name].items()
+                           if k.startswith("certificate_")}
+            reference[name] = dict(report_to_dict(report), **certificate)
+        for payloads in (written, reference):
+            payloads["plain"]["fcfs_payoff"] = None
+            payloads["broken"] = dict(
+                payloads["claimed"],
+                certificate_valid=False,
+                certificate_error='density, "off" by\n1e-3',
+                strategy={"r": [0.5, -1e-300], "r, 0": [], "r\u00e9": [math.inf]},
+            )
+        for name, payload in written.items():
+            text = cli._json_text(payload)
+            assert text == json.dumps(twelve_digits(reference[name]), indent=2)
+            assert strict_json(text) == twelve_digits(reference[name])
+        assert '"r\\u00e9": [\n      "inf"\n    ]' in cli._json_text(written["broken"])
+        names = ("a.json", "b, c.json", "d.json", "e.json")
+        array = [{"input": n, "report": written[k]} for n, k in zip(names, written)]
+        want = [{"input": n, "report": reference[k]} for n, k in zip(names, written)]
+        assert cli._json_text(array) == json.dumps(twelve_digits(want), indent=2)
+        # every edge float, as a float and as a numpy scalar, in an
+        # msharpe-shaped summary and in vectors
+        for scalar in (float, np.float64):
+            values = [scalar(v) for v in EDGE_FLOATS + SUBNORMALS]
+            for value in values:
+                payload = {"mean": value, "sharpe": -value, "sr_m": value,
+                           "alpha_hat": None, "truncation_level": value,
+                           "case_tag": "standard"}
+                text = cli._json_text(payload)
+                assert text == json.dumps(twelve_digits(payload), indent=2), value
+                strict_json(text)
+            vectors = {"signed_density": values, "strategy": {"r": values, "u": []}}
+            text = cli._json_text(vectors)
+            assert text == json.dumps(twelve_digits(vectors), indent=2)
+            strict_json(text)
+            # a numpy scalar is rounded like a float, not written in full
+            assert cli._json_text({"mean": scalar(0.12345678901234567)}) == (
+                '{\n  "mean": 0.123456789012\n}'
+            )
 
     def test_csv_format(self, capsys, trinomial_file, binomial_file):
         code, out, _ = run(
@@ -353,6 +404,23 @@ class TestAnalyze:
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:")
             assert "at node 'r' overflows" in lines[0]
+
+    def test_engine_density_failing_its_check_exits_3(self, capsys, tmp_path):
+        # moves of 1e-160: the density the engine builds misses E[z] = 1
+        nodes = [
+            {"id": "r", "parent": None, "t": 0, "prices": [0.0]},
+            {"id": "u", "parent": "r", "t": 1, "p": 0.5, "prices": [2e-160]},
+            {"id": "d", "parent": "r", "t": 1, "p": 0.5, "prices": [-1e-160]},
+        ]
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"assets": 1, "periods": 1, "nodes": nodes}),
+                        encoding="utf-8")
+        code, out, err = run(capsys, "analyze", path)
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "density expectation" in lines[0]
 
     @pytest.mark.parametrize(
         "field, value, expected",
@@ -577,6 +645,7 @@ EDGE_FLOATS = [
     9.9999999999995e15, -9.9999999999995e11, 1e11, 1e12, 1e15, 1e16, 1e17,
     1234567890123.0, -1234567890123456.0, 12345678901234567.0,
 ]
+SUBNORMALS = [1e-310, -3.3e-320, 1.5e-323, 2.2e-308, -1.23456789012345e-315]
 
 
 @given(
@@ -587,11 +656,19 @@ EDGE_FLOATS = [
     | st.floats(-2.3e-308, 2.3e-308)
 )
 def test_one_pass_text_is_the_repr_of_the_twelve_digit_float(value):
-    assert _sig_texts([value]) == [repr(_sig(value))]
+    assert _sig_texts([value]) == [repr(float(f"{value:.12g}"))]
 
 
 def test_edge_floats_format_as_their_repr():
-    assert _sig_texts(EDGE_FLOATS) == [repr(_sig(v)) for v in EDGE_FLOATS]
+    values = EDGE_FLOATS + SUBNORMALS
+    assert _sig_texts(values) == [repr(float(f"{v:.12g}")) for v in values]
+
+
+def test_the_twelve_digit_rule_has_one_home():
+    package = Path(mmvport.__file__).parent
+    homes = [path.name for path in sorted(package.glob("*.py"))
+             if ".12g" in path.read_text(encoding="utf-8")]
+    assert homes == ["fcfs.py"]
 
 
 # sha256 of `generate` and of `analyze --verify` on a few shapes, recorded
@@ -659,7 +736,7 @@ def test_ragged_analyze_bytes_are_pinned(capsys, tmp_path, assets, seed, report)
     market_path.write_text(json.dumps(ragged_doc(assets, seed)), encoding="utf-8")
     code, _, _ = run(capsys, "analyze", "--verify", market_path, "--out", report_path)
     assert code == 0
-    assert json.loads(report_path.read_text(encoding="utf-8"))["fcfs_exists"]
+    assert strict_json(report_path.read_text(encoding="utf-8"))["fcfs_exists"]
     assert hashlib.sha256(report_path.read_bytes()).hexdigest() == report
 
 
@@ -680,6 +757,7 @@ class TestGenerateAndSelftest:
             capsys, "analyze", "--verify", market_path, "--out", report_path
         )
         assert code == exit_code
+        strict_json(report_path.read_text(encoding="utf-8"))
         assert hashlib.sha256(report_path.read_bytes()).hexdigest() == report
 
     def test_generate_deterministic(self, capsys, tmp_path):

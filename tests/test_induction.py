@@ -41,6 +41,7 @@ from oracles import (
     dense_signed_density,
     dense_truncated,
     gain_matrix,
+    iid_tree,
     node_wealth,
 )
 
@@ -301,22 +302,6 @@ def test_batched_clip_set_matches_the_per_node_loop(level):
     for got, (want, _) in zip(phi, reference):
         assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
     assert rounds == max(r for _, r in reference)
-
-
-def iid_tree(periods, p, steps, root):
-    """Tree whose every node moves by the same increments with the same p."""
-    nodes = [{"id": "r", "parent": None, "t": 0, "prices": list(root)}]
-    frontier = nodes[:]
-    for t in range(1, periods + 1):
-        grown = []
-        for parent in frontier:
-            for k, (pk, step) in enumerate(zip(p, steps)):
-                prices = [a + b for a, b in zip(parent["prices"], step)]
-                grown.append({"id": f"{parent['id']}{k}", "parent": parent["id"],
-                              "t": t, "p": pk, "prices": prices})
-        nodes += grown
-        frontier = grown
-    return market_from_dict({"assets": len(root), "periods": periods, "nodes": nodes})
 
 
 def test_a_jump_tree_runs_one_clip_set_per_level(monkeypatch):
