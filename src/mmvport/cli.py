@@ -67,20 +67,26 @@ from .fcfs import (
     verify_fcfs_certificate,
 )
 from .market import generate_random_market, load_market, market_to_json
-from .monotone_sharpe import monotone_sharpe
+from .monotone_sharpe import _with_sharpe_ratio
 from .probability import (
     DiscreteLaw,
     RandomVariable,
     _capped_sharpe_ratios,
     _normalized,
     mean,
-    sharpe_ratio,
 )
 from .selftest import run_selftest
 
 __all__ = ["main"]
 
 _CSV_FLAGS = ("equiv_a", "equiv_b", "equiv_c", "equiv_d", "fcfs_exists", "marginal")
+
+# the characters str.strip removes, and the comma: a CSV line of only
+# these is a row with no visible text
+_BLANK = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
+    "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000,"
+)
 
 # the JSON text of a number text that is no JSON number
 _QUOTED = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
@@ -145,10 +151,21 @@ def _json_text(value, indent: str = "") -> str:
     return json.dumps(value)  # a str, bool, None or {}
 
 
-def _analyze_path(task) -> dict:
+def _csv_fields(report) -> dict:
+    """The fields a CSV row reads (:func:`_reports_to_csv`): the numbers
+    named in ``_NUMBERS`` and the flags, none of the report's vectors."""
+    return {
+        **{name: getattr(report, name) for name in _NUMBERS},
+        "equiv": {k: bool(report.equiv[k]) for k in "abcd"},
+        "fcfs_exists": bool(report.fcfs_exists),
+        "marginal": bool(report.marginal),
+    }
+
+
+def _analyze_path(task, csv_row: bool = False) -> dict:
     path, verify = task
     report = analyze(load_market(path))
-    payload = _report_fields(report, list)
+    payload = _csv_fields(report) if csv_row else _report_fields(report, list)
     if verify:
         if report.fcfs_exists:
             try:
@@ -176,11 +193,13 @@ def _reports_to_csv(rows) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     tasks = [(path, args.verify) for path in args.inputs]
+    # a CSV row reads only the scalar fields: the workers build and send back no more
+    run = functools.partial(_analyze_path, csv_row=args.format == "csv")
     if args.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
-            payloads = list(pool.map(_analyze_path, tasks))
+            payloads = list(pool.map(run, tasks))
     else:
-        payloads = [_analyze_path(task) for task in tasks]
+        payloads = list(map(run, tasks))
 
     rows = list(zip(args.inputs, payloads))
     if args.format == "csv":
@@ -233,37 +252,84 @@ def _row_lines(path: str) -> list:
     return lines
 
 
-def _read_law(path: str, col: str | None) -> RandomVariable:
-    """Read a sampled law from CSV: values plus optional weight column.
+def _law_rows(path: str) -> tuple:
+    """The rows of a law file with visible text, split once: the first
+    row's cells, the set of the other rows' widths, and their cells in file
+    order.
 
-    Rows with no visible text are skipped; the first row is a header when
-    one of its cells is not a number.  A refused cell is named by the line
-    of the file its row starts on, and its text.
+    The file is read whole.  Where the csv module's dialect is plain
+    splitting, in a text with no quote, no carriage return and no line
+    longer than ``csv.field_size_limit()``, the text is split with ``str``
+    methods: lines at "\\n", a line kept unless it holds only commas and
+    whitespace, its width one more than its commas, and the cells of the
+    later rows one split of them joined.  Any other text is split by
+    ``csv.reader``, which refuses a cell past the limit.  A text that is
+    not UTF-8 is read again row by row, as the csv module reads it, so the
+    refusal names the byte as before.
     """
+    lines = rows = None
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            try:
+                text = fh.read()
+            except UnicodeDecodeError:
+                fh.seek(0)
+                for _ in csv.reader(fh):
+                    pass
+                raise
+            limit = csv.field_size_limit()
+            if '"' not in text and "\r" not in text:
+                lines = text.split("\n")
+                if len(text) > limit and max(map(len, lines)) > limit:
+                    lines = None
+            if lines is None:
+                rows = list(csv.reader(io.StringIO(text, newline="")))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
     except csv.Error as exc:
         raise ParseError(f"{path}: invalid CSV ({exc})") from exc
-    raw = list(itertools.compress(rows, map(str.strip, map("".join, rows))))
-    if not raw:
+    if lines is None:
+        rows = list(itertools.compress(rows, map(str.strip, map("".join, rows))))
+    else:
+        visible = map(str.strip, lines, itertools.repeat(_BLANK))
+        rows = list(itertools.compress(lines, visible))
+    if not rows:
         raise ParseError(f"{path}: no rows")
+    first, rest = rows[0], rows[1:]
+    if lines is None:
+        return first, set(map(len, rest)), list(itertools.chain.from_iterable(rest))
+    commas = set(map(str.count, rest, itertools.repeat(",")))
+    cells = ",".join(rest).split(",") if rest else []
+    return first.split(","), {k + 1 for k in commas}, cells
 
+
+def _read_law(path: str, col: str | None) -> RandomVariable:
+    """Read a sampled law from CSV: values plus optional weight column.
+
+    Rows with no visible text are skipped; the first row is a header when
+    one of its cells is not a number.  A refused cell is named by the line
+    of the file its row starts on, and its text.
+
+    The rows are split once (:func:`_law_rows`); each column is then one
+    ``float`` map over its cells.  Only when that map refuses a cell are the
+    cells stripped and scanned one by one, to convert or name them.
+    """
+    first, widths, cells = _law_rows(path)
     header = None
-    body = raw
-    if any(not _is_number(c) for c in raw[0] if c.strip()):
-        header = [c.strip() for c in raw[0]]
-        body = raw[1:]
-    if not body:
+    if any(not _is_number(c) for c in first if c.strip()):
+        header = [c.strip() for c in first]
+    else:
+        widths.add(len(first))
+        cells = first + cells
+    if not widths:
         raise ParseError(f"{path}: header but no data rows")
 
-    width = len(body[0])
-    if len(set(map(len, body))) != 1:
+    if len(widths) != 1:
         raise ParseError(f"{path}: rows have inconsistent column counts")
+    width = widths.pop()
+    n = len(cells) // width
 
     if col is not None:
         tokens = [t for t in col.split(",") if t.strip()]
@@ -283,18 +349,21 @@ def _read_law(path: str, col: str | None) -> RandomVariable:
         if not 0 <= idx < width:
             raise ParseError(f"{path}: column index {idx} out of range")
 
-    def line(i: int) -> int:  # the line of body[i]; read only to name a cell
+    def line(i: int) -> int:  # the line of body row i; read only to name a cell
         return _row_lines(path)[i + (header is not None)]
 
     def column(idx: int, label: str) -> np.ndarray:
-        cells = [row[idx].strip() for row in body]
         try:
-            return np.array(list(map(float, cells)))
-        except ValueError:
-            i, cell = next((i, c) for i, c in enumerate(cells) if not _is_number(c))
+            return np.fromiter(map(float, cells[idx::width]), float, n)
+        except ValueError:  # float strips fewer characters than str.strip
+            stripped = [c.strip() for c in cells[idx::width]]
+        bad = next((i for i, c in enumerate(stripped) if not _is_number(c)), None)
+        if bad is not None:
             raise ParseError(
-                f"{path}:{line(i)}: {label} column has non-numeric {cell!r}"
-            ) from None
+                f"{path}:{line(bad)}: {label} column has non-numeric "
+                f"{stripped[bad]!r}"
+            )
+        return np.fromiter(map(float, stripped), float, n)
 
     def refuse(ok: np.ndarray, idx: int, label: str, what) -> None:
         # name the first cell where ok is False, and what(i) is wrong with it
@@ -302,7 +371,7 @@ def _read_law(path: str, col: str | None) -> RandomVariable:
             i = int(np.argmin(ok))
             raise ValidationError(
                 f"{path}:{line(i)}: {label} column has {what(i)} "
-                f"{body[i][idx].strip()!r}"
+                f"{cells[i * width + idx].strip()!r}"
             )
 
     values = column(indices[0], "value")
@@ -337,10 +406,10 @@ def cmd_msharpe(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _write_output(_cap_sweep_csv(X), args.out)
         return 0
-    result = monotone_sharpe(X)
+    result, sharpe = _with_sharpe_ratio(X)
     payload = {
         "mean": mean(X),
-        "sharpe": sharpe_ratio(X),
+        "sharpe": sharpe,
         "sr_m": result.sr_m,
         "alpha_hat": result.alpha_hat,
         "truncation_level": result.truncation_level,

@@ -87,7 +87,7 @@ from .errors import (
     ViabilityError,
 )
 from .induction import Opportunity, TreeLevels
-from .probability import DiscreteLaw, RandomVariable
+from .probability import DiscreteLaw, RandomVariable, _fsum
 from .simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL, solve_lp
 
 __all__ = [
@@ -701,7 +701,7 @@ class MeasureDensity:
         if not np.all(np.isfinite(z)):
             raise ValidationError("density values must be finite")
         p = tree.leaf_probabilities
-        expectation = math.fsum((p * z).tolist())
+        expectation = _fsum(p * z)
         if abs(expectation - 1.0) > _EXPECTATION_TOL:
             raise ValidationError(
                 f"density expectation {expectation!r} is not 1 within "

@@ -47,9 +47,11 @@ import numpy as np
 from .errors import DomainError, NoDownside, NonpositiveMean
 from .probability import (
     RandomVariable,
+    _fsum,
     _kink_walk,
     _rescale,
     _scaled,
+    _scaled_sharpe_ratio,
     mean,
     sharpe_ratio,
 )
@@ -84,10 +86,17 @@ class MonotoneSharpeResult:
 
 
 def _fsum_where(p: np.ndarray, terms: np.ndarray, keep: np.ndarray) -> float:
-    sel = keep.nonzero()[0]
-    if sel.size == 0:
-        return 0.0
-    return math.fsum((p[sel] * terms[sel]).tolist())
+    return _fsum(p[keep] * terms[keep])
+
+
+def _root(X: RandomVariable, Xs: RandomVariable, m: float) -> float:
+    """The kink walk's root on Xs = X / 2^k, whose mean is m, after the
+    refusals of :func:`solve_alpha_hat` (the mean of X named in the first)."""
+    if m <= 0.0:
+        raise NonpositiveMean(f"payoff mean {mean(X)!r} is not strictly positive")
+    if not np.any(X.values < 0.0):
+        raise NoDownside("payoff has no downside; no finite cap attains the supremum")
+    return float(_kink_walk(1.0, Xs.values, Xs.law.probabilities)[0])
 
 
 def solve_alpha_hat(X: RandomVariable) -> float:
@@ -101,11 +110,7 @@ def solve_alpha_hat(X: RandomVariable) -> float:
     float range; a root beyond the largest double is returned as inf.
     """
     Xs, k = _scaled(X)
-    if mean(Xs) <= 0.0:
-        raise NonpositiveMean(f"payoff mean {mean(X)!r} is not strictly positive")
-    if not np.any(X.values < 0.0):
-        raise NoDownside("payoff has no downside; no finite cap attains the supremum")
-    return _rescale(float(_kink_walk(1.0, Xs.values, Xs.law.probabilities)[0]), -k)
+    return _rescale(_root(X, Xs, mean(Xs)), -k)
 
 
 def alpha_root_bisection(
@@ -147,28 +152,43 @@ def monotone_sharpe(X: RandomVariable) -> MonotoneSharpeResult:
     Raises NonpositiveMean when E[X] <= 0 and the payoff has downside (the
     supremum is then nonpositive and conveys nothing useful).
     """
+    Xs, k = _scaled(X)
+    return _monotone_sharpe(X, Xs, k, mean(Xs))
+
+
+def _with_sharpe_ratio(X: RandomVariable) -> tuple[MonotoneSharpeResult, float]:
+    """``(monotone_sharpe(X), sharpe_ratio(X))``, scaling and averaging X once."""
+    Xs, k = _scaled(X)
+    m = mean(Xs)
+    return _monotone_sharpe(X, Xs, k, m), _scaled_sharpe_ratio(Xs, m)
+
+
+def _monotone_sharpe(X: RandomVariable, Xs: RandomVariable, k: int,
+                     m: float) -> MonotoneSharpeResult:
+    """:func:`monotone_sharpe` of X, given Xs, k = _scaled(X) and m = mean(Xs)."""
     x = X.values
     if not np.any(x < 0.0):
-        p_zero = float(math.fsum(X.law.probabilities[x == 0.0].tolist()))
+        p_zero = _fsum(X.law.probabilities[x == 0.0])
         if p_zero >= 1.0 or not np.any(x > 0.0):
             # identically zero payoff
             return MonotoneSharpeResult(0.0, None, None, CASE_NO_DOWNSIDE)
         if p_zero == 0.0:
             return MonotoneSharpeResult(math.inf, None, None, CASE_NO_DOWNSIDE)
-        p_pos = float(math.fsum(X.law.probabilities[x > 0.0].tolist()))
+        p_pos = _fsum(X.law.probabilities[x > 0.0])
         return MonotoneSharpeResult(
             math.sqrt(p_pos / p_zero), None, None, CASE_NO_DOWNSIDE
         )
-    Xs, k = _scaled(X)
-    if mean(Xs) <= 0.0:
+    if m <= 0.0:
         raise NonpositiveMean(
             f"payoff mean {mean(X)!r} is not strictly positive; "
             "monotone Sharpe ratio is refused for nonpositive-mean payoffs"
         )
     # root, cap and ratio are taken on X / 2^k and the root and cap scaled
     # back on the way out: the same bits in range, and a cap whose root
-    # overflows still caps the law at the right level
-    alpha = solve_alpha_hat(Xs)
+    # overflows still caps the law at the right level.  Xs is its own
+    # scaling, so the root is solve_alpha_hat(Xs), which refuses a law whose
+    # negative atoms the scaling takes to -0
+    alpha = _root(Xs, Xs, m)
     level = 1.0 / alpha
     sr = sharpe_ratio(Xs.cap(level))
     return MonotoneSharpeResult(

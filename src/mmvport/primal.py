@@ -34,7 +34,6 @@ Three layers, each built on the previous one:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +42,7 @@ from .errors import DimensionMismatch, SolverFailure
 from .market import ScenarioTree, Strategy, terminal_wealth
 from .probability import (
     RandomVariable,
+    _fsum,
     expected_quadratic_utility,
     expected_truncated_utility,
 )
@@ -190,7 +190,7 @@ def cash_level_residual(allocation: MmvAllocation) -> float:
     shortfall = np.maximum(
         allocation.cash_level + 1.0 - allocation.payoff.values, 0.0
     )
-    return abs(math.fsum((p * shortfall).tolist()) - 1.0)
+    return abs(_fsum(p * shortfall) - 1.0)
 
 
 def verify_remark_foc(tree: ScenarioTree, alloc: MmvAllocation) -> bool:

@@ -40,7 +40,9 @@ Conventions
   (-1)/0 = -inf and 0/0 = 0.
 * Moment accumulation uses compensated summation (``math.fsum``) so that the
   functional identities hold to near machine precision even on laws with
-  thousands of atoms and wildly mixed magnitudes.  The cap sweep sums all
+  thousands of atoms and wildly mixed magnitudes.  A single sum goes
+  through ``_fsum``, which from ``_FSUM_ROWS_FROM`` terms on takes it as one
+  row of ``_fsum_rows`` (below), with the same bits.  The cap sweep sums all
   cap levels at once with ``_fsum_rows``, over tiles of ``_BLOCK`` sorted
   atoms by at most ``_WIDTH`` sorted levels: the error-free extraction of
   AccSum (Rump, Ogita & Oishi 2008) splits each term into a high part on a
@@ -102,6 +104,10 @@ _WIDTH = 768  # levels per tile of the cap sweep: 384 KB of terms
 # (most on unequal probabilities) on a 2-core Xeon, numpy 2.4, in-process
 # medians over the benchmark's six cap-sweep laws.
 _UFUNC_BUFFER = 512
+# terms from which one exact sum is taken by ``_fsum_rows`` rather than
+# ``math.fsum``: on a 2-core Xeon, numpy 2.4, math.fsum over tolist() took
+# 22, 29 and 62 us at 768, 1024 and 2048 terms, and _fsum_rows 28-30 us
+_FSUM_ROWS_FROM = 1024
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -118,10 +124,10 @@ def _normalized(w: np.ndarray) -> np.ndarray:
     it takes below the normal range.
     """
     try:
-        total = math.fsum(w.tolist())
+        total = _fsum(w)
     except OverflowError:
         w = np.ldexp(w, -math.frexp(float(w.max()))[1])
-        total = math.fsum(w.tolist())
+        total = _fsum(w)
     return w / total
 
 
@@ -145,7 +151,7 @@ class DiscreteLaw:
             raise ValidationError("probabilities must be finite")
         if np.any(p <= 0.0):
             raise ValidationError("atom probabilities must be strictly positive")
-        total = math.fsum(p.tolist())
+        total = _fsum(p)
         if abs(total - 1.0) > _PROB_SUM_TOL:
             raise ValidationError(
                 f"probabilities sum to {total!r}, off by more than {_PROB_SUM_TOL}"
@@ -250,8 +256,22 @@ def _ufunc_buffer(size: int):
         np.setbufsize(old)
 
 
+def _fsum(t: np.ndarray) -> float:
+    """``math.fsum(t.tolist())`` of a 1-d float array, bit for bit.
+
+    From ``_FSUM_ROWS_FROM`` terms on the sum is taken as one row of
+    ``_fsum_rows``, which returns what ``math.fsum`` returns, and raises
+    what it raises (a row it cannot certify, such as one holding inf or NaN
+    or summing past the float range, is handed to ``math.fsum``).
+    """
+    if t.size < _FSUM_ROWS_FROM:
+        return math.fsum(t.tolist())
+    largest = np.max(np.abs(t))
+    return float(_fsum_rows([(0, t[:, None])], t.size, largest, lambda i: t.tolist())[0])
+
+
 def _fsum_dot(p: np.ndarray, x: np.ndarray) -> float:
-    return math.fsum((p * x).tolist())
+    return _fsum(p * x)
 
 
 def mean(X: RandomVariable) -> float:
@@ -262,13 +282,17 @@ def second_moment(X: RandomVariable) -> float:
     return _fsum_dot(X.law.probabilities, X.values * X.values)
 
 
+def _variance_about(X: RandomVariable, m: float) -> float:
+    """E[(X - m)^2], infinite where it passes the float range."""
+    with np.errstate(over="ignore"):
+        centred = X.values - m
+        return _fsum_dot(X.law.probabilities, centred * centred)
+
+
 def _mean_var(X: RandomVariable) -> tuple[float, float]:
     """(mean, variance), the variance accumulated as E[(X - m)^2]."""
-    p = X.law.probabilities
-    m = _fsum_dot(p, X.values)
-    with np.errstate(over="ignore"):  # a variance past the float range is inf
-        centred = X.values - m
-        return m, _fsum_dot(p, centred * centred)
+    m = mean(X)
+    return m, _variance_about(X, m)
 
 
 def moments(X: RandomVariable) -> tuple[float, float, float]:
@@ -311,16 +335,13 @@ def sharpe_ratio(X: RandomVariable) -> float:
     (see ``_scaled``), which leaves it unchanged and keeps laws near the
     ends of the float range finite.
     """
-    X = _scaled(X)[0]
-    if np.all(X.values == X.values[0]):
-        c = mean(X)
-        if c > 0.0:
-            return math.inf
-        if c < 0.0:
-            return -math.inf
-        return 0.0
-    m, var = _mean_var(X)
-    if var <= 0.0:
+    Xs = _scaled(X)[0]
+    return _scaled_sharpe_ratio(Xs, mean(Xs))
+
+
+def _scaled_sharpe_ratio(Xs: RandomVariable, m: float) -> float:
+    """``sharpe_ratio`` of a payoff Xs = _scaled(X)[0] whose mean is m."""
+    if np.all(Xs.values == Xs.values[0]) or (var := _variance_about(Xs, m)) <= 0.0:
         return math.inf if m > 0.0 else (-math.inf if m < 0.0 else 0.0)
     return m / math.sqrt(var)
 

@@ -111,6 +111,19 @@ BENCH_LAW_DIGESTS = {
     ),
 }
 
+# the same on the benchmark's 8 000-atom seed-0 laws, recorded before the
+# law file was split in one pass and long sums went through _fsum_rows
+BENCH_LAW_8000_DIGESTS = {
+    "uniform": (
+        "0a4041909d448226726682a849550a6eadccec3cd2dfd0d251cace346bbbbacb",
+        "f955b6dc27c4189254c64381640ffdbb5b1ad00885ccd4fda1496d3e29cab4b6",
+    ),
+    "heavy": (
+        "8fb8bb245a8169cfb0cdbd9f94830d99d52ce55540ea6b2fd58172e1c4c9fd49",
+        "3da968e6c4d8b99989d4bd4d7be0f57817d3ecf432949c71de6d5ca3011030f2",
+    ),
+}
+
 # sha256 of `msharpe --format csv` on each law, recorded before the cap
 # sweep was batched; the sweep must keep these bytes
 CAP_SWEEP_DIGESTS = {
@@ -609,6 +622,14 @@ class TestMsharpe:
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
+    @pytest.mark.parametrize("family", sorted(BENCH_LAW_8000_DIGESTS))
+    def test_bench_8000_atom_law_bytes_are_pinned(self, capsys, tmp_path, family):
+        path = self.write(tmp_path, _bench_law(family, 8000))
+        for fmt, digest in zip(("json", "csv"), BENCH_LAW_8000_DIGESTS[family]):
+            code, out, _ = run(capsys, "msharpe", "--format", fmt, path)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
     @pytest.mark.parametrize(
         "text, line, message",
         [
@@ -728,6 +749,46 @@ RAGGED_DIGESTS = [
     (1, 1, "01c853c6b9424b80cbc696be7da643dc41fb966eac055159dafe2ca9e0e97cf0"),
     (2, 2, "88629d35ef01426f18ba481697b54fe1592ab08a0bd8737906ae65950e268aa9"),
 ]
+
+
+# sha256 of `analyze --format csv` on the markets of `csv_markets`, recorded
+# while every CSV row was built from the whole report
+CSV_ROWS_DIGEST = "c47574ebc0484efeea757411ea2cf5b94a7f9bda011c4a320ca38aa90d05203b"
+
+
+def csv_markets(directory):
+    """Three generated markets, two ragged ones and the trinomial one (four
+    of the six with a free cash-flow stream), written to ``directory``."""
+    docs = {
+        f"gen-{b}-{t}-{a}-{seed}.json": market_to_json(generate_random_market(
+            seed=seed, periods=t, branching=b, assets=a))
+        for (b, t, a), seed in (((3, 5, 1), 17), ((4, 4, 3), 29), ((2, 10, 1), 41))
+    }
+    docs.update({f"ragged-{a}-{seed}.json": json.dumps(ragged_doc(a, seed))
+                 for a, seed in ((1, 1), (2, 2))})
+    docs["trinomial.json"] = market_to_json(load_packaged_market("trinomial"))
+    for name, text in docs.items():
+        (directory / name).write_text(text, encoding="utf-8")
+    return list(docs)
+
+
+@pytest.mark.parametrize("options", [[], ["--jobs", "2"], ["--verify"],
+                                     ["--verify", "--jobs", "2"]])
+def test_analyze_csv_bytes_are_pinned(capsys, monkeypatch, tmp_path, options):
+    monkeypatch.chdir(tmp_path)  # the rows name the inputs as given
+    names = csv_markets(tmp_path)
+    code, out, _ = run(capsys, "analyze", "--format", "csv", *options, *names)
+    assert code == 0
+    assert [row[-2] for row in csv.reader(io.StringIO(out))][1:] == (
+        ["true", "false", "false", "true", "true", "true"])
+    assert hashlib.sha256(out.encode()).hexdigest() == CSV_ROWS_DIGEST
+
+
+def test_csv_rows_carry_only_the_scalar_fields(tmp_path):
+    name = csv_markets(tmp_path)[0]
+    payload = cli._analyze_path((str(tmp_path / name), True), csv_row=True)
+    assert sorted(payload) == sorted(
+        [*cli._NUMBERS, "equiv", "fcfs_exists", "marginal", "certificate_valid"])
 
 
 @pytest.mark.parametrize("assets, seed, report", RAGGED_DIGESTS)

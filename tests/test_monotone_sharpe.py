@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from mmvport import (
     DiscreteLaw,
     DomainError,
+    NoDownside,
     NonpositiveMean,
     RandomVariable,
     monotone_sharpe,
@@ -18,6 +20,7 @@ from mmvport import (
 from mmvport.monotone_sharpe import (
     CASE_NO_DOWNSIDE,
     CASE_STANDARD,
+    _with_sharpe_ratio,
     alpha_root_bisection,
 )
 
@@ -133,6 +136,27 @@ class TestMonotoneSharpe:
     def test_nonpositive_mean_refused(self):
         with pytest.raises(NonpositiveMean):
             monotone_sharpe(rv([-2.0, 1.0]))
+
+    def test_a_downside_the_scaling_takes_to_zero_is_refused(self):
+        # X / 2 rounds -5e-324 to -0.0: the cap is sought on the scaled law,
+        # which has no downside left
+        with pytest.raises(NoDownside):
+            monotone_sharpe(rv([-5e-324, 1.0]))
+
+    def test_shared_scaling_matches_the_separate_calls(self):
+        rng = np.random.default_rng(26)
+        laws = [random_standard_law(rng) for _ in range(20)]
+        laws += [rv([2.0, 3.0]), rv([0.0, 1.0, 4.0]), rv([1e300, -1e300, 3e300]),
+                 rv(rng.normal(0.3, 1.0, 3000)), rv([-2.0, 1.0]), rv([-5e-324, 1.0])]
+        for X in laws:
+            try:
+                want = (monotone_sharpe(X), sharpe_ratio(X))
+            except DomainError as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    _with_sharpe_ratio(X)
+                continue
+            got = _with_sharpe_ratio(X)
+            assert repr(got) == repr(want)
 
 
 class TestNormalizationMaps:

@@ -8,7 +8,9 @@ Each document must give the same exception class and message from both
 parsers, or bit-identical columns.  Law CSV texts are drawn the same way
 (blank rows, quoted cells, CRLF, headers, ragged rows, odd numerals and a
 cell past the CSV field limit) and read by the column-at-a-time law
-reader and the cell-by-cell reference.
+reader and the cell-by-cell reference; so are laws of 1 000 to 3 000
+rows, whose sums are long enough to leave math.fsum, with a few lines
+that take the reader off its one-split path.
 """
 
 import ast
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mmvport.cli
 import mmvport.market
 from mmvport import (
     InputError,
@@ -450,11 +453,8 @@ def read_outcome(read, path, col):
     return X.values.tobytes(), X.law.probabilities.tobytes()
 
 
-@settings(max_examples=400)
-@given(law_text(), st.one_of(st.none(), st.sampled_from(COLUMNS)))
-def test_law_reader_matches_the_cell_by_cell_reference(tmp_path_factory, text, col):
-    path = tmp_path_factory.getbasetemp() / "law.csv"
-    path.write_text(text, encoding="utf-8", newline="")
+def assert_reads_alike(path, col):
+    """The reader and the cell-by-cell reference agree on the law file."""
     want = read_outcome(reference_read_law, path, col)
     got = read_outcome(_read_law, path, col)
     if want[0] is not ValidationError or got == want:
@@ -479,3 +479,82 @@ def test_law_reader_matches_the_cell_by_cell_reference(tmp_path_factory, text, c
     else:  # a positive weight whose probability the law refuses as 0
         assert want[1] == "atom probabilities must be strictly positive"
         assert label == "weight" and 0.0 < cell < math.inf
+
+
+@settings(max_examples=400)
+@given(law_text(), st.one_of(st.none(), st.sampled_from(COLUMNS)))
+def test_law_reader_matches_the_cell_by_cell_reference(tmp_path_factory, text, col):
+    path = tmp_path_factory.getbasetemp() / "law.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert_reads_alike(path, col)
+
+
+def test_a_blank_line_is_one_of_only_the_characters_str_strip_removes_and_commas():
+    whitespace = {c for c in map(chr, range(0x110000)) if c.isspace()}
+    assert set(mmvport.cli._BLANK) == whitespace | {","}
+
+
+# lines the csv module reads as rows with no visible text, though str.strip
+# or str.splitlines would treat some of them apart
+LONG_BLANK_ROWS = BLANK_ROWS + ("\x0b", "\x0c", "\x1c", " \x0c, \x1c ,", "\u3000")
+# a line past the CSV field limit with commas: two cells under the limit
+# (leading zeros, so the values are 1 and 2), many short cells, or one cell
+# past the limit among short ones
+LONG_LINES = (
+    "0" * 99_999 + "1," + "0" * 99_999 + "2",
+    "1," * 70_000 + "1",
+    "1," + "1" * 140_000,
+)
+# cells that stop the one float map: a NUL, padding float does not strip,
+# and what the cell-by-cell reference refuses
+STOPPERS = ("1\x002", "\x1c3\x1c", "\u30004", "5\x1f", "abc", "nan", "-1", "0", "")
+
+
+@st.composite
+def long_law_text(draw):
+    """A law file of 1 000 to 3 000 rows of drawn numbers, with a few of
+    the lines that take the reader off its one-split path."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.integers(1, 3))
+    n = draw(st.integers(1000, 3000))
+    cells = rng.normal(0.3, 2.0, (n, width))
+    cells[:, 1:] = np.abs(cells[:, 1:]) + 0.1  # positive weights
+    rows = [",".join(map(repr, row)) for row in cells.tolist()]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, width - 1))
+        row = rows[i].split(",")
+        row[j] = draw(st.sampled_from(STOPPERS))
+        rows[i] = ",".join(row)
+    header = draw(st.sampled_from(("none", "plain", "quoted")))
+    if header != "none":
+        names = ("value", "weight", "junk")[:width]
+        quote = '"' if header == "quoted" else ""
+        rows.insert(0, ",".join(f"{quote}{name}{quote}" for name in names))
+    for _ in range(draw(st.integers(0, 6))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(LONG_BLANK_ROWS)))
+    if draw(st.integers(0, 3)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(LONG_LINES)))
+    end = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    return end.join(rows) + (end if draw(st.booleans()) else "")
+
+
+@settings(max_examples=120, deadline=None)
+@given(long_law_text(), st.one_of(st.none(), st.sampled_from(
+    ("value", "weight", "value,weight", "0", "1", "0,1", "2,1"))))
+def test_long_law_reader_matches_the_cell_by_cell_reference(tmp_path_factory, text, col):
+    path = tmp_path_factory.getbasetemp() / "long-law.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert_reads_alike(path, col)
+
+
+@pytest.mark.parametrize("data", [
+    b"value\n" + b"1\n" * 10_000 + b"\xff\n",  # past the first chunk read
+    b"\xff\xfe1\n",
+    b"value\n" + b"1\n" * 5_000 + b"1" * 140_000 + b"\n\xff",  # the cell first
+])
+def test_law_reader_refuses_a_non_utf8_file_like_the_reference(tmp_path, data):
+    path = tmp_path / "law.csv"
+    path.write_bytes(data)
+    want = read_outcome(reference_read_law, path, None)
+    assert want[0] is ParseError
+    assert read_outcome(_read_law, path, None) == want

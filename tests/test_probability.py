@@ -1,10 +1,12 @@
+import ast
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mmvport import (
@@ -26,8 +28,10 @@ from mmvport import probability
 from mmvport.monotone_sharpe import alpha_root_bisection, solve_alpha_hat
 from mmvport.probability import (
     _BLOCK,
+    _FSUM_ROWS_FROM,
     _WIDTH,
     _capped_sharpe_ratios,
+    _fsum,
     _fsum_rows,
     _kink_walk,
     cash_level_bisection,
@@ -508,6 +512,72 @@ class TestFsumRows:
         assert outcome(lambda: batched_fsum(rows)[0]) == outcome(
             lambda: [math.fsum(r) for r in rows]
         )
+
+
+@st.composite
+def one_row(draw):
+    """A row of n terms, n just below, at and well above the crossover of
+    ``_fsum``, mixing magnitudes with the specials the one-row sum must
+    hand on to math.fsum: infinities, NaN, products past the float range,
+    subnormals, exact cancellation to 0 and -0.0."""
+    n = draw(st.sampled_from((_FSUM_ROWS_FROM - 1, _FSUM_ROWS_FROM, 4096)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(
+        ("normal", "wide", "subnormal", "cancel", "zeros", "products")
+    ))
+    if kind == "normal":  # terms p x of a law, as a mean sums them
+        t = rng.uniform(-2.0, 5.0, n) / n
+    elif kind == "wide":  # magnitudes from about 1e-300 to 1e300
+        t = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-997, 997, n))
+    elif kind == "subnormal":
+        t = rng.integers(-(2**20), 2**20, n) * 5e-324
+    elif kind == "cancel":  # pairs that cancel exactly, sum 0
+        half = np.ldexp(rng.uniform(-1.0, 1.0, n // 2), rng.integers(-60, 60, n // 2))
+        t = rng.permutation(np.concatenate([half, -half, np.zeros(n % 2)]))
+    elif kind == "zeros":  # -0.0 terms, alone or among 0.0
+        t = np.where(rng.random(n) < draw(st.sampled_from((1.0, 0.5))), -0.0, 0.0)
+    else:  # products p x, some past the float range
+        with np.errstate(over="ignore"):
+            t = rng.uniform(0.5, 4.0, n) * np.ldexp(rng.uniform(-1.0, 1.0, n), 1023)
+    for _ in range(draw(st.integers(0, 2))):
+        special = draw(st.sampled_from((math.inf, -math.inf, math.nan, -0.0, 5e-324,
+                                        1.7976931348623157e308)))
+        t[draw(st.integers(0, n - 1))] = special
+    return t
+
+
+def fsum_outcome(sum_row, t):
+    """The bits of the sum, or the class and text of the exception."""
+    try:
+        return bits([sum_row(t)])
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+class TestFsum:
+    @settings(max_examples=300)
+    @given(one_row())
+    def test_returns_the_bits_of_math_fsum(self, t):
+        want = fsum_outcome(lambda t: math.fsum(t.tolist()), t)
+        assert fsum_outcome(_fsum, t) == want
+        # and through the one-row sum itself, below the crossover too
+        rows = lambda t: float(_fsum_rows([(0, t[:, None])], t.size,
+                                          np.max(np.abs(t)), lambda i: t.tolist())[0])
+        assert fsum_outcome(rows, t) == want
+
+    def test_one_fsum_over_tolist_left(self):
+        # every one-row exact sum goes through _fsum; the bisection reference
+        # keeps its own
+        found = []
+        for path in sorted(Path(probability.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                for node in ast.walk(top):
+                    if (isinstance(node, ast.Call) and ast.unparse(node.func) == "math.fsum"
+                            and node.args and isinstance(node.args[0], ast.Call)
+                            and ast.unparse(node.args[0].func).endswith(".tolist")):
+                        found.append((path.name, top.name))
+        assert found == [("probability.py", "_fsum"),
+                         ("probability.py", "cash_level_bisection")]
 
 
 class TestCappedSharpeRatios:
