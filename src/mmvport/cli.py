@@ -252,20 +252,25 @@ def _row_lines(path: str) -> list:
     return lines
 
 
-def _law_rows(path: str) -> tuple:
-    """The rows of a law file with visible text, split once: the first
-    row's cells, the set of the other rows' widths, and their cells in file
-    order.
+def _law_rows(path: str, screen: bool) -> tuple:
+    """The rows of a law file, split once: the first row's cells, the set
+    of the other rows' widths, and their cells in file order.
 
     The file is read whole.  Where the csv module's dialect is plain
     splitting, in a text with no quote, no carriage return and no line
     longer than ``csv.field_size_limit()``, the text is split with ``str``
-    methods: lines at "\\n", a line kept unless it holds only commas and
-    whitespace, its width one more than its commas, and the cells of the
-    later rows one split of them joined.  Any other text is split by
+    methods: lines at "\\n", a row's width one more than its commas, and
+    the cells of the later rows one split of them joined; a text with no
+    comma is one column, its lines its cells.  Any other text is split by
     ``csv.reader``, which refuses a cell past the limit.  A text that is
     not UTF-8 is read again row by row, as the csv module reads it, so the
     refusal names the byte as before.
+
+    The rows returned are those with visible text (not only commas and
+    whitespace), except that without ``screen`` a plain text whose first
+    line is visible keeps every line but the empty one after a final
+    "\\n": no row is looked at.  Each row a screen would drop then has a
+    cell that is no number, or a width unlike its neighbours'.
     """
     lines = rows = None
     try:
@@ -292,14 +297,18 @@ def _law_rows(path: str) -> tuple:
         raise ParseError(f"{path}: invalid CSV ({exc})") from exc
     if lines is None:
         rows = list(itertools.compress(rows, map(str.strip, map("".join, rows))))
-    else:
+    elif screen or not lines[0].strip(_BLANK):
         visible = map(str.strip, lines, itertools.repeat(_BLANK))
         rows = list(itertools.compress(lines, visible))
+    else:
+        rows = lines[:-1] if text.endswith("\n") else lines
     if not rows:
         raise ParseError(f"{path}: no rows")
     first, rest = rows[0], rows[1:]
     if lines is None:
         return first, set(map(len, rest)), list(itertools.chain.from_iterable(rest))
+    if "," not in text:
+        return [first], {1} if rest else set(), rest
     commas = set(map(str.count, rest, itertools.repeat(",")))
     cells = ",".join(rest).split(",") if rest else []
     return first.split(","), {k + 1 for k in commas}, cells
@@ -312,11 +321,22 @@ def _read_law(path: str, col: str | None) -> RandomVariable:
     one of its cells is not a number.  A refused cell is named by the line
     of the file its row starts on, and its text.
 
-    The rows are split once (:func:`_law_rows`); each column is then one
-    ``float`` map over its cells.  Only when that map refuses a cell are the
-    cells stripped and scanned one by one, to convert or name them.
+    The rows are split once (:func:`_law_rows`), at first without looking
+    for rows with no visible text; each column is then one ``float`` map
+    over its cells.  A row with no visible text makes that map or the
+    width check fail, so any refusal met on the way reads the file again
+    with its rows screened, which decides what is refused and how.
     """
-    first, widths, cells = _law_rows(path)
+    try:
+        return _law_from_rows(path, col, *_law_rows(path, screen=False), screened=False)
+    except (ParseError, ValueError):
+        return _law_from_rows(path, col, *_law_rows(path, screen=True), screened=True)
+
+
+def _law_from_rows(path, col, first, widths, cells, screened: bool) -> RandomVariable:
+    """The law of the rows :func:`_law_rows` returns; ``screened`` says
+    whether the rows with no visible text were dropped.  If not, a cell
+    that is no number raises ValueError instead of being named."""
     header = None
     if any(not _is_number(c) for c in first if c.strip()):
         header = [c.strip() for c in first]
@@ -356,6 +376,8 @@ def _read_law(path: str, col: str | None) -> RandomVariable:
         try:
             return np.fromiter(map(float, cells[idx::width]), float, n)
         except ValueError:  # float strips fewer characters than str.strip
+            if not screened:
+                raise
             stripped = [c.strip() for c in cells[idx::width]]
         bad = next((i for i, c in enumerate(stripped) if not _is_number(c)), None)
         if bad is not None:
@@ -391,11 +413,17 @@ def _read_law(path: str, col: str | None) -> RandomVariable:
 
 
 def _cap_sweep_csv(X: RandomVariable) -> str:
-    """The level,sharpe table, each number by the 12-digit rule."""
+    """The level,sharpe table, each number by the 12-digit rule.
+
+    The levels are the positive atoms and a 400-point grid on (0, max X],
+    or on (0, 1] when no atom is positive; grid points that underflow to 0
+    (max X below 400 times the least subnormal) are left out.
+    """
     vmax = float(X.values.max())
     top = vmax if vmax > 0 else 1.0
     atoms = np.unique(X.values[X.values > 0])
-    levels = np.unique(np.concatenate([atoms, np.linspace(top / 400, top, 400)]))
+    grid = np.linspace(top / 400, top, 400)
+    levels = np.unique(np.concatenate([atoms, grid[grid > 0.0]]))
     ratios = _capped_sharpe_ratios(X, levels)
     rows = zip(_sig_texts(levels.tolist()), _sig_texts(ratios.tolist()))
     return "level,sharpe\n" + "".join(f"{a},{b}\n" for a, b in rows)

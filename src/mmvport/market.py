@@ -72,7 +72,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, compress, islice, repeat
+from itertools import chain, combinations, compress, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -87,7 +87,7 @@ from .errors import (
     ViabilityError,
 )
 from .induction import Opportunity, TreeLevels
-from .probability import DiscreteLaw, RandomVariable, _fsum
+from .probability import DiscreteLaw, RandomVariable, _fsum, _fsum_rows
 from .simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL, solve_lp
 
 __all__ = [
@@ -123,6 +123,11 @@ _BASIS_BATCH = 1 << 14
 _BASIS_SINGULAR = 1e-5
 _REDUCED_COST_TOL = 1e-9
 _POINT_TOL = 1e-9  # a simplex point further below 0 or off its rows is refused
+_TWOPI = 2.0 * math.pi  # random.TWOPI, the angle of a gauss pair
+# random.random() from two Mersenne Twister words (see _random_block)
+_RES53_SHIFTS = np.array([5, 6], dtype=np.uint32)
+_RES53_SCALES = np.array([2.0**-27, 2.0**-53])
+_FSUM_ROWS_MIN = 64  # rows from which sibling sums run inside numpy
 
 _TOP_KEYS = {"assets", "periods", "nodes"}
 _NODE_KEYS = {"id", "parent", "t", "p", "prices"}
@@ -435,6 +440,29 @@ def _build_tree(assets, periods, ids, parents, ts, p, prices) -> ScenarioTree:
     return _assemble(assets, periods, ids, parent, t, p, prices)
 
 
+def _row_fsums(rows: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of a 2-d float array, bit for bit.
+
+    Fewer than ``_FSUM_ROWS_MIN`` rows go to ``math.fsum`` one by one.
+    From there on, rows of one or two terms are summed by numpy, as one
+    float addition is correctly rounded, plus 0.0 because ``math.fsum``
+    returns 0.0 for -0.0 + -0.0.  Wider rows go to ``_fsum_rows``, and so
+    do all rows when a sum is not finite: it hands such a row to
+    ``math.fsum``, which may raise.
+    """
+    n, w = rows.shape
+    if n < _FSUM_ROWS_MIN:
+        return np.fromiter(map(math.fsum, rows.tolist()), float, n)
+    if w <= 2:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = rows.sum(axis=1) + 0.0
+        if np.all(np.isfinite(total)):
+            return total
+    flat = rows.ravel().tolist()
+    return _fsum_rows([(0, rows.T)], w, np.max(np.abs(rows), axis=1),
+                      lambda i: flat[i * w : i * w + w])
+
+
 def _assemble(assets, periods, ids, parent, t, p, prices) -> ScenarioTree:
     """The tree of structurally sound node columns.
 
@@ -451,15 +479,15 @@ def _assemble(assets, periods, ids, parent, t, p, prices) -> ScenarioTree:
     child_index = below[np.argsort(parent[below], kind="stable")]
     child_offsets = np.concatenate(([0], np.cumsum(kids)))
 
-    # sibling probability sums, each family over its own slice, then exact
-    # renormalization
+    # sibling probability sums, the families of one width at a time, then
+    # exact renormalization
     families = np.flatnonzero(kids)
-    sib = p[child_index].tolist()
-    starts = child_offsets[families].tolist()
-    ends = child_offsets[families + 1].tolist()
-    totals = np.fromiter(
-        (math.fsum(sib[a:b]) for a, b in zip(starts, ends)), float, len(families)
-    )
+    widths = kids[families]
+    totals = np.empty(len(families))
+    for w in set(widths.tolist()):
+        same = widths == w
+        sib = child_index[child_offsets[families[same], None] + np.arange(w)]
+        totals[same] = _row_fsums(p[sib])
     off = np.abs(totals - 1.0) > _SIBLING_SUM_TOL
     if np.any(off):
         j = int(np.argmax(off))
@@ -1019,6 +1047,19 @@ def _simplex_floors(A, rho, total, floor, ids):
     return q, value, feasible
 
 
+def _random_block(rng, k: int) -> np.ndarray:
+    """The values of k calls of ``rng.random()``, drawn in one call.
+
+    ``random()`` reads two 32-bit words a, b of the Mersenne Twister and
+    returns (a >> 5) 2^-27 + (b >> 6) 2^-53, both terms and their sum
+    exact.  ``getrandbits(64 k)`` reads the same 2k words in the same
+    order, the first in its lowest bits, and leaves ``rng`` where the k
+    calls would.
+    """
+    words = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u4")
+    return (words.reshape(k, 2) >> _RES53_SHIFTS) @ _RES53_SCALES
+
+
 def _random_tree(rng, periods, branching, assets, spread) -> ScenarioTree:
     """One draw of the generator's tree, nodes numbered breadth first.
 
@@ -1030,42 +1071,79 @@ def _random_tree(rng, periods, branching, assets, spread) -> ScenarioTree:
     written file does; prices move by
     spread * max(0.25, |price|) * (g - fsum(q g)) with q = w / fsum(w),
     so q prices the increments to zero.
+
+    The numbers are those that these ``rng.uniform`` and ``rng.gauss``
+    calls, made node by node, return (``reference_random_tree`` in the
+    tests), taken from one block of ``random()`` values
+    (:func:`_random_block`).  gauss draws two values at a time (Box-Muller
+    with ``math.log``, ``math.cos`` and ``math.sin``, so with libm's bits)
+    and keeps the second in ``rng.gauss_next`` for the next call, which
+    may be the next node's or the next attempt's.  The sums are
+    ``math.fsum``'s (:func:`_row_fsums`), and the prices move one depth at
+    a time.
     """
-    b = branching
+    b, d = branching, assets
     sizes = [b**t for t in range(periods + 1)]
     n = sum(sizes)
-    uniform, gauss, fsum = rng.uniform, rng.gauss, math.fsum
-    prices = [[uniform(0.8, 1.2) for _ in range(assets)]]
-    p = [1.0]
-    # the (n - 1) / b nonterminal nodes come first in breadth-first order;
-    # their children are appended behind the loop as it goes
-    for row in islice(prices, (n - 1) // b):
-        raw_p = [uniform(0.2, 1.0) for _ in range(b)]
-        total_p = fsum(raw_p)
-        p += [r / total_p for r in raw_p]
-        weights = [uniform(0.05, 1.0) for _ in range(b)]
-        total_w = fsum(weights)
-        q = [w / total_w for w in weights]
-        moved = []
-        for price in row:
-            raw = [gauss(0.0, 1.0) for _ in range(b)]
-            center = fsum([qk * rk for qk, rk in zip(q, raw)])
-            scale = spread * max(0.25, abs(price))
-            moved.append([price + scale * (rk - center) for rk in raw])
-        prices += zip(*moved)
+    m = (n - 1) // b  # nonterminal nodes, first in breadth-first order
+    g = d * b  # gaussians per node
+    carry = rng.gauss_next
+    c = int(carry is not None)
+    # after the root's d prices, node j draws its 2b uniforms and then the
+    # gauss pairs it starts: pair k gives the attempt's gaussians c + 2k
+    # and c + 2k + 1, so node (c + 2k) // g draws it, and the nodes before
+    # j draw (g j + 1 - c) // 2 pairs
+    pairs = (g * m + 1 - c) // 2
+    u = _random_block(rng, d + 2 * b * m + 2 * pairs)
+    before = np.arange(1 - c, g * m + 1 - c, g) // 2
+    starts = np.arange(d, d + 2 * b * m, 2 * b) + 2 * before
+    uniforms = u[starts[:, None] + np.arange(2 * b)]
+    raw_p = 0.2 + (1.0 - 0.2) * uniforms[:, :b]
+    weights = 0.05 + (1.0 - 0.05) * uniforms[:, b:]
+    # pair k's angle and radius come after the root's d values, the 2b
+    # uniforms of each node up to its own and the 2k values of pairs 0..k-1
+    at = (np.arange(c + g, c + g + 2 * pairs, 2) // g * (2 * b)
+          + np.arange(d, d + 2 * pairs, 2))
+    angle = (u[at] * _TWOPI).tolist()
+    log = np.fromiter(map(math.log, (1.0 - u[at + 1]).tolist()), float, pairs)
+    radius = np.sqrt(-2.0 * log)
+    gauss = np.empty(c + 2 * pairs)
+    if c:
+        gauss[0] = carry
+    gauss[c::2] = np.fromiter(map(math.cos, angle), float, pairs) * radius
+    gauss[c + 1 :: 2] = np.fromiter(map(math.sin, angle), float, pairs) * radius
+    rng.gauss_next = gauss[-1].item() if gauss.size > g * m else None
+    # gauss(0, 1) returns 0.0 + z * 1.0, which is z but for -0.0
+    G = (gauss[: g * m] + 0.0).reshape(m, d, b)
+
+    p = np.concatenate(([1.0], (raw_p / _row_fsums(raw_p)[:, None]).ravel()))
+    q = weights / _row_fsums(weights)[:, None]
+    center = _row_fsums((q[:, None, :] * G).reshape(m * d, b)).reshape(m, d, 1)
+    prices = np.empty((n, d))
+    prices[0] = 0.8 + (1.2 - 0.8) * u[:d]
+    lo = 0
+    # a huge spread can overflow; the first price that does is refused
+    # below, and up to it np.maximum is max
+    with np.errstate(over="ignore", invalid="ignore"):
+        for width in sizes[:-1]:
+            hi = lo + width
+            row = prices[lo:hi, :, None]
+            scale = spread * np.maximum(0.25, np.abs(row))
+            moved = row + scale * (G[lo:hi] - center[lo:hi])
+            prices[hi : hi + b * width] = moved.transpose(0, 2, 1).reshape(-1, d)
+            lo = hi
 
     ids = tuple(map("n{}".format, range(n)))
-    prices = np.array(prices)
-    # a huge spread can overflow; refuse as loading the written file would
+    # refuse as loading the written file would
     bad = ~np.isfinite(prices)
     if np.any(bad):
         k, a = np.argwhere(bad)[0].tolist()
         raise ParseError(
             f"node {ids[k]!r}: price must be finite, got {prices[k, a].item()!r}"
         )
-    parent = np.concatenate(([-1], (np.arange(1, n) - 1) // b))
+    parent = np.arange(-1, n - 1) // b
     t = np.repeat(np.arange(periods + 1), sizes)
-    return _assemble(assets, periods, ids, parent, t, np.array(p), prices)
+    return _assemble(assets, periods, ids, parent, t, p, prices)
 
 
 def generate_random_market(

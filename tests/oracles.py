@@ -14,9 +14,10 @@ clip-set loop keeps its own line search, a walk over the crossings in
 views of a tree (gain matrix, martingale constraint system) are built here
 from its per-node views, and the node-by-node market parser and random
 generator the columnar tree replaced are kept as the references for the
-array passes that load and generate markets now.  The cell-by-cell law
-CSV reader is kept as the reference for the column-at-a-time one.  One
-builder, ``iid_tree``, makes trees whose every node repeats one step.
+array passes that load and generate markets now; the generator's
+per-node draw loop is kept as the reference for its one-block draws.  The
+cell-by-cell law CSV reader is kept as the reference for the
+column-at-a-time one.  One builder, ``iid_tree``, makes trees whose every node repeats one step.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 from scipy import optimize
@@ -37,6 +39,7 @@ from mmvport import (
     ValidationError,
     market_from_dict,
 )
+from mmvport.market import _assemble
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +554,55 @@ def reference_random_document(seed, periods, branching, assets, spread, attempt=
                     next_frontier.append(child)
             frontier = next_frontier
     return {"assets": assets, "periods": periods, "nodes": nodes}
+
+def reference_random_tree(rng, periods, branching, assets, spread):
+    """One draw of the generator's tree, node by node with ``rng``'s calls.
+
+    Nonterminal node j, in order, draws ``branching`` uniform(0.2, 1)
+    probabilities, ``branching`` uniform(0.05, 1) weights w and then, per
+    asset, ``branching`` gauss(0, 1) values g for its children
+    ``b j + 1, ..., b j + b``.  p = raw / fsum(raw), which
+    :func:`_assemble` divides by the fsum of the siblings as loading the
+    written file does; prices move by
+    spread * max(0.25, |price|) * (g - fsum(q g)) with q = w / fsum(w),
+    so q prices the increments to zero.
+    """
+    b = branching
+    sizes = [b**t for t in range(periods + 1)]
+    n = sum(sizes)
+    uniform, gauss, fsum = rng.uniform, rng.gauss, math.fsum
+    prices = [[uniform(0.8, 1.2) for _ in range(assets)]]
+    p = [1.0]
+    # the (n - 1) / b nonterminal nodes come first in breadth-first order;
+    # their children are appended behind the loop as it goes
+    for row in islice(prices, (n - 1) // b):
+        raw_p = [uniform(0.2, 1.0) for _ in range(b)]
+        total_p = fsum(raw_p)
+        p += [r / total_p for r in raw_p]
+        weights = [uniform(0.05, 1.0) for _ in range(b)]
+        total_w = fsum(weights)
+        q = [w / total_w for w in weights]
+        moved = []
+        for price in row:
+            raw = [gauss(0.0, 1.0) for _ in range(b)]
+            center = fsum([qk * rk for qk, rk in zip(q, raw)])
+            scale = spread * max(0.25, abs(price))
+            moved.append([price + scale * (rk - center) for rk in raw])
+        prices += zip(*moved)
+
+    ids = tuple(map("n{}".format, range(n)))
+    prices = np.array(prices)
+    # a huge spread can overflow; refuse as loading the written file would
+    bad = ~np.isfinite(prices)
+    if np.any(bad):
+        k, a = np.argwhere(bad)[0].tolist()
+        raise ParseError(
+            f"node {ids[k]!r}: price must be finite, got {prices[k, a].item()!r}"
+        )
+    parent = np.concatenate(([-1], (np.arange(1, n) - 1) // b))
+    t = np.repeat(np.arange(periods + 1), sizes)
+    return _assemble(assets, periods, ids, parent, t, np.array(p), prices)
+
 
 # ---------------------------------------------------------------------------
 # path-walking wealth

@@ -124,6 +124,28 @@ BENCH_LAW_8000_DIGESTS = {
     ),
 }
 
+# the same on the benchmark's 2 000- and 4 000-atom seed-0 laws, whose cap
+# sweeps are most of its law workload, recorded before the law reader
+# stopped screening every row
+BENCH_LAW_MID_DIGESTS = {
+    ("uniform", 2000): (
+        "c341f638a633d7ec103c21a1459e6a3914784258295a281bbf3ca8fedd2ff7f5",
+        "3621ded2aa8fdea1557a5a638e385ce33b59b945cbe2a9feaa2138cb1ac4b1bd",
+    ),
+    ("heavy", 2000): (
+        "de1bf7a1af696817448c47e9c95e216b9e6944a700f68a29993187f1bdf58178",
+        "dabc1ae274ac5a7ba5862282e571e319b1f883ecb29db1389b82edcd1a414d1b",
+    ),
+    ("uniform", 4000): (
+        "7afb3802d2ec869204736a4a81e1ce9afded4fb0fdcd1aa3abc6f9be67270cc4",
+        "709132a865fad856b16826283d95067a33afc65c6dfced7a01ed1d40b3f02d28",
+    ),
+    ("heavy", 4000): (
+        "6c95a80389fd86243f1c23b42a6d052395911db74afb10a906f108b3ac5de0c2",
+        "c81bb7d113e42c3132fe0b60f199a2f3e5d139699d451b984472186d33bb0163",
+    ),
+}
+
 # sha256 of `msharpe --format csv` on each law, recorded before the cap
 # sweep was batched; the sweep must keep these bytes
 CAP_SWEEP_DIGESTS = {
@@ -630,6 +652,27 @@ class TestMsharpe:
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
+    @pytest.mark.parametrize("family, n", sorted(BENCH_LAW_MID_DIGESTS))
+    def test_bench_2000_and_4000_atom_law_bytes_are_pinned(self, capsys, tmp_path, family, n):
+        path = self.write(tmp_path, _bench_law(family, n))
+        for fmt, digest in zip(("json", "csv"), BENCH_LAW_MID_DIGESTS[family, n]):
+            code, out, _ = run(capsys, "msharpe", "--format", fmt, path)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+    @pytest.mark.parametrize("text, levels", [
+        ("value\n5e-324\n-5e-324\n", ["5e-324"]),
+        ("1e-321\n-1\n", None),  # 1e-321 / 400 is subnormal, not 0
+    ])
+    def test_cap_sweep_grid_has_no_level_at_zero(self, capsys, tmp_path, text, levels):
+        # a grid point below the least subnormal rounds to 0; it is no level
+        code, out, _ = run(capsys, "msharpe", "--format", "csv", self.write(tmp_path, text))
+        assert code == 0
+        got = [row["level"] for row in csv.DictReader(io.StringIO(out))]
+        assert all(float(level) > 0.0 for level in got)
+        if levels is not None:
+            assert got == levels
+
     @pytest.mark.parametrize(
         "text, line, message",
         [
@@ -711,6 +754,25 @@ TREE_DIGESTS = [
      "02b590d21194f10d11c6683c36376769dc13b7612376c86781320e0e289e8619",
      "8fef16fec1d3fe8055f9787449515c697750b43a11c14cdd652549815997f9b7"),
 ]
+
+
+# sha256 of the `generate` outputs, one after another, of two sets of
+# (b, T, d) shapes and seeds, recorded while the draws were made node by
+# node: the benchmark's sweep shapes with seed i for i < 120, and its eight
+# core ladder shapes with seeds 0-7
+GENERATED_SETS = {
+    "sweep": (
+        [((2 + i % 3, 1 + i % 3, 1 + i % 2), i) for i in range(120)],
+        "8ca89580f7a3562b558e39f2d071cb749098a33f2dbcbdcabd0e878f369cb625",
+    ),
+    "core": (
+        [(shape, seed)
+         for shape in ((2, 6, 1), (2, 7, 1), (2, 8, 1), (3, 4, 1), (3, 5, 1),
+                       (4, 2, 3), (4, 3, 3), (4, 4, 3))
+         for seed in range(8)],
+        "ed70e582fe47ef22c8674e47239cda39e0f826451ce875c1fdf72bbcbad384a3",
+    ),
+}
 
 
 def ragged_doc(assets, seed):
@@ -820,6 +882,19 @@ class TestGenerateAndSelftest:
         assert code == exit_code
         strict_json(report_path.read_text(encoding="utf-8"))
         assert hashlib.sha256(report_path.read_bytes()).hexdigest() == report
+
+    @pytest.mark.parametrize("name", sorted(GENERATED_SETS))
+    def test_generated_market_sets_are_pinned(self, capsys, name):
+        markets, digest = GENERATED_SETS[name]
+        h = hashlib.sha256()
+        for (branching, periods, assets), seed in markets:
+            code, out, _ = run(
+                capsys, "generate", "--seed", seed, "--periods", periods,
+                "--branching", branching, "--assets", assets,
+            )
+            assert code == 0
+            h.update(out.encode())
+        assert h.hexdigest() == digest
 
     def test_generate_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

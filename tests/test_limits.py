@@ -6,12 +6,16 @@ truncated (monotone hull) optimum W_m attains its maximal monotone Sharpe
 ratio, which is also the Sharpe ratio of W_m capped at its own truncation
 level.  The quadratic optimum's monotone Sharpe ratio stays below it.
 The trees come from scanning generator seeds with wide price spreads,
-where free cash-flow streams are common.
+where free cash-flow streams are common, and from i.i.d. trees whose
+one-step law binds: the README's two-asset jump law and a one-asset one.
 
 Fact 1, compounding: when every node repeats one step, the squared
 maximal Sharpe ratios compound over the T periods,
 1 + sr_max^2 = (1 + sr_1^2)^T and 1 + sr_m_max^2 = (1 + sr_m,1^2)^T,
-with sr_1 and sr_m,1 those of the one-period market.
+with sr_1 and sr_m,1 those of the one-period market.  Such a tree has a
+free cash-flow stream exactly when its one-period market has one; this
+is compared on laws whose one-step gap sr_m,1 - sr_1 is exactly 0 or at
+least 1e-6, clear of the vote's tolerances.
 """
 
 import numpy as np
@@ -44,18 +48,40 @@ def fcfs_reports(branching, periods, assets, seeds=range(100)):
     return reports
 
 
+def assert_fact_0(report):
+    W_q, W_m = report.quad_solution.payoff, report.hull_solution.payoff
+    assert sharpe_ratio(W_q) == pytest.approx(report.sr_max, rel=REL)
+    hull = monotone_sharpe(W_m)
+    assert hull.sr_m == pytest.approx(report.sr_m_max, rel=REL)
+    capped = _capped_sharpe_ratios(W_m, [hull.truncation_level])[0]
+    assert capped == pytest.approx(report.sr_m_max, rel=REL)
+    assert monotone_sharpe(W_q).sr_m <= report.sr_m_max * (1.0 + REL)
+
+
 @pytest.mark.parametrize("shape", [(3, 2, 1), (4, 1, 2)], ids=["3x2x1", "4x1x2"])
 def test_fact_0_each_optimum_attains_its_sharpe_ratio(shape):
     reports = fcfs_reports(*shape)
     assert len(reports) == TREES_PER_SHAPE
     for report in reports:
-        W_q, W_m = report.quad_solution.payoff, report.hull_solution.payoff
-        assert sharpe_ratio(W_q) == pytest.approx(report.sr_max, rel=REL)
-        hull = monotone_sharpe(W_m)
-        assert hull.sr_m == pytest.approx(report.sr_m_max, rel=REL)
-        capped = _capped_sharpe_ratios(W_m, [hull.truncation_level])[0]
-        assert capped == pytest.approx(report.sr_m_max, rel=REL)
-        assert monotone_sharpe(W_q).sr_m <= report.sr_m_max * (1.0 + REL)
+        assert_fact_0(report)
+
+
+# (p, moves, root) of one-step laws whose truncated step binds
+BINDING_LAWS = {
+    # the README's two-asset law, whose rare jump makes every node bind
+    "readme-jump": ([0.1, 0.4, 0.3, 0.2],
+                    [[10.0, 0.2], [1.0, 1.0], [-1.0, 0.5], [0.5, -1.0]], [1.0, 1.0]),
+    # one asset: E[dS] times the jump passes E[dS^2]
+    "one-asset-jump": ([0.1, 0.5, 0.4], [[10.0], [0.5], [-0.1]], [1.0]),
+}
+
+
+@pytest.mark.parametrize("periods", [2, 3, 4])
+@pytest.mark.parametrize("law", sorted(BINDING_LAWS))
+def test_fact_0_on_binding_iid_trees(law, periods):
+    report = analyze(iid_tree(periods, *BINDING_LAWS[law]))
+    assert report.fcfs_exists
+    assert_fact_0(report)
 
 
 @st.composite
@@ -89,3 +115,13 @@ def test_fact_1_squared_sharpe_ratios_compound(law, periods):
     for got, step in ((many.sr_max, one.sr_max), (many.sr_m_max, one.sr_m_max)):
         want = (1.0 + step**2) ** periods
         assert abs(1.0 + got**2 - want) <= REL * want
+
+
+@given(one_step_laws(), st.integers(2, 5))
+def test_fact_1_a_free_cash_flow_stream_exists_with_its_step(law, periods):
+    p, moves = law
+    root = [1.0] * len(moves[0])
+    one = analyze(iid_tree(1, p, moves, root))
+    assume(one.gap == 0.0 or one.gap >= 1e-6)
+    many = analyze(iid_tree(periods, p, moves, root))
+    assert many.fcfs_exists == one.fcfs_exists

@@ -16,6 +16,7 @@ that take the reader off its one-split path.
 import ast
 import copy
 import math
+import random
 import re
 import tracemalloc
 
@@ -40,6 +41,7 @@ from mmvport.cli import _read_law
 from oracles import (
     reference_market_from_dict,
     reference_random_document,
+    reference_random_tree,
     reference_read_law,
 )
 
@@ -388,6 +390,87 @@ def test_generator_draws_match_the_reference(
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
+def assert_draws_alike(rng, loop, periods, branching, assets, spread, attempts):
+    """Successive one-block trees from ``rng`` equal the node-by-node ones
+    from ``loop``, a copy of it, and leave the same state after each,
+    the spare gauss value included."""
+    for _ in range(attempts):
+        got = mmvport.market._random_tree(rng, periods, branching, assets, spread)
+        want = reference_random_tree(loop, periods, branching, assets, spread)
+        assert got.ids == want.ids
+        for name in ("parent", "t", "cond_prob", "path_prob", "prices"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert rng.getstate()[:2] == loop.getstate()[:2]
+        assert repr(rng.gauss_next) == repr(loop.gauss_next)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 5), st.integers(1, 4), st.integers(1, 3),
+    st.integers(0, 2**32 - 1), st.sampled_from((0.3, 1.7)), st.booleans(),
+)
+def test_one_block_draws_equal_the_node_by_node_loop(
+    branching, periods, assets, seed, spread, spare
+):
+    # d b odd or even, and a spare gauss value in hand or not when an
+    # attempt starts, as after a rejected attempt
+    rng, loop = random.Random(seed), random.Random(seed)
+    if spare:
+        rng.gauss(0.0, 1.0)
+        loop.gauss(0.0, 1.0)
+    assert_draws_alike(rng, loop, periods, branching, assets, spread, 3)
+
+
+@pytest.mark.parametrize("shape", [(2, 10, 1), (3, 6, 3), (5, 4, 2), (2, 8, 3)])
+def test_one_block_draws_of_larger_trees_equal_the_loop(shape):
+    # enough nodes for the sums to run inside numpy
+    branching, periods, assets = shape
+    assert_draws_alike(random.Random(11), random.Random(11), periods, branching,
+                       assets, 0.3, 2)
+
+
+def test_one_block_draws_keep_the_sign_of_a_zero_gaussian():
+    # a gauss radius draw of exactly 0 gives sqrt(-0.0) = -0.0, so the pair
+    # is two signed zeros; the spare one must be carried with its sign.  In
+    # a (3, 1, 1) tree the second pair's radius reads Mersenne Twister
+    # words 20 and 21: set the state so that they are 0 (tempering maps
+    # 0 to 0) and the next word read is word 0.
+    version, words, _ = random.Random(3).getstate()
+    words = list(words)
+    words[20] = words[21] = 0
+    state = (version, tuple(words[:624]) + (0,), None)
+    rng, loop = random.Random(), random.Random()
+    rng.setstate(state)
+    loop.setstate(state)
+    assert_draws_alike(rng, loop, 1, 3, 1, 0.3, 2)
+
+
+SMALL_TERMS = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 0.1, 0.2, 0.3, 1.0,
+               -1.0, 3.0, 1e16, -1e16)
+SUM_TERMS = {
+    "small": SMALL_TERMS,
+    "huge": SMALL_TERMS + (1e308, -1e308, 1.7e308),
+    "all": SMALL_TERMS + (1e308, -1e308, 1.7e308, math.inf, -math.inf, math.nan),
+}
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 5), st.integers(1, 100), st.sampled_from(sorted(SUM_TERMS)),
+       st.integers(0, 2**32 - 1))
+def test_row_sums_are_math_fsum(width, rows, pool, seed):
+    # signed zeros, subnormals, ties, and sums past the float range
+    rng = np.random.default_rng(seed)
+    terms = rng.choice(SUM_TERMS[pool], size=(rows, width))
+    try:
+        want = np.array([math.fsum(row) for row in terms.tolist()])
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            mmvport.market._row_fsums(terms)
+        return
+    assert mmvport.market._row_fsums(terms).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize(
     "seed, spread", [(0, 1e300), (1, 1e308), (2, 1.7e308), (3, 1e155)]
 )
@@ -485,6 +568,26 @@ def assert_reads_alike(path, col):
 @given(law_text(), st.one_of(st.none(), st.sampled_from(COLUMNS)))
 def test_law_reader_matches_the_cell_by_cell_reference(tmp_path_factory, text, col):
     path = tmp_path_factory.getbasetemp() / "law.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert_reads_alike(path, col)
+
+
+@pytest.mark.parametrize("text, col", [
+    ("value\n1\n\n2\n", None),
+    ("value\n1\n2\n\n\n", None),
+    ("value\n \n", None),
+    ("value\n \n", "junk"),  # no data rows, before the column is looked up
+    ("value\n1\n\u3000\n2\n", None),
+    ("1,2\n\n3,4\n", None),  # a row of width 1 among rows of width 2
+    ("1,2\n,\n3,4\n", None),
+    ("value,weight\n1,1\n , \n2,1\n", "value"),
+    ("a,b,c\n1,2,3\n,,\n4,5,6\n", "2"),
+    ("value\n1\n\nabc\n", None),
+    ("value\n1\n\nnan\n", None),
+])
+def test_rows_with_no_visible_text_behind_a_visible_first_line(tmp_path, text, col):
+    # the reader splits such a file without screening its rows first
+    path = tmp_path / "law.csv"
     path.write_text(text, encoding="utf-8", newline="")
     assert_reads_alike(path, col)
 
