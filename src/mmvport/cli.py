@@ -45,6 +45,7 @@ import io
 import itertools
 import json
 import json.encoder
+import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -71,6 +72,7 @@ from .monotone_sharpe import _with_sharpe_ratio
 from .probability import (
     DiscreteLaw,
     RandomVariable,
+    _capped_sharpe_bounds,
     _capped_sharpe_ratios,
     _normalized,
     mean,
@@ -78,6 +80,8 @@ from .probability import (
 from .selftest import run_selftest
 
 __all__ = ["main"]
+
+_log = logging.getLogger(__name__)
 
 _CSV_FLAGS = ("equiv_a", "equiv_b", "equiv_c", "equiv_d", "fcfs_exists", "marginal")
 
@@ -412,20 +416,52 @@ def _law_from_rows(path, col, first, widths, cells, screened: bool) -> RandomVar
     return RandomVariable(law, values)
 
 
+def _certified_texts(lo: np.ndarray, hi: np.ndarray) -> tuple[list, list]:
+    """The output text of each lo, and the indices where it is not proven.
+
+    With lo <= R <= hi, R has the text both ends have: the 12-digit text is
+    correctly rounded, hence monotone in the float, and so is reading it
+    back, so the text of R lies between equal texts.  An index is unproven
+    where lo is NaN (its text is None) or the texts of lo and hi differ.
+    """
+    unproven = np.isnan(lo)
+    known = np.flatnonzero(~unproven)
+    texts = np.full(lo.size, None, dtype=object)
+    texts[known] = _sig_texts(lo[known].tolist())
+    texts = texts.tolist()
+    differ = known[lo[known] != hi[known]].tolist()
+    ends = _sig_texts(hi[differ].tolist())
+    unproven[[i for i, t in zip(differ, ends) if t != texts[i]]] = True
+    return texts, np.flatnonzero(unproven).tolist()
+
+
 def _cap_sweep_csv(X: RandomVariable) -> str:
     """The level,sharpe table, each number by the 12-digit rule.
 
     The levels are the positive atoms and a 400-point grid on (0, max X],
     or on (0, 1] when no atom is positive; grid points that underflow to 0
     (max X below 400 times the least subnormal) are left out.
+
+    Each ratio's text is that of the exact kernel
+    (``probability._capped_sharpe_ratios``), but the kernel runs only where
+    it must: ``probability._capped_sharpe_bounds`` bounds every level's
+    ratio by two floats, and a level whose two ends print the same text
+    has that text (``_certified_texts``).  The other levels, undecided or
+    with ends of two texts, go to the kernel together, in one call.  One
+    DEBUG record on this module's logger gives the counts.
     """
     vmax = float(X.values.max())
     top = vmax if vmax > 0 else 1.0
     atoms = np.unique(X.values[X.values > 0])
     grid = np.linspace(top / 400, top, 400)
     levels = np.unique(np.concatenate([atoms, grid[grid > 0.0]]))
-    ratios = _capped_sharpe_ratios(X, levels)
-    rows = zip(_sig_texts(levels.tolist()), _sig_texts(ratios.tolist()))
+    texts, exact = _certified_texts(*_capped_sharpe_bounds(X, levels))
+    if exact:
+        for i, t in zip(exact, _sig_texts(_capped_sharpe_ratios(X, levels[exact]).tolist())):
+            texts[i] = t
+    _log.debug("cap sweep: %d levels, %d certified, %d to the exact kernel",
+               levels.size, levels.size - len(exact), len(exact))
+    rows = zip(_sig_texts(levels.tolist()), texts)
     return "level,sharpe\n" + "".join(f"{a},{b}\n" for a, b in rows)
 
 

@@ -58,7 +58,10 @@ Conventions
   its high part and remainder.  The time is O(levels x atoms below each
   level) plus O(levels x _BLOCK), and, with unequal probabilities, one
   outer product per upper block; the memory is O(_BLOCK x _WIDTH + levels
-  + atoms).
+  + atoms).  ``_capped_sharpe_bounds`` brackets each level's ratio between
+  two floats from three prefix sums, in O((atoms + levels) log atoms), so
+  a caller that needs only a ratio's printed text runs this exact sweep on
+  the few levels whose two ends print differently.
 * Sharpe ratios and the monotone Sharpe cap are computed on X / 2^k with
   2^k the power of two just above max |X| (``_scaled``): exact, so the
   bits are those of X on every law whose squares stay in range, and finite
@@ -439,6 +442,10 @@ def _split(t: np.ndarray, sigma) -> tuple[np.ndarray, np.ndarray]:
 def _capped_sharpe_ratios(X: RandomVariable, levels) -> np.ndarray:
     """``[sharpe_ratio(X.cap(level)) for level in levels]``, bit for bit.
 
+    This is the exact cap sweep: the CLI's table prints certified texts
+    from ``_capped_sharpe_bounds`` and sends here only the levels those
+    cannot decide, and the bounds are tested against this function.
+
     Each capped payoff min(X, level) is scaled by the power of two 2^s that
     ``sharpe_ratio`` picks for it, from max |min(X, level)| =
     max(|min(min X, level)|, |min(max X, level)|).  Its mean and centred
@@ -579,6 +586,148 @@ def _capped_sharpe_ratios(X: RandomVariable, levels) -> np.ndarray:
     out = np.empty(lv.size)
     out[order] = np.where(flat, signs, ratios)
     return out
+
+
+def _prefix_sums(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums s[i] of t[:i] for i = 0..n, and bounds e[i] >= |s[i] - sum(t[:i])|.
+
+    ``np.cumsum`` adds left to right, h[i] = fl(h[i-1] + t[i]), and
+    TwoSum (Knuth) recovers each step's rounding error exactly:
+    h[i-1] + t[i] = h[i] + err[i].  The sum of t[:i] is then h + the sum
+    of err, and a float sum of err is within gamma_n n u max|h| <=
+    2 n^2 u^2 max|h| of it (|err| <= u |h|), with max|h| over the prefix;
+    adding the two parts rounds once more, by at most u |s| plus 2^-1074.
+    The bounds are evaluated in floats (see ``_capped_sharpe_bounds`` for
+    the margin that covers that).
+    """
+    n = t.size
+    head = np.cumsum(t)
+    prev = np.concatenate([[0.0], head[:-1]])
+    z = head - prev
+    err = (prev - (head - z)) + (t - z)
+    s = np.concatenate([[0.0], head + np.cumsum(err)])
+    worst = np.concatenate([[0.0], np.maximum.accumulate(np.abs(head))])
+    e = _UNIT * np.abs(s) + (2.0 * n * n * _UNIT * _UNIT) * worst + 2.0**-1074
+    return s, e
+
+
+def _capped_sharpe_bounds(X: RandomVariable, levels) -> tuple[np.ndarray, np.ndarray]:
+    """Floats lo <= R <= hi around each R of ``_capped_sharpe_ratios(X, levels)``.
+
+    A level is undecided where lo and hi are NaN.  The other levels bound
+    R, the float the exact kernel returns, not only the real Sharpe ratio
+    of min(X, K): R = fl(m / fl(sqrt(var))) with m = fl(S1) and var =
+    fl(S2), S1 and S2 the real sums of the kernel's IEEE terms (see
+    ``_capped_sharpe_ratios``).  Flat levels (K <= min X, or X constant)
+    are decided exactly, as the kernel decides them: +inf, -inf or 0 by
+    the sign of min(K, max X).
+
+    Every level K sees the atoms below it (x < K, the first b of the
+    sorted atoms) at y = ldexp(x, s), its shift, and the others at the
+    one value C = ldexp(min(K, max X), s).  The atoms are sorted once and
+    three prefix sums (``_prefix_sums``) are taken once, at the shift s0
+    of X itself (s >= s0 on every level above min X): of p, of fl(p y0)
+    and of fl(p fl(y0^2)), y0 = ldexp(x, s0); a level reads them at b and
+    scales them by 2^(s - s0) and 2^(2(s - s0)), exactly.  The mass above
+    the level, U0, is a suffix sum of p.  Time O((atoms + levels) log
+    atoms), memory O(atoms + levels).
+
+    The error model, u = 2^-53, d = s - s0, n atoms:
+
+    * mean terms.  Below the level the kernel's terms fl(p y) are 2^d
+      fl(p y0) whenever neither product is subnormal; otherwise they
+      differ by at most 2^(d - 1073) each.  Above it each term fl(p C)
+      is within u p |C| plus 2^-1075 of p C;
+    * prefix sums.  Each is within its ``_prefix_sums`` bound, scaled
+      with it;
+    * the rounding of m.  S1 lies within e1 of the estimate m~, the
+      sum of the errors above and of the rounding of m~'s own few
+      operations; rounding to nearest is monotone, so m = fl(S1) lies
+      in the floats around [m~ - e1, m~ + e1];
+    * the variance terms.  Each fl(p fl(fl(y - m)^2)) has three
+      roundings, relative u each (the difference's counted twice, as it
+      is squared), plus 2^-1074 where one is subnormal.  The terms are
+      nonnegative, so S2 is within gamma_4 W(m) + n 2^-1073 of W(m) =
+      sum p (y - m)^2 over the kernel's y;
+    * how m carries into W.  W(m) = B2 - 2 m B1 + m^2 B0, with B0, B1
+      and B2 the real sums of p, p y and p y^2: W(m) - W(m~) =
+      (m - m~)(B0 (m - m~) + 2 (B0 m~ - B1)), and B0 m~ - B1 is only the
+      rounding of m~ and the 1e-12 by which B0 may miss 1.  B1 carries,
+      beyond the mean's errors, the roundings of the terms fl(p y), at
+      most u sum p |y| <= u sqrt(B0 B2) (Cauchy-Schwarz); B2 those of
+      fl(p fl(y^2)), 2u relative, and the prefix sums' bounds.  The
+      estimate W~ = B2~ - m~ (m~ (2 - B0~)) (B1's estimate is m~) rounds
+      four times more;
+    * subnormals.  Each sum gets (n + 8) 2^(d - 1070) (mean) or
+      (n + 8) 2^(2d - 1066) (variance) for every subnormal term, scaled
+      value or product, far above what they can add;
+    * the square root and the division.  Correctly rounded sqrt and
+      division are monotone, so with float bounds m_lo <= m <= m_hi and
+      v_lo <= var <= v_hi, R lies between the same operations on the
+      ends: for m > 0, [fl(m_lo / fl(sqrt(v_hi))), fl(m_hi /
+      fl(sqrt(v_lo)))].
+
+    The error bounds e1 and e_var are sums of a few dozen nonnegative
+    floats, and of values used in place of the real ones they bound;
+    each is doubled, which covers both.  A level is undecided unless m_lo
+    and m_hi are normal floats of one sign, v_lo is normal and every end
+    is finite: intermediates outside the normal range, a mean whose sign
+    is not certain and a variance not certainly above 0 are left to the
+    kernel.
+    """
+    lv = np.asarray(levels, dtype=float)
+    ranked = np.argsort(X.values, kind="stable")
+    x, p = X.values[ranked], X.law.probabilities[ranked]
+    n = x.size
+    lo, hi = float(x[0]), float(x[-1])
+    u = _UNIT
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        shift = -np.frexp(
+            np.maximum(np.abs(np.minimum(lo, lv)), np.abs(np.minimum(hi, lv)))
+        )[1]
+        C = np.ldexp(np.minimum(lv, hi), shift)
+        b = np.searchsorted(x, lv)
+        k = math.frexp(max(-lo, hi))[1]  # s0 = -k, the shift of X itself
+        d = shift + k  # s - s0
+        y0 = np.ldexp(x, -k)
+        L1, eL1 = (np.ldexp(v[b], d) for v in _prefix_sums(p * y0))
+        L2, eL2 = (np.ldexp(v[b], 2 * d) for v in _prefix_sums(p * np.square(y0)))
+        above, e_above = _prefix_sums(p[::-1])
+        U0, eU0 = above[n - b], e_above[n - b]
+        B0, eB0 = above[n], e_above[n]
+        a1 = np.ldexp(n + 8.0, d - 1070)
+        a2 = np.ldexp(n + 8.0, 2 * d - 1066)
+        # the mean: S1 = (lower terms) + sum over the upper atoms of fl(p C)
+        CU = C * U0
+        m = L1 + CU
+        e1 = 2.0 * (u * (np.abs(m) + np.abs(CU) + np.abs(C) * (U0 + eU0))
+                    + eL1 + np.abs(C) * eU0 + a1)
+        # the variance about the kernel's m
+        eL2 = eL2 + 3.0 * u * L2 + a2
+        C2U = C * C * U0
+        B2 = L2 + C2U
+        eB2 = eL2 + C * C * eU0 + u * (B2 + 2.0 * C2U)
+        eB1 = e1 + u * np.sqrt((B0 + eB0) * (L2 + eL2))
+        var = B2 - m * (m * (2.0 - B0))
+        carry = e1 * ((B0 + eB0) * e1 + 2.0 * (np.abs(m) * (abs(B0 - 1.0) + eB0) + eB1))
+        eW = (eB2 + 2.0 * np.abs(m) * eB1 + m * m * eB0 + 4.0 * u * m * m
+              + u * np.abs(var) + carry)
+        e_var = 2.0 * (eW + 5.0 * u * (np.abs(var) + eW) + a2)
+        m_lo, m_hi = np.nextafter(m - e1, -math.inf), np.nextafter(m + e1, math.inf)
+        v_lo, v_hi = np.nextafter(var - e_var, -math.inf), np.nextafter(var + e_var, math.inf)
+        tiny = np.finfo(float).tiny
+        positive = m_lo >= tiny
+        sd_lo, sd_hi = np.sqrt(v_lo), np.sqrt(v_hi)
+        r_lo = m_lo / np.where(positive, sd_hi, sd_lo)
+        r_hi = m_hi / np.where(positive, sd_lo, sd_hi)
+    decided = ((positive | (m_hi <= -tiny)) & (v_lo >= tiny)
+               & np.isfinite(r_lo) & np.isfinite(r_hi))
+    flat = (lv <= lo) | (lo == hi)
+    top = np.minimum(lv, hi)
+    signs = np.where(top > 0.0, math.inf, np.where(top < 0.0, -math.inf, 0.0))
+    r_lo = np.where(flat, signs, np.where(decided, r_lo, math.nan))
+    r_hi = np.where(flat, signs, np.where(decided, r_hi, math.nan))
+    return r_lo, r_hi
 
 
 def quadratic_utility(w):

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import logging
 import math
 import os
 import subprocess
@@ -23,7 +24,7 @@ from mmvport import (
     load_packaged_market,
     market_to_json,
 )
-from mmvport.cli import _build_parser, main
+from mmvport.cli import _build_parser, _certified_texts, main
 from mmvport.fcfs import _sig_texts, report_to_dict
 from mmvport.market import load_market
 
@@ -144,6 +145,18 @@ BENCH_LAW_MID_DIGESTS = {
         "6c95a80389fd86243f1c23b42a6d052395911db74afb10a906f108b3ac5de0c2",
         "c81bb7d113e42c3132fe0b60f199a2f3e5d139699d451b984472186d33bb0163",
     ),
+}
+
+# sha256 of `msharpe --format csv` on the benchmark's seed-7 laws, whose
+# cap sweeps are the other half of its law workload, recorded before the
+# sweep printed certified texts without the exact kernel
+BENCH_LAW_SEED7_CSV_DIGESTS = {
+    ("uniform", 1000): "6e4b13671e0b486975b1f1c1d26a1f28953b9da4915a5c74d16013e131fcfcf9",
+    ("uniform", 2000): "48bcbbe724565dddda465c0276ab6508950072d81d3bbeef11d84b36c127119f",
+    ("uniform", 4000): "79ad260f9df942eef0f3863d3cb633e795bbe83ce62203ecf1fcd82f11d165cc",
+    ("heavy", 1000): "ebee666716eca45bbf314bb36c4d7c7609673662ef57ae992782678fdca02a46",
+    ("heavy", 2000): "8662f63a216238273c93083650a9c1c6876584ed195a56e416c60cc24a200a7c",
+    ("heavy", 4000): "625e348a6b80c859f448e0909501c353fcf5bf78d04e4c489ab258f31c6f9f4c",
 }
 
 # sha256 of `msharpe --format csv` on each law, recorded before the cap
@@ -660,6 +673,62 @@ class TestMsharpe:
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
+    @pytest.mark.parametrize("family, n", sorted(BENCH_LAW_SEED7_CSV_DIGESTS))
+    def test_bench_seed_7_cap_sweep_bytes_are_pinned(self, capsys, tmp_path, family, n):
+        path = self.write(tmp_path, _bench_law(family, n, seed=7))
+        code, out, _ = run(capsys, "msharpe", "--format", "csv", path)
+        assert code == 0
+        digest = BENCH_LAW_SEED7_CSV_DIGESTS[family, n]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_cap_sweep_logs_its_counts_at_debug(self, capsys, caplog, tmp_path):
+        text, digest = CAP_SWEEP_DIGESTS["readme"]
+        path = self.write(tmp_path, text)
+        code, out, err = run(capsys, "msharpe", "--format", "csv", path)
+        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
+        with caplog.at_level(logging.DEBUG, logger="mmvport.cli"):
+            assert run(capsys, "msharpe", "--format", "csv", path) == (0, out, "")
+        records = [r for r in caplog.records if r.name == "mmvport.cli"]
+        assert len(records) == 1 and records[0].levelno == logging.DEBUG
+        levels, certified, exact = records[0].args
+        assert levels == len(out.splitlines()) - 1 == certified + exact
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("family", ["uniform", "heavy"])
+    @pytest.mark.parametrize("n", [1000, 2000, 4000])
+    def test_bench_cap_sweeps_certify_most_levels(self, capsys, caplog, tmp_path,
+                                                  seed, family, n):
+        # a count, not a timer: the exact kernel sees at most 5% of the levels
+        path = self.write(tmp_path, _bench_law(family, n, seed))
+        with caplog.at_level(logging.DEBUG, logger="mmvport.cli"):
+            assert run(capsys, "msharpe", "--format", "csv", path)[0] == 0
+        (record,) = [r for r in caplog.records if r.name == "mmvport.cli"]
+        levels, certified, _ = record.args
+        assert certified >= 0.95 * levels
+
+    @pytest.mark.parametrize("family", sorted(BENCH_LAW_DIGESTS))
+    def test_undecided_levels_go_to_one_kernel_call(self, capsys, tmp_path,
+                                                    monkeypatch, family):
+        # with every level undecided the table is the kernel's, to the byte
+        def undecided(X, levels):
+            lo, _ = bounds(X, levels)
+            return np.full_like(lo, math.nan), np.full_like(lo, math.nan)
+
+        calls = []
+
+        def kernel(X, levels):
+            calls.append(len(levels))
+            return ratios(X, levels)
+
+        bounds, ratios = cli._capped_sharpe_bounds, cli._capped_sharpe_ratios
+        monkeypatch.setattr(cli, "_capped_sharpe_bounds", undecided)
+        monkeypatch.setattr(cli, "_capped_sharpe_ratios", kernel)
+        path = self.write(tmp_path, _bench_law(family, 1000))
+        code, out, _ = run(capsys, "msharpe", "--format", "csv", path)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == BENCH_LAW_DIGESTS[family][1]
+        assert calls == [len(out.splitlines()) - 1]
+
     @pytest.mark.parametrize("text, levels", [
         ("value\n5e-324\n-5e-324\n", ["5e-324"]),
         ("1e-321\n-1\n", None),  # 1e-321 / 400 is subnormal, not 0
@@ -1016,3 +1085,37 @@ class TestExitContract:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert err == b""
+
+
+def _around(value):
+    """Intervals of ``value`` and its float neighbours on either side."""
+    below, above = np.nextafter(value, -math.inf), np.nextafter(value, math.inf)
+    return [(below, value), (value, above), (below, above), (value, value)]
+
+
+@pytest.mark.parametrize("value", [
+    float("1.234567890125e-3"),  # halfway between two 12-digit decimals
+    float("-1.234567890125e-3"),
+    float("9.999999999995"),  # rounds up to 10: the text gains a digit
+    0.0,  # an interval through 0
+    -0.0,
+    5e-324,  # subnormal
+    float("2.2250738585072014e-308"),
+    float("0.3"),
+    math.inf,
+])
+def test_a_level_is_undecided_exactly_when_its_end_texts_differ(value):
+    pairs = _around(value)
+    lo, hi = (np.array(ends) for ends in zip(*pairs))
+    texts, exact = _certified_texts(lo, hi)
+    assert texts == _sig_texts(lo.tolist())
+    differ = [i for i, (a, b) in enumerate(pairs)
+              if format(a, ".12g") != format(b, ".12g")]
+    assert exact == differ
+    assert exact == [i for i, (a, b) in enumerate(zip(texts, _sig_texts(hi.tolist())))
+                     if a != b]
+
+
+def test_an_undecided_level_is_left_to_the_kernel():
+    texts, exact = _certified_texts(np.array([math.nan, 1.0]), np.array([math.nan, 1.0]))
+    assert (texts, exact) == ([None, "1.0"], [0])

@@ -25,11 +25,14 @@ from mmvport import (
     variance,
 )
 from mmvport import probability
+from mmvport.cli import _certified_texts
+from mmvport.fcfs import _sig_texts
 from mmvport.monotone_sharpe import alpha_root_bisection, solve_alpha_hat
 from mmvport.probability import (
     _BLOCK,
     _FSUM_ROWS_FROM,
     _WIDTH,
+    _capped_sharpe_bounds,
     _capped_sharpe_ratios,
     _fsum,
     _fsum_rows,
@@ -681,3 +684,92 @@ class TestCappedSharpeRatios:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+
+def certified_against_the_kernel(X, levels):
+    """Check the bounds of every level against the kernel; return the levels
+    left to it.
+
+    Every decided level's bounds hold the kernel's float, and every text
+    the bounds certify is the kernel's text.
+    """
+    levels = np.asarray(levels, dtype=float)
+    lo, hi = _capped_sharpe_bounds(X, levels)
+    want = _capped_sharpe_ratios(X, levels)
+    decided = ~np.isnan(lo)
+    assert np.array_equal(decided, ~np.isnan(hi))
+    assert np.all(lo[decided] <= want[decided]) and np.all(want[decided] <= hi[decided])
+    texts, exact = _certified_texts(lo, hi)
+    kept = sorted(set(range(levels.size)) - set(exact))
+    want = _sig_texts(want.tolist())
+    assert [texts[i] for i in kept] == [want[i] for i in kept]
+    return exact
+
+
+def sweep_levels(x):
+    """The CLI's levels: the positive atoms and a 400-point grid up to max X."""
+    top = max(float(x.max()), 0.0) or 1.0
+    grid = np.linspace(top / 400, top, 400)
+    return np.unique(np.concatenate([x[x > 0.0], grid[grid > 0.0]]))
+
+
+class TestCappedSharpeBounds:
+    @given(st.data())
+    def test_certified_texts_are_the_kernels(self, data):
+        # the draws of TestCappedSharpeRatios, with float-valued payoffs too
+        pool = data.draw(st.lists(PAYOFFS, min_size=1, max_size=4))
+        cell = st.sampled_from(pool) | st.floats(-5.0, 5.0)
+        m = data.draw(st.integers(1, 3 * _BLOCK + 1))
+        values = data.draw(st.lists(cell, min_size=m, max_size=m))
+        shift = data.draw(st.sampled_from([0, 0, -600, 600, 1000, -1040]))
+        x = np.ldexp(np.array(values), shift)
+        X = RandomVariable(DiscreteLaw(sweep_law(data.draw, m)), x)
+        extra = data.draw(st.lists(st.sampled_from(pool + [0.0, -0.0]), max_size=4))
+        ranked = np.sort(x)
+        levels = np.concatenate(
+            [sweep_levels(x), np.ldexp(np.array(extra, dtype=float), shift),
+             ranked[::_BLOCK], ranked[_BLOCK - 1 :: _BLOCK],
+             np.nextafter(ranked[::_BLOCK], -math.inf),
+             np.nextafter(ranked[_BLOCK - 1 :: _BLOCK], math.inf)]
+        )
+        certified_against_the_kernel(X, levels)
+
+    def test_levels_far_below_the_largest_atom(self):
+        x = np.array([2.0**-1000, 3 * 2.0**-998, 2.0**-990, 0.75, 1.0])
+        X = RandomVariable(DiscreteLaw.from_weights([1.0, 2.0, 1.0, 3.0, 1.0]), x)
+        levels = np.concatenate([x, np.ldexp(1.0, np.arange(-1001, 1, 7))])
+        certified_against_the_kernel(X, levels)
+
+    def test_a_mean_crossing_zero_is_left_to_the_kernel(self):
+        X = RandomVariable(DiscreteLaw.uniform(3), np.array([-3.0, 1.0, 5.0]))
+        levels = np.unique(np.concatenate([np.linspace(5 / 400, 5.0, 400), [2.0]]))
+        exact = certified_against_the_kernel(X, levels)
+        assert np.flatnonzero(levels == 2.0).tolist()[0] in exact
+
+    @pytest.mark.parametrize("value", [3.0, -2.5, 0.0, 1e300])
+    def test_a_constant_law_is_decided_exactly(self, value):
+        X = rv(np.full(5, value))
+        levels = np.concatenate([sweep_levels(X.values), [-1.0, value, 2 * value + 1.0]])
+        assert certified_against_the_kernel(X, levels) == []
+
+    def test_two_atoms(self):
+        X = RandomVariable(DiscreteLaw.from_weights([1.0, 3.0]), np.array([-1.0, 2.0]))
+        levels = np.concatenate([sweep_levels(X.values), [-1.0, np.nextafter(-1.0, 0.0)]])
+        assert len(certified_against_the_kernel(X, levels)) < levels.size // 20
+
+    def test_grid_levels_just_above_the_smallest_atom(self):
+        # min(X, K) for K a little above 100 varies by little: small variances
+        x = 100.0 + np.random.default_rng(8).uniform(0.0, 1.0, 300)
+        X = rv(x)
+        levels = np.concatenate([
+            sweep_levels(x), np.nextafter(x.min(), math.inf) + np.ldexp(1.0, -np.arange(0, 40)),
+        ])
+        certified_against_the_kernel(X, levels)
+
+    def test_a_large_offset_leaves_most_levels_to_the_kernel(self):
+        # the variance is 1e-17 of the second moment: the bounds cannot see it
+        x = 1e8 + np.random.default_rng(9).uniform(0.0, 1.0, 500)
+        X = rv(x)
+        levels = sweep_levels(x)
+        exact = certified_against_the_kernel(X, levels)
+        assert len(exact) > (levels > x.min()).sum() // 2
