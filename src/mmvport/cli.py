@@ -62,6 +62,7 @@ from .errors import (
 )
 from .fcfs import (
     _NUMBERS,
+    _print_alike,
     _report_fields,
     _sig_texts,
     analyze,
@@ -422,17 +423,17 @@ def _certified_texts(lo: np.ndarray, hi: np.ndarray) -> tuple[list, list]:
     With lo <= R <= hi, R has the text both ends have: the 12-digit text is
     correctly rounded, hence monotone in the float, and so is reading it
     back, so the text of R lies between equal texts.  An index is unproven
-    where lo is NaN (its text is None) or the texts of lo and hi differ.
+    where lo is NaN (its text is None) or the ends print differently.  Only
+    lo is formatted: whether hi prints alike is decided by number where
+    that is certain, next to the 12-digit rule (``fcfs._print_alike``).
     """
     unproven = np.isnan(lo)
     known = np.flatnonzero(~unproven)
     texts = np.full(lo.size, None, dtype=object)
     texts[known] = _sig_texts(lo[known].tolist())
-    texts = texts.tolist()
-    differ = known[lo[known] != hi[known]].tolist()
-    ends = _sig_texts(hi[differ].tolist())
-    unproven[[i for i, t in zip(differ, ends) if t != texts[i]]] = True
-    return texts, np.flatnonzero(unproven).tolist()
+    differ = known[lo[known] != hi[known]]
+    unproven[differ[~_print_alike(lo[differ], hi[differ])]] = True
+    return texts.tolist(), np.flatnonzero(unproven).tolist()
 
 
 def _cap_sweep_csv(X: RandomVariable) -> str:
@@ -442,13 +443,14 @@ def _cap_sweep_csv(X: RandomVariable) -> str:
     or on (0, 1] when no atom is positive; grid points that underflow to 0
     (max X below 400 times the least subnormal) are left out.
 
-    Each ratio's text is that of the exact kernel
-    (``probability._capped_sharpe_ratios``), but the kernel runs only where
-    it must: ``probability._capped_sharpe_bounds`` bounds every level's
-    ratio by two floats, and a level whose two ends print the same text
-    has that text (``_certified_texts``).  The other levels, undecided or
-    with ends of two texts, go to the kernel together, in one call.  One
-    DEBUG record on this module's logger gives the counts.
+    Each ratio's text is that of the exact pass
+    (``probability._capped_sharpe_ratios``, the dense per-level sums of
+    ``sharpe_ratio``), but that pass runs only where it must:
+    ``probability._capped_sharpe_bounds`` bounds every level's ratio by two
+    floats, and a level whose two ends print alike has lo's text
+    (``_certified_texts``, which formats lo only).  The other levels,
+    undecided or with ends of two texts, go to the exact pass together, in
+    one call.  One DEBUG record on this module's logger gives the counts.
     """
     vmax = float(X.values.max())
     top = vmax if vmax > 0 else 1.0
@@ -459,7 +461,7 @@ def _cap_sweep_csv(X: RandomVariable) -> str:
     if exact:
         for i, t in zip(exact, _sig_texts(_capped_sharpe_ratios(X, levels[exact]).tolist())):
             texts[i] = t
-    _log.debug("cap sweep: %d levels, %d certified, %d to the exact kernel",
+    _log.debug("cap sweep: %d levels, %d certified, %d to the exact pass",
                levels.size, levels.size - len(exact), len(exact))
     rows = zip(_sig_texts(levels.tolist()), texts)
     return "level,sharpe\n" + "".join(f"{a},{b}\n" for a, b in rows)

@@ -298,6 +298,54 @@ def _sig_texts(values) -> list:
     ]
 
 
+# 10^k for k = 0..22, each exact in binary64
+_POWERS_OF_TEN = np.array([float(10**k) for k in range(23)])
+
+
+def _rounded_digits(x: np.ndarray):
+    """(M, E, certain): |x| rounds to M 10^(E - 11), 10^11 <= M < 10^12.
+
+    This is the :func:`_twelve_digits` rounding of each float, by number.
+    E = floor(log10 |x|), y = |x| 10^(11 - E) and M = floor(y + 1/2), with
+    M = 10^12 carried to 10^11 of the next exponent.  For |x| in
+    [1e-10, 1e32) the power of ten is exact, so y is one rounding from
+    the real product, within 2^-53 10^12 < 1.2e-4 of it, and M is the
+    correctly rounded mantissa wherever y's fraction is more than 1e-3
+    from 1/2.  ``log10`` can put E one off only where |x| is within a few
+    roundings of a power of ten; y is then within about 1e-2 of 10^11 or
+    10^12, and the grids of both exponents round |x| to that power.  A
+    float is ``certain`` when both conditions hold; ties, zeros,
+    subnormals, non-finite floats and the ends of the range are not.
+    """
+    a = np.abs(x)
+    certain = (a >= 1e-10) & (a < 1e32)
+    a = np.where(certain, a, 1.0)
+    e = np.floor(np.log10(a)).astype(int)
+    k = 11 - e
+    y = np.where(k >= 0, a * _POWERS_OF_TEN[np.maximum(k, 0)],
+                 a / _POWERS_OF_TEN[np.maximum(-k, 0)])
+    whole = np.floor(y)
+    certain &= np.abs(y - whole - 0.5) > 1e-3
+    m = whole + (y - whole > 0.5)
+    carry = m == 1e12
+    return np.where(carry, 1e11, m), e + carry, certain
+
+
+def _print_alike(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether the floats of each pair have one :func:`_sig_texts` text.
+
+    Decided by number (:func:`_rounded_digits`) where both ends are
+    certain and of one sign, and by formatting both ends elsewhere.
+    """
+    ma, ea, ca = _rounded_digits(a)
+    mb, eb, cb = _rounded_digits(b)
+    alike = (ma == mb) & (ea == eb)
+    unsure = np.flatnonzero(~(ca & cb & (np.signbit(a) == np.signbit(b))))
+    alike[unsure] = [s == t for s, t in zip(_sig_texts(a[unsure].tolist()),
+                                            _sig_texts(b[unsure].tolist()))]
+    return alike
+
+
 _NUMBERS = ("u", "u_m", "u_mv", "u_mmv", "sr_max", "sr_m_max", "c_hat_m")
 
 

@@ -459,7 +459,7 @@ def _row_fsums(rows: np.ndarray) -> np.ndarray:
         if np.all(np.isfinite(total)):
             return total
     flat = rows.ravel().tolist()
-    return _fsum_rows([(0, rows.T)], w, np.max(np.abs(rows), axis=1),
+    return _fsum_rows(rows.T, np.max(np.abs(rows), axis=1),
                       lambda i: flat[i * w : i * w + w])
 
 

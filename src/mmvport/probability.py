@@ -42,26 +42,18 @@ Conventions
   functional identities hold to near machine precision even on laws with
   thousands of atoms and wildly mixed magnitudes.  A single sum goes
   through ``_fsum``, which from ``_FSUM_ROWS_FROM`` terms on takes it as one
-  row of ``_fsum_rows`` (below), with the same bits.  The cap sweep sums all
-  cap levels at once with ``_fsum_rows``, over tiles of ``_BLOCK`` sorted
-  atoms by at most ``_WIDTH`` sorted levels: the error-free extraction of
-  AccSum (Rump, Ogita & Oishi 2008) splits each term into a high part on a
-  power-of-two grid, summed exactly, and a remainder whose float sum has an
-  a-priori error bound, which certifies, level by level, that it returns
-  what ``math.fsum`` returns; a level it cannot certify is summed again by
-  ``math.fsum``.  Against a block of atoms the levels fall in three
-  regions: upper (every atom at or above the level, so each term is p_j
-  times one number per level), lower (every atom below it: no ``min``) and
-  mixed (at most one block per level).  The mean terms of lower blocks are
-  prefix sums shared by the levels of one scaling shift, and with equal
-  probabilities a level's upper terms are one value, added as count times
-  its high part and remainder.  The time is O(levels x atoms below each
-  level) plus O(levels x _BLOCK), and, with unequal probabilities, one
-  outer product per upper block; the memory is O(_BLOCK x _WIDTH + levels
-  + atoms).  ``_capped_sharpe_bounds`` brackets each level's ratio between
-  two floats from three prefix sums, in O((atoms + levels) log atoms), so
-  a caller that needs only a ratio's printed text runs this exact sweep on
-  the few levels whose two ends print differently.
+  row of ``_fsum_rows`` (below), with the same bits: the error-free
+  extraction of AccSum (Rump, Ogita & Oishi 2008) splits each term into a
+  high part on a power-of-two grid, summed exactly, and a remainder whose
+  float sum has an a-priori error bound, which certifies, row by row, that
+  it returns what ``math.fsum`` returns; a row it cannot certify is summed
+  again by ``math.fsum``.  The exact cap sweep ``_capped_sharpe_ratios`` is
+  one dense pass of such rows, a chunk of at most ``_CHUNK`` terms at a
+  time, each level's row bounded by its own largest term.
+  ``_capped_sharpe_bounds`` brackets each level's ratio between two floats
+  from three prefix sums, in O((atoms + levels) log atoms), so a caller
+  that needs only a ratio's printed text runs the exact sweep on the few
+  levels whose two ends print differently.
 * Sharpe ratios and the monotone Sharpe cap are computed on X / 2^k with
   2^k the power of two just above max |X| (``_scaled``): exact, so the
   bits are those of X on every law whose squares stay in range, and finite
@@ -70,7 +62,6 @@ Conventions
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -99,14 +90,10 @@ __all__ = [
 
 _PROB_SUM_TOL = 1e-12
 _UNIT = 2.0**-53  # unit roundoff of IEEE double
-_BLOCK = 64  # atoms per block of the cap sweep
-_WIDTH = 768  # levels per tile of the cap sweep: 384 KB of terms
-# numpy's ufunc buffer during the cap sweep, in elements.  At numpy's 8192
-# the operands a tile broadcasts are copied through 64 KB buffers, more
-# than a 48 KB first-level cache; at 512 the sweep ran 1.05-1.3x faster
-# (most on unequal probabilities) on a 2-core Xeon, numpy 2.4, in-process
-# medians over the benchmark's six cap-sweep laws.
-_UFUNC_BUFFER = 512
+# terms per chunk of the exact cap sweep: 128 KB, glibc's initial mmap
+# threshold; freeing larger temporaries raises that threshold for good,
+# and with it the heap the process keeps
+_CHUNK = 16384
 # terms from which one exact sum is taken by ``_fsum_rows`` rather than
 # ``math.fsum``: on a 2-core Xeon, numpy 2.4, math.fsum over tolist() took
 # 22, 29 and 62 us at 768, 1024 and 2048 terms, and _fsum_rows 28-30 us
@@ -249,16 +236,6 @@ class RandomVariable:
         return float(self.values.max())
 
 
-@contextlib.contextmanager
-def _ufunc_buffer(size: int):
-    """numpy's ufunc buffer set to ``size`` elements within the block."""
-    old = np.setbufsize(size)
-    try:
-        yield
-    finally:
-        np.setbufsize(old)
-
-
 def _fsum(t: np.ndarray) -> float:
     """``math.fsum(t.tolist())`` of a 1-d float array, bit for bit.
 
@@ -270,7 +247,7 @@ def _fsum(t: np.ndarray) -> float:
     if t.size < _FSUM_ROWS_FROM:
         return math.fsum(t.tolist())
     largest = np.max(np.abs(t))
-    return float(_fsum_rows([(0, t[:, None])], t.size, largest, lambda i: t.tolist())[0])
+    return float(_fsum_rows(t[:, None], largest, lambda i: t.tolist())[0])
 
 
 def _fsum_dot(p: np.ndarray, x: np.ndarray) -> float:
@@ -363,62 +340,38 @@ def _sigma(largest, n: int):
         )
 
 
-def _fsum_rows(blocks, n: int, largest, row_terms, start=(0.0, 0.0),
-               scratch=None) -> np.ndarray:
-    """``math.fsum`` of each row, fed a block of terms at a time.
+def _fsum_rows(t: np.ndarray, largest, row_terms) -> np.ndarray:
+    """``math.fsum`` of each row of terms, all rows at once.
 
-    Each row has n >= 1 terms; ``largest``, a scalar or one value per row,
-    bounds |t| over each row's terms and ``row_terms(i)`` returns row i's
-    terms.  ``blocks`` yields pairs (a, t): t a float array of shape (k, w)
-    holding k terms of each of rows a to a + w - 1.  Without ``start`` every
-    block covers every row and together they hold all n terms.  ``start``
-    is a pair (tau, rho) of row arrays for terms summed beforehand, split
-    with the ``_sigma`` of ``largest`` and n (``_split``): tau the exact sum
-    of their high parts and rho a float sum of their remainders within the
-    bound below; the blocks then hold the other terms, each block a range
-    of the rows.
+    t is a float array of shape (n, rows): column i holds the n >= 1
+    terms of row i.  ``largest``, a scalar or one value per row, bounds |t|
+    over each row's terms and ``row_terms(i)`` returns row i's terms.
 
     Each row is summed by the error-free extraction of AccSum (Rump, Ogita
     & Oishi 2008): with sigma the power of two at least 2^M largest,
     2^M >= n + 2, the high parts q = (sigma + t) - sigma are multiples of
     u sigma whose sums stay below sigma, so their sum tau is exact in any
-    order and over any split of the terms, and the remainders t - q are
-    exact with |t - q| <= u sigma, so a float sum rho of them, by any
-    summation tree (a prefix sum carried in by ``start`` and then the
-    blocks' column sums, say), is within gamma_n n u sigma <= 2 n^2 u^2
-    sigma of theirs.  A block thus reduces in two C-level sums.
-    TwoSum(tau, rho) = c0 + r exactly; c0 is the correctly rounded row sum,
-    as ``math.fsum`` returns it, wherever |r| plus that bound stays
+    order, and the remainders t - q are exact with |t - q| <= u sigma, so
+    a float sum rho of them, by any summation tree, is within
+    gamma_n n u sigma <= 2 n^2 u^2 sigma of theirs.  The rows thus reduce
+    in two C-level sums, over a buffer whose longer axis is contiguous.
+    TwoSum(tau, rho) = c0 + r exactly; c0 is the correctly rounded row
+    sum, as ``math.fsum`` returns it, wherever |r| plus that bound stays
     strictly below half the gap from c0 to its neighbour toward zero.  That
     half gap rounds to 0 for |c0| <= 2^-1021, and a non-finite row (or one
     whose sigma overflows) makes sigma, r or the bound NaN or inf, so every
     other row (non-finite, zero or subnormal c0, or a near-tie) is summed
     again by ``math.fsum`` over ``row_terms``, and each result is exact.
-    The high parts go to ``scratch``, a float array at least as large as
-    every block (by default one is allocated as the blocks need it), so
-    the memory is that of one block.
     """
+    n, w = t.shape
     sigma = _sigma(largest, n)
-    tau, rho = (np.array(v, dtype=float) for v in start)
-    if scratch is None:
-        scratch = np.empty(0)
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, t in blocks:
-            k, w = t.shape
-            if scratch.size < t.size:
-                scratch = np.empty(t.size)
-            q = scratch[: t.size].reshape(k, w)
-            s = sigma[a : a + w] if sigma.ndim else sigma
-            np.add(t, s, out=q)
-            q -= s
-            high = np.add.reduce(q, axis=0)
-            np.subtract(t, q, out=q)
-            low = np.add.reduce(q, axis=0)
-            if tau.ndim:  # add into rows a to a + w - 1
-                tau[a : a + w] += high
-                rho[a : a + w] += low
-            else:
-                tau, rho = tau + high, rho + low
+        q = np.empty((n, w), order="F" if n > w else "C")
+        np.add(t, sigma, out=q)
+        q -= sigma
+        tau = np.add.reduce(q, axis=0)
+        np.subtract(t, q, out=q)
+        rho = np.add.reduce(q, axis=0)
         c0 = tau + rho
         z = c0 - tau
         r = (tau - (c0 - z)) + (rho - z)
@@ -432,13 +385,6 @@ def _fsum_rows(blocks, n: int, largest, row_terms, start=(0.0, 0.0),
     return out
 
 
-def _split(t: np.ndarray, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """AccSum's high parts (sigma + t) - sigma of the terms t, and remainders."""
-    q = t + sigma
-    q -= sigma
-    return q, t - q
-
-
 def _capped_sharpe_ratios(X: RandomVariable, levels) -> np.ndarray:
     """``[sharpe_ratio(X.cap(level)) for level in levels]``, bit for bit.
 
@@ -446,145 +392,42 @@ def _capped_sharpe_ratios(X: RandomVariable, levels) -> np.ndarray:
     from ``_capped_sharpe_bounds`` and sends here only the levels those
     cannot decide, and the bounds are tested against this function.
 
-    Each capped payoff min(X, level) is scaled by the power of two 2^s that
-    ``sharpe_ratio`` picks for it, from max |min(X, level)| =
-    max(|min(min X, level)|, |min(max X, level)|).  Its mean and centred
-    variance are the exact sums of the same IEEE terms p_j y_j and
-    p_j (c c), with y_j the scaled min(x_j, level) and c = y_j - m, taken
-    for every level at once by ``_fsum_rows``.  The bounds it needs hold a
-    priori: |y| < 1, so the mean terms are at most max p, and the
-    probabilities sum to 1 within 1e-12, so |m| < 1 + 2^-30 and the square
-    terms stay below 4.5 max p.  min(X, level) is constant exactly when
-    level <= min X or X is constant.
+    One dense pass over chunks of levels builds the terms ``sharpe_ratio``
+    builds for each capped payoff min(X, level): the payoff scaled by the
+    power of two 2^s that ``_scaled`` picks for it, from max |min(X, level)|
+    = max(|min(min X, level)|, |min(max X, level)|), then the mean terms
+    p_j y_j and the centred variance terms p_j (c c), c = y_j - m.
+    ``_fsum_rows`` sums each level's row exactly, bounded by that row's own
+    largest term, so it returns what ``math.fsum`` returns.  min(X, level)
+    is constant exactly when level <= min X or X is constant.
 
-    Exact sums do not depend on the order of their terms, so the atoms
-    (with their p) and the levels are sorted, and each ``_BLOCK``-atom block
-    of sorted atoms splits the sorted levels K into three regions:
-
-    * upper, the levels at or below the block's smallest atom: there
-      min(x, K) = K, so each term is fl(p_j C) with C one number per level,
-      C_K = ldexp(K, s) for the mean and fl(fl(C_K - m)^2) for the
-      variance: one outer product in place of min, ldexp, subtract, square
-      and multiply;
-    * lower, the levels above the block's largest atom: there
-      y = ldexp(x, s) and no ``min`` is needed;
-    * mixed, the levels in between, which keep the path ``sharpe_ratio``
-      takes (min, then ldexp).  A level has at most one mixed block, and
-      none when it sits at a block boundary.
-
-    Below a level the mean term p_j ldexp(x_j, s) depends on the level only
-    through its shift s, which takes a few values; for each, the high parts
-    and remainders of these terms are prefix-summed once over the sorted
-    atoms, and each level starts from the prefix at the end of its lower
-    blocks (tau exact, rho one more summation tree under the same
-    gamma_n n u sigma bound).  So the mean pass sums only the mixed and
-    upper blocks of each level, and the variance pass every block.
-
-    When all probabilities are equal (an input property: ``uniform`` laws
-    and equal weights), a level's upper terms are all one value t, and
-    they are added as count x (sigma + t) - sigma and count x the
-    remainder, in ``start``.  The first product is exact: the high parts of
-    all n terms sum below sigma, and count times one of them is a multiple
-    of u sigma below sigma.  The second is one rounding in place of
-    count - 1 additions, so each remainder still passes at most n
-    roundings and rho stays within the gamma_n n u sigma <= 2 n^2 u^2 sigma
-    bound that ``_fsum_rows`` certifies against.  Upper blocks then cost
-    nothing per atom.
-
-    Time: O(levels x atoms below each level) for the lower blocks of the
-    variance, plus O(levels x _BLOCK) for the mixed blocks, plus, with
-    unequal probabilities, one outer product and extraction per upper
-    block, in both passes.  The terms go to ``_fsum_rows`` in tiles of
-    ``_BLOCK`` atoms by at most ``_WIDTH`` levels, held in one preallocated
-    buffer with one more for the high parts, so the memory is
-    O(_BLOCK x _WIDTH + levels + atoms).  The tiles broadcast a column of
-    atoms against a row of levels; numpy streams such operands through its
-    ufunc buffer, which is set to ``_UFUNC_BUFFER`` elements while the
-    tiles are summed (see the constant).
+    A chunk holds max(1, ``_CHUNK`` // atoms) levels, so each of its three
+    temporaries is at most ``_CHUNK`` floats, or one row of atoms on laws
+    of more atoms than that.  Time O(levels x atoms).
     """
-    levels = np.asarray(levels, dtype=float)
-    order = np.argsort(levels, kind="stable")
-    lv = levels[order]
-    ranked = np.argsort(X.values, kind="stable")
-    x, p = X.values[ranked], X.law.probabilities[ranked]
+    lv = np.asarray(levels, dtype=float)
+    x, p = X.values, X.law.probabilities
     n = x.size
-    lo, hi = float(x[0]), float(x[-1])
-    shift = -np.frexp(
-        np.maximum(np.abs(np.minimum(lo, lv)), np.abs(np.minimum(hi, lv)))
-    )[1]
-    top = np.ldexp(np.minimum(lv, hi), shift)  # C_K, for atoms at or above K
-    below = np.searchsorted(x, lv)  # atoms below each level
-    # level i has the whole blocks of atoms [0, ends[i]) below it, those of
-    # [rises[i], n) at or above it, and its mixed block in between
-    ends = np.where(below == n, n, below - below % _BLOCK)
-    rises = np.minimum(below + -below % _BLOCK, n)
-    starts = range(0, n, _BLOCK)
-    # block b is upper for the levels [0, upper[b]), mixed for
-    # [upper[b], lower[b]) and lower for [lower[b], levels.size)
-    upper = np.searchsorted(rises, starts, side="right").tolist()
-    lower = np.searchsorted(ends, [min(j + _BLOCK, n) for j in starts]).tolist()
-    p_max = float(p.max())
-    equal = p_max == float(p.min())
-    sigma = _sigma(p_max, n)
-    tau = np.zeros(lv.size)
-    rho = np.zeros(lv.size)
-    for s in np.unique(shift).tolist():
-        rows = np.flatnonzero(shift == s)
-        end = ends[rows].max()
-        q, r = _split(np.ldexp(x[:end], s) * p[:end], sigma)
-        tau[rows] = np.concatenate([[0.0], np.cumsum(q)])[ends[rows]]
-        rho[rows] = np.concatenate([[0.0], np.cumsum(r)])[ends[rows]]
-    count = n - rises  # atoms in a level's upper blocks
-    if equal:
-        q, r = _split(top * p_max, sigma)
-        tau += count * q
-        rho += count * r
-    buf, scratch = np.empty((2, _BLOCK * min(_WIDTH, lv.size)))
-
-    def tiles(square, c):
-        # each block's terms, at most _WIDTH levels at a time: its upper
-        # levels (p times c; none when the probabilities are equal), then its
-        # mixed levels and, in the square pass, its lower levels
-        for b, j in enumerate(starts):
-            xb, pb = x[j : j + _BLOCK, None], p[j : j + _BLOCK, None]
-            k, u, w = xb.size, upper[b], lower[b]
-            for a in range(0, 0 if equal else u, _WIDTH):
-                e = min(a + _WIDTH, u)
-                yield a, np.multiply(pb, c[a:e], out=buf[: k * (e - a)].reshape(k, e - a))
-            last = lv.size if square else w
-            for a in range(u, last, _WIDTH):
-                e = min(a + _WIDTH, last)
-                t = buf[: k * (e - a)].reshape(k, e - a)
-                mid = min(max(w, a), e)  # mixed levels [a, mid), lower [mid, e)
-                y = np.minimum(xb, lv[a:mid], out=t[:, : mid - a])
-                np.ldexp(y, shift[a:mid], out=y)
-                if square:
-                    np.ldexp(xb, shift[mid:e], out=t[:, mid - a :])
-                    t -= m[a:e]
-                    np.square(t, out=t)
-                np.multiply(t, p_max if equal else pb, out=t)
-                yield a, t
-
-    def level(i):  # every atom at level i, as sharpe_ratio sees it
-        return np.ldexp(np.minimum(x, lv[i]), shift[i])
-
-    def square_terms(i):
-        c = level(i) - m[i]
-        return (p * (c * c)).tolist()
-
-    with _ufunc_buffer(_UFUNC_BUFFER):
-        m = _fsum_rows(tiles(False, top), n, p_max, lambda i: (p * level(i)).tolist(),
-                       start=(tau, rho), scratch=scratch)
-        squares = np.square(top - m)  # fl(fl(C_K - m)^2)
-        q, r = _split(squares * p_max, _sigma(4.5 * p_max, n)) if equal else (0.0, 0.0)
-        var = _fsum_rows(tiles(True, squares), n, 4.5 * p_max, square_terms,
-                         start=(count * q, count * r), scratch=scratch)
-    flat = (lv <= lo) | (lo == hi) | (var <= 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = m / np.sqrt(var)
-    signs = np.where(m > 0.0, math.inf, np.where(m < 0.0, -math.inf, 0.0))
+    lo, hi = X.min(), X.max()
+    step = max(1, _CHUNK // n)
     out = np.empty(lv.size)
-    out[order] = np.where(flat, signs, ratios)
+    for a in range(0, lv.size, step):
+        K = lv[a : a + step, None]
+        shift = -np.frexp(np.maximum(np.abs(np.minimum(lo, K)), np.abs(np.minimum(hi, K))))[1]
+        y = np.minimum(x, K)  # one row per level
+        np.ldexp(y, shift, out=y)
+        t = y * p
+        m = _fsum_rows(t.T, np.maximum(t.max(axis=1), -t.min(axis=1)),
+                       lambda i: t[i].tolist())
+        y -= m[:, None]
+        np.square(y, out=y)
+        y *= p
+        var = _fsum_rows(y.T, y.max(axis=1), lambda i: y[i].tolist())
+        flat = (K[:, 0] <= lo) | (lo == hi) | (var <= 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = m / np.sqrt(var)
+        signs = np.where(m > 0.0, math.inf, np.where(m < 0.0, -math.inf, 0.0))
+        out[a : a + step] = np.where(flat, signs, ratios)
     return out
 
 

@@ -25,7 +25,7 @@ from mmvport import (
     market_to_json,
 )
 from mmvport.cli import _build_parser, _certified_texts, main
-from mmvport.fcfs import _sig_texts, report_to_dict
+from mmvport.fcfs import _print_alike, _rounded_digits, _sig_texts, report_to_dict
 from mmvport.market import load_market
 
 
@@ -804,6 +804,13 @@ def test_the_twelve_digit_rule_has_one_home():
     assert homes == ["fcfs.py"]
 
 
+def test_no_library_call_sets_numpys_buffer_size():
+    # numpy's buffer size is process-wide state: a library call must not move it
+    package = Path(mmvport.__file__).parent
+    assert [path.name for path in sorted(package.glob("*.py"))
+            if "setbufsize" in path.read_text(encoding="utf-8")] == []
+
+
 # sha256 of `generate` and of `analyze --verify` on a few shapes, recorded
 # before the tree went columnar; both byte streams must stay the same
 TREE_DIGESTS = [
@@ -1119,3 +1126,97 @@ def test_a_level_is_undecided_exactly_when_its_end_texts_differ(value):
 def test_an_undecided_level_is_left_to_the_kernel():
     texts, exact = _certified_texts(np.array([math.nan, 1.0]), np.array([math.nan, 1.0]))
     assert (texts, exact) == ([None, "1.0"], [0])
+
+
+def _text_certified(lo, hi):
+    """``_certified_texts`` by formatting both ends, as it was first written."""
+    unproven = np.isnan(lo)
+    known = np.flatnonzero(~unproven)
+    texts = np.full(lo.size, None, dtype=object)
+    texts[known] = _sig_texts(lo[known].tolist())
+    texts = texts.tolist()
+    differ = known[lo[known] != hi[known]].tolist()
+    ends = _sig_texts(hi[differ].tolist())
+    unproven[[i for i, t in zip(differ, ends) if t != texts[i]]] = True
+    return texts, np.flatnonzero(unproven).tolist()
+
+
+def _ulps(x, k):
+    """x moved by k floats, toward +inf for k > 0."""
+    with np.errstate(over="ignore"):  # the largest float steps to inf
+        for _ in range(abs(k)):
+            x = np.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def _straddle_pairs():
+    """(lo, hi) arrays of float pairs around the 12-digit text boundaries."""
+    rng = np.random.default_rng(71)
+    pairs = []
+    # random floats over every decade, both signs, and their neighbours
+    x = rng.choice([-1.0, 1.0], 4000) * rng.uniform(1.0, 10.0, 4000) * 10.0 ** rng.integers(
+        -300, 300, 4000).astype(float)
+    pairs += [(x, _ulps(x, k)) for k in (1, 2, 3)]
+    pairs.append((x, x * (1.0 + rng.uniform(0.0, 1e-11, x.size))))
+    pairs.append((-np.abs(x), np.abs(x)))  # one text but for the sign
+    # 12-digit texts and the midpoints between them, each +-1 to 3 ulps
+    digits = rng.integers(10**11, 10**12, 3000)
+    exponents = rng.integers(-60, 60, 3000)
+    for text in ("{}.{}e{}", "{}.{}5e{}"):
+        t = np.array([float(text.format(d // 10**11, f"{d % 10**11:011d}", e))
+                      for d, e in zip(digits.tolist(), exponents.tolist())])
+        t *= rng.choice([-1.0, 1.0], t.size)
+        pairs += [(_ulps(t, -j), _ulps(t, k)) for j in (0, 1, 3) for k in (0, 1, 2, 3)]
+    # exact halves: rounded half to even
+    halves = np.array([123456789012.5, 123456789013.5, 999999999999.5, 100000000000.5,
+                       1234567890125.0, 1234567890135.0, 12345678901250.0, 9999999999995.0,
+                       61728394506.25])
+    halves = np.concatenate([halves, -halves, rng.integers(10**11, 10**12, 500) + 0.5])
+    pairs += [(_ulps(halves, -j), _ulps(halves, k)) for j in (0, 1) for k in (0, 1)]
+    # powers of ten, and the layout switches at 1e-5 and 1e16
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)]
+                    + [1e-5, 9.999999999995e-6, 9.99999999999e-6, 1e16, 9.9999999999995e15,
+                       9.99999999999e15, 1e-4, 9.9999999999995e-5, 1e12, 999999999999.5])
+    tens = np.concatenate([tens, -tens])
+    pairs += [(_ulps(tens, -j), _ulps(tens, k)) for j in (0, 1) for k in (0, 1)]
+    # subnormals, zeros, infinities and NaN, alone and together
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                        2.225073858507201e-308, 1.7976931348623157e308, math.inf, -math.inf,
+                        math.nan, 1e-10, 1e32, 9.99999999999e31, 1e-11])
+    a, b = np.meshgrid(special, special)
+    pairs.append((a.ravel(), b.ravel()))
+    pairs += [(special, _ulps(special, 1))]
+    lo, hi = (np.concatenate(ends) for ends in zip(*pairs))
+    return np.minimum(lo, hi), np.maximum(lo, hi)
+
+
+def test_the_numeric_straddle_test_is_the_texts():
+    lo, hi = _straddle_pairs()
+    alike = _print_alike(lo, hi)
+    assert alike.tolist() == [a == b for a, b in zip(_sig_texts(lo.tolist()),
+                                                      _sig_texts(hi.tolist()))]
+    # the '.12g' texts themselves agree wherever neither end is subnormal
+    normal = ~((np.abs(lo) < 2.2250738585072014e-308) & (lo != 0.0)
+               | (np.abs(hi) < 2.2250738585072014e-308) & (hi != 0.0))
+    assert alike[normal].tolist() == [format(a, ".12g") == format(b, ".12g")
+                                      for a, b in zip(lo[normal], hi[normal])]
+    assert _certified_texts(lo, hi) == _text_certified(lo, hi)
+
+
+def test_rounded_digits_are_the_twelve_digit_rounding():
+    lo, hi = _straddle_pairs()
+    x = np.concatenate([lo, hi])
+    m, e, certain = _rounded_digits(x)
+    # '.11e' is the '.12g' rounding, always in scientific layout
+    want = [format(abs(v), ".11e").split("e") for v in x[certain].tolist()]
+    assert [(int(m), int(e)) for m, e in zip(m[certain], e[certain])] == [
+        (int(digits.replace(".", "")), int(exponent)) for digits, exponent in want]
+    # ties, zeros, subnormals, non-finite floats and the ends of the range
+    # are left to the texts
+    assert not certain[np.isin(np.abs(x), [123456789012.5, 1234567890125.0, 61728394506.25])].any()
+    assert not certain[~np.isfinite(x) | (np.abs(x) < 1e-10) | (np.abs(x) >= 1e32)].any()
+    # in its range, all but about 0.2% of floats (those within 1e-3 of a
+    # tie) are decided by number
+    rng = np.random.default_rng(72)
+    x = rng.uniform(1.0, 10.0, 10000) * 10.0 ** rng.integers(-10, 32, 10000).astype(float)
+    assert _rounded_digits(x)[2].mean() > 0.99

@@ -29,9 +29,7 @@ from mmvport.cli import _certified_texts
 from mmvport.fcfs import _sig_texts
 from mmvport.monotone_sharpe import alpha_root_bisection, solve_alpha_hat
 from mmvport.probability import (
-    _BLOCK,
     _FSUM_ROWS_FROM,
-    _WIDTH,
     _capped_sharpe_bounds,
     _capped_sharpe_ratios,
     _fsum,
@@ -396,8 +394,7 @@ def bits(values):
 def batched_fsum(rows):
     """_fsum_rows over the rows of a matrix, and the rows it summed again.
 
-    The terms go in blocks of three columns, bounded by each row's largest
-    |t|.
+    Each row is bounded by its largest |t|.
     """
     terms = np.array(rows, dtype=float)
     again = []
@@ -406,9 +403,8 @@ def batched_fsum(rows):
         again.append(i)
         return terms[i].tolist()
 
-    blocks = ((0, terms.T[j : j + 3]) for j in range(0, terms.shape[1], 3))
     largest = np.max(np.abs(terms), axis=1)
-    return _fsum_rows(blocks, terms.shape[1], largest, row_terms), again
+    return _fsum_rows(terms.T, largest, row_terms), again
 
 
 def outcome(sums):
@@ -564,8 +560,8 @@ class TestFsum:
         want = fsum_outcome(lambda t: math.fsum(t.tolist()), t)
         assert fsum_outcome(_fsum, t) == want
         # and through the one-row sum itself, below the crossover too
-        rows = lambda t: float(_fsum_rows([(0, t[:, None])], t.size,
-                                          np.max(np.abs(t)), lambda i: t.tolist())[0])
+        rows = lambda t: float(_fsum_rows(t[:, None], np.max(np.abs(t)),
+                                          lambda i: t.tolist())[0])
         assert fsum_outcome(rows, t) == want
 
     def test_one_fsum_over_tolist_left(self):
@@ -587,8 +583,9 @@ class TestCappedSharpeRatios:
     @given(st.data())
     def test_matches_the_per_level_loop(self, data):
         pool = data.draw(st.lists(PAYOFFS, min_size=1, max_size=4))
-        # up to four blocks of atoms, the last one short
-        m = data.draw(st.integers(1, 3 * _BLOCK + 1))
+        # a chunk of the exact pass holds 16384 // atoms levels: from 42
+        # atoms on (22 with 769 grid points) the levels span several chunks
+        m = data.draw(st.integers(1, 193))
         values = data.draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
         # far from 1 the squares of the unscaled atoms leave the float range
         shift = data.draw(st.sampled_from([0, 0, -600, 600, 1000, -1040]))
@@ -596,23 +593,21 @@ class TestCappedSharpeRatios:
         X = RandomVariable(DiscreteLaw(sweep_law(data.draw, m)), x)
         top = max(float(x.max()), 0.0) or 1.0
         extra = data.draw(st.lists(st.sampled_from(pool + [0.0, -0.0]), max_size=4))
-        # more than _WIDTH levels splits each block's levels into tiles
-        grid = data.draw(st.sampled_from([400, 400, _WIDTH + 1]))
+        grid = data.draw(st.sampled_from([400, 400, 769]))
         ranked = np.sort(x)
         levels = np.concatenate(
             [np.unique(x[x > 0.0]), np.linspace(top / grid, top, grid),
              np.ldexp(np.array(extra, dtype=float), shift),
-             # the first and last atom of every block, and their neighbours
-             ranked[::_BLOCK], ranked[_BLOCK - 1 :: _BLOCK],
-             np.nextafter(ranked[::_BLOCK], -math.inf),
-             np.nextafter(ranked[_BLOCK - 1 :: _BLOCK], math.inf)]
+             # atoms at a stride of 64, and their neighbours
+             ranked[::64], ranked[63::64],
+             np.nextafter(ranked[::64], -math.inf), np.nextafter(ranked[63::64], math.inf)]
         )
         want = [sharpe_ratio(X.cap(level)) for level in levels]
         assert bits(_capped_sharpe_ratios(X, levels)) == bits(want)
 
     @given(st.data())
     def test_order_of_atoms_and_levels_does_not_matter(self, data):
-        m = data.draw(st.integers(1, 5 * _BLOCK))
+        m = data.draw(st.integers(1, 320))
         ties = data.draw(st.lists(PAYOFFS, min_size=1, max_size=3))
         cell = st.sampled_from(ties) | st.floats(-5.0, 5.0)
         shift = data.draw(st.sampled_from([0, 0, -600, 600, -1040]))
@@ -651,12 +646,12 @@ class TestCappedSharpeRatios:
         levels = np.unique(np.concatenate([np.linspace(5 / 400, 5.0, 400), [2.0]]))
         again = []
 
-        def counted(blocks, n, largest, row_terms, **start):
+        def counted(t, largest, row_terms):
             def terms(i):
                 again.append(float(levels[i]))
                 return row_terms(i)
 
-            return _fsum_rows(blocks, n, largest, terms, **start)
+            return _fsum_rows(t, largest, terms)
 
         monkeypatch.setattr(probability, "_fsum_rows", counted)
         want = [sharpe_ratio(X.cap(level)) for level in levels]
@@ -684,6 +679,62 @@ class TestCappedSharpeRatios:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+    def test_memory_stays_below_a_megabyte(self):
+        # 2 000 levels x 8 000 atoms is 128 MB of terms; a chunk is 128 KB
+        rng = np.random.default_rng(56)
+        x = rng.uniform(-2.0, 5.0, 8000)
+        X = RandomVariable(DiscreteLaw.from_weights(rng.uniform(0.5, 1.5, x.size)), x)
+        levels = np.linspace(-2.0, 5.0, 2000)
+        tracemalloc.start()
+        try:
+            _capped_sharpe_ratios(X, levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("atoms, levels", [
+        # a chunk holds 16384 // atoms levels: 128, 127 and 129 here, and one
+        # level, wider than a chunk, from 16 385 atoms on
+        (128, 127), (128, 128), (128, 129), (128, 257), (129, 254), (127, 130),
+        (16385, 3),
+    ])
+    def test_levels_straddling_chunk_boundaries(self, atoms, levels):
+        rng = np.random.default_rng(atoms + levels)
+        x = rng.uniform(-2.0, 5.0, atoms)
+        for law in (DiscreteLaw.uniform(atoms), DiscreteLaw.from_weights(rng.uniform(0.5, 1.5, atoms))):
+            X = RandomVariable(law, x)
+            grid = rng.permutation(np.concatenate([x, np.linspace(-3.0, 6.0, levels)]))[:levels]
+            want = [sharpe_ratio(X.cap(level)) for level in grid]
+            assert bits(_capped_sharpe_ratios(X, grid)) == bits(want)
+
+    @pytest.mark.parametrize("equal", [True, False])
+    def test_a_large_offset_is_summed_without_fsum(self, monkeypatch, equal):
+        # the variance of min(X, K) is 1e-17 of its second moment; each row
+        # is bounded by its own largest term, so math.fsum sums almost none
+        rng = np.random.default_rng(9)
+        x = 1e8 + rng.uniform(0.0, 1.0, 2000)
+        law = DiscreteLaw.uniform(x.size) if equal else DiscreteLaw.from_weights(
+            rng.uniform(0.5, 1.5, x.size))
+        X = RandomVariable(law, x)
+        levels = sweep_levels(x)
+        levels = levels[np.isnan(_capped_sharpe_bounds(X, levels)[0])]
+        assert levels.size > 1900  # the levels the bounds leave to this pass
+        again = []
+
+        def counted(t, largest, row_terms):
+            def terms(i):
+                again.append(i)
+                return row_terms(i)
+
+            return _fsum_rows(t, largest, terms)
+
+        monkeypatch.setattr(probability, "_fsum_rows", counted)
+        got = _capped_sharpe_ratios(X, levels)
+        assert len(again) <= 0.01 * 2 * levels.size  # a mean and a variance row each
+        monkeypatch.undo()
+        assert bits(got) == bits([sharpe_ratio(X.cap(level)) for level in levels])
 
 
 def certified_against_the_kernel(X, levels):
@@ -719,7 +770,7 @@ class TestCappedSharpeBounds:
         # the draws of TestCappedSharpeRatios, with float-valued payoffs too
         pool = data.draw(st.lists(PAYOFFS, min_size=1, max_size=4))
         cell = st.sampled_from(pool) | st.floats(-5.0, 5.0)
-        m = data.draw(st.integers(1, 3 * _BLOCK + 1))
+        m = data.draw(st.integers(1, 193))
         values = data.draw(st.lists(cell, min_size=m, max_size=m))
         shift = data.draw(st.sampled_from([0, 0, -600, 600, 1000, -1040]))
         x = np.ldexp(np.array(values), shift)
@@ -728,9 +779,8 @@ class TestCappedSharpeBounds:
         ranked = np.sort(x)
         levels = np.concatenate(
             [sweep_levels(x), np.ldexp(np.array(extra, dtype=float), shift),
-             ranked[::_BLOCK], ranked[_BLOCK - 1 :: _BLOCK],
-             np.nextafter(ranked[::_BLOCK], -math.inf),
-             np.nextafter(ranked[_BLOCK - 1 :: _BLOCK], math.inf)]
+             ranked[::64], ranked[63::64],
+             np.nextafter(ranked[::64], -math.inf), np.nextafter(ranked[63::64], math.inf)]
         )
         certified_against_the_kernel(X, levels)
 
