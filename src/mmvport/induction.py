@@ -216,8 +216,7 @@ def _clip_set(dS: np.ndarray, w: np.ndarray, ids, t: int):
         grad = np.einsum("nkd,nk->nd", B, p * (1.0 - W) * below)
         moving = np.max(np.abs(grad), axis=1) > _GRAD_TOL * grad_scale[live]
         terms = p * truncated_utility(W)
-        value = _fsum_rows(terms.T, np.max(np.abs(terms), axis=1),
-                           lambda i: terms[i].tolist())
+        value = _fsum_rows(terms)
         # against the first round's -inf the margin is NaN: no stall
         with np.errstate(invalid="ignore"):
             flat = value <= best[live] + 1e-15 * (1.0 + np.abs(best[live]))

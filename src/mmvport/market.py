@@ -127,7 +127,6 @@ _TWOPI = 2.0 * math.pi  # random.TWOPI, the angle of a gauss pair
 # random.random() from two Mersenne Twister words (see _random_block)
 _RES53_SHIFTS = np.array([5, 6], dtype=np.uint32)
 _RES53_SCALES = np.array([2.0**-27, 2.0**-53])
-_FSUM_ROWS_MIN = 64  # rows from which sibling sums run inside numpy
 
 _TOP_KEYS = {"assets", "periods", "nodes"}
 _NODE_KEYS = {"id", "parent", "t", "p", "prices"}
@@ -440,29 +439,6 @@ def _build_tree(assets, periods, ids, parents, ts, p, prices) -> ScenarioTree:
     return _assemble(assets, periods, ids, parent, t, p, prices)
 
 
-def _row_fsums(rows: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of each row of a 2-d float array, bit for bit.
-
-    Fewer than ``_FSUM_ROWS_MIN`` rows go to ``math.fsum`` one by one.
-    From there on, rows of one or two terms are summed by numpy, as one
-    float addition is correctly rounded, plus 0.0 because ``math.fsum``
-    returns 0.0 for -0.0 + -0.0.  Wider rows go to ``_fsum_rows``, and so
-    do all rows when a sum is not finite: it hands such a row to
-    ``math.fsum``, which may raise.
-    """
-    n, w = rows.shape
-    if n < _FSUM_ROWS_MIN:
-        return np.fromiter(map(math.fsum, rows.tolist()), float, n)
-    if w <= 2:
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = rows.sum(axis=1) + 0.0
-        if np.all(np.isfinite(total)):
-            return total
-    flat = rows.ravel().tolist()
-    return _fsum_rows(rows.T, np.max(np.abs(rows), axis=1),
-                      lambda i: flat[i * w : i * w + w])
-
-
 def _assemble(assets, periods, ids, parent, t, p, prices) -> ScenarioTree:
     """The tree of structurally sound node columns.
 
@@ -487,7 +463,7 @@ def _assemble(assets, periods, ids, parent, t, p, prices) -> ScenarioTree:
     for w in set(widths.tolist()):
         same = widths == w
         sib = child_index[child_offsets[families[same], None] + np.arange(w)]
-        totals[same] = _row_fsums(p[sib])
+        totals[same] = _fsum_rows(p[sib])
     off = np.abs(totals - 1.0) > _SIBLING_SUM_TOL
     if np.any(off):
         j = int(np.argmax(off))
@@ -1079,8 +1055,7 @@ def _random_tree(rng, periods, branching, assets, spread) -> ScenarioTree:
     with ``math.log``, ``math.cos`` and ``math.sin``, so with libm's bits)
     and keeps the second in ``rng.gauss_next`` for the next call, which
     may be the next node's or the next attempt's.  The sums are
-    ``math.fsum``'s (:func:`_row_fsums`), and the prices move one depth at
-    a time.
+    ``math.fsum``'s, and the prices move one depth at a time.
     """
     b, d = branching, assets
     sizes = [b**t for t in range(periods + 1)]
@@ -1116,9 +1091,9 @@ def _random_tree(rng, periods, branching, assets, spread) -> ScenarioTree:
     # gauss(0, 1) returns 0.0 + z * 1.0, which is z but for -0.0
     G = (gauss[: g * m] + 0.0).reshape(m, d, b)
 
-    p = np.concatenate(([1.0], (raw_p / _row_fsums(raw_p)[:, None]).ravel()))
-    q = weights / _row_fsums(weights)[:, None]
-    center = _row_fsums((q[:, None, :] * G).reshape(m * d, b)).reshape(m, d, 1)
+    p = np.concatenate(([1.0], (raw_p / _fsum_rows(raw_p)[:, None]).ravel()))
+    q = weights / _fsum_rows(weights)[:, None]
+    center = _fsum_rows((q[:, None, :] * G).reshape(m * d, b)).reshape(m, d, 1)
     prices = np.empty((n, d))
     prices[0] = 0.8 + (1.2 - 0.8) * u[:d]
     lo = 0

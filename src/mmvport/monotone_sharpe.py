@@ -85,10 +85,6 @@ class MonotoneSharpeResult:
     case_tag: str
 
 
-def _fsum_where(p: np.ndarray, terms: np.ndarray, keep: np.ndarray) -> float:
-    return _fsum(p[keep] * terms[keep])
-
-
 def _root(X: RandomVariable, Xs: RandomVariable, m: float) -> float:
     """The kink walk's root on Xs = X / 2^k, whose mean is m, after the
     refusals of :func:`solve_alpha_hat` (the mean of X named in the first)."""
@@ -127,7 +123,7 @@ def alpha_root_bisection(
 
     def slope(a: float) -> float:
         below = a * x <= 1.0
-        return _fsum_where(p, x, below) - a * _fsum_where(p, x * x, below)
+        return _fsum(p[below] * x[below]) - a * _fsum(p[below] * (x * x)[below])
 
     lo = 0.0
     hi = 1.0 / float(np.min(x[x > 0.0]))

@@ -38,18 +38,19 @@ Conventions
   atoms must be removed by the caller before constructing a law.
 * Sharpe ratios live on the extended real line with 1/0 = +inf,
   (-1)/0 = -inf and 0/0 = 0.
-* Moment accumulation uses compensated summation (``math.fsum``) so that the
-  functional identities hold to near machine precision even on laws with
-  thousands of atoms and wildly mixed magnitudes.  A single sum goes
-  through ``_fsum``, which from ``_FSUM_ROWS_FROM`` terms on takes it as one
-  row of ``_fsum_rows`` (below), with the same bits: the error-free
-  extraction of AccSum (Rump, Ogita & Oishi 2008) splits each term into a
-  high part on a power-of-two grid, summed exactly, and a remainder whose
-  float sum has an a-priori error bound, which certifies, row by row, that
-  it returns what ``math.fsum`` returns; a row it cannot certify is summed
-  again by ``math.fsum``.  The exact cap sweep ``_capped_sharpe_ratios`` is
-  one dense pass of such rows, a chunk of at most ``_CHUNK`` terms at a
-  time, each level's row bounded by its own largest term.
+* Every sum of the package is exact: ``_fsum_rows(rows)`` returns, for each
+  row of a 2-d array, the bits ``math.fsum`` returns for it, and raises
+  what it raises, so the functional identities hold to near machine
+  precision even on laws with thousands of atoms and wildly mixed
+  magnitudes.  It alone decides how a sum is taken: numpy for rows of one
+  or two terms, ``math.fsum`` row by row below ``_FSUM_ROWS_FROM`` terms,
+  and above it the error-free extraction of AccSum (Rump, Ogita & Oishi
+  2008), which splits each term into a high part on a power-of-two grid
+  set by the row's own largest term, summed exactly, and a remainder whose
+  float sum has an a-priori error bound, and sums again by ``math.fsum``
+  a row that bound cannot certify.  ``_fsum`` is its one-row case, and
+  the exact cap sweep ``_capped_sharpe_ratios`` is one dense pass of its
+  rows, a chunk of at most ``_CHUNK`` terms at a time.
   ``_capped_sharpe_bounds`` brackets each level's ratio between two floats
   from three prefix sums, in O((atoms + levels) log atoms), so a caller
   that needs only a ratio's printed text runs the exact sweep on the few
@@ -94,9 +95,16 @@ _UNIT = 2.0**-53  # unit roundoff of IEEE double
 # threshold; freeing larger temporaries raises that threshold for good,
 # and with it the heap the process keeps
 _CHUNK = 16384
-# terms from which one exact sum is taken by ``_fsum_rows`` rather than
-# ``math.fsum``: on a 2-core Xeon, numpy 2.4, math.fsum over tolist() took
-# 22, 29 and 62 us at 768, 1024 and 2048 terms, and _fsum_rows 28-30 us
+# terms from which ``_fsum_rows`` sums an array by the extraction rather
+# than by math.fsum row by row.  Best of 7, us, math.fsum / extraction, on
+# terms p x of a law (2-core Xeon, numpy 2.4):
+#   terms   one row   rows of 64   rows of 8   rows of 3
+#     768   24 / 28     26 / 31      32 / 60     58 / 87
+#    1024   34 / 28     37 / 37      48 / 73     96 / 149
+#    2048   73 / 35     79 / 40      88 / 101   151 / 171
+# Rows of 8 pass by 4096 terms (232 / 173); rows of 3 stay faster by
+# math.fsum (6.3 / 7.4 ms at 65 536), as a quarter of them are near-ties
+# that go back to it.
 _FSUM_ROWS_FROM = 1024
 
 
@@ -237,36 +245,23 @@ class RandomVariable:
 
 
 def _fsum(t: np.ndarray) -> float:
-    """``math.fsum(t.tolist())`` of a 1-d float array, bit for bit.
-
-    From ``_FSUM_ROWS_FROM`` terms on the sum is taken as one row of
-    ``_fsum_rows``, which returns what ``math.fsum`` returns, and raises
-    what it raises (a row it cannot certify, such as one holding inf or NaN
-    or summing past the float range, is handed to ``math.fsum``).
-    """
-    if t.size < _FSUM_ROWS_FROM:
-        return math.fsum(t.tolist())
-    largest = np.max(np.abs(t))
-    return float(_fsum_rows(t[:, None], largest, lambda i: t.tolist())[0])
-
-
-def _fsum_dot(p: np.ndarray, x: np.ndarray) -> float:
-    return _fsum(p * x)
+    """``math.fsum(t.tolist())`` of a 1-d float array: one row of ``_fsum_rows``."""
+    return float(_fsum_rows(t[None, :])[0])
 
 
 def mean(X: RandomVariable) -> float:
-    return _fsum_dot(X.law.probabilities, X.values)
+    return _fsum(X.law.probabilities * X.values)
 
 
 def second_moment(X: RandomVariable) -> float:
-    return _fsum_dot(X.law.probabilities, X.values * X.values)
+    return _fsum(X.law.probabilities * (X.values * X.values))
 
 
 def _variance_about(X: RandomVariable, m: float) -> float:
     """E[(X - m)^2], infinite where it passes the float range."""
     with np.errstate(over="ignore"):
         centred = X.values - m
-        return _fsum_dot(X.law.probabilities, centred * centred)
+        return _fsum(X.law.probabilities * (centred * centred))
 
 
 def _mean_var(X: RandomVariable) -> tuple[float, float]:
@@ -326,52 +321,55 @@ def _scaled_sharpe_ratio(Xs: RandomVariable, m: float) -> float:
     return m / math.sqrt(var)
 
 
-def _sigma(largest, n: int):
-    """AccSum's extraction unit for n terms of magnitude at most ``largest``.
+def _fsum_rows(rows: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of a 2-d float array, bit for bit.
 
-    The power of two 2^M times the one above ``largest``, with M the least
-    integer such that 2^M >= n + 2; NaN or inf where ``largest`` is not
-    finite, and inf where it overflows.
+    rows has shape (k, n); the k sums are those ``math.fsum(row.tolist())``
+    returns, and a row it raises on raises the same here.  Each array is
+    summed the first of three ways that applies:
+
+    * rows of one or two terms by numpy, plus 0.0, where every total is
+      finite: one float addition is correctly rounded, and ``math.fsum``
+      returns 0.0 for -0.0 + -0.0;
+    * fewer than ``_FSUM_ROWS_FROM`` terms in all by ``math.fsum``, one row
+      at a time;
+    * otherwise by the error-free extraction of AccSum (Rump, Ogita &
+      Oishi 2008), each row bounded by its own largest |t|, read from the
+      row's max and min.
+
+    With sigma the power of two at least 2^M largest, 2^M >= n + 2, the
+    high parts q = (sigma + t) - sigma are multiples of u sigma whose sums
+    stay below sigma, so their sum tau is exact in any order, and the
+    remainders t - q are exact with |t - q| <= u sigma, so a float sum rho
+    of them, by any summation tree, is within gamma_n n u sigma <=
+    2 n^2 u^2 sigma of theirs.  The rows thus reduce in two C-level sums,
+    over a buffer whose longer axis is contiguous.  TwoSum(tau, rho) =
+    c0 + r exactly; c0 is the correctly rounded row sum, as ``math.fsum``
+    returns it, wherever |r| plus that bound stays strictly below half the
+    gap from c0 to its neighbour toward zero.  That half gap rounds to 0
+    for |c0| <= 2^-1021, and a non-finite row (or one whose sigma
+    overflows) makes sigma, r or the bound NaN or inf, so every other row
+    (non-finite, zero or subnormal c0, or a near-tie) is summed again by
+    ``math.fsum``, and each result is exact.
     """
+    k, n = rows.shape
+    if n <= 2:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = rows.sum(axis=1) + 0.0
+        if np.isfinite(total).all():
+            return total
+    if rows.size < _FSUM_ROWS_FROM:
+        return np.fromiter(map(math.fsum, rows.tolist()), float, k)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.ldexp(
-            np.where(np.isfinite(largest), 1.0, largest),
-            np.frexp(largest)[1] + (n + 1).bit_length(),
-        )
-
-
-def _fsum_rows(t: np.ndarray, largest, row_terms) -> np.ndarray:
-    """``math.fsum`` of each row of terms, all rows at once.
-
-    t is a float array of shape (n, rows): column i holds the n >= 1
-    terms of row i.  ``largest``, a scalar or one value per row, bounds |t|
-    over each row's terms and ``row_terms(i)`` returns row i's terms.
-
-    Each row is summed by the error-free extraction of AccSum (Rump, Ogita
-    & Oishi 2008): with sigma the power of two at least 2^M largest,
-    2^M >= n + 2, the high parts q = (sigma + t) - sigma are multiples of
-    u sigma whose sums stay below sigma, so their sum tau is exact in any
-    order, and the remainders t - q are exact with |t - q| <= u sigma, so
-    a float sum rho of them, by any summation tree, is within
-    gamma_n n u sigma <= 2 n^2 u^2 sigma of theirs.  The rows thus reduce
-    in two C-level sums, over a buffer whose longer axis is contiguous.
-    TwoSum(tau, rho) = c0 + r exactly; c0 is the correctly rounded row
-    sum, as ``math.fsum`` returns it, wherever |r| plus that bound stays
-    strictly below half the gap from c0 to its neighbour toward zero.  That
-    half gap rounds to 0 for |c0| <= 2^-1021, and a non-finite row (or one
-    whose sigma overflows) makes sigma, r or the bound NaN or inf, so every
-    other row (non-finite, zero or subnormal c0, or a near-tie) is summed
-    again by ``math.fsum`` over ``row_terms``, and each result is exact.
-    """
-    n, w = t.shape
-    sigma = _sigma(largest, n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = np.empty((n, w), order="F" if n > w else "C")
-        np.add(t, sigma, out=q)
-        q -= sigma
-        tau = np.add.reduce(q, axis=0)
-        np.subtract(t, q, out=q)
-        rho = np.add.reduce(q, axis=0)
+        largest = np.maximum(rows.max(axis=1), -rows.min(axis=1))
+        sigma = np.ldexp(np.where(np.isfinite(largest), 1.0, largest),
+                         np.frexp(largest)[1] + (n + 1).bit_length())
+        q = np.empty((k, n), order="C" if n > k else "F")
+        np.add(rows, sigma[:, None], out=q)
+        q -= sigma[:, None]
+        tau = np.add.reduce(q, axis=1)
+        np.subtract(rows, q, out=q)
+        rho = np.add.reduce(q, axis=1)
         c0 = tau + rho
         z = c0 - tau
         r = (tau - (c0 - z)) + (rho - z)
@@ -381,7 +379,7 @@ def _fsum_rows(t: np.ndarray, largest, row_terms) -> np.ndarray:
         exact = np.abs(r) + bound < half_gap
     out = np.where(exact, c0, 0.0)
     for i in np.flatnonzero(~exact).tolist():
-        out[i] = math.fsum(row_terms(i))
+        out[i] = math.fsum(rows[i].tolist())
     return out
 
 
@@ -417,12 +415,11 @@ def _capped_sharpe_ratios(X: RandomVariable, levels) -> np.ndarray:
         y = np.minimum(x, K)  # one row per level
         np.ldexp(y, shift, out=y)
         t = y * p
-        m = _fsum_rows(t.T, np.maximum(t.max(axis=1), -t.min(axis=1)),
-                       lambda i: t[i].tolist())
+        m = _fsum_rows(t)
         y -= m[:, None]
         np.square(y, out=y)
         y *= p
-        var = _fsum_rows(y.T, y.max(axis=1), lambda i: y[i].tolist())
+        var = _fsum_rows(y)
         flat = (K[:, 0] <= lo) | (lo == hi) | (var <= 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = m / np.sqrt(var)
@@ -587,11 +584,11 @@ def truncated_utility(w):
 
 
 def expected_quadratic_utility(X: RandomVariable) -> float:
-    return _fsum_dot(X.law.probabilities, quadratic_utility(X.values))
+    return _fsum(X.law.probabilities * quadratic_utility(X.values))
 
 
 def expected_truncated_utility(X: RandomVariable) -> float:
-    return _fsum_dot(X.law.probabilities, truncated_utility(X.values))
+    return _fsum(X.law.probabilities * truncated_utility(X.values))
 
 
 def mean_variance_value(X: RandomVariable) -> float:

@@ -456,19 +456,21 @@ SUM_TERMS = {
 
 
 @settings(max_examples=200)
-@given(st.integers(1, 5), st.integers(1, 100), st.sampled_from(sorted(SUM_TERMS)),
+@given(st.integers(1, 5), st.integers(1, 400), st.sampled_from(sorted(SUM_TERMS)),
        st.integers(0, 2**32 - 1))
 def test_row_sums_are_math_fsum(width, rows, pool, seed):
-    # signed zeros, subnormals, ties, and sums past the float range
+    # the sibling and centring sums of the parser and generator: signed
+    # zeros, subnormals, ties, and sums past the float range, in arrays
+    # below and past the crossover of the exact sum
     rng = np.random.default_rng(seed)
     terms = rng.choice(SUM_TERMS[pool], size=(rows, width))
     try:
         want = np.array([math.fsum(row) for row in terms.tolist()])
     except (OverflowError, ValueError) as exc:
         with pytest.raises(type(exc)):
-            mmvport.market._row_fsums(terms)
+            mmvport.market._fsum_rows(terms)
         return
-    assert mmvport.market._row_fsums(terms).tobytes() == want.tobytes()
+    assert mmvport.market._fsum_rows(terms).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -392,19 +393,20 @@ def bits(values):
 
 
 def batched_fsum(rows):
-    """_fsum_rows over the rows of a matrix, and the rows it summed again.
+    """_fsum_rows over the rows of a matrix, and the rows it handed back to
+    math.fsum.
 
-    Each row is bounded by its largest |t|.
+    Each row is padded with -0.0 terms, which leave its math.fsum alone, so
+    that the matrix holds at least ``_FSUM_ROWS_FROM`` terms and the
+    extraction sums it.
     """
     terms = np.array(rows, dtype=float)
-    again = []
-
-    def row_terms(i):
-        again.append(i)
-        return terms[i].tolist()
-
-    largest = np.max(np.abs(terms), axis=1)
-    return _fsum_rows(terms.T, largest, row_terms), again
+    k, n = terms.shape
+    padded = np.full((k, max(n, -(-_FSUM_ROWS_FROM // k))), -0.0)
+    padded[:, :n] = terms
+    with mock.patch.object(math, "fsum", wraps=math.fsum) as fsum:
+        sums = _fsum_rows(padded)
+    return sums, [call.args[0][:n] for call in fsum.call_args_list]
 
 
 def outcome(sums):
@@ -440,6 +442,68 @@ def adversarial_rows(rng, count, width=8):
     return rows
 
 
+# terms whose sums tie, cancel, underflow or pass the float range
+POOL = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 0.1, 0.2, 0.3, 1.0, -1.0,
+        3.0, 1e16, -1e16, 1e308, -1e308, 1.7e308)
+
+
+@st.composite
+def sum_rows(draw):
+    """A (k, n) array of terms for ``_fsum_rows``.
+
+    Either one long row of n terms, n just below, at or well above the
+    crossover ``_FSUM_ROWS_FROM``, or rows of 1, 2, 3 or 8 terms, a few of
+    them or enough to fill the array just below, at or just past the
+    crossover, or well past it.  The terms mix magnitudes with what the sum
+    must hand on to math.fsum: ties, exact cancellation to 0, -0.0,
+    subnormals, products past the float range, and up to two infinities,
+    NaNs or other specials placed at random.
+    """
+    C = _FSUM_ROWS_FROM
+    if draw(st.booleans()):
+        k, n = 1, draw(st.sampled_from((C - 1, C, 4 * C)))
+    else:
+        n = draw(st.sampled_from((1, 2, 3, 8)))
+        few = draw(st.integers(1, 100))
+        k = draw(st.sampled_from((few, (C - 1) // n, -(-C // n), 4 * C // n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(
+        ("normal", "wide", "subnormal", "cancel", "zeros", "products", "pool")
+    ))
+    if kind == "normal":  # terms p x of a law, as a mean sums them
+        t = rng.uniform(-2.0, 5.0, (k, n)) / n
+    elif kind == "wide":  # magnitudes from about 1e-300 to 1e300
+        t = np.ldexp(rng.uniform(-1.0, 1.0, (k, n)), rng.integers(-997, 997, (k, n)))
+    elif kind == "subnormal":
+        t = rng.integers(-(2**20), 2**20, (k, n)) * 5e-324
+    elif kind == "cancel":  # rows of pairs that cancel exactly, sum 0
+        half = np.ldexp(rng.uniform(-1.0, 1.0, (k, n // 2)),
+                        rng.integers(-60, 60, (k, n // 2)))
+        t = rng.permuted(np.concatenate([half, -half, np.zeros((k, n % 2))], axis=1),
+                         axis=1)
+    elif kind == "zeros":  # -0.0 terms, alone or among 0.0
+        t = np.where(rng.random((k, n)) < draw(st.sampled_from((1.0, 0.5))), -0.0, 0.0)
+    elif kind == "products":  # products p x, some past the float range
+        with np.errstate(over="ignore"):
+            t = rng.uniform(0.5, 4.0, (k, n)) * np.ldexp(rng.uniform(-1.0, 1.0, (k, n)),
+                                                         1023)
+    else:
+        t = rng.choice(POOL, (k, n))
+    for _ in range(draw(st.integers(0, 2))):
+        special = draw(st.sampled_from((math.inf, -math.inf, math.nan, -0.0, 5e-324,
+                                        1.7976931348623157e308)))
+        t[draw(st.integers(0, k - 1)), draw(st.integers(0, n - 1))] = special
+    return t
+
+
+def fsum_outcome(sums, rows):
+    """The bits of the sums, or the class and text of the exception."""
+    try:
+        return bits(sums(rows))
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
 class TestFsumRows:
     def test_adversarial_rows_match_fsum(self):
         rows = adversarial_rows(np.random.default_rng(53), 20000)
@@ -461,16 +525,17 @@ class TestFsumRows:
         ]
         got, again = batched_fsum(rows)
         assert bits(got) == bits([math.fsum(r) for r in rows])
-        assert 0 in again and 1 in again
+        assert rows[0] in again and rows[1] in again
 
     def test_near_ties_round_below_a_power_of_two(self):
         # s + e rounds to 1.0 while the exact sums lie just below the
         # midpoint under 1: the gap toward zero and the error bound decide
         tie = [1.0, -(2.0**-54), -(2.0**-200)]
         near = [1.0, -(2.0**-54) + 2.0**-105] + [-0.99 * 2.0**-108] * 20
-        got, again = batched_fsum([tie + [0.0] * 19, near])
+        rows = [tie + [0.0] * 19, near]
+        got, again = batched_fsum(rows)
         assert bits(got) == bits([1.0 - 2.0**-53] * 2)
-        assert again == [0, 1]
+        assert again == rows
 
     def test_certifies_mean_like_rows(self):
         # terms p x of a uniform law: none is a near-tie, so none is summed
@@ -512,71 +577,49 @@ class TestFsumRows:
             lambda: [math.fsum(r) for r in rows]
         )
 
-
-@st.composite
-def one_row(draw):
-    """A row of n terms, n just below, at and well above the crossover of
-    ``_fsum``, mixing magnitudes with the specials the one-row sum must
-    hand on to math.fsum: infinities, NaN, products past the float range,
-    subnormals, exact cancellation to 0 and -0.0."""
-    n = draw(st.sampled_from((_FSUM_ROWS_FROM - 1, _FSUM_ROWS_FROM, 4096)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(
-        ("normal", "wide", "subnormal", "cancel", "zeros", "products")
-    ))
-    if kind == "normal":  # terms p x of a law, as a mean sums them
-        t = rng.uniform(-2.0, 5.0, n) / n
-    elif kind == "wide":  # magnitudes from about 1e-300 to 1e300
-        t = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-997, 997, n))
-    elif kind == "subnormal":
-        t = rng.integers(-(2**20), 2**20, n) * 5e-324
-    elif kind == "cancel":  # pairs that cancel exactly, sum 0
-        half = np.ldexp(rng.uniform(-1.0, 1.0, n // 2), rng.integers(-60, 60, n // 2))
-        t = rng.permutation(np.concatenate([half, -half, np.zeros(n % 2)]))
-    elif kind == "zeros":  # -0.0 terms, alone or among 0.0
-        t = np.where(rng.random(n) < draw(st.sampled_from((1.0, 0.5))), -0.0, 0.0)
-    else:  # products p x, some past the float range
-        with np.errstate(over="ignore"):
-            t = rng.uniform(0.5, 4.0, n) * np.ldexp(rng.uniform(-1.0, 1.0, n), 1023)
-    for _ in range(draw(st.integers(0, 2))):
-        special = draw(st.sampled_from((math.inf, -math.inf, math.nan, -0.0, 5e-324,
-                                        1.7976931348623157e308)))
-        t[draw(st.integers(0, n - 1))] = special
-    return t
-
-
-def fsum_outcome(sum_row, t):
-    """The bits of the sum, or the class and text of the exception."""
-    try:
-        return bits([sum_row(t)])
-    except (ValueError, OverflowError) as exc:
-        return type(exc), str(exc)
+    def test_the_exact_sum_rule_has_one_home(self):
+        # math.fsum is called where _fsum_rows decides how each sum is taken,
+        # and by the bisection reference, which keeps its own sum; the
+        # crossover is a constant of probability.py alone
+        calls, constants = set(), []
+        for path in sorted(Path(probability.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                for node in ast.walk(top):
+                    if (isinstance(node, ast.Attribute) and ast.unparse(node) == "math.fsum"
+                            or isinstance(node, ast.alias) and node.name == "fsum"):
+                        calls.add((path.name, getattr(top, "name", None)))
+                    if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                            and node.id.startswith("_FSUM")):
+                        constants.append((path.name, node.id))
+        assert sorted(calls) == [("probability.py", "_fsum_rows"),
+                                 ("probability.py", "cash_level_bisection")]
+        assert constants == [("probability.py", "_FSUM_ROWS_FROM")]
 
 
 class TestFsum:
     @settings(max_examples=300)
-    @given(one_row())
-    def test_returns_the_bits_of_math_fsum(self, t):
-        want = fsum_outcome(lambda t: math.fsum(t.tolist()), t)
-        assert fsum_outcome(_fsum, t) == want
-        # and through the one-row sum itself, below the crossover too
-        rows = lambda t: float(_fsum_rows(t[:, None], np.max(np.abs(t)),
-                                          lambda i: t.tolist())[0])
-        assert fsum_outcome(rows, t) == want
+    @given(sum_rows())
+    def test_returns_the_bits_of_math_fsum(self, rows):
+        want = fsum_outcome(lambda rows: [math.fsum(r) for r in rows.tolist()], rows)
+        assert fsum_outcome(_fsum_rows, rows) == want
+        if len(rows) == 1:  # and through the one-row sum
+            assert fsum_outcome(lambda rows: [_fsum(rows[0])], rows) == want
 
-    def test_one_fsum_over_tolist_left(self):
-        # every one-row exact sum goes through _fsum; the bisection reference
-        # keeps its own
-        found = []
-        for path in sorted(Path(probability.__file__).parent.glob("*.py")):
-            for top in ast.parse(path.read_text(encoding="utf-8")).body:
-                for node in ast.walk(top):
-                    if (isinstance(node, ast.Call) and ast.unparse(node.func) == "math.fsum"
-                            and node.args and isinstance(node.args[0], ast.Call)
-                            and ast.unparse(node.args[0].func).endswith(".tolist")):
-                        found.append((path.name, top.name))
-        assert found == [("probability.py", "_fsum"),
-                         ("probability.py", "cash_level_bisection")]
+
+def rows_summed_again(monkeypatch):
+    """Make ``probability._fsum_rows`` record each row it hands back to
+    math.fsum, by its index in the array it was given; return the record."""
+    again = []
+
+    def counted(rows):
+        listed = rows.tolist()
+        with mock.patch.object(math, "fsum", wraps=math.fsum) as fsum:
+            sums = _fsum_rows(rows)
+        again.extend(listed.index(call.args[0]) for call in fsum.call_args_list)
+        return sums
+
+    monkeypatch.setattr(probability, "_fsum_rows", counted)
+    return again
 
 
 class TestCappedSharpeRatios:
@@ -644,19 +687,10 @@ class TestCappedSharpeRatios:
         X = RandomVariable(DiscreteLaw.uniform(3), np.array([-3.0, 1.0, 5.0]))
         # sorted, as the sweep sums them: row i is levels[i]
         levels = np.unique(np.concatenate([np.linspace(5 / 400, 5.0, 400), [2.0]]))
-        again = []
-
-        def counted(t, largest, row_terms):
-            def terms(i):
-                again.append(float(levels[i]))
-                return row_terms(i)
-
-            return _fsum_rows(t, largest, terms)
-
-        monkeypatch.setattr(probability, "_fsum_rows", counted)
         want = [sharpe_ratio(X.cap(level)) for level in levels]
+        again = rows_summed_again(monkeypatch)
         assert bits(_capped_sharpe_ratios(X, levels)) == bits(want)
-        assert 2.0 in again
+        assert 2.0 in levels[again]
 
     @pytest.mark.parametrize("family", ["uniform", "heavy"])
     def test_memory_is_that_of_a_block(self, family):
@@ -721,16 +755,7 @@ class TestCappedSharpeRatios:
         levels = sweep_levels(x)
         levels = levels[np.isnan(_capped_sharpe_bounds(X, levels)[0])]
         assert levels.size > 1900  # the levels the bounds leave to this pass
-        again = []
-
-        def counted(t, largest, row_terms):
-            def terms(i):
-                again.append(i)
-                return row_terms(i)
-
-            return _fsum_rows(t, largest, terms)
-
-        monkeypatch.setattr(probability, "_fsum_rows", counted)
+        again = rows_summed_again(monkeypatch)
         got = _capped_sharpe_ratios(X, levels)
         assert len(again) <= 0.01 * 2 * levels.size  # a mean and a variance row each
         monkeypatch.undo()
