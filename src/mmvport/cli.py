@@ -69,7 +69,7 @@ from .fcfs import (
     verify_fcfs_certificate,
 )
 from .market import generate_random_market, load_market, market_to_json
-from .monotone_sharpe import _with_sharpe_ratio
+from .monotone_sharpe import monotone_sharpe
 from .probability import (
     DiscreteLaw,
     RandomVariable,
@@ -77,6 +77,7 @@ from .probability import (
     _capped_sharpe_ratios,
     _normalized,
     mean,
+    sharpe_ratio,
 )
 from .selftest import run_selftest
 
@@ -444,8 +445,8 @@ def _cap_sweep_csv(X: RandomVariable) -> str:
     (max X below 400 times the least subnormal) are left out.
 
     Each ratio's text is that of the exact pass
-    (``probability._capped_sharpe_ratios``, the dense per-level sums of
-    ``sharpe_ratio``), but that pass runs only where it must:
+    (``probability._capped_sharpe_ratios``, the package's one Sharpe-ratio
+    computation), but that pass runs only where it must:
     ``probability._capped_sharpe_bounds`` bounds every level's ratio by two
     floats, and a level whose two ends print alike has lo's text
     (``_certified_texts``, which formats lo only).  The other levels,
@@ -472,10 +473,10 @@ def cmd_msharpe(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _write_output(_cap_sweep_csv(X), args.out)
         return 0
-    result, sharpe = _with_sharpe_ratio(X)
+    result = monotone_sharpe(X)
     payload = {
         "mean": mean(X),
-        "sharpe": sharpe,
+        "sharpe": sharpe_ratio(X),
         "sr_m": result.sr_m,
         "alpha_hat": result.alpha_hat,
         "truncation_level": result.truncation_level,

@@ -47,11 +47,11 @@ import numpy as np
 from .errors import DomainError, NoDownside, NonpositiveMean
 from .probability import (
     RandomVariable,
+    _capped_sharpe_ratios,
     _fsum,
     _kink_walk,
     _rescale,
     _scaled,
-    _scaled_sharpe_ratio,
     mean,
     sharpe_ratio,
 )
@@ -145,23 +145,11 @@ def alpha_root_bisection(
 def monotone_sharpe(X: RandomVariable) -> MonotoneSharpeResult:
     """Monotone Sharpe ratio sup{ SR(X - Y) : Y >= 0 }.
 
+    With downside, the supremum is SR(min(X, K)) at the kink walk's cap K,
+    one level of the cap sweep ``probability._capped_sharpe_ratios``.
     Raises NonpositiveMean when E[X] <= 0 and the payoff has downside (the
     supremum is then nonpositive and conveys nothing useful).
     """
-    Xs, k = _scaled(X)
-    return _monotone_sharpe(X, Xs, k, mean(Xs))
-
-
-def _with_sharpe_ratio(X: RandomVariable) -> tuple[MonotoneSharpeResult, float]:
-    """``(monotone_sharpe(X), sharpe_ratio(X))``, scaling and averaging X once."""
-    Xs, k = _scaled(X)
-    m = mean(Xs)
-    return _monotone_sharpe(X, Xs, k, m), _scaled_sharpe_ratio(Xs, m)
-
-
-def _monotone_sharpe(X: RandomVariable, Xs: RandomVariable, k: int,
-                     m: float) -> MonotoneSharpeResult:
-    """:func:`monotone_sharpe` of X, given Xs, k = _scaled(X) and m = mean(Xs)."""
     x = X.values
     if not np.any(x < 0.0):
         p_zero = _fsum(X.law.probabilities[x == 0.0])
@@ -174,6 +162,8 @@ def _monotone_sharpe(X: RandomVariable, Xs: RandomVariable, k: int,
         return MonotoneSharpeResult(
             math.sqrt(p_pos / p_zero), None, None, CASE_NO_DOWNSIDE
         )
+    Xs, k = _scaled(X)
+    m = mean(Xs)
     if m <= 0.0:
         raise NonpositiveMean(
             f"payoff mean {mean(X)!r} is not strictly positive; "
@@ -186,7 +176,7 @@ def _monotone_sharpe(X: RandomVariable, Xs: RandomVariable, k: int,
     # negative atoms the scaling takes to -0
     alpha = _root(Xs, Xs, m)
     level = 1.0 / alpha
-    sr = sharpe_ratio(Xs.cap(level))
+    sr = float(_capped_sharpe_ratios(Xs, [level])[0])
     return MonotoneSharpeResult(
         sr, _rescale(alpha, -k), _rescale(level, k), CASE_STANDARD
     )

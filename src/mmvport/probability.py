@@ -36,8 +36,16 @@ Conventions
 -----------
 * Probabilities are strictly positive and sum to 1 within 1e-12; degenerate
   atoms must be removed by the caller before constructing a law.
-* Sharpe ratios live on the extended real line with 1/0 = +inf,
-  (-1)/0 = -inf and 0/0 = 0.
+* Every Sharpe ratio of the package is a row of one computation,
+  ``_capped_sharpe_ratios(X, levels)``: the ratio of min(X, level) on the
+  extended real line (1/0 = +inf, (-1)/0 = -inf and 0/0 = 0), taken on
+  the capped payoff divided by its own power of two, with exact sums.
+  ``sharpe_ratio`` is its one-level case, at level +inf, as ``_fsum`` is
+  the one-row case of ``_fsum_rows``.  ``_capped_sharpe_bounds``
+  brackets each level's ratio between two floats from three prefix sums,
+  in O((atoms + levels) log atoms), so a caller that needs only a ratio's
+  printed text runs the exact pass on the few levels whose two ends
+  print differently.
 * Every sum of the package is exact: ``_fsum_rows(rows)`` returns, for each
   row of a 2-d array, the bits ``math.fsum`` returns for it, and raises
   what it raises, so the functional identities hold to near machine
@@ -48,13 +56,7 @@ Conventions
   2008), which splits each term into a high part on a power-of-two grid
   set by the row's own largest term, summed exactly, and a remainder whose
   float sum has an a-priori error bound, and sums again by ``math.fsum``
-  a row that bound cannot certify.  ``_fsum`` is its one-row case, and
-  the exact cap sweep ``_capped_sharpe_ratios`` is one dense pass of its
-  rows, a chunk of at most ``_CHUNK`` terms at a time.
-  ``_capped_sharpe_bounds`` brackets each level's ratio between two floats
-  from three prefix sums, in O((atoms + levels) log atoms), so a caller
-  that needs only a ratio's printed text runs the exact sweep on the few
-  levels whose two ends print differently.
+  a row that bound cannot certify.
 * Sharpe ratios and the monotone Sharpe cap are computed on X / 2^k with
   2^k the power of two just above max |X| (``_scaled``): exact, so the
   bits are those of X on every law whose squares stay in range, and finite
@@ -257,17 +259,13 @@ def second_moment(X: RandomVariable) -> float:
     return _fsum(X.law.probabilities * (X.values * X.values))
 
 
-def _variance_about(X: RandomVariable, m: float) -> float:
-    """E[(X - m)^2], infinite where it passes the float range."""
+def _mean_var(X: RandomVariable) -> tuple[float, float]:
+    """(mean, variance), the variance accumulated as E[(X - m)^2] and
+    infinite where it passes the float range."""
+    m = mean(X)
     with np.errstate(over="ignore"):
         centred = X.values - m
-        return _fsum(X.law.probabilities * (centred * centred))
-
-
-def _mean_var(X: RandomVariable) -> tuple[float, float]:
-    """(mean, variance), the variance accumulated as E[(X - m)^2]."""
-    m = mean(X)
-    return m, _variance_about(X, m)
+        return m, _fsum(X.law.probabilities * (centred * centred))
 
 
 def moments(X: RandomVariable) -> tuple[float, float, float]:
@@ -306,19 +304,12 @@ def sharpe_ratio(X: RandomVariable) -> float:
     """Mean over standard deviation on the extended real line.
 
     Zero variance resolves by the sign of the mean: positive mean gives
-    +inf, negative mean -inf, zero mean 0.  The ratio is taken on X / 2^k
-    (see ``_scaled``), which leaves it unchanged and keeps laws near the
-    ends of the float range finite.
+    +inf, negative mean -inf, zero mean 0.  This is the one-level case of
+    ``_capped_sharpe_ratios``, at level +inf, so the ratio is taken on
+    X / 2^k (see ``_scaled``), which leaves it unchanged and keeps laws
+    near the ends of the float range finite.
     """
-    Xs = _scaled(X)[0]
-    return _scaled_sharpe_ratio(Xs, mean(Xs))
-
-
-def _scaled_sharpe_ratio(Xs: RandomVariable, m: float) -> float:
-    """``sharpe_ratio`` of a payoff Xs = _scaled(X)[0] whose mean is m."""
-    if np.all(Xs.values == Xs.values[0]) or (var := _variance_about(Xs, m)) <= 0.0:
-        return math.inf if m > 0.0 else (-math.inf if m < 0.0 else 0.0)
-    return m / math.sqrt(var)
+    return float(_capped_sharpe_ratios(X, [math.inf])[0])
 
 
 def _fsum_rows(rows: np.ndarray) -> np.ndarray:
@@ -384,24 +375,28 @@ def _fsum_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _capped_sharpe_ratios(X: RandomVariable, levels) -> np.ndarray:
-    """``[sharpe_ratio(X.cap(level)) for level in levels]``, bit for bit.
+    """The Sharpe ratio of min(X, level) for each level, on the extended
+    real line.
 
-    This is the exact cap sweep: the CLI's table prints certified texts
-    from ``_capped_sharpe_bounds`` and sends here only the levels those
-    cannot decide, and the bounds are tested against this function.
+    This is the package's one Sharpe-ratio computation: ``sharpe_ratio``
+    is its level +inf, ``monotone_sharpe`` reads it at the cap, and the
+    CLI's cap sweep sends here the levels that ``_capped_sharpe_bounds``
+    cannot decide (the bounds are tested against this function).
 
-    One dense pass over chunks of levels builds the terms ``sharpe_ratio``
-    builds for each capped payoff min(X, level): the payoff scaled by the
-    power of two 2^s that ``_scaled`` picks for it, from max |min(X, level)|
-    = max(|min(min X, level)|, |min(max X, level)|), then the mean terms
-    p_j y_j and the centred variance terms p_j (c c), c = y_j - m.
-    ``_fsum_rows`` sums each level's row exactly, bounded by that row's own
-    largest term, so it returns what ``math.fsum`` returns.  min(X, level)
-    is constant exactly when level <= min X or X is constant.
+    Each capped payoff min(X, level) is divided by 2^e, e the binary
+    exponent of max |min(X, level)| = max(|min(min X, level)|,
+    |min(max X, level)|), as ``_scaled`` divides a payoff.  On y, the
+    scaled payoff, the mean m is the sum of the terms p_j y_j and the
+    variance var that of the centred terms p_j (c c), c = y_j - m, each
+    level's row summed by ``_fsum_rows``, so every sum has ``math.fsum``'s
+    bits.  The ratio is m / sqrt(var), except where min(X, level) is
+    constant (level <= min X, or X constant) or var is 0: there it is
+    +inf, -inf or 0 by the sign of m.
 
-    A chunk holds max(1, ``_CHUNK`` // atoms) levels, so each of its three
-    temporaries is at most ``_CHUNK`` floats, or one row of atoms on laws
-    of more atoms than that.  Time O(levels x atoms).
+    One dense pass, over chunks of levels: a chunk holds max(1, ``_CHUNK``
+    // atoms) levels, so each of its three temporaries is at most
+    ``_CHUNK`` floats, or one row of atoms on laws of more atoms than
+    that.  Time O(levels x atoms).
     """
     lv = np.asarray(levels, dtype=float)
     x, p = X.values, X.law.probabilities

@@ -17,7 +17,9 @@ generator the columnar tree replaced are kept as the references for the
 array passes that load and generate markets now; the generator's
 per-node draw loop is kept as the reference for its one-block draws.  The
 cell-by-cell law CSV reader is kept as the reference for the
-column-at-a-time one.  One builder, ``iid_tree``, makes trees whose every node repeats one step.
+column-at-a-time one, and the one-payoff Sharpe ratio, each sum a list's
+``math.fsum``, as the reference for the dense cap-sweep pass.  One
+builder, ``iid_tree``, makes trees whose every node repeats one step.
 """
 
 from __future__ import annotations
@@ -296,6 +298,27 @@ def scipy_quadratic_value(tree, initial_wealth):
         options={"gtol": 1e-12, "maxiter": 2000},
     )
     return -float(res.fun)
+
+
+# ---------------------------------------------------------------------------
+# the Sharpe ratio of one payoff, the package's per-payoff path before the
+# cap sweep's dense pass became its only Sharpe ratio
+
+
+def reference_sharpe_ratio(X: RandomVariable) -> float:
+    """Mean over standard deviation of X on the extended real line.
+
+    The payoff is divided by the power of two just above max |X|, each sum
+    is ``math.fsum`` of a list, and the variance is E[(X - m)^2]; a constant
+    payoff, or a variance of 0, gives +inf, -inf or 0 by the sign of m.
+    """
+    p = X.law.probabilities
+    x = np.ldexp(X.values, -math.frexp(float(np.max(np.abs(X.values))))[1])
+    m = math.fsum((p * x).tolist())
+    var = 0.0 if np.all(x == x[0]) else math.fsum((p * np.square(x - m)).tolist())
+    if var <= 0.0:
+        return math.inf if m > 0.0 else (-math.inf if m < 0.0 else 0.0)
+    return m / math.sqrt(var)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,27 @@ BENCH_LAW_SEED7_CSV_DIGESTS = {
     ("heavy", 4000): "625e348a6b80c859f448e0909501c353fcf5bf78d04e4c489ab258f31c6f9f4c",
 }
 
+# sha256 of repr((exit code, stdout, stderr)) of `msharpe` on small edge laws,
+# recorded while the Sharpe ratio had a per-payoff path of its own: flat,
+# zero, no-downside, refused and a zero-variance row of 1 500 terms, past
+# the crossover where exact sums leave math.fsum
+MSHARPE_EDGE_DIGESTS = {
+    "constant": ("2\n2\n", "0879783760b22a8481772b01c208349696c6ed9491ca746d39d7b1b916f00bc8"),
+    "zero": ("0\n0\n", "4a4f87e3e5113c1b381fca41d2369aeb52ef4f997a1f5b612a64c9a386976ef2"),
+    "zero-and-one": ("0\n1\n", "e96d5ddfeda444a0df7086989bdb32d694f600b1fb484749bf37c30f2ff03287"),
+    "positive": ("1\n2\n", "5f997bdeddc3cb13c7b610775034b874a64293ff5f9243bba09d6ff2138ce0d6"),
+    "two-atoms": ("-1\n1.5\n", "5cb09dd70f7743caec5d24bad51088f7569742aebe12499b553d7960eb39b8ff"),
+    "subnormal-downside": (
+        "-5e-324\n1\n", "77e941896ad375870e2b691c90e1af0ba9d0a1fbc58c849238dc83842aeea13f",
+    ),
+    "negative-mean": (
+        "-1\n-2\n", "131f8ac4b101fdff717cce1e4dec2b1ea060ea78229424518bb24dc81bcf6344",
+    ),
+    "1500-equal-atoms": (
+        "3.0\n" * 1500, "3e86059f45c30f7be08f9391ab34a477f53a93e634b71f1cf4fc72dfedf7f0ca",
+    ),
+}
+
 # sha256 of `msharpe --format csv` on each law, recorded before the cap
 # sweep was batched; the sweep must keep these bytes
 CAP_SWEEP_DIGESTS = {
@@ -648,6 +669,12 @@ class TestMsharpe:
         code, out, _ = run(capsys, "msharpe", "--format", "csv", path)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", sorted(MSHARPE_EDGE_DIGESTS))
+    def test_edge_law_summaries_are_pinned(self, capsys, tmp_path, name):
+        text, digest = MSHARPE_EDGE_DIGESTS[name]
+        got = run(capsys, "msharpe", self.write(tmp_path, text))
+        assert hashlib.sha256(repr(got).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("family", sorted(BENCH_LAW_DIGESTS))
     def test_bench_law_bytes_are_pinned(self, capsys, tmp_path, family):

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -25,10 +26,10 @@ from mmvport import (
     sharpe_ratio,
     variance,
 )
-from mmvport import probability
+from mmvport import cli, probability
 from mmvport.cli import _certified_texts
 from mmvport.fcfs import _sig_texts
-from mmvport.monotone_sharpe import alpha_root_bisection, solve_alpha_hat
+from mmvport.monotone_sharpe import alpha_root_bisection, monotone_sharpe, solve_alpha_hat
 from mmvport.probability import (
     _FSUM_ROWS_FROM,
     _capped_sharpe_bounds,
@@ -39,7 +40,7 @@ from mmvport.probability import (
     cash_level_bisection,
 )
 
-from oracles import _line_maximum, zoom_fmmv
+from oracles import _line_maximum, reference_sharpe_ratio, zoom_fmmv
 
 
 def rv(values, probs=None):
@@ -645,8 +646,9 @@ class TestCappedSharpeRatios:
              ranked[::64], ranked[63::64],
              np.nextafter(ranked[::64], -math.inf), np.nextafter(ranked[63::64], math.inf)]
         )
-        want = [sharpe_ratio(X.cap(level)) for level in levels]
+        want = [reference_sharpe_ratio(X.cap(level)) for level in levels]
         assert bits(_capped_sharpe_ratios(X, levels)) == bits(want)
+        assert bits([sharpe_ratio(X)]) == bits([reference_sharpe_ratio(X)])
 
     @given(st.data())
     def test_order_of_atoms_and_levels_does_not_matter(self, data):
@@ -666,7 +668,7 @@ class TestCappedSharpeRatios:
              np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)],
         ])
         want = _capped_sharpe_ratios(X, levels)
-        assert bits(want) == bits([sharpe_ratio(X.cap(level)) for level in levels])
+        assert bits(want) == bits([reference_sharpe_ratio(X.cap(level)) for level in levels])
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         atoms, order = rng.permutation(m), rng.permutation(levels.size)
         Y = RandomVariable(DiscreteLaw(p[atoms]), x[atoms])
@@ -678,7 +680,7 @@ class TestCappedSharpeRatios:
         x = np.array([2.0**-1000, 3 * 2.0**-998, 2.0**-990, 0.75, 1.0])
         X = RandomVariable(DiscreteLaw.from_weights([1.0, 2.0, 1.0, 3.0, 1.0]), x)
         levels = np.concatenate([x, np.ldexp(1.0, np.arange(-1001, 1, 7))])
-        want = [sharpe_ratio(X.cap(level)) for level in levels]
+        want = [reference_sharpe_ratio(X.cap(level)) for level in levels]
         assert bits(_capped_sharpe_ratios(X, levels)) == bits(want)
 
     def test_a_mean_crossing_zero_is_summed_again(self, monkeypatch):
@@ -687,7 +689,7 @@ class TestCappedSharpeRatios:
         X = RandomVariable(DiscreteLaw.uniform(3), np.array([-3.0, 1.0, 5.0]))
         # sorted, as the sweep sums them: row i is levels[i]
         levels = np.unique(np.concatenate([np.linspace(5 / 400, 5.0, 400), [2.0]]))
-        want = [sharpe_ratio(X.cap(level)) for level in levels]
+        want = [reference_sharpe_ratio(X.cap(level)) for level in levels]
         again = rows_summed_again(monkeypatch)
         assert bits(_capped_sharpe_ratios(X, levels)) == bits(want)
         assert 2.0 in levels[again]
@@ -740,7 +742,7 @@ class TestCappedSharpeRatios:
         for law in (DiscreteLaw.uniform(atoms), DiscreteLaw.from_weights(rng.uniform(0.5, 1.5, atoms))):
             X = RandomVariable(law, x)
             grid = rng.permutation(np.concatenate([x, np.linspace(-3.0, 6.0, levels)]))[:levels]
-            want = [sharpe_ratio(X.cap(level)) for level in grid]
+            want = [reference_sharpe_ratio(X.cap(level)) for level in grid]
             assert bits(_capped_sharpe_ratios(X, grid)) == bits(want)
 
     @pytest.mark.parametrize("equal", [True, False])
@@ -755,11 +757,41 @@ class TestCappedSharpeRatios:
         levels = sweep_levels(x)
         levels = levels[np.isnan(_capped_sharpe_bounds(X, levels)[0])]
         assert levels.size > 1900  # the levels the bounds leave to this pass
+        want = [reference_sharpe_ratio(X.cap(level)) for level in levels]
         again = rows_summed_again(monkeypatch)
-        got = _capped_sharpe_ratios(X, levels)
+        assert bits(_capped_sharpe_ratios(X, levels)) == bits(want)
         assert len(again) <= 0.01 * 2 * levels.size  # a mean and a variance row each
-        monkeypatch.undo()
-        assert bits(got) == bits([sharpe_ratio(X.cap(level)) for level in levels])
+
+    def test_the_sharpe_ratio_has_one_home(self, monkeypatch, tmp_path):
+        # every Sharpe ratio of the package is a row of the dense pass
+        calls = []
+
+        def counted(X, levels):
+            calls.append(len(levels))
+            return kernel(X, levels)
+
+        kernel = probability._capped_sharpe_ratios
+        monkeypatch.setattr(probability, "_capped_sharpe_ratios", counted)
+        monkeypatch.setattr(importlib.import_module("mmvport.monotone_sharpe"),
+                            "_capped_sharpe_ratios", counted)
+        X = rv([-1.0, 0.5, 2.0, 4.0])
+        sharpe_ratio(X)
+        assert calls == [1]
+        calls.clear()
+        monotone_sharpe(X)
+        assert calls == [1]
+        calls.clear()
+        monotone_sharpe(rv([0.0, 1.0, 2.0]))  # no downside: no ratio to take
+        assert calls == []
+        law = tmp_path / "law.csv"
+        law.write_text("-1\n0.5\n2\n4\n", encoding="utf-8")
+        assert cli.main(["msharpe", str(law)]) == 0
+        assert calls == [1, 1]
+        gone = {"_scaled_sharpe_ratio", "_with_sharpe_ratio", "_monotone_sharpe",
+                "_variance_about"}
+        for path in Path(probability.__file__).parent.glob("*.py"):
+            name = "mmvport" if path.stem == "__init__" else f"mmvport.{path.stem}"
+            assert not gone & set(vars(importlib.import_module(name))), name
 
 
 def certified_against_the_kernel(X, levels):
