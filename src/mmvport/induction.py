@@ -78,27 +78,32 @@ class TreeLevels:
 
     def __init__(self, tree):
         offsets, below = tree.child_offsets, tree.child_index
-        counts = np.diff(offsets)
+        counts = offsets[1:] - offsets[:-1]
         inner = counts > 0
         self.assets = tree.assets
         self.n_nodes = len(counts)
-        self.root = int(np.argmin(tree.parent))
+        self.root = int(tree.parent.argmin())
         self.leaves = np.flatnonzero(~inner)
         self.nonterminal = np.flatnonzero(inner)
         self.path_prob = tree.path_prob
 
         with np.errstate(over="ignore"):
             steps = tree.prices - tree.prices[tree.parent]
+        # one test per tree: a fault only in the root's row walks for nothing
+        finite = np.isfinite(steps).all()
         names = np.array(tree.ids, dtype=object)
         nodes = self.nonterminal
         nodes = nodes[np.lexsort((nodes, counts[nodes], tree.t[nodes]))]
         depth, width = tree.t[nodes], counts[nodes]
-        cuts = np.flatnonzero((np.diff(depth) != 0) | (np.diff(width) != 0)) + 1
+        cuts = np.flatnonzero((depth[1:] != depth[:-1]) | (width[1:] != width[:-1]))
+        ends = [*(cuts + 1).tolist(), len(nodes)]
         self.families = []
-        for fam in np.split(nodes, cuts):
-            kids = below[offsets[fam, None] + np.arange(counts[fam[0]])]
+        for lo, hi in zip([0, *ends], ends):
+            fam = nodes[lo:hi]
+            kids = below[offsets[fam, None] + np.arange(width[lo])]
             dS = steps[kids]
-            _require_finite(dS.reshape(len(fam), -1), names[fam])
+            if not finite:
+                _require_finite(dS.reshape(len(fam), -1), names[fam])
             self.families.append(Family(
                 int(tree.t[fam[0]]), fam, kids, dS, tree.cond_prob[kids], names[fam]
             ))
@@ -155,9 +160,7 @@ def _gains(dS: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def _require_finite(sums: np.ndarray, ids: list) -> None:
-    bad = ~np.isfinite(sums)
-    if bad.ndim > 1:
-        bad = bad.any(axis=1)
+    bad = ~np.isfinite(sums).all(axis=1)
     if np.any(bad):
         node = ids[int(np.argmax(bad))]
         raise SolverFailure(
@@ -177,8 +180,11 @@ def _quadratic_step(dS: np.ndarray, w: np.ndarray, ids: list, t: int):
     with np.errstate(over="ignore", invalid="ignore"):
         second = np.einsum("nk,nkd->nd", w, dS * dS)
         first = np.einsum("nk,nkd->nd", w, dS)
-    _require_finite(second, ids)
-    _require_finite(first, ids)
+        # one test; a total that merely overflows walks for nothing
+        finite = np.isfinite(second.sum() + first.sum())
+    if not finite:
+        _require_finite(second, ids)
+        _require_finite(first, ids)
     if dS.shape[2] == 1:
         phi = np.divide(first, second, out=np.zeros_like(first), where=second > 0.0)
     else:
@@ -267,6 +273,7 @@ class Opportunity:
         self.L, self.Lm = np.ones(n), np.ones(n)
         self.phi, self.phim = np.zeros((n, d)), np.zeros((n, d))
         self.clip_rounds = 1
+        self._forward = {}
         # until a truncated step first binds, Lm = L on every node solved
         # so far, and the quadratic step of a family serves both processes
         split = False
@@ -313,8 +320,15 @@ class Opportunity:
         """Optimal (holdings vector, terminal wealth in leaf order) from x.
 
         Holdings are (1 - x_n) phi_n, or (1 - x_n)^+ phim_n for the
-        truncated problem, stacked in nonterminal file order.
+        truncated problem, stacked in nonterminal file order; read-only,
+        and kept for the next call of the same kind from the same x.
         """
+        kind, key = bool(truncated), float(initial_wealth).hex()
+        if self._forward.get(kind, (None,))[0] != key:
+            self._forward[kind] = key, self._sweep(initial_wealth, truncated)
+        return self._forward[kind][1]
+
+    def _sweep(self, initial_wealth: float, truncated: bool):
         levels = self.levels
         phis = self.phim if truncated else self.phi
         theta = np.zeros_like(phis)
@@ -326,4 +340,7 @@ class Opportunity:
             return held
 
         wealth = levels.propagate(initial_wealth, holdings)
-        return theta[levels.nonterminal].reshape(-1), wealth
+        theta = theta[levels.nonterminal].reshape(-1)
+        theta.setflags(write=False)
+        wealth.setflags(write=False)
+        return theta, wealth

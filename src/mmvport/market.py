@@ -55,14 +55,15 @@ finite tree that holds iff every one-step submarket is free of arbitrage
 (Harrison & Pliska 1981; Dalang, Morton & Willinger 1990), so it is
 decided node by node: one backward sweep finds the largest density floor
 of every subtree, and one forward sweep multiplies the local risk-neutral
-weights into a certificate density.  Each node's floor is an
-(assets + 1)-row linear program, written down once per family by
-:func:`_floor_programs`.  For one asset it has a closed form, evaluated
-family by family; for several, the nodes of a family with more children
-than assets and at most ``_BASIS_WIDTH`` of them are solved in one
-batched enumeration of their bases, each optimum proved by its duals,
-and every node without such a proof by the in-house simplex.  The cost
-grows linearly with the number of nodes.
+weights into a certificate density.  Each node's floor is a
+linear-fractional program; in the variables of Charnes & Cooper (1962)
+its constraints do not read the children's floors, so they are factored
+once per tree: for one asset the floor has a closed form; for several,
+every basis of a family with more children than assets and at most
+``_BASIS_WIDTH`` of them is inverted and proved optimal or not by its
+duals, and the sweep only multiplies.  A node without a proved basis
+goes to the in-house simplex.  The cost grows linearly with the number
+of nodes.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, combinations, compress, repeat
+from functools import cache, cached_property
+from itertools import accumulate, chain, combinations, compress, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -791,12 +792,14 @@ def _node_local_viability(tree: ScenarioTree) -> ViabilityCertificate:
     n can keep on its leaves; V(leaf) = 1.  A conditional density below n
     is z = (q_k / p_k) z_k on the subtree of child k, so
     V(n) = max t subject to sum_k q_k dS_k = 0, sum_k q_k = 1 and
-    q_k >= t p_k / V(k).  A child whose subtree has no nonnegative density
-    must get zero mass; when some child has V = 0 the floor is 0 and only
-    feasibility is asked.  Each family is solved at once for one asset
-    (:func:`_one_asset_floors`).  For several assets the family's programs
-    go to one batched basis enumeration, with the simplex as the fallback
-    for the nodes it cannot certify (:func:`_several_asset_floors`).
+    q_k >= t p_k / V(k).  With r_k = p_k / V(k), m = sum_k r_k dS_k and
+    q = t (r + u) (Charnes & Cooper 1962),
+
+        V(n) = 1 / (sum r + min{sum u : u >= 0, sum_k u_k dS_k = -m}),
+
+    whose constraints :func:`_floor_bases` factors once per tree, before
+    the sweep's steps (:func:`_family_floors`).  When some child has
+    V = 0 the floor is 0 and only feasibility is asked.
 
     The certificate density is the product of q_k / p_k along each path,
     so its smallest atom is at least V(root), which equals the optimum of
@@ -805,28 +808,25 @@ def _node_local_viability(tree: ScenarioTree) -> ViabilityCertificate:
     the certificate names the deepest such node, the first in file order.
     """
     levels = tree.levels
-    floors = _one_asset_floors if tree.assets == 1 else _several_asset_floors
     value = np.ones(levels.n_nodes)
     feasible = np.ones(levels.n_nodes, dtype=bool)
-    broken = np.zeros(levels.n_nodes, dtype=bool)
-    weights = []
-    for fam in reversed(levels.families):
-        child_value = value[fam.kids]
-        q, value[fam.nodes], feasible[fam.nodes] = floors(
-            fam.dS, fam.p, child_value, feasible[fam.kids], fam.ids
+    weights, hoisted = [], _hoisted_bases(levels.families)
+    for fam, bases in zip(reversed(levels.families), reversed(hoisted)):
+        q, value[fam.nodes], feasible[fam.nodes] = _family_floors(
+            fam.dS, fam.p, value[fam.kids], feasible[fam.kids], fam.ids, bases
         )
         weights.append(q)
-        broken[fam.nodes] = (value[fam.nodes] <= _VIABILITY_FLOOR) & np.all(
-            child_value > _VIABILITY_FLOOR, axis=1
-        )
-    broken = np.flatnonzero(broken)
-    offending = tree.ids[broken[np.argmax(tree.t[broken])]] if broken.size else None
 
-    if not feasible[levels.root]:
-        return ViabilityCertificate(False, None, None, "infeasible", offending)
     bound = float(value[levels.root])
-    if bound <= _VIABILITY_FLOOR:
-        return ViabilityCertificate(False, None, bound, "degenerate", offending)
+    if not feasible[levels.root] or bound <= _VIABILITY_FLOOR:
+        low = value <= _VIABILITY_FLOOR
+        for fam in levels.families:
+            low[fam.nodes] &= np.all(value[fam.kids] > _VIABILITY_FLOOR, axis=1)
+        broken = np.flatnonzero(low)
+        node = tree.ids[broken[np.argmax(tree.t[broken])]] if broken.size else None
+        if feasible[levels.root]:
+            return ViabilityCertificate(False, None, bound, "degenerate", node)
+        return ViabilityCertificate(False, None, None, "infeasible", node)
 
     ratio = np.empty(levels.n_nodes)
     ratio[levels.root] = 1.0
@@ -837,104 +837,156 @@ def _node_local_viability(tree: ScenarioTree) -> ViabilityCertificate:
     return ViabilityCertificate(True, z, bound, "viable")
 
 
-def _one_asset_floors(dS, p, child_value, allowed, ids):
-    """Closed-form one-step floors for a family of one-asset nodes.
-
-    With r_k = p_k / V(k), R = sum r and m = sum r_k dS_k, the floor t
-    puts mass t r_k on every child and the extra mass t |m| / |dS_e| on
-    the child e whose increment has the sign opposite to m and the
-    largest size:  t = 1 / (R + m / |dS_min|) for m > 0, the mirror image
-    for m < 0 and 1 / R for m = 0.  No such child means V = 0.  Feasible
-    (some nonnegative weights price the increments) means the increments
-    of the allowed children, those whose subtree has a nonnegative
-    density, straddle 0 or one is 0.  Returns (q, V, feasible).
-    """
-    s = dS[:, :, 0]
-    rows = np.arange(s.shape[0])
-    floor, r = _floor_weights(p, child_value)
-    feasible = (
-        np.any(allowed & (s < 0.0), axis=1) & np.any(allowed & (s > 0.0), axis=1)
-    ) | np.any(allowed & (s == 0.0), axis=1)
-    m = np.sum(r * s, axis=1)
-    low = np.argmin(np.where(allowed, s, np.inf), axis=1)
-    high = np.argmax(np.where(allowed, s, -np.inf), axis=1)
-    extreme = np.where(m > 0.0, low, high)
-    reach = np.abs(s[rows, extreme])
-    usable = floor & ((m == 0.0) | (np.sign(s[rows, extreme]) == -np.sign(m)))
-    shifted = usable & (m != 0.0)
-    extra = np.where(shifted, np.abs(m) / np.where(shifted, reach, 1.0), 0.0)
-    value = np.divide(
-        1.0, np.sum(r, axis=1) + extra, out=np.zeros_like(m), where=usable
-    )
-    q = value[:, None] * r
-    q[rows, extreme] += value * extra
-    return q, value, feasible
+def _hoisted_bases(families) -> list:
+    """:func:`_floor_bases` of every family, one stacked pass per width."""
+    out = [None] * len(families)
+    for b in {fam.dS.shape[1] for fam in families}:
+        members = [i for i, fam in enumerate(families) if fam.dS.shape[1] == b]
+        stack = [families[i].dS for i in members]
+        bases = _floor_bases(stack[0] if len(stack) == 1 else np.concatenate(stack))
+        ends = list(accumulate(len(families[i].nodes) for i in members))
+        for i, lo, hi in zip(members, [0] + ends, ends):
+            out[i] = bases and tuple(a[lo:hi] for a in bases)
+    return out
 
 
-def _several_asset_floors(dS, p, child_value, child_feasible, ids):
-    """One-step floors for a family of several-asset nodes.
+@cache
+def _basis_columns(b: int, d: int) -> np.ndarray:
+    return _frozen(np.array(list(combinations(range(b), d))))
 
-    When assets < b <= ``_BASIS_WIDTH``, every node of the family tries
-    the batched basis enumeration of :func:`_basis_floors`; a node
-    without a certified optimal basis, and every node of other families,
-    gets its own LP from :func:`_simplex_floors`.  Both read the programs
-    of :func:`_floor_programs`.  Returns (q, V, feasible).
+
+def _floor_bases(dS):
+    """The part of a stack's floor programs that no child floor changes.
+
+    One asset: each node's least and largest increment and their places.
+    Several, for assets < b <= ``_BASIS_WIDTH``: each asset's scale (the
+    node's largest |dS| in it) and, per basis of d children, those
+    children, B^-1 of the scaled rows and whether it is certified: not
+    singular (|det| over ``_BASIS_SINGULAR`` times Hadamard's bound), with
+    duals y = B^-T 1 that leave every reduced cost 1 - y.dS_j at least
+    -1e-9, which proves optimal any point of it with u >= 0.  Other
+    widths have none: None.
     """
     n, b, d = dS.shape
-    A, rho, total, floor = _floor_programs(dS, p, child_value, child_feasible)
-    q = np.zeros_like(p)
-    value = np.zeros(n)
-    feasible = np.ones(n, dtype=bool)
-    rest = np.ones(n, dtype=bool)
-    if d < b <= _BASIS_WIDTH:
-        bases = np.array(list(combinations(range(b), d)))
-        size = max(1, _BASIS_BATCH // len(bases))
+    if d == 1:
+        s = dS[:, :, 0]
+        return s.argmin(axis=1), s.argmax(axis=1), s.min(axis=1), s.max(axis=1)
+    if not d < b <= _BASIS_WIDTH:
+        return None
+    columns = _basis_columns(b, d)
+    scale = np.abs(dS).max(axis=1)
+    scale[scale == 0.0] = 1.0
+    G = dS / scale[:, None, :]
+    inverse = np.empty((n, len(columns), d, d))
+    certified = np.empty((n, len(columns)), dtype=bool)
+    size = max(1, _BASIS_BATCH // len(columns))
+    with np.errstate(all="ignore"):  # a singular basis is never certified
         for lo in range(0, n, size):
             part = slice(lo, lo + size)
-            # a node without a floor has only singular bases and may
-            # divide by a zero sum(r); it is set aside unsolved
-            with np.errstate(all="ignore"):
-                q_c, value_c, solved = _basis_floors(
-                    A[part], rho[part], total[part], bases
-                )
-            nodes = lo + np.flatnonzero(solved)
-            q[nodes], value[nodes] = q_c[solved], value_c[solved]
-            rest[nodes] = False
-    if np.any(rest):
-        q[rest], value[rest], feasible[rest] = _simplex_floors(
-            A[rest], rho[rest], total[rest], floor[rest], ids[rest]
-        )
+            B = G[part][:, columns]  # (nodes, bases, children, assets)
+            hadamard = np.sqrt((B * B).sum(axis=3)).prod(axis=2)
+            if d == 2:  # row i of B^-1 is orthogonal to the other columns
+                adjugate = B[..., ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]]
+            elif d == 3:  # the cross product of the other two
+                i, j = [1, 2, 0], [2, 0, 1]
+                x, y = B[..., i, :], B[..., j, :]
+                adjugate = x[..., i] * y[..., j] - x[..., j] * y[..., i]
+            if d <= 3:
+                det = (B[..., 0, :] * adjugate[..., 0, :]).sum(axis=2)
+                inverse[part] = adjugate / det[..., None, None]
+            else:  # det and inv factor the same matrix, so share its pivots
+                M = B.swapaxes(2, 3)
+                det = np.linalg.det(M)
+                M = np.where(det[..., None, None], M, np.eye(d))
+                inverse[part] = np.linalg.inv(M)
+            reduced = 1.0 - np.einsum("nsia,nka->nsk", inverse[part], G[part])
+            certified[part] = (abs(det) > _BASIS_SINGULAR * hadamard) & (
+                reduced >= -_REDUCED_COST_TOL).all(axis=2)
+    return scale, inverse, certified
+
+
+def _family_floors(dS, p, child_value, child_feasible, ids, bases):
+    """One step of the floor sweep, a family's (q, V, feasible): from its
+    :func:`_floor_bases` where every child has V > 0, else by simplex LPs."""
+    if bases is None:
+        return _simplex_floors(dS, p, child_value, child_feasible, ids)
+    rest = ~((child_value > 0.0).all(axis=1) & child_feasible.all(axis=1))
+    with np.errstate(all="ignore"):  # what a node in rest gets is redone
+        r = p / child_value
+        if dS.shape[2] == 1:
+            q, value, feasible = _one_asset_step(dS, r, *bases)
+        else:
+            q, value, solved = _basis_step(dS, r, *bases)
+            feasible, rest = np.ones(len(p), dtype=bool), rest | ~solved
+    if rest.any():
+        args = dS[rest], p[rest], child_value[rest], child_feasible[rest], ids[rest]
+        q[rest], value[rest], feasible[rest] = _simplex_floors(*args)
     return q, value, feasible
 
 
-def _floor_weights(p, child_value):
-    """(floor, r) of a family's one-step floor programs.
+def _one_asset_step(dS, r, lo, hi, low, high):
+    """Closed-form one-step floors of one-asset nodes: (q, V, feasible).
 
-    A node has a floor when every child has V > 0, and
-    r_k = p_k / V(k) where V(k) > 0, else 0.  Only children whose
-    subtree has a nonnegative density may carry mass.
+    The floor t puts mass t r_k on every child and t |m| / |dS_e| more on
+    the child e whose increment has the sign opposite to m and the
+    largest size: t = 1 / (sum r + m / |dS_min|) for m > 0, the mirror
+    image for m < 0 and 1 / sum r for m = 0.  Without such a child V = 0;
+    the node is feasible if that child's increment is 0, its mass there.
     """
-    live = child_value > 0.0
-    r = np.divide(p, child_value, out=np.zeros_like(p), where=live)
-    return np.all(live, axis=1), r
+    m = (r * dS[:, :, 0]).sum(axis=1)
+    up = m > 0.0
+    extreme, side = np.where(up, lo, hi), np.where(up, low, high)
+    usable = (m == 0.0) | (np.sign(side) == -np.sign(m))
+    extra = np.where(m != 0.0, abs(m) / abs(side), 0.0)
+    value = np.where(usable, 1.0 / (r.sum(axis=1) + extra), 0.0)
+    feasible = (low <= 0.0) & (high >= 0.0)
+    q = value[:, None] * r
+    q[np.arange(len(r)), extreme] += np.where(usable, value * extra, feasible)
+    return q, value, feasible
 
 
-def _floor_programs(dS, p, child_value, child_feasible):
-    """The one-step floor programs of a family, as row-scaled matrices.
+def _basis_step(dS, r, scale, inverse, certified):
+    """One-step floors of several-asset nodes: (q, V, solved).
 
-    With q = t r + w, w >= 0 (see :func:`_floor_weights`), a node's
-    program has the variables (w, tau), tau = t sum(r) in [0, 1], and the
-    rows sum_k q_k = 1 and sum_k q_k dS_k = 0: column k is (1, dS_k) and
-    the tau column is (1, rho.dS) with rho = r / sum(r), which keeps it
-    well scaled however small a child's V is.  A child whose subtree has
-    no nonnegative density gets a zero column.  Without a floor rho and
-    the tau column are zero and only feasibility is asked.
-    Rows are scaled by their largest entry, which for the sum row is 1.
-    Returns (A, rho, sum(r), floor), A of shape
-    (nodes, assets + 1, children + 1).
+    A node takes, of its certified bases with u = -B^-1 m >= 0, the one
+    of least sum u, and refines that u once, as a product with an inverse
+    leaves a residual that grows with the basis's condition: V =
+    1 / (sum r + sum u) and q = V (r + u).  Without one it is not solved.
+    """
+    m = np.einsum("nk,nkd->nd", r, dS) / scale
+    u = np.einsum("nsij,nj->nsi", inverse, -m)
+    ok = certified & (u >= 0.0).all(axis=2)
+    best = np.where(ok, u.sum(axis=2), np.inf).argmin(axis=1)
+    rows = np.arange(len(r))
+    kids = _basis_columns(*dS.shape[1:])[best]
+    u, inverse = u[rows, best], inverse[rows, best]
+    residual = np.einsum("nia,ni->na", dS[rows[:, None], kids], u) / scale + m
+    u -= np.einsum("nij,nj->ni", inverse, residual)
+    w = r.copy()
+    w[rows[:, None], kids] += u
+    value = 1.0 / w.sum(axis=1)
+    return value[:, None] * w, value, ok[rows, best]
+
+
+def _simplex_floors(dS, p, child_value, child_feasible, ids):
+    """One-step floors of a family, one simplex LP per node: (q, V, feasible).
+
+    With r_k = p_k / V(k) where V(k) > 0, else 0, and q = t r + w,
+    w >= 0, a node's program has the variables (w, tau), tau = t sum(r)
+    in [0, 1], and the rows sum_k q_k = 1 and sum_k q_k dS_k = 0: column k
+    is (1, dS_k) and the tau column is (1, rho.dS) with rho = r / sum(r),
+    which keeps it well scaled however small a child's V is.  A child
+    whose subtree has no nonnegative density gets a zero column, whose
+    reduced cost 0 keeps it out of every pivot under Bland's rule.  A
+    node has a floor when every child has V > 0; without one rho and the
+    tau column are zero and only feasibility is asked.  Rows are scaled
+    by their largest entry, which for the sum row is 1.  A point below 0
+    or off a row by more than 1e-9 is refused with SolverFailure.
     """
     n, b, d = dS.shape
-    floor, r = _floor_weights(p, child_value)
+    live = child_value > 0.0
+    floor = np.all(live, axis=1)
+    r = np.divide(p, child_value, out=np.zeros_like(p), where=live)
     total = r.sum(axis=1)
     rho = np.divide(r, total[:, None], out=np.zeros_like(r), where=floor[:, None])
     A = np.zeros((n, d + 1, b + 1))
@@ -945,63 +997,12 @@ def _floor_programs(dS, p, child_value, child_feasible):
     scale = np.max(np.abs(A), axis=2, keepdims=True)
     scale[scale == 0.0] = 1.0
     A /= scale
-    return A, rho, total, floor
-
-
-def _basis_floors(A, rho, total, bases):
-    """Floor programs of :func:`_floor_programs` solved by enumeration.
-
-    When a program has full row rank, which needs b > d, an optimum with
-    tau > 0 sits at a basis of tau and d of the children (the rows of
-    ``bases``).  Every such square system of every node is solved in one
-    batched solve; singular bases, among them every basis with a zero
-    column, are set aside.  Of the bases with w >= 0 and tau > 0 each
-    node takes the one with the largest tau, and accepts it only if the
-    duals y of that basis leave every reduced cost c_j - y.A_j at least
-    -1e-9, which proves it optimal.  Returns (q, V, solved); a node that
-    is not solved needs the simplex.
-    """
-    n, d, b = A.shape[0], bases.shape[1], A.shape[2] - 1
-    columns = np.hstack([bases, np.full((len(bases), 1), b)])
-    B = A[:, :, columns].transpose(0, 2, 1, 3)  # (nodes, bases, d+1, d+1)
-    hadamard = np.prod(np.linalg.norm(B, axis=2), axis=2)
-    invertible = np.abs(np.linalg.det(B)) > _BASIS_SINGULAR * hadamard
-    unit = np.eye(d + 1)
-    B[~invertible] = unit
-    x = np.linalg.solve(B, unit[0])
-    w, tau = x[..., :d], x[..., d]
-    usable = invertible & np.all(w >= 0.0, axis=2) & (tau > 0.0)
-    best = np.argmax(np.where(usable, tau, -np.inf), axis=1)
-    rows = np.arange(n)
-    solved = usable[rows, best]
-
-    y = np.linalg.solve(B[rows, best].transpose(0, 2, 1), -unit[d])
-    reduced = -np.einsum("nij,ni->nj", A, y)
-    reduced[:, b] -= 1.0
-    solved &= np.all(reduced >= -_REDUCED_COST_TOL, axis=1)
-
-    tau = tau[rows, best]
-    q = tau[:, None] * rho
-    q[rows[:, None], bases[best]] += w[rows, best]
-    return q, tau / total, solved
-
-
-def _simplex_floors(A, rho, total, floor, ids):
-    """Floor programs of :func:`_floor_programs`, one simplex LP each.
-
-    This solves the nodes that :func:`_basis_floors` does not certify.  A
-    zero column has reduced cost 0, so under Bland's rule it never enters,
-    and the pivots on the other columns are those of the program without
-    it.  A point below 0 or off a row by more than 1e-9 is refused with
-    SolverFailure.  Returns (q, V, feasible).
-    """
-    n, m, columns = A.shape
-    x = np.zeros((n, columns))
+    x = np.zeros((n, b + 1))
     feasible = np.ones(n, dtype=bool)
-    rhs = np.zeros(m)
+    rhs = np.zeros(d + 1)
     rhs[0] = 1.0
     for i in range(n):
-        cost = np.zeros(columns)
+        cost = np.zeros(b + 1)
         cost[-1] = -1.0 if floor[i] else 0.0
         result = solve_lp(cost, A[i], rhs)
         if result.status == STATUS_INFEASIBLE:

@@ -50,13 +50,13 @@ Conventions
   row of a 2-d array, the bits ``math.fsum`` returns for it, and raises
   what it raises, so the functional identities hold to near machine
   precision even on laws with thousands of atoms and wildly mixed
-  magnitudes.  It alone decides how a sum is taken: numpy for rows of one
-  or two terms, ``math.fsum`` row by row below ``_FSUM_ROWS_FROM`` terms,
-  and above it the error-free extraction of AccSum (Rump, Ogita & Oishi
-  2008), which splits each term into a high part on a power-of-two grid
-  set by the row's own largest term, summed exactly, and a remainder whose
-  float sum has an a-priori error bound, and sums again by ``math.fsum``
-  a row that bound cannot certify.
+  magnitudes.  It alone decides how a sum is taken: numpy for several
+  rows of one or two terms, ``math.fsum`` row by row below
+  ``_FSUM_ROWS_FROM`` terms, and above it the error-free extraction of
+  AccSum (Rump, Ogita & Oishi 2008), which splits each term into a high
+  part on a power-of-two grid set by the row's own largest term, summed
+  exactly, and a remainder whose float sum has an a-priori error bound,
+  and sums again by ``math.fsum`` a row that bound cannot certify.
 * Sharpe ratios and the monotone Sharpe cap are computed on X / 2^k with
   2^k the power of two just above max |X| (``_scaled``): exact, so the
   bits are those of X on every law whose squares stay in range, and finite
@@ -319,9 +319,9 @@ def _fsum_rows(rows: np.ndarray) -> np.ndarray:
     returns, and a row it raises on raises the same here.  Each array is
     summed the first of three ways that applies:
 
-    * rows of one or two terms by numpy, plus 0.0, where every total is
-      finite: one float addition is correctly rounded, and ``math.fsum``
-      returns 0.0 for -0.0 + -0.0;
+    * several rows of one or two terms by numpy, plus 0.0, where every
+      total is finite: one float addition is correctly rounded, and
+      ``math.fsum`` returns 0.0 for -0.0 + -0.0;
     * fewer than ``_FSUM_ROWS_FROM`` terms in all by ``math.fsum``, one row
       at a time;
     * otherwise by the error-free extraction of AccSum (Rump, Ogita &
@@ -344,7 +344,7 @@ def _fsum_rows(rows: np.ndarray) -> np.ndarray:
     ``math.fsum``, and each result is exact.
     """
     k, n = rows.shape
-    if n <= 2:
+    if n <= 2 and k > 1:
         with np.errstate(over="ignore", invalid="ignore"):
             total = rows.sum(axis=1) + 0.0
         if np.isfinite(total).all():

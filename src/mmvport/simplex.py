@@ -5,10 +5,10 @@ Bland's smallest-index pivoting rule is used throughout, which rules out
 cycling even on the degenerate bases that scenario-tree viability programs
 produce routinely.  The implementation is a plain full-tableau method, for
 the viability programs of (assets + 1) rows and at most branching + 1
-columns, where dense pivoting is both fast and easy to audit.  The nodes
-of a tree level are solved in one batched basis enumeration
-(``market._basis_floors``) where they can be; the simplex takes every node
-that enumeration cannot certify, one program each.
+columns, where dense pivoting is both fast and easy to audit.  A node is
+solved at a basis factored once per tree (``market._floor_bases``) where
+its optimum can be certified; the simplex takes every other node, one
+program each.
 
 The caller must pass b >= 0 (flip row signs beforehand).
 """

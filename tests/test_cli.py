@@ -1103,22 +1103,38 @@ class TestExitContract:
         path = tmp_path / "m.json"
         tree = generate_random_market(seed=0, periods=12, branching=2, assets=1)
         path.write_text(market_to_json(tree), encoding="utf-8")
-        src = str(Path(mmvport.__file__).parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
         proc = subprocess.Popen(
             [sys.executable, "-m", "mmvport.cli", "analyze", str(path)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
+            env=package_env(),
         )
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert err == b""
+
+    def test_the_package_runs_as_a_module(self, capsys, trinomial_file):
+        code, out, err = run(capsys, "analyze", trinomial_file)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmvport", "analyze", str(trinomial_file)],
+            capture_output=True,
+            env=package_env(),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr.decode()) == (code, err) == (0, "")
+        assert proc.stdout.decode() == out
+
+
+def package_env() -> dict:
+    """The environment with this checkout's package first on the path."""
+    src = str(Path(mmvport.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
 
 
 def _around(value):

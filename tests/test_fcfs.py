@@ -244,3 +244,45 @@ class TestReportSerialization:
         assert set(d["strategy"]) == set(trinomial.nonterminal_ids)
         vec = d["strategy"][trinomial.nonterminal_ids[0]]
         assert vec == pytest.approx([45 / 16 * 7 / 9], abs=1e-8)
+
+
+class TestSweepCounts:
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_one_analyze_sweeps_each_process_once(
+        self, monkeypatch, tmp_path, capsys, verify
+    ):
+        # viability's backward sweep runs once per tree, and a forward sweep
+        # only for W_q, W_m, the allocation's wealth and --verify's W_m
+        from mmvport import generate_random_market, load_packaged_market, market
+        from mmvport.cli import main
+        from mmvport.induction import TreeLevels
+        from mmvport.market import market_to_json
+
+        trees = [load_packaged_market("trinomial"),
+                 generate_random_market(seed=0, periods=3, branching=4, assets=2)]
+        paths = []
+        for k, tree in enumerate(trees):
+            paths.append(tmp_path / f"m{k}.json")
+            paths[-1].write_text(market_to_json(tree), encoding="utf-8")
+        steps, sweeps = [], []
+        family_floors, propagate = market._family_floors, TreeLevels.propagate
+
+        def counted_floors(*args):
+            steps.append(len(args[0]))
+            return family_floors(*args)
+
+        def counted_propagate(levels, *args):
+            sweeps.append(levels)
+            return propagate(levels, *args)
+
+        monkeypatch.setattr(market, "_family_floors", counted_floors)
+        monkeypatch.setattr(TreeLevels, "propagate", counted_propagate)
+        argv = ["analyze", *map(str, paths)] + (["--verify"] if verify else [])
+        assert main(argv) == 0
+        reports = json.loads(capsys.readouterr().out)
+        # both claim a free cash-flow stream, so --verify rebuilds W_m twice
+        assert all(r["report"]["fcfs_exists"] for r in reports)
+        nonterminal = sum(len(tree.nonterminal_ids) for tree in trees)
+        assert sum(steps) == nonterminal
+        assert len(steps) == sum(len(tree.levels.families) for tree in trees)
+        assert len(sweeps) == 2 * (3 + verify)

@@ -271,10 +271,10 @@ def one_step_levels(draw):
     so it is viable unless it is made an arbitrage (the first asset only
     rises) or has children whose subtrees have V = 0 (some of them with
     no nonnegative density at all).  Near-degenerate nodes repeat a
-    child's increment, or make one asset a multiple of another, up to
-    noise of 1e-13 to 1e-4.
+    child's increment, or (with several assets) make one asset a multiple
+    of another, up to noise of 1e-13 to 1e-4.
     """
-    assets = draw(st.integers(2, 3))
+    assets = draw(st.integers(1, 3))
     width = draw(st.sampled_from((2, 3, 4, 5, 8, 9)))
     dead = draw(st.booleans())
     arbitrage = draw(st.booleans())
@@ -287,7 +287,8 @@ def one_step_levels(draw):
     if noise:
         near = rng.random(n) < 0.5
         dS[near, 1] = dS[near, 0]
-        dS[~near, :, 1] = 1.7 * dS[~near, :, 0]
+        if assets > 1:
+            dS[~near, :, 1] = 1.7 * dS[~near, :, 0]
         dS += noise * rng.normal(0.0, 1.0, dS.shape)
     q = rng.uniform(0.05, 1.0, (n, width))
     q /= q.sum(axis=1, keepdims=True)
@@ -311,12 +312,18 @@ def simplex_nodes(monkeypatch):
     counts = []
     simplex_floors = market._simplex_floors
 
-    def counting(A, *args):
-        counts.append(len(A))
-        return simplex_floors(A, *args)
+    def counting(dS, *args):
+        counts.append(len(dS))
+        return simplex_floors(dS, *args)
 
     monkeypatch.setattr(market, "_simplex_floors", counting)
     return counts
+
+
+def family_floors(dS, p, child_value, child_feasible, ids):
+    """One step of the floor sweep on a family whose bases are factored first."""
+    bases = market._floor_bases(dS)
+    return market._family_floors(dS, p, child_value, child_feasible, ids, bases)
 
 
 def first_broken(ids, value, child_value):
@@ -354,9 +361,8 @@ class TestViability:
     @given(one_step_levels())
     def test_batched_floors_match_the_simplex(self, level):
         dS, p, child_value, child_feasible, ids = level
-        q, value, feasible = market._several_asset_floors(*level)
-        program = market._floor_programs(*level[:4])
-        q0, value0, feasible0 = market._simplex_floors(*program, ids)
+        q, value, feasible = family_floors(*level)
+        q0, value0, feasible0 = market._simplex_floors(*level)
         np.testing.assert_array_equal(feasible, feasible0)
         np.testing.assert_array_equal(value > 1e-9, value0 > 1e-9)
         assert first_broken(ids, value, child_value) == first_broken(
@@ -379,7 +385,7 @@ class TestViability:
         # column that should be zero: a child without a density must get
         # no mass
         dS, p, child_value, child_feasible, _ = level
-        q, _, feasible = market._several_asset_floors(*level)
+        q, _, feasible = family_floors(*level)
         assert np.all(q[~child_feasible] == 0.0)
         assert np.all(np.abs(q[feasible].sum(axis=1) - 1.0) <= 1e-12)
 
@@ -414,8 +420,8 @@ class TestViability:
         assert sum(simplex_nodes) == 0
 
     def test_a_feasible_basis_that_is_not_optimal_is_refused(self):
-        # with one basis hidden, a node whose optimum sat there may find
-        # another feasible basis of smaller tau; its duals must refuse it
+        # with the optimal basis hidden, a node may still find another basis
+        # with u >= 0, of larger sum(u); its dual certificate must refuse it
         rng = np.random.default_rng(3)
         n, b, d = 30, 5, 2
         dS = rng.normal(0.0, 1.0, (n, b, d))
@@ -423,19 +429,39 @@ class TestViability:
         q /= q.sum(axis=1, keepdims=True)
         dS -= np.einsum("nk,nkd->nd", q, dS)[:, None, :]
         p = np.full((n, b), 1.0 / b)
-        child_value = rng.uniform(0.05, 1.0, (n, b))
-        bases = np.array(list(combinations(range(b), d)))
-        live = np.ones((n, b), dtype=bool)
-        A, rho, total, _ = market._floor_programs(dS, p, child_value, live)
-        _, value, solved = market._basis_floors(A, rho, total, bases)
+        r = p / rng.uniform(0.05, 1.0, (n, b))
+        scale, inverse, certified = market._floor_bases(dS)
+        assert certified.shape == (n, len(list(combinations(range(b), d))))
+        bases = scale, inverse
+        _, value, solved = market._basis_step(dS, r, *bases, certified)
         assert solved.all()
+        m = np.einsum("nk,nkd->nd", r, dS) / scale
+        feasible = np.all(-np.einsum("nsij,nj->nsi", inverse, m) >= 0.0, axis=2)
         refused = 0
-        for hidden in range(len(bases)):
-            rest = np.delete(bases, hidden, axis=0)
-            _, v, ok = market._basis_floors(A, rho, total, rest)
+        for hidden in range(certified.shape[1]):
+            kept = certified.copy()
+            kept[:, hidden] = False
+            _, v, ok = market._basis_step(dS, r, *bases, kept)
             np.testing.assert_allclose(v[ok], value[ok], rtol=1e-12, atol=0.0)
-            refused += int(np.sum(~ok))
+            others = np.delete(feasible, hidden, axis=1).any(axis=1)
+            refused += int(np.sum(~ok & others))
         assert refused > 0
+
+    def test_row_scaling_keeps_a_quiet_asset_off_the_simplex(self, simplex_nodes):
+        # the third asset moves about 200 times less than the others; one
+        # node's optimal basis passes the singularity test only with its
+        # rows scaled
+        tree = generate_random_market(seed=6, periods=3, branching=4, assets=3)
+        data = market_to_dict(tree)
+        for node in data["nodes"]:
+            node["prices"][2] = 1.0 + (node["prices"][2] - 1.0) / 200.0
+        quiet = market_from_dict(data)
+        cert = check_viability(quiet)
+        ref, t_star = viability_linprog(quiet)
+        assert cert and ref
+        assert cert.bound == pytest.approx(t_star, rel=1e-9, abs=0.0)
+        assert cert.bound == pytest.approx(check_viability(tree).bound, rel=1e-9)
+        assert sum(simplex_nodes) == 0
 
     def test_agrees_with_reference_lp(self):
         for seed in range(40):
