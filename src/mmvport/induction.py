@@ -78,11 +78,11 @@ class TreeLevels:
 
     def __init__(self, tree):
         offsets, below = tree.child_offsets, tree.child_index
-        counts = offsets[1:] - offsets[:-1]
+        counts = np.diff(offsets)
         inner = counts > 0
         self.assets = tree.assets
         self.n_nodes = len(counts)
-        self.root = int(tree.parent.argmin())
+        self.root = int(np.argmin(tree.parent))
         self.leaves = np.flatnonzero(~inner)
         self.nonterminal = np.flatnonzero(inner)
         self.path_prob = tree.path_prob
@@ -95,12 +95,10 @@ class TreeLevels:
         nodes = self.nonterminal
         nodes = nodes[np.lexsort((nodes, counts[nodes], tree.t[nodes]))]
         depth, width = tree.t[nodes], counts[nodes]
-        cuts = np.flatnonzero((depth[1:] != depth[:-1]) | (width[1:] != width[:-1]))
-        ends = [*(cuts + 1).tolist(), len(nodes)]
+        cuts = np.flatnonzero((np.diff(depth) != 0) | (np.diff(width) != 0)) + 1
         self.families = []
-        for lo, hi in zip([0, *ends], ends):
-            fam = nodes[lo:hi]
-            kids = below[offsets[fam, None] + np.arange(width[lo])]
+        for fam in np.split(nodes, cuts):
+            kids = below[offsets[fam, None] + np.arange(counts[fam[0]])]
             dS = steps[kids]
             if not finite:
                 _require_finite(dS.reshape(len(fam), -1), names[fam])

@@ -57,13 +57,13 @@ decided node by node: one backward sweep finds the largest density floor
 of every subtree, and one forward sweep multiplies the local risk-neutral
 weights into a certificate density.  Each node's floor is a
 linear-fractional program; in the variables of Charnes & Cooper (1962)
-its constraints do not read the children's floors, so they are factored
-once per tree: for one asset the floor has a closed form; for several,
+its constraints do not read the children's floors, only its right-hand
+side does.  For one asset the floor has a closed form; for several,
 every basis of a family with more children than assets and at most
 ``_BASIS_WIDTH`` of them is inverted and proved optimal or not by its
-duals, and the sweep only multiplies.  A node without a proved basis
-goes to the in-house simplex.  The cost grows linearly with the number
-of nodes.
+duals alone, and the right-hand side is then only multiplied.  A node
+without a proved basis goes to the in-house simplex.  The cost grows
+linearly with the number of nodes.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate, chain, combinations, compress, repeat
+from itertools import chain, combinations, compress, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -116,7 +116,7 @@ _VIABILITY_FLOOR = 1e-9
 # widest family whose C(children, assets) bases are enumerated at once;
 # wider ones go to the simplex
 _BASIS_WIDTH = 8
-# (assets + 1)-square systems per batched solve, bounding the work arrays
+# assets-square basis systems factored at once, bounding the work arrays
 _BASIS_BATCH = 1 << 14
 # a basis whose determinant is below this share of the product of its
 # column norms (Hadamard's bound) counts as singular: a solve with it can
@@ -797,9 +797,10 @@ def _node_local_viability(tree: ScenarioTree) -> ViabilityCertificate:
 
         V(n) = 1 / (sum r + min{sum u : u >= 0, sum_k u_k dS_k = -m}),
 
-    whose constraints :func:`_floor_bases` factors once per tree, before
-    the sweep's steps (:func:`_family_floors`).  When some child has
-    V = 0 the floor is 0 and only feasibility is asked.
+    whose constraints do not read the children's floors: each family's
+    step (:func:`_family_floors`) factors them, then takes u at a basis
+    its duals prove optimal.  When some child has V = 0 the floor is 0
+    and only feasibility is asked.
 
     The certificate density is the product of q_k / p_k along each path,
     so its smallest atom is at least V(root), which equals the optimum of
@@ -810,10 +811,10 @@ def _node_local_viability(tree: ScenarioTree) -> ViabilityCertificate:
     levels = tree.levels
     value = np.ones(levels.n_nodes)
     feasible = np.ones(levels.n_nodes, dtype=bool)
-    weights, hoisted = [], _hoisted_bases(levels.families)
-    for fam, bases in zip(reversed(levels.families), reversed(hoisted)):
+    weights = []
+    for fam in reversed(levels.families):
         q, value[fam.nodes], feasible[fam.nodes] = _family_floors(
-            fam.dS, fam.p, value[fam.kids], feasible[fam.kids], fam.ids, bases
+            fam.dS, fam.p, value[fam.kids], feasible[fam.kids], fam.ids
         )
         weights.append(q)
 
@@ -837,94 +838,46 @@ def _node_local_viability(tree: ScenarioTree) -> ViabilityCertificate:
     return ViabilityCertificate(True, z, bound, "viable")
 
 
-def _hoisted_bases(families) -> list:
-    """:func:`_floor_bases` of every family, one stacked pass per width."""
-    out = [None] * len(families)
-    for b in {fam.dS.shape[1] for fam in families}:
-        members = [i for i, fam in enumerate(families) if fam.dS.shape[1] == b]
-        stack = [families[i].dS for i in members]
-        bases = _floor_bases(stack[0] if len(stack) == 1 else np.concatenate(stack))
-        ends = list(accumulate(len(families[i].nodes) for i in members))
-        for i, lo, hi in zip(members, [0] + ends, ends):
-            out[i] = bases and tuple(a[lo:hi] for a in bases)
-    return out
-
-
 @cache
 def _basis_columns(b: int, d: int) -> np.ndarray:
     return _frozen(np.array(list(combinations(range(b), d))))
 
 
-def _floor_bases(dS):
-    """The part of a stack's floor programs that no child floor changes.
-
-    One asset: each node's least and largest increment and their places.
-    Several, for assets < b <= ``_BASIS_WIDTH``: each asset's scale (the
-    node's largest |dS| in it) and, per basis of d children, those
-    children, B^-1 of the scaled rows and whether it is certified: not
-    singular (|det| over ``_BASIS_SINGULAR`` times Hadamard's bound), with
-    duals y = B^-T 1 that leave every reduced cost 1 - y.dS_j at least
-    -1e-9, which proves optimal any point of it with u >= 0.  Other
-    widths have none: None.
-    """
+def _family_floors(dS, p, child_value, child_feasible, ids):
+    """One step of the floor sweep, a family's (q, V, feasible): where all
+    children have V > 0, one asset's closed form (:func:`_one_asset_step`)
+    or, for assets < b <= ``_BASIS_WIDTH``, a certified basis of
+    :func:`_floor_bases`, ``_BASIS_BATCH`` systems at a time; one asset
+    without a floor by :func:`_one_asset_feasible`, the rest by LPs."""
     n, b, d = dS.shape
-    if d == 1:
-        s = dS[:, :, 0]
-        return s.argmin(axis=1), s.argmax(axis=1), s.min(axis=1), s.max(axis=1)
-    if not d < b <= _BASIS_WIDTH:
-        return None
-    columns = _basis_columns(b, d)
-    scale = np.abs(dS).max(axis=1)
-    scale[scale == 0.0] = 1.0
-    G = dS / scale[:, None, :]
-    inverse = np.empty((n, len(columns), d, d))
-    certified = np.empty((n, len(columns)), dtype=bool)
-    size = max(1, _BASIS_BATCH // len(columns))
-    with np.errstate(all="ignore"):  # a singular basis is never certified
-        for lo in range(0, n, size):
-            part = slice(lo, lo + size)
-            B = G[part][:, columns]  # (nodes, bases, children, assets)
-            hadamard = np.sqrt((B * B).sum(axis=3)).prod(axis=2)
-            if d == 2:  # row i of B^-1 is orthogonal to the other columns
-                adjugate = B[..., ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]]
-            elif d == 3:  # the cross product of the other two
-                i, j = [1, 2, 0], [2, 0, 1]
-                x, y = B[..., i, :], B[..., j, :]
-                adjugate = x[..., i] * y[..., j] - x[..., j] * y[..., i]
-            if d <= 3:
-                det = (B[..., 0, :] * adjugate[..., 0, :]).sum(axis=2)
-                inverse[part] = adjugate / det[..., None, None]
-            else:  # det and inv factor the same matrix, so share its pivots
-                M = B.swapaxes(2, 3)
-                det = np.linalg.det(M)
-                M = np.where(det[..., None, None], M, np.eye(d))
-                inverse[part] = np.linalg.inv(M)
-            reduced = 1.0 - np.einsum("nsia,nka->nsk", inverse[part], G[part])
-            certified[part] = (abs(det) > _BASIS_SINGULAR * hadamard) & (
-                reduced >= -_REDUCED_COST_TOL).all(axis=2)
-    return scale, inverse, certified
-
-
-def _family_floors(dS, p, child_value, child_feasible, ids, bases):
-    """One step of the floor sweep, a family's (q, V, feasible): from its
-    :func:`_floor_bases` where every child has V > 0, else by simplex LPs."""
-    if bases is None:
+    if d > 1 and not d < b <= _BASIS_WIDTH:
         return _simplex_floors(dS, p, child_value, child_feasible, ids)
     rest = ~((child_value > 0.0).all(axis=1) & child_feasible.all(axis=1))
     with np.errstate(all="ignore"):  # what a node in rest gets is redone
         r = p / child_value
-        if dS.shape[2] == 1:
-            q, value, feasible = _one_asset_step(dS, r, *bases)
-        else:
-            q, value, solved = _basis_step(dS, r, *bases)
-            feasible, rest = np.ones(len(p), dtype=bool), rest | ~solved
+        if d == 1:
+            q, value, feasible = _one_asset_step(dS[:, :, 0], r)
+            if rest.any():
+                value[rest] = 0.0
+                q[rest], feasible[rest] = _one_asset_feasible(
+                    dS[rest, :, 0], child_feasible[rest]
+                )
+            return q, value, feasible
+        q, value = np.empty_like(p), np.empty(n)
+        feasible = np.ones(n, dtype=bool)
+        size = max(1, _BASIS_BATCH // len(_basis_columns(b, d)))
+        for lo in range(0, n, size):
+            part = slice(lo, lo + size)
+            bases = _floor_bases(dS[part])
+            q[part], value[part], solved = _basis_step(dS[part], r[part], *bases)
+            rest[part] |= ~solved
     if rest.any():
         args = dS[rest], p[rest], child_value[rest], child_feasible[rest], ids[rest]
         q[rest], value[rest], feasible[rest] = _simplex_floors(*args)
     return q, value, feasible
 
 
-def _one_asset_step(dS, r, lo, hi, low, high):
+def _one_asset_step(s, r):
     """Closed-form one-step floors of one-asset nodes: (q, V, feasible).
 
     The floor t puts mass t r_k on every child and t |m| / |dS_e| more on
@@ -933,7 +886,10 @@ def _one_asset_step(dS, r, lo, hi, low, high):
     image for m < 0 and 1 / sum r for m = 0.  Without such a child V = 0;
     the node is feasible if that child's increment is 0, its mass there.
     """
-    m = (r * dS[:, :, 0]).sum(axis=1)
+    rows = np.arange(len(r))
+    lo, hi = s.argmin(axis=1), s.argmax(axis=1)
+    low, high = s[rows, lo], s[rows, hi]
+    m = (r * s).sum(axis=1)
     up = m > 0.0
     extreme, side = np.where(up, lo, hi), np.where(up, low, high)
     usable = (m == 0.0) | (np.sign(side) == -np.sign(m))
@@ -941,8 +897,61 @@ def _one_asset_step(dS, r, lo, hi, low, high):
     value = np.where(usable, 1.0 / (r.sum(axis=1) + extra), 0.0)
     feasible = (low <= 0.0) & (high >= 0.0)
     q = value[:, None] * r
-    q[np.arange(len(r)), extreme] += np.where(usable, value * extra, feasible)
+    q[rows, extreme] += np.where(usable, value * extra, feasible)
     return q, value, feasible
+
+
+def _one_asset_feasible(s, allowed):
+    """(q, feasible) of one-asset nodes without a floor: feasible when the
+    least and largest increments of the allowed children (those with a
+    nonnegative density below) straddle 0; q then mixes those two to a
+    zero drift, all on the least when both are 0."""
+    rows = np.arange(len(s))
+    below, above = np.where(allowed, s, np.inf), np.where(allowed, s, -np.inf)
+    lo, hi = below.argmin(axis=1), above.argmax(axis=1)
+    low, high = below[rows, lo], above[rows, hi]
+    feasible = (low <= 0.0) & (high >= 0.0)
+    up = np.where(feasible & (high > low), -low / (high - low), 0.0)
+    q = np.zeros_like(s)
+    q[rows, lo] = np.where(feasible, 1.0 - up, 0.0)
+    q[rows, hi] += up
+    return q, feasible
+
+
+def _floor_bases(dS):
+    """The part of several-asset floor programs that no child floor changes.
+
+    Each asset's scale (the node's largest |dS| in it) and, per basis of
+    d children (the rows of ``_basis_columns``), B^-1 of the scaled rows
+    and whether it is certified: not singular (|det| over
+    ``_BASIS_SINGULAR`` times Hadamard's bound), with duals y = B^-T 1
+    that leave every reduced cost 1 - y.dS_j at least -1e-9, which proves
+    optimal any point of it with u >= 0.  Needs assets < b.
+    """
+    n, b, d = dS.shape
+    scale = np.abs(dS).max(axis=1)
+    scale[scale == 0.0] = 1.0
+    G = dS / scale[:, None, :]
+    B = G[:, _basis_columns(b, d)]  # (nodes, bases, children, assets)
+    hadamard = np.sqrt((B * B).sum(axis=3)).prod(axis=2)
+    with np.errstate(all="ignore"):  # a singular basis is never certified
+        if d == 2:  # row i of B^-1 is orthogonal to the other columns
+            adjugate = B[..., ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]]
+        elif d == 3:  # the cross product of the other two
+            i, j = [1, 2, 0], [2, 0, 1]
+            x, y = B[..., i, :], B[..., j, :]
+            adjugate = x[..., i] * y[..., j] - x[..., j] * y[..., i]
+        if d <= 3:  # 4-5 times faster than LAPACK's batched det and inv
+            det = (B[..., 0, :] * adjugate[..., 0, :]).sum(axis=2)
+            inverse = adjugate / det[..., None, None]
+        else:  # LAPACK; inv raises on a matrix whose det is 0
+            B = B.swapaxes(2, 3)
+            det = np.linalg.det(B)
+            inverse = np.linalg.inv(np.where(det[..., None, None], B, np.eye(d)))
+        reduced = 1.0 - np.einsum("nsia,nka->nsk", inverse, G)
+    certified = (abs(det) > _BASIS_SINGULAR * hadamard) & (
+        reduced >= -_REDUCED_COST_TOL).all(axis=2)
+    return scale, inverse, certified
 
 
 def _basis_step(dS, r, scale, inverse, certified):

@@ -6,9 +6,9 @@ cycling even on the degenerate bases that scenario-tree viability programs
 produce routinely.  The implementation is a plain full-tableau method, for
 the viability programs of (assets + 1) rows and at most branching + 1
 columns, where dense pivoting is both fast and easy to audit.  A node is
-solved at a basis factored once per tree (``market._floor_bases``) where
-its optimum can be certified; the simplex takes every other node, one
-program each.
+solved at a basis factored before its step of the sweep
+(``market._floor_bases``) where its optimum can be certified; the simplex
+takes every other node of several assets, one program each.
 
 The caller must pass b >= 0 (flip row signs beforehand).
 """

@@ -274,7 +274,7 @@ def one_step_levels(draw):
     child's increment, or (with several assets) make one asset a multiple
     of another, up to noise of 1e-13 to 1e-4.
     """
-    assets = draw(st.integers(1, 3))
+    assets = draw(st.integers(1, 5))
     width = draw(st.sampled_from((2, 3, 4, 5, 8, 9)))
     dead = draw(st.booleans())
     arbitrage = draw(st.booleans())
@@ -320,12 +320,6 @@ def simplex_nodes(monkeypatch):
     return counts
 
 
-def family_floors(dS, p, child_value, child_feasible, ids):
-    """One step of the floor sweep on a family whose bases are factored first."""
-    bases = market._floor_bases(dS)
-    return market._family_floors(dS, p, child_value, child_feasible, ids, bases)
-
-
 def first_broken(ids, value, child_value):
     broken = (value <= 1e-9) & np.all(child_value > 1e-9, axis=1)
     return ids[int(np.argmax(broken))] if np.any(broken) else None
@@ -361,7 +355,7 @@ class TestViability:
     @given(one_step_levels())
     def test_batched_floors_match_the_simplex(self, level):
         dS, p, child_value, child_feasible, ids = level
-        q, value, feasible = family_floors(*level)
+        q, value, feasible = market._family_floors(*level)
         q0, value0, feasible0 = market._simplex_floors(*level)
         np.testing.assert_array_equal(feasible, feasible0)
         np.testing.assert_array_equal(value > 1e-9, value0 > 1e-9)
@@ -385,13 +379,27 @@ class TestViability:
         # column that should be zero: a child without a density must get
         # no mass
         dS, p, child_value, child_feasible, _ = level
-        q, _, feasible = family_floors(*level)
+        q, _, feasible = market._family_floors(*level)
         assert np.all(q[~child_feasible] == 0.0)
         assert np.all(np.abs(q[feasible].sum(axis=1) - 1.0) <= 1e-12)
 
     def test_generated_four_asset_tree_needs_no_simplex(self, simplex_nodes):
         tree = generate_random_market(seed=0, periods=4, branching=4, assets=3)
         assert check_viability(tree)
+        assert sum(simplex_nodes) == 0
+
+    @pytest.mark.parametrize("assets, branching", [(4, 5), (5, 6)])
+    def test_four_and_five_assets_need_no_simplex(
+        self, simplex_nodes, assets, branching
+    ):
+        # these bases are factored by LAPACK, not in closed form
+        tree = generate_random_market(
+            seed=0, periods=2, branching=branching, assets=assets
+        )
+        ours = check_viability(tree)
+        ref, t_star = viability_linprog(tree)
+        assert ours and ref
+        assert ours.bound == pytest.approx(t_star, rel=1e-9, abs=0.0)
         assert sum(simplex_nodes) == 0
 
     def test_ragged_families_need_no_simplex(self, simplex_nodes):
@@ -461,6 +469,33 @@ class TestViability:
         assert cert and ref
         assert cert.bound == pytest.approx(t_star, rel=1e-9, abs=0.0)
         assert cert.bound == pytest.approx(check_viability(tree).bound, rel=1e-9)
+        assert sum(simplex_nodes) == 0
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_one_asset_arbitrage_needs_no_simplex(self, simplex_nodes, flat):
+        # one node's asset never falls (and with flat, one child stays put),
+        # so every ancestor has a child with V = 0: the one-asset step
+        # settles them in closed form, as it does the viable nodes
+        data = market_to_dict(
+            generate_random_market(seed=2, periods=4, branching=3, assets=1)
+        )
+        below = {}
+        for node in data["nodes"]:
+            below.setdefault(node["parent"], []).append(node)
+        target = next(node for node in data["nodes"] if node["t"] == 2)
+
+        def shift(node, by):
+            node["prices"][0] += by
+            for child in below.get(node["id"], []):
+                shift(child, by)
+
+        for k, child in enumerate(below[target["id"]]):
+            step = child["prices"][0] - target["prices"][0]
+            shift(child, -step if flat and k == 0 else abs(step) - step)
+        cert = check_viability(market_from_dict(data))
+        assert not cert
+        assert cert.status == "degenerate"
+        assert cert.offending_node == target["id"]
         assert sum(simplex_nodes) == 0
 
     def test_agrees_with_reference_lp(self):
