@@ -48,7 +48,6 @@ import json.encoder
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -79,7 +78,6 @@ from .probability import (
     mean,
     sharpe_ratio,
 )
-from .selftest import run_selftest
 
 __all__ = ["main"]
 
@@ -202,6 +200,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # a CSV row reads only the scalar fields: the workers build and send back no more
     run = functools.partial(_analyze_path, csv_row=args.format == "csv")
     if args.jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays for it
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             payloads = list(pool.map(run, tasks))
     else:
@@ -499,6 +498,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from .selftest import run_selftest
     results = run_selftest(quick=args.quick)
     return 0 if all(r.passed for r in results) else 3
 

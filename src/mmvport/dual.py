@@ -22,7 +22,8 @@ problems before survive as reference implementations in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -42,13 +43,18 @@ class DualSolution:
 
     signed is True iff the density actually dips below -1e-9.  active_set
     lists the leaf ids where the density is zero and is nonempty only for
-    the nonnegative problem on incomplete markets.
+    the nonnegative problem on incomplete markets; it is built on first read.
     """
 
     density: MeasureDensity
     second_moment: float
     signed: bool
-    active_set: tuple[str, ...]
+    _pinned: bool = field(default=False, repr=False)
+
+    @cached_property
+    def active_set(self) -> tuple[str, ...]:
+        zero = (self.density.values <= _ZERO_TOL).tolist() if self._pinned else ()
+        return tuple(compress(self.density.tree.leaf_ids, zero))
 
 
 def _checked(tree: ScenarioTree, z: np.ndarray) -> MeasureDensity:
@@ -69,7 +75,6 @@ def variance_optimal_signed(tree: ScenarioTree) -> DualSolution:
         density=_checked(tree, z),
         second_moment=a,
         signed=bool(z.min() < -_SIGNED_FLAG_TOL),
-        active_set=(),
     )
 
 
@@ -88,5 +93,5 @@ def variance_optimal_nonneg(tree: ScenarioTree) -> DualSolution:
         density=_checked(tree, z),
         second_moment=a,
         signed=False,
-        active_set=tuple(compress(tree.leaf_ids, (z <= _ZERO_TOL).tolist())),
+        _pinned=True,
     )

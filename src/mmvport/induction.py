@@ -66,19 +66,20 @@ class TreeLevels:
     """A tree's one-step markets, grouped into same-width families.
 
     ``families`` lists the :class:`Family` of every (depth, width), root
-    first.  Every sweep keeps its state in arrays over the tree's
-    positions: a backward sweep walks the families in reverse and sets
-    ``v[fam.nodes]`` from ``v[fam.kids]``, a forward sweep walks them in
-    order and sets ``x[fam.kids]`` from ``x[fam.nodes]``.  ``leaves`` and
-    ``nonterminal`` are the positions of the leaves and of the other
-    nodes in file order, so ``x[leaves]`` is in leaf order and
-    ``theta[nonterminal]`` in holdings order.  A node whose increments
-    overflow is refused with :class:`SolverFailure`.
+    first, each a slice of the nonterminal nodes sorted by (depth, width).
+    Every sweep keeps its state in arrays over the tree's positions: a
+    backward sweep walks the families in reverse and sets ``v[fam.nodes]``
+    from ``v[fam.kids]``, a forward sweep walks them in order and sets
+    ``x[fam.kids]`` from ``x[fam.nodes]``.  ``leaves`` and ``nonterminal``
+    are the positions of the leaves and of the other nodes in file order,
+    so ``x[leaves]`` is in leaf order and ``theta[nonterminal]`` in
+    holdings order.  A node whose increments overflow is refused with
+    :class:`SolverFailure`.
     """
 
     def __init__(self, tree):
         offsets, below = tree.child_offsets, tree.child_index
-        counts = np.diff(offsets)
+        counts = offsets[1:] - offsets[:-1]
         inner = counts > 0
         self.assets = tree.assets
         self.n_nodes = len(counts)
@@ -95,15 +96,17 @@ class TreeLevels:
         nodes = self.nonterminal
         nodes = nodes[np.lexsort((nodes, counts[nodes], tree.t[nodes]))]
         depth, width = tree.t[nodes], counts[nodes]
-        cuts = np.flatnonzero((np.diff(depth) != 0) | (np.diff(width) != 0)) + 1
+        cuts = np.flatnonzero((depth[1:] != depth[:-1]) | (width[1:] != width[:-1]))
+        cuts = [0, *(cuts + 1).tolist(), len(nodes)]
         self.families = []
-        for fam in np.split(nodes, cuts):
-            kids = below[offsets[fam, None] + np.arange(counts[fam[0]])]
+        for lo, hi in zip(cuts, cuts[1:]):
+            fam = nodes[lo:hi]
+            kids = below[offsets[fam, None] + np.arange(width[lo])]
             dS = steps[kids]
             if not finite:
                 _require_finite(dS.reshape(len(fam), -1), names[fam])
             self.families.append(Family(
-                int(tree.t[fam[0]]), fam, kids, dS, tree.cond_prob[kids], names[fam]
+                int(depth[lo]), fam, kids, dS, tree.cond_prob[kids], names[fam]
             ))
 
     def propagate(self, initial_wealth: float, holdings) -> np.ndarray:
@@ -147,10 +150,6 @@ class TreeLevels:
                 "nk,nkd->nd", self.path_prob[fam.kids], np.abs(fam.dS)
             )
         return out
-
-    def max_moment(self, leaf_values: np.ndarray) -> float:
-        """Largest |E[v dS 1_n]| over all nodes and assets."""
-        return float(np.max(np.abs(self.increment_moments(leaf_values))))
 
 
 def _gains(dS: np.ndarray, phi: np.ndarray) -> np.ndarray:

@@ -53,17 +53,11 @@ implementations in the tests (``tests/oracles.py``).
 Viability means a strictly positive martingale density exists.  On a
 finite tree that holds iff every one-step submarket is free of arbitrage
 (Harrison & Pliska 1981; Dalang, Morton & Willinger 1990), so it is
-decided node by node: one backward sweep finds the largest density floor
-of every subtree, and one forward sweep multiplies the local risk-neutral
-weights into a certificate density.  Each node's floor is a
-linear-fractional program; in the variables of Charnes & Cooper (1962)
-its constraints do not read the children's floors, only its right-hand
-side does.  For one asset the floor has a closed form; for several,
-every basis of a family with more children than assets and at most
-``_BASIS_WIDTH`` of them is inverted and proved optimal or not by its
-duals alone, and the right-hand side is then only multiplied.  A node
-without a proved basis goes to the in-house simplex.  The cost grows
-linearly with the number of nodes.
+decided node by node: one backward sweep of linear-fractional programs
+finds the largest density floor of every subtree
+(:func:`_node_local_viability`), and the certificate density, the product
+of the local risk-neutral weights, is built on first read.  The cost
+grows linearly with the number of nodes.
 """
 
 from __future__ import annotations
@@ -71,7 +65,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import chain, combinations, compress, repeat
 from json.encoder import encode_basestring_ascii
@@ -742,17 +736,28 @@ class ViabilityCertificate:
     """Outcome of the viability program max{t : A z = b, z >= t}.
 
     ``bound`` is the optimal floor t (None when no nonnegative density
-    exists at all) and ``density`` a strictly positive martingale density
-    whose smallest atom is at least ``bound`` (None unless viable).
-    ``offending_node`` names, for a market that is not viable, the deepest
-    node whose one-step market has an arbitrage or is degenerate.
+    exists at all) and ``density``, built on first read, a strictly positive
+    martingale density whose smallest atom is at least ``bound`` (None unless
+    viable).  ``offending_node`` names, for a market that is not viable, the
+    deepest node whose one-step market has an arbitrage or is degenerate.
     """
 
     viable: bool
-    density: np.ndarray | None
     bound: float | None
     status: str
     offending_node: str | None = None
+    _weights: tuple | None = field(default=None, repr=False)
+
+    @cached_property
+    def density(self) -> np.ndarray | None:
+        if self._weights is None:
+            return None
+        levels, weights = self._weights  # each family's q, deepest first
+        ratio = np.empty(levels.n_nodes)
+        ratio[levels.root] = 1.0
+        for fam, q in zip(levels.families, reversed(weights)):
+            ratio[fam.kids] = ratio[fam.nodes, None] * (q / fam.p)
+        return _frozen(ratio[levels.leaves])
 
     def __bool__(self) -> bool:
         return self.viable
@@ -776,17 +781,17 @@ def check_viability(tree: ScenarioTree) -> ViabilityCertificate:
     martingale density can keep on every leaf) is computed node by node;
     see :func:`_node_local_viability`.  The bound is at most 1 because
     E[z] = 1 forces min z <= 1.  Viable means the optimum exceeds 1e-9;
-    the certificate then carries a strictly positive density.  Status
-    "infeasible" (bound None) means not even a nonnegative density
-    exists, "degenerate" (bound <= 1e-9) that every nonnegative density
-    has a zero atom.  The certificate is computed once per tree and
-    cached on it.
+    the certificate then carries a strictly positive density (built on
+    first read).  Status "infeasible" (bound None) means not even a
+    nonnegative density exists, "degenerate" (bound <= 1e-9) that every
+    nonnegative density has a zero atom.  The certificate is computed
+    once per tree and cached on it.
     """
     return tree.viability
 
 
 def _node_local_viability(tree: ScenarioTree) -> ViabilityCertificate:
-    """Backward sweep of one-step programs, then a forward product sweep.
+    """Backward sweep of one-step programs; the density's product on read.
 
     V(n) is the largest floor a conditional density of the subtree below
     n can keep on its leaves; V(leaf) = 1.  A conditional density below n
@@ -798,9 +803,9 @@ def _node_local_viability(tree: ScenarioTree) -> ViabilityCertificate:
         V(n) = 1 / (sum r + min{sum u : u >= 0, sum_k u_k dS_k = -m}),
 
     whose constraints do not read the children's floors: each family's
-    step (:func:`_family_floors`) factors them, then takes u at a basis
-    its duals prove optimal.  When some child has V = 0 the floor is 0
-    and only feasibility is asked.
+    step (:func:`_family_floors`) takes u at a basis its duals prove
+    optimal, the bases factored ahead in batches (:func:`_floor_batches`).
+    When some child has V = 0 the floor is 0 and only feasibility is asked.
 
     The certificate density is the product of q_k / p_k along each path,
     so its smallest atom is at least V(root), which equals the optimum of
@@ -812,9 +817,10 @@ def _node_local_viability(tree: ScenarioTree) -> ViabilityCertificate:
     value = np.ones(levels.n_nodes)
     feasible = np.ones(levels.n_nodes, dtype=bool)
     weights = []
+    pieces = _floor_batches([fam.dS for fam in reversed(levels.families)])
     for fam in reversed(levels.families):
         q, value[fam.nodes], feasible[fam.nodes] = _family_floors(
-            fam.dS, fam.p, value[fam.kids], feasible[fam.kids], fam.ids
+            fam.dS, fam.p, value[fam.kids], feasible[fam.kids], fam.ids, pieces
         )
         weights.append(q)
 
@@ -826,16 +832,10 @@ def _node_local_viability(tree: ScenarioTree) -> ViabilityCertificate:
         broken = np.flatnonzero(low)
         node = tree.ids[broken[np.argmax(tree.t[broken])]] if broken.size else None
         if feasible[levels.root]:
-            return ViabilityCertificate(False, None, bound, "degenerate", node)
-        return ViabilityCertificate(False, None, None, "infeasible", node)
+            return ViabilityCertificate(False, bound, "degenerate", node)
+        return ViabilityCertificate(False, None, "infeasible", node)
 
-    ratio = np.empty(levels.n_nodes)
-    ratio[levels.root] = 1.0
-    for fam, q in zip(levels.families, reversed(weights)):
-        ratio[fam.kids] = ratio[fam.nodes, None] * (q / fam.p)
-    z = ratio[levels.leaves]
-    z.setflags(write=False)
-    return ViabilityCertificate(True, z, bound, "viable")
+    return ViabilityCertificate(True, bound, "viable", None, (levels, weights))
 
 
 @cache
@@ -843,11 +843,11 @@ def _basis_columns(b: int, d: int) -> np.ndarray:
     return _frozen(np.array(list(combinations(range(b), d))))
 
 
-def _family_floors(dS, p, child_value, child_feasible, ids):
+def _family_floors(dS, p, child_value, child_feasible, ids, pieces=None):
     """One step of the floor sweep, a family's (q, V, feasible): where all
     children have V > 0, one asset's closed form (:func:`_one_asset_step`)
-    or, for assets < b <= ``_BASIS_WIDTH``, a certified basis of
-    :func:`_floor_bases`, ``_BASIS_BATCH`` systems at a time; one asset
+    or, for assets < b <= ``_BASIS_WIDTH``, a certified basis of its next
+    ``pieces`` of :func:`_floor_batches` (its own when None); one asset
     without a floor by :func:`_one_asset_feasible`, the rest by LPs."""
     n, b, d = dS.shape
     if d > 1 and not d < b <= _BASIS_WIDTH:
@@ -865,16 +865,41 @@ def _family_floors(dS, p, child_value, child_feasible, ids):
             return q, value, feasible
         q, value = np.empty_like(p), np.empty(n)
         feasible = np.ones(n, dtype=bool)
-        size = max(1, _BASIS_BATCH // len(_basis_columns(b, d)))
-        for lo in range(0, n, size):
-            part = slice(lo, lo + size)
-            bases = _floor_bases(dS[part])
+        pieces, stop = pieces or _floor_batches([dS]), 0
+        while stop < n:
+            part, bases = next(pieces)
             q[part], value[part], solved = _basis_step(dS[part], r[part], *bases)
             rest[part] |= ~solved
+            stop, bases = part.stop, None  # no batch outlives its last piece
     if rest.any():
         args = dS[rest], p[rest], child_value[rest], child_feasible[rest], ids[rest]
         q[rest], value[rest], feasible[rest] = _simplex_floors(*args)
     return q, value, feasible
+
+
+def _floor_batches(steps: list):
+    """(rows, bases) pieces of :func:`_floor_bases` for the several-asset
+    increment stacks ``steps`` in sweep order: consecutive stacks of one
+    width share batches of at most ``_BASIS_BATCH`` bases, each held from
+    its first piece until the step after its last asks for more."""
+    batch, at = None, 0
+    for k, dS in enumerate(steps):
+        (n, b, d), lo = dS.shape, 0
+        while lo < n and 1 < d < b <= _BASIS_WIDTH:
+            if batch is None:
+                room = max(1, _BASIS_BATCH // len(_basis_columns(b, d)))
+                rows, start = [], lo
+                for more in steps[k:]:  # this stack from lo, then the next ones
+                    if room == 0 or more.shape[1:] != (b, d):
+                        break
+                    rows.append(more[start : start + room])
+                    room, start = room - len(rows[-1]), 0
+                batch, at = _floor_bases(np.concatenate(rows)), 0
+            take = min(n - lo, len(batch[0]) - at)
+            lo, at = lo + take, at + take
+            yield slice(lo - take, lo), [x[at - take : at] for x in batch]
+            if at == len(batch[0]):
+                batch = None
 
 
 def _one_asset_step(s, r):

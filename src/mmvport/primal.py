@@ -34,7 +34,8 @@ Three layers, each built on the previous one:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,14 +61,19 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class PrimalSolution:
-    """Optimal strategy, its terminal payoff and objective value."""
+    """Optimal strategy, its payoff and value (``gradient_norm`` on first read)."""
 
     strategy: Strategy
     payoff: RandomVariable
     value: float
     initial_wealth: float
     iterations: int
-    gradient_norm: float
+    _gap_floor: float = field(default=-np.inf, repr=False)  # 0 if truncated
+
+    @cached_property
+    def gradient_norm(self) -> float:
+        gap = np.maximum(1.0 - self.payoff.values, self._gap_floor)
+        return float(np.max(np.abs(self.strategy.tree.levels.increment_moments(gap))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,16 +85,20 @@ class MmvAllocation:
     (monotone hull) optimum at the same wealth; ``cash_level`` is the
     precommitted cash maximizing the cash-adjusted functional and
     ``leverage`` the ratio between the two strategies at wealth 0.
+    ``payoff``, a forward sweep no command reads, is built on first read.
     """
 
     initial_wealth: float
     strategy: Strategy
-    payoff: RandomVariable
     value: float
     cash_level: float
     hull_strategy: Strategy
     hull_value: float
     leverage: float
+
+    @cached_property
+    def payoff(self) -> RandomVariable:
+        return terminal_wealth(self.strategy.tree, self.strategy, self.initial_wealth)
 
 
 def _solution(
@@ -100,16 +110,13 @@ def _solution(
 ) -> PrimalSolution:
     theta, wealth = tree.opportunity.forward(initial_wealth, truncated)
     payoff = RandomVariable(tree.law, wealth)
-    gap = 1.0 - wealth
-    if truncated:
-        gap = np.maximum(gap, 0.0)
     return PrimalSolution(
         strategy=Strategy.from_vector(tree, theta),
         payoff=payoff,
         value=value_of(payoff),
         initial_wealth=initial_wealth,
         iterations=iterations,
-        gradient_norm=tree.levels.max_moment(gap),
+        _gap_floor=0.0 if truncated else -np.inf,
     )
 
 
@@ -166,11 +173,9 @@ def _allocation_from_hull(
 
     strategy = Strategy.from_vector(tree, lam * base.strategy.vector)
     hull_strategy = Strategy.from_vector(tree, hull_scale * base.strategy.vector)
-    payoff = terminal_wealth(tree, strategy, x)
     return MmvAllocation(
         initial_wealth=x,
         strategy=strategy,
-        payoff=payoff,
         value=x + 0.5 * (lam - 1.0),
         cash_level=x + lam - 1.0,
         hull_strategy=hull_strategy,

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats and round-trips."""
 
+import concurrent.futures
 import csv
 import hashlib
 import io
@@ -280,7 +281,8 @@ class TestAnalyze:
                 return map(fn, tasks)
 
         _, serial, _ = run(capsys, "analyze", trinomial_file, binomial_file)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        # the pool class is imported where a pool is made, from its module
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         code, out, _ = run(
             capsys, "analyze", "--jobs", "4", trinomial_file, binomial_file
         )

@@ -2,7 +2,10 @@
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -94,3 +97,20 @@ def test_module_all_lists_every_public_definition(name):
         and obj.__module__ == module.__name__
     ]
     assert sorted(set(defined) - set(module.__all__)) == []
+
+
+def test_cli_import_leaves_the_pool_and_the_selftest_unloaded():
+    # a fresh interpreter, as a benchmark or shell worker starts one
+    code = (
+        "import sys, mmvport.cli\n"
+        "print(sorted({'concurrent.futures', 'mmvport.selftest'} & set(sys.modules)))\n"
+        "namespace = {}\n"
+        "exec('from mmvport import *', namespace)\n"
+        "import mmvport\n"
+        "print(sorted(set(mmvport.__all__) - set(namespace)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    assert out.splitlines() == ["[]", "[]"]

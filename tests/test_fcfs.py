@@ -2,6 +2,7 @@
 tests, existence of free cash-flow streams, and certificate verification."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -246,13 +247,38 @@ class TestReportSerialization:
         assert vec == pytest.approx([45 / 16 * 7 / 9], abs=1e-8)
 
 
+def test_values_built_on_first_read_are_pinned():
+    # neither CLI command reads these; the sha holds their bits as built
+    # eagerly, so a value built on first read must come out the same
+    from mmvport import check_viability, generate_random_market, load_packaged_market
+
+    shapes = [(2 + i % 3, 1 + i % 3, 1 + i % 2, i) for i in range(6)]
+    shapes += [(2, 8, 1, 0), (4, 4, 3, 0)]
+    trees = [load_packaged_market("trinomial"), load_packaged_market("binomial")]
+    trees += [generate_random_market(seed=s, periods=t, branching=b, assets=d)
+              for b, t, d, s in shapes]
+    digest = hashlib.sha256()
+    for tree in trees:
+        report = analyze(tree)
+        digest.update(check_viability(tree).density.tobytes())
+        for solution in (report.quad_solution, report.hull_solution):
+            digest.update(np.float64(solution.gradient_norm).tobytes())
+        digest.update(report.allocation.payoff.values.tobytes())
+        digest.update("\n".join(report.nonneg_solution.active_set).encode())
+    assert digest.hexdigest() == (
+        "bef914cff258fa7f1465d90882e0d3bfdbbc690773a1dc74763275de38b7e659"
+    )
+
+
 class TestSweepCounts:
     @pytest.mark.parametrize("verify", [False, True])
     def test_one_analyze_sweeps_each_process_once(
         self, monkeypatch, tmp_path, capsys, verify
     ):
-        # viability's backward sweep runs once per tree, and a forward sweep
-        # only for W_q, W_m, the allocation's wealth and --verify's W_m
+        # viability's backward sweep runs once per tree and factors its bases
+        # once per batch; a forward sweep runs only for W_q, W_m and
+        # --verify's W_m, a moment aggregation once per density check, and
+        # nothing builds a value no command reads
         from mmvport import generate_random_market, load_packaged_market, market
         from mmvport.cli import main
         from mmvport.induction import TreeLevels
@@ -264,25 +290,37 @@ class TestSweepCounts:
         for k, tree in enumerate(trees):
             paths.append(tmp_path / f"m{k}.json")
             paths[-1].write_text(market_to_json(tree), encoding="utf-8")
-        steps, sweeps = [], []
-        family_floors, propagate = market._family_floors, TreeLevels.propagate
+        calls = {}
 
-        def counted_floors(*args):
-            steps.append(len(args[0]))
-            return family_floors(*args)
+        def counted(owner, name, note=lambda result, *args: None):
+            original = getattr(owner, name)
 
-        def counted_propagate(levels, *args):
-            sweeps.append(levels)
-            return propagate(levels, *args)
+            def wrapper(*args):
+                result = original(*args)
+                calls.setdefault(name, []).append(note(result, *args))
+                return result
 
-        monkeypatch.setattr(market, "_family_floors", counted_floors)
-        monkeypatch.setattr(TreeLevels, "propagate", counted_propagate)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(market, "_node_local_viability", lambda cert, tree: cert)
+        counted(market, "_family_floors", lambda _, dS, *rest: len(dS))
+        counted(market, "_floor_bases", lambda _, dS: len(dS))
+        counted(TreeLevels, "propagate")
+        counted(TreeLevels, "increment_moments")
         argv = ["analyze", *map(str, paths)] + (["--verify"] if verify else [])
         assert main(argv) == 0
         reports = json.loads(capsys.readouterr().out)
         # both claim a free cash-flow stream, so --verify rebuilds W_m twice
         assert all(r["report"]["fcfs_exists"] for r in reports)
         nonterminal = sum(len(tree.nonterminal_ids) for tree in trees)
+        steps = calls["_family_floors"]
         assert sum(steps) == nonterminal
         assert len(steps) == sum(len(tree.levels.families) for tree in trees)
-        assert len(sweeps) == 2 * (3 + verify)
+        # the two-asset tree's 21 nodes, 6 bases each, fit in one batch
+        assert calls["_floor_bases"] == [21]
+        assert len(calls["propagate"]) == 2 * (2 + verify)
+        assert len(calls["increment_moments"]) == 2 * 2
+        # the certificate's density product has not run
+        certs = calls["_node_local_viability"]
+        assert [c.viable for c in certs] == [True, True]
+        assert not any("density" in vars(c) for c in certs)

@@ -427,6 +427,34 @@ class TestViability:
         assert ours.bound == pytest.approx(t_star, rel=1e-9, abs=0.0)
         assert sum(simplex_nodes) == 0
 
+    @pytest.mark.parametrize("batch", [10, 24])
+    @pytest.mark.parametrize("shape", [(3, 4, 2), (4, 3, 3), (5, 3, 2)])
+    def test_small_batches_decide_alike(self, monkeypatch, shape, batch):
+        # with room for 1 to 8 nodes a batch, batches end inside families
+        # and span depths; a planted arbitrage sends one node to the simplex
+        b, t, d = shape
+        plain = market_to_dict(
+            generate_random_market(seed=0, periods=t, branching=b, assets=d))
+        planted = json.loads(json.dumps(plain))
+        nodes = planted["nodes"]
+        parents = [n for n in nodes if n["t"] == t - 1]
+        node = parents[len(parents) // 2]
+        kids = [n for n in nodes if n["parent"] == node["id"]]
+        for k, kid in enumerate(kids):
+            kid["prices"][0] = node["prices"][0] + 0.1 * (k + 1)
+
+        def certificate(body):
+            cert = check_viability(market_from_dict(body))
+            density = None if cert.density is None else cert.density.tobytes()
+            return cert.viable, cert.status, cert.offending_node, cert.bound, density
+
+        default = [certificate(body) for body in (plain, planted)]
+        monkeypatch.setattr(market, "_BASIS_BATCH", batch)
+        assert [certificate(body) for body in (plain, planted)] == default
+        assert default[0][:3] == (True, "viable", None)
+        # the rest of the tree may still carry a nonnegative density
+        assert default[1][0] is False and default[1][2] == node["id"]
+
     def test_a_feasible_basis_that_is_not_optimal_is_refused(self):
         # with the optimal basis hidden, a node may still find another basis
         # with u >= 0, of larger sum(u); its dual certificate must refuse it
