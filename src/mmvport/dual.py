@@ -49,11 +49,11 @@ class DualSolution:
     density: MeasureDensity
     second_moment: float
     signed: bool
-    _pinned: bool = field(default=False, repr=False)
+    _nonneg: bool = field(default=False, repr=False, kw_only=True)
 
     @cached_property
     def active_set(self) -> tuple[str, ...]:
-        zero = (self.density.values <= _ZERO_TOL).tolist() if self._pinned else ()
+        zero = (self.density.values <= _ZERO_TOL).tolist() if self._nonneg else ()
         return tuple(compress(self.density.tree.leaf_ids, zero))
 
 
@@ -93,5 +93,5 @@ def variance_optimal_nonneg(tree: ScenarioTree) -> DualSolution:
         density=_checked(tree, z),
         second_moment=a,
         signed=False,
-        _pinned=True,
+        _nonneg=True,
     )

@@ -731,7 +731,7 @@ class MeasureDensity:
         return RandomVariable(self.tree.law, self.values)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class ViabilityCertificate:
     """Outcome of the viability program max{t : A z = b, z >= t}.
 
@@ -803,9 +803,9 @@ def _node_local_viability(tree: ScenarioTree) -> ViabilityCertificate:
         V(n) = 1 / (sum r + min{sum u : u >= 0, sum_k u_k dS_k = -m}),
 
     whose constraints do not read the children's floors: each family's
-    step (:func:`_family_floors`) takes u at a basis its duals prove
-    optimal, the bases factored ahead in batches (:func:`_floor_batches`).
-    When some child has V = 0 the floor is 0 and only feasibility is asked.
+    step (:func:`_family_floors`) factors them, then takes u at a basis
+    its duals prove optimal.  When some child has V = 0 the floor is 0
+    and only feasibility is asked.
 
     The certificate density is the product of q_k / p_k along each path,
     so its smallest atom is at least V(root), which equals the optimum of
@@ -817,10 +817,9 @@ def _node_local_viability(tree: ScenarioTree) -> ViabilityCertificate:
     value = np.ones(levels.n_nodes)
     feasible = np.ones(levels.n_nodes, dtype=bool)
     weights = []
-    pieces = _floor_batches([fam.dS for fam in reversed(levels.families)])
     for fam in reversed(levels.families):
         q, value[fam.nodes], feasible[fam.nodes] = _family_floors(
-            fam.dS, fam.p, value[fam.kids], feasible[fam.kids], fam.ids, pieces
+            fam.dS, fam.p, value[fam.kids], feasible[fam.kids], fam.ids
         )
         weights.append(q)
 
@@ -832,10 +831,16 @@ def _node_local_viability(tree: ScenarioTree) -> ViabilityCertificate:
         broken = np.flatnonzero(low)
         node = tree.ids[broken[np.argmax(tree.t[broken])]] if broken.size else None
         if feasible[levels.root]:
-            return ViabilityCertificate(False, bound, "degenerate", node)
-        return ViabilityCertificate(False, None, "infeasible", node)
+            return ViabilityCertificate(
+                viable=False, bound=bound, status="degenerate", offending_node=node
+            )
+        return ViabilityCertificate(
+            viable=False, bound=None, status="infeasible", offending_node=node
+        )
 
-    return ViabilityCertificate(True, bound, "viable", None, (levels, weights))
+    return ViabilityCertificate(
+        viable=True, bound=bound, status="viable", _weights=(levels, weights)
+    )
 
 
 @cache
@@ -843,11 +848,11 @@ def _basis_columns(b: int, d: int) -> np.ndarray:
     return _frozen(np.array(list(combinations(range(b), d))))
 
 
-def _family_floors(dS, p, child_value, child_feasible, ids, pieces=None):
+def _family_floors(dS, p, child_value, child_feasible, ids):
     """One step of the floor sweep, a family's (q, V, feasible): where all
     children have V > 0, one asset's closed form (:func:`_one_asset_step`)
-    or, for assets < b <= ``_BASIS_WIDTH``, a certified basis of its next
-    ``pieces`` of :func:`_floor_batches` (its own when None); one asset
+    or, for assets < b <= ``_BASIS_WIDTH``, a certified basis of
+    :func:`_floor_bases`, ``_BASIS_BATCH`` systems at a time; one asset
     without a floor by :func:`_one_asset_feasible`, the rest by LPs."""
     n, b, d = dS.shape
     if d > 1 and not d < b <= _BASIS_WIDTH:
@@ -865,41 +870,16 @@ def _family_floors(dS, p, child_value, child_feasible, ids, pieces=None):
             return q, value, feasible
         q, value = np.empty_like(p), np.empty(n)
         feasible = np.ones(n, dtype=bool)
-        pieces, stop = pieces or _floor_batches([dS]), 0
-        while stop < n:
-            part, bases = next(pieces)
+        size = max(1, _BASIS_BATCH // len(_basis_columns(b, d)))
+        for lo in range(0, n, size):
+            part = slice(lo, lo + size)
+            bases = _floor_bases(dS[part])
             q[part], value[part], solved = _basis_step(dS[part], r[part], *bases)
             rest[part] |= ~solved
-            stop, bases = part.stop, None  # no batch outlives its last piece
     if rest.any():
         args = dS[rest], p[rest], child_value[rest], child_feasible[rest], ids[rest]
         q[rest], value[rest], feasible[rest] = _simplex_floors(*args)
     return q, value, feasible
-
-
-def _floor_batches(steps: list):
-    """(rows, bases) pieces of :func:`_floor_bases` for the several-asset
-    increment stacks ``steps`` in sweep order: consecutive stacks of one
-    width share batches of at most ``_BASIS_BATCH`` bases, each held from
-    its first piece until the step after its last asks for more."""
-    batch, at = None, 0
-    for k, dS in enumerate(steps):
-        (n, b, d), lo = dS.shape, 0
-        while lo < n and 1 < d < b <= _BASIS_WIDTH:
-            if batch is None:
-                room = max(1, _BASIS_BATCH // len(_basis_columns(b, d)))
-                rows, start = [], lo
-                for more in steps[k:]:  # this stack from lo, then the next ones
-                    if room == 0 or more.shape[1:] != (b, d):
-                        break
-                    rows.append(more[start : start + room])
-                    room, start = room - len(rows[-1]), 0
-                batch, at = _floor_bases(np.concatenate(rows)), 0
-            take = min(n - lo, len(batch[0]) - at)
-            lo, at = lo + take, at + take
-            yield slice(lo - take, lo), [x[at - take : at] for x in batch]
-            if at == len(batch[0]):
-                batch = None
 
 
 def _one_asset_step(s, r):

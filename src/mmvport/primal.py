@@ -68,11 +68,13 @@ class PrimalSolution:
     value: float
     initial_wealth: float
     iterations: int
-    _gap_floor: float = field(default=-np.inf, repr=False)  # 0 if truncated
+    truncated: bool = field(default=False, kw_only=True)
 
     @cached_property
     def gradient_norm(self) -> float:
-        gap = np.maximum(1.0 - self.payoff.values, self._gap_floor)
+        gap = 1.0 - self.payoff.values
+        if self.truncated:
+            gap = np.maximum(gap, 0.0)
         return float(np.max(np.abs(self.strategy.tree.levels.increment_moments(gap))))
 
 
@@ -116,7 +118,7 @@ def _solution(
         value=value_of(payoff),
         initial_wealth=initial_wealth,
         iterations=iterations,
-        _gap_floor=0.0 if truncated else -np.inf,
+        truncated=truncated,
     )
 
 

@@ -275,10 +275,10 @@ class TestSweepCounts:
     def test_one_analyze_sweeps_each_process_once(
         self, monkeypatch, tmp_path, capsys, verify
     ):
-        # viability's backward sweep runs once per tree and factors its bases
-        # once per batch; a forward sweep runs only for W_q, W_m and
-        # --verify's W_m, a moment aggregation once per density check, and
-        # nothing builds a value no command reads
+        # viability's backward sweep runs once per tree and factors each
+        # family's bases in one call; a forward sweep runs only for W_q,
+        # W_m and --verify's W_m, a moment aggregation once per density
+        # check, and nothing builds a value no command reads
         from mmvport import generate_random_market, load_packaged_market, market
         from mmvport.cli import main
         from mmvport.induction import TreeLevels
@@ -316,8 +316,9 @@ class TestSweepCounts:
         steps = calls["_family_floors"]
         assert sum(steps) == nonterminal
         assert len(steps) == sum(len(tree.levels.families) for tree in trees)
-        # the two-asset tree's 21 nodes, 6 bases each, fit in one batch
-        assert calls["_floor_bases"] == [21]
+        # the two-asset tree's families of 16, 4 and 1 nodes, 6 bases each,
+        # are each factored in one call, deepest first
+        assert calls["_floor_bases"] == [16, 4, 1]
         assert len(calls["propagate"]) == 2 * (2 + verify)
         assert len(calls["increment_moments"]) == 2 * 2
         # the certificate's density product has not run

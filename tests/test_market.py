@@ -430,8 +430,8 @@ class TestViability:
     @pytest.mark.parametrize("batch", [10, 24])
     @pytest.mark.parametrize("shape", [(3, 4, 2), (4, 3, 3), (5, 3, 2)])
     def test_small_batches_decide_alike(self, monkeypatch, shape, batch):
-        # with room for 1 to 8 nodes a batch, batches end inside families
-        # and span depths; a planted arbitrage sends one node to the simplex
+        # with room for 1 to 8 nodes a batch, a family's bases are factored
+        # in several batches; a planted arbitrage sends one node to the simplex
         b, t, d = shape
         plain = market_to_dict(
             generate_random_market(seed=0, periods=t, branching=b, assets=d))

@@ -1,17 +1,17 @@
 """Paired in-process timing of two checkouts on the benchmark's tree cycles.
 
-    python tools/paired_cycles.py PARENT CHANGE [--workload sweep-small]
-        [--markets 600] [--cycles 12] [--seed 0] [--runs 1]
+    python tools/paired_cycles.py PARENT CHANGE [--workload sweep-small] [--runs 1]
 
 PARENT and CHANGE are checkouts, each with ``src/mmvport``.  Both packages
 are imported into this one process under distinct names, and each market's
 cycle (``generate`` then ``analyze --verify`` through ``cli.main``, as the
 benchmark's worker runs it) runs on both sides in turn, the side that goes
-first alternating per market.  ``sweep-small`` cycles its six shapes over
-``--markets`` markets; ``ladder-large`` runs the ladder's core shapes
-``--cycles`` times.  Per run it prints each side's throughput by the
-benchmark's formula (``bench/mmvbench/metrics.py``, on raw wall times),
-the ratio CHANGE / PARENT and the number of written bytes that differ.
+first alternating per market.  The markets are the benchmark's own at
+seed 0 (``bench/mmvbench/workloads.py``): ``sweep-small``'s first 600,
+or ``ladder-large``'s core, its ``core_shapes`` ``core_cycles`` times.
+Per run it prints each side's throughput by the benchmark's formula
+(``bench/mmvbench/metrics.py``, on raw wall times), the ratio
+CHANGE / PARENT and the number of written bytes that differ.
 Naming one checkout twice is the A/A control.
 """
 
@@ -28,12 +28,12 @@ import time
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "bench"))
+# mmvbench, and this checkout's mmvport, which its workloads module imports
+sys.path[:0] = [os.path.join(ROOT, "bench"), os.path.join(ROOT, "src")]
 from mmvbench.metrics import _raw, _throughput  # noqa: E402
+from mmvbench.workloads import Settings, market_seed  # noqa: E402
 
-# Settings.core_shapes of bench/mmvbench/workloads.py: (branching, periods, assets)
-CORE_SHAPES = ((2, 6, 1), (2, 7, 1), (2, 8, 1), (3, 4, 1), (3, 5, 1),
-               (4, 2, 3), (4, 3, 3), (4, 4, 3))
+SWEEP_MARKETS = 600  # six shapes, 100 markets each
 
 
 def load_cli(checkout: str, name: str):
@@ -46,16 +46,16 @@ def load_cli(checkout: str, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def markets(args):
+def markets(workload):
     """(shape, market seed, phase) of every cycle, as the workload draws them."""
-    base = args.seed * 1_000_003
-    if args.workload == "sweep-small":
-        for i in range(args.markets):
-            yield (2 + i % 3, 1 + i % 3, 1 + i % 2), base + i, None
+    if workload == "sweep-small":
+        for i in range(SWEEP_MARKETS):  # the shapes of Workload._sweep
+            yield (2 + i % 3, 1 + i % 3, 1 + i % 2), market_seed(0, i), None
     else:
-        for cycle in range(args.cycles):
-            for k, shape in enumerate(CORE_SHAPES):
-                yield shape, base + 1000 * cycle + k, "core"
+        s = Settings(seconds=0.0)
+        for cycle in range(s.core_cycles):
+            for k, shape in enumerate(s.core_shapes):
+                yield shape, market_seed(0, 1000 * cycle + k), "core"
 
 
 def one_cycle(cli, shape, mseed, phase, workdir, ops):
@@ -89,9 +89,6 @@ def main() -> None:
     ap.add_argument("change")
     ap.add_argument("--workload", choices=("sweep-small", "ladder-large"),
                     default="sweep-small")
-    ap.add_argument("--markets", type=int, default=600)
-    ap.add_argument("--cycles", type=int, default=12)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--runs", type=int, default=1)
     args = ap.parse_args()
     sides = [load_cli(args.parent, "mmv_parent"), load_cli(args.change, "mmv_change")]
@@ -101,7 +98,7 @@ def main() -> None:
             os.mkdir(path)
         for run in range(args.runs):
             ops, diff = ([], []), 0
-            for i, (shape, mseed, phase) in enumerate(markets(args)):
+            for i, (shape, mseed, phase) in enumerate(markets(args.workload)):
                 order = (0, 1) if i % 2 == 0 else (1, 0)
                 out = {s: one_cycle(sides[s], shape, mseed, phase, dirs[s], ops[s])
                        for s in order}
