@@ -34,7 +34,7 @@ arrays: loading screens the entries in one pass and checks the structure
 with numpy, naming the fault a node-by-node walk of the file meets first;
 the generator writes its draws straight into the columns, with no
 document in between, and both assemble the tree with :func:`_assemble`;
-:func:`market_to_json` fills one string template per node.
+:func:`market_to_json` fills a list of text pieces a column at a time.
 ``ScenarioTree.nodes``, ``ScenarioTree.node`` and ``Strategy.holdings``
 are views built on first use for callers that want objects per node; no
 solver, serializer or CLI path builds them.
@@ -572,35 +572,33 @@ def market_to_dict(tree: ScenarioTree) -> dict:
 def market_to_json(tree: ScenarioTree) -> str:
     """``json.dumps(market_to_dict(tree), indent=2)`` and a newline, byte for byte.
 
-    Every node is one string template filled from the arrays: ids through
-    the encoder's own ``encode_basestring_ascii``, numbers through
-    ``int.__repr__`` and ``float.__repr__`` as ``json`` writes them (every
-    stored number is finite).
+    The text is one ``"".join`` of a list that repeats one node's pieces:
+    the constant fragments, and slots filled a column at a time by slice
+    assignment with ids through the encoder's own ``encode_basestring_ascii``
+    and numbers through ``int.__repr__`` and ``float.__repr__`` as ``json``
+    writes them (every stored number is finite).  The root's pieces (a null
+    parent, no "p") are patched in place.
     """
     d = tree.assets
     ids = list(map(encode_basestring_ascii, tree.ids))
-    root = int(np.argmin(tree.parent))
-    head = '    {{\n      "id": {},\n      "parent": {},\n      "t": {},\n'
-    tail = '      "prices": [\n' + ",\n".join(["        {}"] * d) + "\n      ]\n    }}"
-    fill = (head + '      "p": {},\n' + tail).format
-    columns = [map(float.__repr__, tree.prices[:, a].tolist()) for a in range(d)]
-    nodes = list(
-        map(
-            fill,
-            ids,
-            [ids[k] for k in tree.parent.tolist()],
-            map(int.__repr__, tree.t.tolist()),
-            map(float.__repr__, tree.cond_prob.tolist()),
-            *columns,
-        )
-    )
-    nodes[root] = (head + tail).format(
-        ids[root], "null", 0, *map(float.__repr__, tree.prices[root].tolist())
-    )
-    return (
-        f'{{\n  "assets": {tree.assets},\n  "periods": {tree.periods},\n'
-        '  "nodes": [\n' + ",\n".join(nodes) + "\n  ]\n}\n"
-    )
+    parent = tree.parent.tolist()
+    node = ['\n    {\n      "id": ', "", ',\n      "parent": ', "", ',\n      "t": ', "",
+            ',\n      "p": ', "", ',\n      "prices": [\n        ', ""]
+    node += [",\n        ", ""] * (d - 1) + ["\n      ]\n    },"]
+    width = len(node)
+    pieces = node * len(ids)
+    pieces[1::width] = ids
+    pieces[3::width] = [ids[k] for k in parent]
+    pieces[5::width] = map(int.__repr__, tree.t.tolist())
+    pieces[7::width] = map(float.__repr__, tree.cond_prob.tolist())
+    for a in range(d):
+        pieces[9 + 2 * a :: width] = map(float.__repr__, tree.prices[:, a].tolist())
+    root = width * parent.index(-1)
+    pieces[root + 3] = "null"
+    pieces[root + 6] = pieces[root + 7] = ""
+    pieces[0] = f'{{\n  "assets": {d},\n  "periods": {tree.periods},\n  "nodes": [' + node[0]
+    pieces[-1] = "\n      ]\n    }\n  ]\n}\n"
+    return "".join(pieces)
 
 
 def save_market(tree: ScenarioTree, path) -> None:
@@ -740,22 +738,28 @@ class ViabilityCertificate:
     martingale density whose smallest atom is at least ``bound`` (None unless
     viable).  ``offending_node`` names, for a market that is not viable, the
     deepest node whose one-step market has an arbitrage or is degenerate.
+    A viable certificate keeps the sweep's floors, not its weights: the
+    density's read asks each family's step (:func:`_family_floors`) for its
+    q again, from the same child floors, so it gets the same bits.
     """
 
     viable: bool
     bound: float | None
     status: str
     offending_node: str | None = None
-    _weights: tuple | None = field(default=None, repr=False)
+    _floors: tuple | None = field(default=None, repr=False)
 
     @cached_property
     def density(self) -> np.ndarray | None:
-        if self._weights is None:
+        if self._floors is None:
             return None
-        levels, weights = self._weights  # each family's q, deepest first
+        levels, value, feasible = self._floors  # V and feasible per node
         ratio = np.empty(levels.n_nodes)
         ratio[levels.root] = 1.0
-        for fam, q in zip(levels.families, reversed(weights)):
+        for fam in levels.families:
+            q = _family_floors(
+                fam.dS, fam.p, value[fam.kids], feasible[fam.kids], fam.ids
+            )[0]
             ratio[fam.kids] = ratio[fam.nodes, None] * (q / fam.p)
         return _frozen(ratio[levels.leaves])
 
@@ -782,16 +786,16 @@ def check_viability(tree: ScenarioTree) -> ViabilityCertificate:
     see :func:`_node_local_viability`.  The bound is at most 1 because
     E[z] = 1 forces min z <= 1.  Viable means the optimum exceeds 1e-9;
     the certificate then carries a strictly positive density (built on
-    first read).  Status "infeasible" (bound None) means not even a
-    nonnegative density exists, "degenerate" (bound <= 1e-9) that every
-    nonnegative density has a zero atom.  The certificate is computed
-    once per tree and cached on it.
+    first read from the floors the sweep keeps).  Status "infeasible"
+    (bound None) means not even a nonnegative density exists, "degenerate"
+    (bound <= 1e-9) that every nonnegative density has a zero atom.  The
+    certificate is computed once per tree and cached on it.
     """
     return tree.viability
 
 
 def _node_local_viability(tree: ScenarioTree) -> ViabilityCertificate:
-    """Backward sweep of one-step programs; the density's product on read.
+    """Backward sweep of one-step floors; the density's product on read.
 
     V(n) is the largest floor a conditional density of the subtree below
     n can keep on its leaves; V(leaf) = 1.  A conditional density below n
@@ -805,23 +809,29 @@ def _node_local_viability(tree: ScenarioTree) -> ViabilityCertificate:
     whose constraints do not read the children's floors: each family's
     step (:func:`_family_floors`) factors them, then takes u at a basis
     its duals prove optimal.  When some child has V = 0 the floor is 0
-    and only feasibility is asked.
+    and only feasibility is asked.  The sweep keeps V and feasibility per
+    node, not q: a one-asset family whose children all have a floor takes
+    :func:`_one_asset_floor`, which builds no q, and every other family
+    :func:`_family_floors`, whose q is dropped.
 
     The certificate density is the product of q_k / p_k along each path,
-    so its smallest atom is at least V(root), which equals the optimum of
-    the full-tree program.  A node whose floor is at most 1e-9 while every
-    child's exceeds it is one whose own one-step market breaks viability;
-    the certificate names the deepest such node, the first in file order.
+    each family's q rebuilt on read from the kept floors, so its smallest
+    atom is at least V(root), which equals the optimum of the full-tree
+    program.  A node whose floor is at most 1e-9 while every child's
+    exceeds it is one whose own one-step market breaks viability; the
+    certificate names the deepest such node, the first in file order.
     """
     levels = tree.levels
     value = np.ones(levels.n_nodes)
     feasible = np.ones(levels.n_nodes, dtype=bool)
-    weights = []
     for fam in reversed(levels.families):
-        q, value[fam.nodes], feasible[fam.nodes] = _family_floors(
-            fam.dS, fam.p, value[fam.kids], feasible[fam.kids], fam.ids
-        )
-        weights.append(q)
+        below, allowed = value[fam.kids], feasible[fam.kids]
+        if tree.assets == 1 and (below > 0.0).all() and allowed.all():
+            with np.errstate(all="ignore"):  # as in _family_floors
+                floors = _one_asset_floor(fam.dS[:, :, 0], fam.p / below)[:2]
+        else:
+            floors = _family_floors(fam.dS, fam.p, below, allowed, fam.ids)[1:]
+        value[fam.nodes], feasible[fam.nodes] = floors
 
     bound = float(value[levels.root])
     if not feasible[levels.root] or bound <= _VIABILITY_FLOOR:
@@ -839,7 +849,7 @@ def _node_local_viability(tree: ScenarioTree) -> ViabilityCertificate:
         )
 
     return ViabilityCertificate(
-        viable=True, bound=bound, status="viable", _weights=(levels, weights)
+        viable=True, bound=bound, status="viable", _floors=(levels, value, feasible)
     )
 
 
@@ -882,25 +892,34 @@ def _family_floors(dS, p, child_value, child_feasible, ids):
     return q, value, feasible
 
 
-def _one_asset_step(s, r):
-    """Closed-form one-step floors of one-asset nodes: (q, V, feasible).
+def _one_asset_floor(s, r):
+    """Closed-form one-step floors of one-asset nodes: (V, feasible, up,
+    usable, extra), all but V and feasible for :func:`_one_asset_step`.
 
     The floor t puts mass t r_k on every child and t |m| / |dS_e| more on
     the child e whose increment has the sign opposite to m and the
     largest size: t = 1 / (sum r + m / |dS_min|) for m > 0, the mirror
     image for m < 0 and 1 / sum r for m = 0.  Without such a child V = 0;
-    the node is feasible if that child's increment is 0, its mass there.
+    the node is feasible if the least and largest increments straddle 0.
     """
-    rows = np.arange(len(r))
-    lo, hi = s.argmin(axis=1), s.argmax(axis=1)
-    low, high = s[rows, lo], s[rows, hi]
+    columns = np.asfortranarray(s)  # min and max run down the columns, not per row
+    low, high = columns.min(axis=1), columns.max(axis=1)
     m = (r * s).sum(axis=1)
     up = m > 0.0
-    extreme, side = np.where(up, lo, hi), np.where(up, low, high)
+    side = np.where(up, low, high)
     usable = (m == 0.0) | (np.sign(side) == -np.sign(m))
     extra = np.where(m != 0.0, abs(m) / abs(side), 0.0)
     value = np.where(usable, 1.0 / (r.sum(axis=1) + extra), 0.0)
-    feasible = (low <= 0.0) & (high >= 0.0)
+    return value, (low <= 0.0) & (high >= 0.0), up, usable, extra
+
+
+def _one_asset_step(s, r):
+    """(q, V, feasible) of one-asset nodes: :func:`_one_asset_floor`'s V,
+    with q = V r and V |m| / |dS_e| more on the child e; a node without a
+    floor puts its mass there if it is feasible (dS_e is then 0)."""
+    value, feasible, up, usable, extra = _one_asset_floor(s, r)
+    rows = np.arange(len(r))
+    extreme = np.where(up, s.argmin(axis=1), s.argmax(axis=1))
     q = value[:, None] * r
     q[rows, extreme] += np.where(usable, value * extra, feasible)
     return q, value, feasible

@@ -18,8 +18,11 @@ array passes that load and generate markets now; the generator's
 per-node draw loop is kept as the reference for its one-block draws.  The
 cell-by-cell law CSV reader is kept as the reference for the
 column-at-a-time one, and the one-payoff Sharpe ratio, each sum a list's
-``math.fsum``, as the reference for the dense cap-sweep pass.  One
-builder, ``iid_tree``, makes trees whose every node repeats one step.
+``math.fsum``, as the reference for the dense cap-sweep pass.  The
+viability sweep that takes every family's full step, weights included,
+and keeps them for the density is the reference for the sweep that keeps
+floors only.  One builder, ``iid_tree``, makes trees whose every node
+repeats one step.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from mmvport import (
     ValidationError,
     market_from_dict,
 )
-from mmvport.market import _assemble
+from mmvport.market import _assemble, _family_floors
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +239,43 @@ def viability_linprog(tree, floor=1e-9):
         return False, None
     t_star = float(res.x[-1])
     return t_star > floor, t_star
+
+
+def reference_viability(tree, floor=1e-9):
+    """(viable, status, bound, offending_node, density) of a backward sweep
+    that takes every family's step, q included, by ``_family_floors`` and
+    keeps each q; the density is the product of q_k / p_k along each path.
+
+    The offending node is found by a walk over the nodes: of those whose
+    floor is at most ``floor`` while every child's exceeds it, the deepest,
+    the first in file order.
+    """
+    levels = tree.levels
+    value = np.ones(levels.n_nodes)
+    feasible = np.ones(levels.n_nodes, dtype=bool)
+    weights = {}
+    for k in reversed(range(len(levels.families))):
+        fam = levels.families[k]
+        weights[k], value[fam.nodes], feasible[fam.nodes] = _family_floors(
+            fam.dS, fam.p, value[fam.kids], feasible[fam.kids], fam.ids
+        )
+    bound = float(value[levels.root])
+    if feasible[levels.root] and bound > floor:
+        ratio = np.empty(levels.n_nodes)
+        ratio[levels.root] = 1.0
+        for k, fam in enumerate(levels.families):
+            ratio[fam.kids] = ratio[fam.nodes, None] * (weights[k] / fam.p)
+        return True, "viable", bound, None, ratio[levels.leaves]
+    offsets, kids = tree.child_offsets.tolist(), tree.child_index.tolist()
+    broken = [
+        n for n in range(len(tree.ids))
+        if offsets[n] < offsets[n + 1] and value[n] <= floor
+        and all(value[c] > floor for c in kids[offsets[n]:offsets[n + 1]])
+    ]
+    node = tree.ids[max(broken, key=lambda n: tree.t[n])] if broken else None
+    if feasible[levels.root]:
+        return False, "degenerate", bound, node, None
+    return False, "infeasible", None, node, None
 
 
 # ---------------------------------------------------------------------------

@@ -275,8 +275,10 @@ class TestSweepCounts:
     def test_one_analyze_sweeps_each_process_once(
         self, monkeypatch, tmp_path, capsys, verify
     ):
-        # viability's backward sweep runs once per tree and factors each
-        # family's bases in one call; a forward sweep runs only for W_q,
+        # viability's backward sweep runs once per tree, one floor step per
+        # family, and factors each family's bases in one call; a one-asset
+        # family whose children all have a floor takes the floor-only step,
+        # which builds no q; a forward sweep runs only for W_q,
         # W_m and --verify's W_m, a moment aggregation once per density
         # check, and nothing builds a value no command reads
         from mmvport import generate_random_market, load_packaged_market, market
@@ -304,6 +306,7 @@ class TestSweepCounts:
 
         counted(market, "_node_local_viability", lambda cert, tree: cert)
         counted(market, "_family_floors", lambda _, dS, *rest: len(dS))
+        counted(market, "_one_asset_floor", lambda _, s, r: len(s))
         counted(market, "_floor_bases", lambda _, dS: len(dS))
         counted(TreeLevels, "propagate")
         counted(TreeLevels, "increment_moments")
@@ -313,9 +316,14 @@ class TestSweepCounts:
         # both claim a free cash-flow stream, so --verify rebuilds W_m twice
         assert all(r["report"]["fcfs_exists"] for r in reports)
         nonterminal = sum(len(tree.nonterminal_ids) for tree in trees)
+        # the trinomial's one family takes the floor-only step, the two-asset
+        # tree's three families _family_floors, deepest first
+        assert calls["_one_asset_floor"] == [len(trees[0].nonterminal_ids)]
         steps = calls["_family_floors"]
-        assert sum(steps) == nonterminal
-        assert len(steps) == sum(len(tree.levels.families) for tree in trees)
+        assert steps == [16, 4, 1]
+        assert sum(steps) + sum(calls["_one_asset_floor"]) == nonterminal
+        families = sum(len(tree.levels.families) for tree in trees)
+        assert len(steps) + len(calls["_one_asset_floor"]) == families
         # the two-asset tree's families of 16, 4 and 1 nodes, 6 bases each,
         # are each factored in one call, deepest first
         assert calls["_floor_bases"] == [16, 4, 1]

@@ -1,5 +1,6 @@
 import gc
 import json
+import random
 from itertools import combinations
 
 import numpy as np
@@ -32,6 +33,7 @@ from conftest import small_tree
 from oracles import (
     constraint_system,
     gain_matrix,
+    reference_viability,
     viability_linprog,
     wealth_by_paths,
 )
@@ -197,10 +199,15 @@ class TestColumnarLayout:
             assert not row.flags.writeable
 
     def test_writer_matches_json_dumps(self):
-        for seed in range(12):
-            tree = small_tree(seed)
-            text = json.dumps(market_to_dict(tree), indent=2) + "\n"
-            assert market_to_json(tree) == text
+        def written_alike(tree):
+            return market_to_json(tree) == json.dumps(market_to_dict(tree), indent=2) + "\n"
+
+        trees = [small_tree(seed) for seed in range(12)]
+        trees += [small_tree(seed, assets=d) for seed in range(3) for d in (2, 3)]
+        trees += [generate_random_market(seed=0, periods=t, branching=b, assets=d)
+                  for b, t, d in ((2, 8, 1), (4, 4, 3))]
+        for tree in trees:
+            assert written_alike(tree)
         # a file with the root last and unicode ids
         nodes = [
             {"id": "h\u00f6her", "parent": "w\u00fcrzel", "t": 1, "p": 0.25,
@@ -209,8 +216,23 @@ class TestColumnarLayout:
              "prices": [3e-320]},
             {"id": "w\u00fcrzel", "parent": None, "t": 0, "prices": [1e-5]},
         ]
-        tree = market_from_dict({"assets": 1, "periods": 1, "nodes": nodes})
-        assert market_to_json(tree) == json.dumps(market_to_dict(tree), indent=2) + "\n"
+        assert written_alike(market_from_dict(doc(nodes)))
+        # a ragged two-asset file with the root in the middle: depth 1 holds
+        # families of 1, 2 and 3 children
+        nodes = [
+            {"id": "a", "parent": "r", "t": 1, "p": 0.5, "prices": [1.5, 0.5]},
+            {"id": "a0", "parent": "a", "t": 2, "p": 1.0, "prices": [1.5, 0.5]},
+            {"id": "b0", "parent": "b", "t": 2, "p": 0.125, "prices": [2.0, 1e300]},
+            {"id": "r", "parent": None, "t": 0, "prices": [1.0, 1.0]},
+            {"id": "b1", "parent": "b", "t": 2, "p": 0.875, "prices": [0.1, 2.5]},
+            {"id": "b", "parent": "r", "t": 1, "p": 0.25, "prices": [1.0, 2.0]},
+            {"id": "c", "parent": "r", "t": 1, "p": 0.25, "prices": [0.5, 1.0]},
+            {"id": "c0", "parent": "c", "t": 2, "p": 0.5, "prices": [0.25, 1.5]},
+            {"id": "c1", "parent": "c", "t": 2, "p": 0.25, "prices": [0.75, -0.5]},
+            {"id": "c2", "parent": "c", "t": 2, "p": 0.25, "prices": [0.5, 1e-7]},
+        ]
+        tree = market_from_dict(doc(nodes, assets=2, periods=2))
+        assert tree.ids[3] == "r" and written_alike(tree)
 
 
 class TestWealthAndStrategies:
@@ -637,6 +659,46 @@ class TestViability:
     def test_certificate_is_cached_on_the_tree(self):
         tree = small_tree(3)
         assert check_viability(tree) is check_viability(tree)
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 3, 1), (2, 6, 1), (4, 3, 2), (3, 2, 2), (4, 2, 3)]
+    )
+    def test_floors_only_sweep_matches_the_full_sweep(self, shape):
+        # each generated tree also with one node made an arbitrage (its
+        # children's first asset all rise) and one made a zero floor (its
+        # first child keeps the node's prices, the others' first asset
+        # rises), so its parent's family has a child with V = 0
+        b, t, d = shape
+        statuses = set()
+        for seed in range(20):
+            plain = market_to_dict(
+                generate_random_market(seed=seed, periods=t, branching=b, assets=d))
+            nodes = plain["nodes"]
+            inner = sorted({n["parent"] for n in nodes} - {None, nodes[0]["id"]})
+            node_id = random.Random(seed).choice(inner)
+            bodies = [plain]
+            for zero in (False, True):
+                body = json.loads(json.dumps(plain))
+                node = next(n for n in body["nodes"] if n["id"] == node_id)
+                kids = [n for n in body["nodes"] if n["parent"] == node_id]
+                for k, kid in enumerate(kids):
+                    kid["prices"][0] = node["prices"][0] + 0.1 * (k + 1)
+                if zero:
+                    kids[0]["prices"] = list(node["prices"])
+                bodies.append(body)
+            for body in bodies:
+                tree = market_from_dict(body)
+                cert = check_viability(tree)
+                viable, status, bound, offending, density = reference_viability(tree)
+                assert (cert.viable, cert.status, cert.offending_node) == (
+                    viable, status, offending)
+                assert np.float64(cert.bound).tobytes() == np.float64(bound).tobytes()
+                if viable:
+                    assert cert.density.tobytes() == density.tobytes()
+                else:
+                    assert cert.density is None
+                statuses.add(status)
+        assert statuses == {"viable", "degenerate", "infeasible"}
 
 
 class TestGenerator:
