@@ -1,4 +1,4 @@
-"""Scenario-tree market model: loading, validation, wealth, viability.
+"""Scenario-tree market model: the tree, its file, the generator, wealth.
 
 A market is a rooted tree of nodes, each carrying a price vector for a
 fixed set of assets and, except for the root, a strictly positive
@@ -39,25 +39,11 @@ document in between, and both assemble the tree with :func:`_assemble`;
 are views built on first use for callers that want objects per node; no
 solver, serializer or CLI path builds them.
 
-Every solver works family by family on the stacked one-step markets of
-``ScenarioTree.levels`` (see :mod:`mmvport.induction`), the nodes of one
-depth with the same number of children, keeping its state in arrays over
-the node positions: wealth is a
-forward sweep, the martingale check of a density a backward aggregation
-of E[z dS | node], and the two opportunity processes behind every optimum
-one backward sweep, cached as ``ScenarioTree.opportunity``.  The dense
-views of the earlier pipeline, the gain matrix and the martingale
-constraint system over all leaves, now live only with the reference
-implementations in the tests (``tests/oracles.py``).
-
-Viability means a strictly positive martingale density exists.  On a
-finite tree that holds iff every one-step submarket is free of arbitrage
-(Harrison & Pliska 1981; Dalang, Morton & Willinger 1990), so it is
-decided node by node: one backward sweep of linear-fractional programs
-finds the largest density floor of every subtree
-(:func:`_node_local_viability`), and the certificate density, the product
-of the local risk-neutral weights, is built on first read.  The cost
-grows linearly with the number of nodes.
+Wealth is a forward sweep and a density's martingale check a backward
+aggregation over ``ScenarioTree.levels``; the backward sweeps of the
+optimum and of viability (:mod:`mmvport.induction`) are cached on the
+tree as ``opportunity`` and ``viability``, whose :func:`check_viability`
+and :class:`ViabilityCertificate` are importable from here.
 """
 
 from __future__ import annotations
@@ -65,25 +51,19 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
-from functools import cache, cached_property
-from itertools import chain, combinations, compress, repeat
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    GenerationFailure,
-    ParseError,
-    SolverFailure,
-    ValidationError,
-    ViabilityError,
+from .errors import DimensionMismatch, GenerationFailure, ParseError, ValidationError
+from .induction import (
+    Opportunity, TreeLevels, ViabilityCertificate, _frozen, _node_local_viability
 )
-from .induction import Opportunity, TreeLevels
 from .probability import DiscreteLaw, RandomVariable, _fsum, _fsum_rows
-from .simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL, solve_lp
 
 __all__ = [
     "TreeNode",
@@ -106,18 +86,6 @@ _SIBLING_SUM_TOL = 1e-9
 _EXPECTATION_TOL = 1e-10
 _MARTINGALE_TOL = 1e-9
 _DENSITY_FLOOR = -1e-12
-_VIABILITY_FLOOR = 1e-9
-# widest family whose C(children, assets) bases are enumerated at once;
-# wider ones go to the simplex
-_BASIS_WIDTH = 8
-# assets-square basis systems factored at once, bounding the work arrays
-_BASIS_BATCH = 1 << 14
-# a basis whose determinant is below this share of the product of its
-# column norms (Hadamard's bound) counts as singular: a solve with it can
-# lose more than about 1e-11 relative, so its node goes to the simplex
-_BASIS_SINGULAR = 1e-5
-_REDUCED_COST_TOL = 1e-9
-_POINT_TOL = 1e-9  # a simplex point further below 0 or off its rows is refused
 _TWOPI = 2.0 * math.pi  # random.TWOPI, the angle of a gauss pair
 # random.random() from two Mersenne Twister words (see _random_block)
 _RES53_SHIFTS = np.array([5, 6], dtype=np.uint32)
@@ -242,9 +210,7 @@ class ScenarioTree:
 
     @cached_property
     def leaf_probabilities(self) -> np.ndarray:
-        p = self.path_prob[self.t == self.periods]
-        p.setflags(write=False)
-        return p
+        return _frozen(self.path_prob[self.t == self.periods])
 
     @cached_property
     def law(self) -> DiscreteLaw:
@@ -256,19 +222,14 @@ class ScenarioTree:
         return TreeLevels(self)
 
     @cached_property
-    def viability(self) -> "ViabilityCertificate":
+    def viability(self) -> ViabilityCertificate:
         """Node-local viability certificate, computed once per tree."""
-        return _node_local_viability(self)
+        return _node_local_viability(self.levels)
 
     @cached_property
     def opportunity(self) -> Opportunity:
         """Backward sweep of both opportunity processes, once per tree."""
         return Opportunity(self.levels)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 def _node_entry(k: int, node, assets: int) -> tuple:
@@ -635,9 +596,7 @@ class Strategy:
             )
         if not np.all(np.isfinite(v)):
             raise ValidationError("strategy holdings must be finite")
-        v = v.copy()
-        v.setflags(write=False)
-        return cls(tree=tree, vector=v)
+        return cls(tree=tree, vector=_frozen(v.copy()))
 
     @classmethod
     def from_holdings(cls, tree: ScenarioTree, holdings) -> "Strategy":
@@ -716,8 +675,7 @@ class MeasureDensity:
                 "density violates a node-wise martingale constraint "
                 f"at node {node!r}"
             )
-        z = z.copy()
-        z.setflags(write=False)
+        z = _frozen(z.copy())
         return cls(
             tree=tree,
             values=z,
@@ -729,61 +687,12 @@ class MeasureDensity:
         return RandomVariable(self.tree.law, self.values)
 
 
-@dataclass(frozen=True, eq=False, kw_only=True)
-class ViabilityCertificate:
-    """Outcome of the viability program max{t : A z = b, z >= t}.
-
-    ``bound`` is the optimal floor t (None when no nonnegative density
-    exists at all) and ``density``, built on first read, a strictly positive
-    martingale density whose smallest atom is at least ``bound`` (None unless
-    viable).  ``offending_node`` names, for a market that is not viable, the
-    deepest node whose one-step market has an arbitrage or is degenerate.
-    A viable certificate keeps the sweep's floors, not its weights: the
-    density's read asks each family's step (:func:`_family_floors`) for its
-    q again, from the same child floors, so it gets the same bits.
-    """
-
-    viable: bool
-    bound: float | None
-    status: str
-    offending_node: str | None = None
-    _floors: tuple | None = field(default=None, repr=False)
-
-    @cached_property
-    def density(self) -> np.ndarray | None:
-        if self._floors is None:
-            return None
-        levels, value, feasible = self._floors  # V and feasible per node
-        ratio = np.empty(levels.n_nodes)
-        ratio[levels.root] = 1.0
-        for fam in levels.families:
-            q = _family_floors(
-                fam.dS, fam.p, value[fam.kids], feasible[fam.kids], fam.ids
-            )[0]
-            ratio[fam.kids] = ratio[fam.nodes, None] * (q / fam.p)
-        return _frozen(ratio[levels.leaves])
-
-    def __bool__(self) -> bool:
-        return self.viable
-
-    def require(self) -> "ViabilityCertificate":
-        """The certificate itself if viable; otherwise raise ViabilityError."""
-        if not self.viable:
-            raise ViabilityError(
-                "market admits no strictly positive martingale density: the "
-                f"one-step market at node {self.offending_node!r} has an "
-                "arbitrage or is degenerate",
-                best_bound=self.bound,
-            )
-        return self
-
-
 def check_viability(tree: ScenarioTree) -> ViabilityCertificate:
     """Decide whether a strictly positive martingale density exists.
 
     The optimum of max t subject to A z = b, z >= t (the largest floor a
-    martingale density can keep on every leaf) is computed node by node;
-    see :func:`_node_local_viability`.  The bound is at most 1 because
+    martingale density can keep on every leaf) is computed node by node
+    (``induction._node_local_viability``).  The bound is at most 1 because
     E[z] = 1 forces min z <= 1.  Viable means the optimum exceeds 1e-9;
     the certificate then carries a strictly positive density (built on
     first read from the floors the sweep keeps).  Status "infeasible"
@@ -792,269 +701,6 @@ def check_viability(tree: ScenarioTree) -> ViabilityCertificate:
     certificate is computed once per tree and cached on it.
     """
     return tree.viability
-
-
-def _node_local_viability(tree: ScenarioTree) -> ViabilityCertificate:
-    """Backward sweep of one-step floors; the density's product on read.
-
-    V(n) is the largest floor a conditional density of the subtree below
-    n can keep on its leaves; V(leaf) = 1.  A conditional density below n
-    is z = (q_k / p_k) z_k on the subtree of child k, so
-    V(n) = max t subject to sum_k q_k dS_k = 0, sum_k q_k = 1 and
-    q_k >= t p_k / V(k).  With r_k = p_k / V(k), m = sum_k r_k dS_k and
-    q = t (r + u) (Charnes & Cooper 1962),
-
-        V(n) = 1 / (sum r + min{sum u : u >= 0, sum_k u_k dS_k = -m}),
-
-    whose constraints do not read the children's floors: each family's
-    step (:func:`_family_floors`) factors them, then takes u at a basis
-    its duals prove optimal.  When some child has V = 0 the floor is 0
-    and only feasibility is asked.  The sweep keeps V and feasibility per
-    node, not q: a one-asset family whose children all have a floor takes
-    :func:`_one_asset_floor`, which builds no q, and every other family
-    :func:`_family_floors`, whose q is dropped.
-
-    The certificate density is the product of q_k / p_k along each path,
-    each family's q rebuilt on read from the kept floors, so its smallest
-    atom is at least V(root), which equals the optimum of the full-tree
-    program.  A node whose floor is at most 1e-9 while every child's
-    exceeds it is one whose own one-step market breaks viability; the
-    certificate names the deepest such node, the first in file order.
-    """
-    levels = tree.levels
-    value = np.ones(levels.n_nodes)
-    feasible = np.ones(levels.n_nodes, dtype=bool)
-    for fam in reversed(levels.families):
-        below, allowed = value[fam.kids], feasible[fam.kids]
-        if tree.assets == 1 and (below > 0.0).all() and allowed.all():
-            with np.errstate(all="ignore"):  # as in _family_floors
-                floors = _one_asset_floor(fam.dS[:, :, 0], fam.p / below)[:2]
-        else:
-            floors = _family_floors(fam.dS, fam.p, below, allowed, fam.ids)[1:]
-        value[fam.nodes], feasible[fam.nodes] = floors
-
-    bound = float(value[levels.root])
-    if not feasible[levels.root] or bound <= _VIABILITY_FLOOR:
-        low = value <= _VIABILITY_FLOOR
-        for fam in levels.families:
-            low[fam.nodes] &= np.all(value[fam.kids] > _VIABILITY_FLOOR, axis=1)
-        broken = np.flatnonzero(low)
-        node = tree.ids[broken[np.argmax(tree.t[broken])]] if broken.size else None
-        if feasible[levels.root]:
-            return ViabilityCertificate(
-                viable=False, bound=bound, status="degenerate", offending_node=node
-            )
-        return ViabilityCertificate(
-            viable=False, bound=None, status="infeasible", offending_node=node
-        )
-
-    return ViabilityCertificate(
-        viable=True, bound=bound, status="viable", _floors=(levels, value, feasible)
-    )
-
-
-@cache
-def _basis_columns(b: int, d: int) -> np.ndarray:
-    return _frozen(np.array(list(combinations(range(b), d))))
-
-
-def _family_floors(dS, p, child_value, child_feasible, ids):
-    """One step of the floor sweep, a family's (q, V, feasible): where all
-    children have V > 0, one asset's closed form (:func:`_one_asset_step`)
-    or, for assets < b <= ``_BASIS_WIDTH``, a certified basis of
-    :func:`_floor_bases`, ``_BASIS_BATCH`` systems at a time; one asset
-    without a floor by :func:`_one_asset_feasible`, the rest by LPs."""
-    n, b, d = dS.shape
-    if d > 1 and not d < b <= _BASIS_WIDTH:
-        return _simplex_floors(dS, p, child_value, child_feasible, ids)
-    rest = ~((child_value > 0.0).all(axis=1) & child_feasible.all(axis=1))
-    with np.errstate(all="ignore"):  # what a node in rest gets is redone
-        r = p / child_value
-        if d == 1:
-            q, value, feasible = _one_asset_step(dS[:, :, 0], r)
-            if rest.any():
-                value[rest] = 0.0
-                q[rest], feasible[rest] = _one_asset_feasible(
-                    dS[rest, :, 0], child_feasible[rest]
-                )
-            return q, value, feasible
-        q, value = np.empty_like(p), np.empty(n)
-        feasible = np.ones(n, dtype=bool)
-        size = max(1, _BASIS_BATCH // len(_basis_columns(b, d)))
-        for lo in range(0, n, size):
-            part = slice(lo, lo + size)
-            bases = _floor_bases(dS[part])
-            q[part], value[part], solved = _basis_step(dS[part], r[part], *bases)
-            rest[part] |= ~solved
-    if rest.any():
-        args = dS[rest], p[rest], child_value[rest], child_feasible[rest], ids[rest]
-        q[rest], value[rest], feasible[rest] = _simplex_floors(*args)
-    return q, value, feasible
-
-
-def _one_asset_floor(s, r):
-    """Closed-form one-step floors of one-asset nodes: (V, feasible, up,
-    usable, extra), all but V and feasible for :func:`_one_asset_step`.
-
-    The floor t puts mass t r_k on every child and t |m| / |dS_e| more on
-    the child e whose increment has the sign opposite to m and the
-    largest size: t = 1 / (sum r + m / |dS_min|) for m > 0, the mirror
-    image for m < 0 and 1 / sum r for m = 0.  Without such a child V = 0;
-    the node is feasible if the least and largest increments straddle 0.
-    """
-    columns = np.asfortranarray(s)  # min and max run down the columns, not per row
-    low, high = columns.min(axis=1), columns.max(axis=1)
-    m = (r * s).sum(axis=1)
-    up = m > 0.0
-    side = np.where(up, low, high)
-    usable = (m == 0.0) | (np.sign(side) == -np.sign(m))
-    extra = np.where(m != 0.0, abs(m) / abs(side), 0.0)
-    value = np.where(usable, 1.0 / (r.sum(axis=1) + extra), 0.0)
-    return value, (low <= 0.0) & (high >= 0.0), up, usable, extra
-
-
-def _one_asset_step(s, r):
-    """(q, V, feasible) of one-asset nodes: :func:`_one_asset_floor`'s V,
-    with q = V r and V |m| / |dS_e| more on the child e; a node without a
-    floor puts its mass there if it is feasible (dS_e is then 0)."""
-    value, feasible, up, usable, extra = _one_asset_floor(s, r)
-    rows = np.arange(len(r))
-    extreme = np.where(up, s.argmin(axis=1), s.argmax(axis=1))
-    q = value[:, None] * r
-    q[rows, extreme] += np.where(usable, value * extra, feasible)
-    return q, value, feasible
-
-
-def _one_asset_feasible(s, allowed):
-    """(q, feasible) of one-asset nodes without a floor: feasible when the
-    least and largest increments of the allowed children (those with a
-    nonnegative density below) straddle 0; q then mixes those two to a
-    zero drift, all on the least when both are 0."""
-    rows = np.arange(len(s))
-    below, above = np.where(allowed, s, np.inf), np.where(allowed, s, -np.inf)
-    lo, hi = below.argmin(axis=1), above.argmax(axis=1)
-    low, high = below[rows, lo], above[rows, hi]
-    feasible = (low <= 0.0) & (high >= 0.0)
-    up = np.where(feasible & (high > low), -low / (high - low), 0.0)
-    q = np.zeros_like(s)
-    q[rows, lo] = np.where(feasible, 1.0 - up, 0.0)
-    q[rows, hi] += up
-    return q, feasible
-
-
-def _floor_bases(dS):
-    """The part of several-asset floor programs that no child floor changes.
-
-    Each asset's scale (the node's largest |dS| in it) and, per basis of
-    d children (the rows of ``_basis_columns``), B^-1 of the scaled rows
-    and whether it is certified: not singular (|det| over
-    ``_BASIS_SINGULAR`` times Hadamard's bound), with duals y = B^-T 1
-    that leave every reduced cost 1 - y.dS_j at least -1e-9, which proves
-    optimal any point of it with u >= 0.  Needs assets < b.
-    """
-    n, b, d = dS.shape
-    scale = np.abs(dS).max(axis=1)
-    scale[scale == 0.0] = 1.0
-    G = dS / scale[:, None, :]
-    B = G[:, _basis_columns(b, d)]  # (nodes, bases, children, assets)
-    hadamard = np.sqrt((B * B).sum(axis=3)).prod(axis=2)
-    with np.errstate(all="ignore"):  # a singular basis is never certified
-        if d == 2:  # row i of B^-1 is orthogonal to the other columns
-            adjugate = B[..., ::-1, ::-1] * [[1.0, -1.0], [-1.0, 1.0]]
-        elif d == 3:  # the cross product of the other two
-            i, j = [1, 2, 0], [2, 0, 1]
-            x, y = B[..., i, :], B[..., j, :]
-            adjugate = x[..., i] * y[..., j] - x[..., j] * y[..., i]
-        if d <= 3:  # 4-5 times faster than LAPACK's batched det and inv
-            det = (B[..., 0, :] * adjugate[..., 0, :]).sum(axis=2)
-            inverse = adjugate / det[..., None, None]
-        else:  # LAPACK; inv raises on a matrix whose det is 0
-            B = B.swapaxes(2, 3)
-            det = np.linalg.det(B)
-            inverse = np.linalg.inv(np.where(det[..., None, None], B, np.eye(d)))
-        reduced = 1.0 - np.einsum("nsia,nka->nsk", inverse, G)
-    certified = (abs(det) > _BASIS_SINGULAR * hadamard) & (
-        reduced >= -_REDUCED_COST_TOL).all(axis=2)
-    return scale, inverse, certified
-
-
-def _basis_step(dS, r, scale, inverse, certified):
-    """One-step floors of several-asset nodes: (q, V, solved).
-
-    A node takes, of its certified bases with u = -B^-1 m >= 0, the one
-    of least sum u, and refines that u once, as a product with an inverse
-    leaves a residual that grows with the basis's condition: V =
-    1 / (sum r + sum u) and q = V (r + u).  Without one it is not solved.
-    """
-    m = np.einsum("nk,nkd->nd", r, dS) / scale
-    u = np.einsum("nsij,nj->nsi", inverse, -m)
-    ok = certified & (u >= 0.0).all(axis=2)
-    best = np.where(ok, u.sum(axis=2), np.inf).argmin(axis=1)
-    rows = np.arange(len(r))
-    kids = _basis_columns(*dS.shape[1:])[best]
-    u, inverse = u[rows, best], inverse[rows, best]
-    residual = np.einsum("nia,ni->na", dS[rows[:, None], kids], u) / scale + m
-    u -= np.einsum("nij,nj->ni", inverse, residual)
-    w = r.copy()
-    w[rows[:, None], kids] += u
-    value = 1.0 / w.sum(axis=1)
-    return value[:, None] * w, value, ok[rows, best]
-
-
-def _simplex_floors(dS, p, child_value, child_feasible, ids):
-    """One-step floors of a family, one simplex LP per node: (q, V, feasible).
-
-    With r_k = p_k / V(k) where V(k) > 0, else 0, and q = t r + w,
-    w >= 0, a node's program has the variables (w, tau), tau = t sum(r)
-    in [0, 1], and the rows sum_k q_k = 1 and sum_k q_k dS_k = 0: column k
-    is (1, dS_k) and the tau column is (1, rho.dS) with rho = r / sum(r),
-    which keeps it well scaled however small a child's V is.  A child
-    whose subtree has no nonnegative density gets a zero column, whose
-    reduced cost 0 keeps it out of every pivot under Bland's rule.  A
-    node has a floor when every child has V > 0; without one rho and the
-    tau column are zero and only feasibility is asked.  Rows are scaled
-    by their largest entry, which for the sum row is 1.  A point below 0
-    or off a row by more than 1e-9 is refused with SolverFailure.
-    """
-    n, b, d = dS.shape
-    live = child_value > 0.0
-    floor = np.all(live, axis=1)
-    r = np.divide(p, child_value, out=np.zeros_like(p), where=live)
-    total = r.sum(axis=1)
-    rho = np.divide(r, total[:, None], out=np.zeros_like(r), where=floor[:, None])
-    A = np.zeros((n, d + 1, b + 1))
-    A[:, 0, :b] = child_feasible
-    A[:, 0, b] = floor
-    A[:, 1:, :b] = np.where(child_feasible[:, :, None], dS, 0.0).transpose(0, 2, 1)
-    A[:, 1:, b] = np.einsum("nk,nkd->nd", rho, dS)
-    scale = np.max(np.abs(A), axis=2, keepdims=True)
-    scale[scale == 0.0] = 1.0
-    A /= scale
-    x = np.zeros((n, b + 1))
-    feasible = np.ones(n, dtype=bool)
-    rhs = np.zeros(d + 1)
-    rhs[0] = 1.0
-    for i in range(n):
-        cost = np.zeros(b + 1)
-        cost[-1] = -1.0 if floor[i] else 0.0
-        result = solve_lp(cost, A[i], rhs)
-        if result.status == STATUS_INFEASIBLE:
-            feasible[i] = False
-        elif result.status != STATUS_OPTIMAL:
-            raise SolverFailure(
-                f"viability program at node {ids[i]!r} ended with "
-                f"{result.status}"
-            )
-        else:
-            x[i] = result.x
-    off = np.abs(np.einsum("nmc,nc->nm", A, x) - rhs).max(axis=1)
-    bad = feasible & ((off > _POINT_TOL) | (x.min(axis=1) < -_POINT_TOL))
-    if np.any(bad):
-        node = ids[int(np.argmax(bad))]
-        raise SolverFailure(f"viability program at node {node!r} left its constraints")
-    q = x[:, :-1] + x[:, -1:] * rho
-    value = np.divide(x[:, -1], total, out=np.zeros(n), where=floor)
-    return q, value, feasible
 
 
 def _random_block(rng, k: int) -> np.ndarray:

@@ -44,7 +44,8 @@ from mmvport import (
     ValidationError,
     market_from_dict,
 )
-from mmvport.market import _assemble, _family_floors
+from mmvport.induction import _family_floors
+from mmvport.market import _assemble
 
 
 # ---------------------------------------------------------------------------

@@ -361,6 +361,22 @@ class TestAnalyze:
         assert out == ""
         assert json.loads(target.read_text())["fcfs_exists"] is True
 
+    def test_verify_refusal_keeps_the_report(self, capsys, tmp_path):
+        # the seed-0 sweep-small market 746: a real effect too small to
+        # certify, so the vote stands and --verify refuses it in one line
+        market, report = tmp_path / "m.json", tmp_path / "r.json"
+        code, _, _ = run(capsys, "generate", "--seed", 746, "--periods", 3,
+                         "--branching", 4, "--assets", 1, "--out", market)
+        assert code == 0
+        code, out, err = run(capsys, "analyze", "--verify", market, "--out", report)
+        assert (code, out, err) == (3, "", "error: certificate verification failed\n")
+        doc = json.loads(report.read_text())
+        assert doc["fcfs_exists"] is True and doc["marginal"] is True
+        assert doc["equiv"] == {"a": True, "b": True, "c": False, "d": False}
+        assert doc["certificate_valid"] is False
+        assert doc["certificate_error"] == (
+            "existence claimed but the mean-variance improvement is not strict")
+
     def test_missing_file(self, capsys, tmp_path):
         path = tmp_path / "nope.json"
         code, _, err = run(capsys, "analyze", path)
@@ -1127,6 +1143,17 @@ class TestExitContract:
         )
         assert (proc.returncode, proc.stderr.decode()) == (code, err) == (0, "")
         assert proc.stdout.decode() == out
+
+    def test_module_generate_writes_the_bytes_of_main(self, capsys):
+        code, out, err = run(capsys, "generate", "--seed", "0")
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmvport", "generate", "--seed", "0"],
+            capture_output=True,
+            env=package_env(),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr.decode()) == (code, err) == (0, "")
+        assert proc.stdout == out.encode()
 
 
 def package_env() -> dict:

@@ -195,6 +195,34 @@ class TestCertificateVerification:
         with pytest.raises(CertificateInvalid):
             verify_fcfs_certificate(shrunk)
 
+    @pytest.mark.parametrize("mutation, message", [
+        ("negative_atom", "certificate payoff has a negative atom"),
+        ("off_by_1e-6", "certificate payoff does not match (1 - W_m)^+ from the "
+                        "reported strategy"),
+        ("nothing_withdrawn", "existence claimed but no cash is ever withdrawn"),
+    ])
+    def test_each_clause_names_itself(self, trinomial, mutation, message):
+        # each mutation passes every clause before its own
+        r = analyze(trinomial)
+        payoff = r.fcfs_payoff.copy()
+        if mutation == "negative_atom":
+            payoff[np.argmin(payoff)] = -1e-3
+            mutated = dataclasses.replace(r, fcfs_payoff=payoff)
+        elif mutation == "off_by_1e-6":
+            payoff[np.argmax(payoff)] += 1e-6
+            mutated = dataclasses.replace(r, fcfs_payoff=payoff)
+        else:
+            # no holdings: W_m = 0, so (1 - W_m)^+ is 1 and nothing lies above 1
+            held = r.allocation.hull_strategy.vector
+            idle = Strategy.from_vector(trinomial, np.zeros_like(held))
+            allocation = dataclasses.replace(r.allocation, hull_strategy=idle)
+            mutated = dataclasses.replace(
+                r, allocation=allocation, fcfs_payoff=np.ones_like(payoff))
+        assert np.max(mutated.fcfs_payoff) > 0.0
+        with pytest.raises(CertificateInvalid) as info:
+            verify_fcfs_certificate(mutated)
+        assert str(info.value) == message
+
     def test_nonexistence_claim_is_an_error(self, trinomial):
         r = analyze(trinomial)
         flipped = dataclasses.replace(r, fcfs_exists=False)
@@ -281,7 +309,7 @@ class TestSweepCounts:
         # which builds no q; a forward sweep runs only for W_q,
         # W_m and --verify's W_m, a moment aggregation once per density
         # check, and nothing builds a value no command reads
-        from mmvport import generate_random_market, load_packaged_market, market
+        from mmvport import generate_random_market, induction, load_packaged_market, market
         from mmvport.cli import main
         from mmvport.induction import TreeLevels
         from mmvport.market import market_to_json
@@ -304,10 +332,10 @@ class TestSweepCounts:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        counted(market, "_node_local_viability", lambda cert, tree: cert)
-        counted(market, "_family_floors", lambda _, dS, *rest: len(dS))
-        counted(market, "_one_asset_floor", lambda _, s, r: len(s))
-        counted(market, "_floor_bases", lambda _, dS: len(dS))
+        counted(market, "_node_local_viability", lambda cert, levels: cert)
+        counted(induction, "_family_floors", lambda _, dS, *rest: len(dS))
+        counted(induction, "_one_asset_floor", lambda _, s, r: len(s))
+        counted(induction, "_floor_bases", lambda _, dS: len(dS))
         counted(TreeLevels, "propagate")
         counted(TreeLevels, "increment_moments")
         argv = ["analyze", *map(str, paths)] + (["--verify"] if verify else [])

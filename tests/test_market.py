@@ -26,7 +26,7 @@ from mmvport import (
     save_market,
     terminal_wealth,
 )
-from mmvport import market
+from mmvport import induction, market
 from mmvport.market import MeasureDensity
 
 from conftest import small_tree
@@ -255,6 +255,24 @@ class TestWealthAndStrategies:
         with pytest.raises(DimensionMismatch):
             Strategy.from_holdings(tree, {"r": [0.1], "ghost": [0.2]})
 
+    def test_holdings_round_trip_and_refusals(self):
+        tree = generate_random_market(seed=3, periods=2, branching=3, assets=2)
+        vec = np.random.default_rng(5).normal(size=len(tree.nonterminal_ids) * 2)
+        strat = Strategy.from_vector(tree, vec)
+        again = Strategy.from_holdings(tree, dict(strat.holdings))
+        assert again.vector.tobytes() == strat.vector.tobytes()
+        assert terminal_wealth(tree, again, 0.5).values.tobytes() == (
+            terminal_wealth(tree, strat, 0.5).values.tobytes())
+        first, *rest = tree.nonterminal_ids
+        rows = {nid: [0.0, 0.0] for nid in tree.nonterminal_ids}
+        for bad, message in (
+            ({nid: rows[nid] for nid in rest}, f"missing \\['{first}'\\]"),
+            ({**rows, "ghost": [0.0, 0.0]}, "extra \\['ghost'\\]"),
+            ({**rows, first: [0.0, 0.0, 0.0]}, f"for '{first}' must have 2 entries"),
+        ):
+            with pytest.raises(DimensionMismatch, match=message):
+                Strategy.from_holdings(tree, bad)
+
     def test_wealth_needs_matching_tree(self):
         t1 = market_from_dict(GOOD)
         t2 = market_from_dict(GOOD)
@@ -283,6 +301,47 @@ class TestConstraintSystem:
             MeasureDensity.from_values(tree, z * 1.01)  # E[z] off
         with pytest.raises(ValidationError):
             MeasureDensity.from_values(tree, np.array([2.0, 1.0]))  # drift
+
+    def test_measure_density_refusals_name_their_fault(self):
+        tree = market_from_dict(GOOD)
+        z = np.array([0.5 / 0.4, 0.5 / 0.6])
+        with pytest.raises(DimensionMismatch, match="has 3 entries, tree has 2"):
+            MeasureDensity.from_values(tree, np.append(z, 1.0))
+        with pytest.raises(ValidationError, match="must be finite"):
+            MeasureDensity.from_values(tree, np.array([np.inf, 1.0]))
+        with pytest.raises(ValidationError, match="expectation .* is not 1"):
+            MeasureDensity.from_values(tree, z * 1.01)
+
+    def test_martingale_refusal_names_the_shallowest_node(self):
+        # the file lists the nodes deepest first: depth-2 nodes precede
+        # the depth-1 ones, and n2 precedes n1
+        data = market_to_dict(
+            generate_random_market(seed=0, periods=3, branching=2, assets=1))
+        data["nodes"].reverse()
+        tree = market_from_dict(data)
+        z = dict(zip(tree.leaf_ids, check_viability(tree).density.tolist()))
+        prob = dict(zip(tree.leaf_ids, tree.leaf_probabilities.tolist()))
+
+        def leaves(nid):
+            kids = tree.node(nid).children
+            return [nid] if not kids else [k for c in kids for k in leaves(c)]
+
+        def shift(first, second):
+            # moves mass from the leaves under `second` to those under
+            # `first`, keeping E[z]: only their common parent's drift moves
+            a, b = leaves(first), leaves(second)
+            up = 1.0 + 0.1
+            down = 1.0 - 0.1 * sum(prob[k] * z[k] for k in a) / sum(
+                prob[k] * z[k] for k in b)
+            z.update({k: z[k] * up for k in a})
+            z.update({k: z[k] * down for k in b})
+
+        shift("n7", "n8")  # breaks n3, depth 2
+        shift("n3", "n4")  # breaks n1
+        shift("n5", "n6")  # breaks n2
+        values = [z[k] for k in tree.leaf_ids]
+        with pytest.raises(ValidationError, match="constraint at node 'n2'$"):
+            MeasureDensity.from_values(tree, values)
 
 
 @st.composite
@@ -332,13 +391,13 @@ def one_step_levels(draw):
 def simplex_nodes(monkeypatch):
     """Node counts of the calls that reach the simplex fallback."""
     counts = []
-    simplex_floors = market._simplex_floors
+    simplex_floors = induction._simplex_floors
 
     def counting(dS, *args):
         counts.append(len(dS))
         return simplex_floors(dS, *args)
 
-    monkeypatch.setattr(market, "_simplex_floors", counting)
+    monkeypatch.setattr(induction, "_simplex_floors", counting)
     return counts
 
 
@@ -377,8 +436,8 @@ class TestViability:
     @given(one_step_levels())
     def test_batched_floors_match_the_simplex(self, level):
         dS, p, child_value, child_feasible, ids = level
-        q, value, feasible = market._family_floors(*level)
-        q0, value0, feasible0 = market._simplex_floors(*level)
+        q, value, feasible = induction._family_floors(*level)
+        q0, value0, feasible0 = induction._simplex_floors(*level)
         np.testing.assert_array_equal(feasible, feasible0)
         np.testing.assert_array_equal(value > 1e-9, value0 > 1e-9)
         assert first_broken(ids, value, child_value) == first_broken(
@@ -401,9 +460,29 @@ class TestViability:
         # column that should be zero: a child without a density must get
         # no mass
         dS, p, child_value, child_feasible, _ = level
-        q, _, feasible = market._family_floors(*level)
+        q, _, feasible = induction._family_floors(*level)
         assert np.all(q[~child_feasible] == 0.0)
         assert np.all(np.abs(q[feasible].sum(axis=1) - 1.0) <= 1e-12)
+
+    @pytest.mark.xfail(strict=True, raises=SolverFailure, reason=(
+        "no basis is certified and the simplex point misses a row by more "
+        "than _POINT_TOL; one rank decision per node (ROADMAP item 1) mends it"))
+    def test_near_dependent_two_asset_node_is_decided(self):
+        # the second asset is about 4.65 times the first; every child is
+        # feasible, and HiGHS on the u-form gives V = 0.2299994
+        dS = np.array([[[0.3544517887362576, 1.6481384321160768],
+                        [0.33714125792320293, 1.5676475557764324],
+                        [-0.1715632839155872, -0.7977390962501937],
+                        [-0.33601768385132513, -1.5624231051998891]]])
+        p = np.array([[0.16625956241824183, 0.2961362925361986,
+                       0.22756535951636994, 0.3100387855291898]])
+        V = np.array([[0.608793489855728, 0.16267234245296963,
+                       0.7973517124970734, 0.8806082767058578]])
+        allowed = np.ones((1, 4), dtype=bool)
+        ids = np.array(["n"], dtype=object)
+        _, value, feasible = induction._family_floors(dS, p, V, allowed, ids)
+        assert feasible.tolist() == [True]
+        assert value[0] == pytest.approx(0.2299994, rel=1e-6, abs=0.0)
 
     def test_generated_four_asset_tree_needs_no_simplex(self, simplex_nodes):
         tree = generate_random_market(seed=0, periods=4, branching=4, assets=3)
@@ -471,7 +550,7 @@ class TestViability:
             return cert.viable, cert.status, cert.offending_node, cert.bound, density
 
         default = [certificate(body) for body in (plain, planted)]
-        monkeypatch.setattr(market, "_BASIS_BATCH", batch)
+        monkeypatch.setattr(induction, "_BASIS_BATCH", batch)
         assert [certificate(body) for body in (plain, planted)] == default
         assert default[0][:3] == (True, "viable", None)
         # the rest of the tree may still carry a nonnegative density
@@ -488,10 +567,10 @@ class TestViability:
         dS -= np.einsum("nk,nkd->nd", q, dS)[:, None, :]
         p = np.full((n, b), 1.0 / b)
         r = p / rng.uniform(0.05, 1.0, (n, b))
-        scale, inverse, certified = market._floor_bases(dS)
+        scale, inverse, certified = induction._floor_bases(dS)
         assert certified.shape == (n, len(list(combinations(range(b), d))))
         bases = scale, inverse
-        _, value, solved = market._basis_step(dS, r, *bases, certified)
+        _, value, solved = induction._basis_step(dS, r, *bases, certified)
         assert solved.all()
         m = np.einsum("nk,nkd->nd", r, dS) / scale
         feasible = np.all(-np.einsum("nsij,nj->nsi", inverse, m) >= 0.0, axis=2)
@@ -499,7 +578,7 @@ class TestViability:
         for hidden in range(certified.shape[1]):
             kept = certified.copy()
             kept[:, hidden] = False
-            _, v, ok = market._basis_step(dS, r, *bases, kept)
+            _, v, ok = induction._basis_step(dS, r, *bases, kept)
             np.testing.assert_allclose(v[ok], value[ok], rtol=1e-12, atol=0.0)
             others = np.delete(feasible, hidden, axis=1).any(axis=1)
             refused += int(np.sum(~ok & others))

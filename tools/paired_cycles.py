@@ -11,8 +11,10 @@ seed 0 (``bench/mmvbench/workloads.py``): ``sweep-small``'s first 600,
 or ``ladder-large``'s core, its ``core_shapes`` ``core_cycles`` times.
 Per run it prints each side's throughput by the benchmark's formula
 (``bench/mmvbench/metrics.py``, on raw wall times), the ratio
-CHANGE / PARENT and the number of written bytes that differ.
-Naming one checkout twice is the A/A control.
+CHANGE / PARENT and the number of written bytes that differ; after the
+last run, one summary line with the median, least and largest ratio and
+the differing bytes of all runs.  Naming one checkout twice is the A/A
+control.
 
 Each cycle deletes the previous cycle's files before it writes, as the
 benchmark's ``Session.market`` does: opening an existing file with "w"
@@ -105,6 +107,7 @@ def main() -> None:
         dirs = [os.path.join(tmp, "parent"), os.path.join(tmp, "change")]
         for path in dirs:
             os.mkdir(path)
+        ratios, total = [], 0
         for run in range(args.runs):
             ops, diff = ([], []), 0
             for i, (shape, mseed, phase) in enumerate(markets(args.workload)):
@@ -113,9 +116,14 @@ def main() -> None:
                        for s in order}
                 diff += differing(out[0], out[1])
             rates = [_throughput(args.workload, side_ops, _raw)[0] for side_ops in ops]
+            ratios.append(rates[1] / rates[0])
+            total += diff
             print(f"run {run}: {args.workload} parent {rates[0]:.6g}/s "
-                  f"change {rates[1]:.6g}/s ratio {rates[1] / rates[0]:.4f} "
+                  f"change {rates[1]:.6g}/s ratio {ratios[-1]:.4f} "
                   f"differing bytes {diff}", flush=True)
+    print(f"summary: {args.workload} {args.runs} runs, ratio median "
+          f"{np.median(ratios):.4f} min {min(ratios):.4f} max {max(ratios):.4f}, "
+          f"differing bytes {total}", flush=True)
 
 
 if __name__ == "__main__":
