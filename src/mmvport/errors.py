@@ -82,10 +82,11 @@ class GenerationFailure(SolverError):
 
 
 class InconsistentEquivalence(SolverError):
-    """The four equivalence tests disagreed beyond tolerance bands.
+    """The two optimal densities break a_n - a_s = E[(z_n - z_s)^2].
 
-    This is an internal assertion: it signals a solver bug, never a valid
-    analysis outcome.
+    The signed optimum z_s is the minimum-norm density, so the identity
+    holds exactly; a residual beyond ``VALUE_TOL * a_n`` is an internal
+    assertion: it signals a solver bug, never a valid analysis outcome.
     """
 
 

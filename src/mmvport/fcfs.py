@@ -15,7 +15,7 @@ moments a_s (signed) and a_n (nonnegative):
     c_hat_m  = a_n - 1          precommitted cash level of the optimum
 
 Four logically equivalent completeness tests are evaluated on separate
-computational routes and must agree:
+computational routes:
 
     a. u_mmv == u_mv            (dual second moments)
     b. u_m == u                 (primal objective values)
@@ -38,24 +38,21 @@ routes collapse into two: (a) and (b) both measure the gap between the
 two opportunity processes at the root, on two scales, and (c) and (d)
 both measure how far the quadratic-optimal payoff W_q overshoots 1, since
 the signed density is a_s (1 - W_q).  So (a) <=> (b) and (c) <=> (d) up
-to their tolerances.  The vote, ``marginal``, the split ceilings and
-InconsistentEquivalence are kept unchanged; the independent cross-check
-now lives in the tests, which compare the engine with the dense Gram,
-active-set and clip-set solvers on small trees.
+to their tolerances.  The independent cross-check lives in the tests,
+which compare the engine with the dense Gram, active-set and clip-set
+solvers on small trees.
 
-Disagreement handling: the four routes see the completeness boundary at
-different resolutions.  A density dip of size eps forces a value gap of
-only about p*eps^2/2 (exactly, u_mmv - u_mv >= p_j (z_n_j - z_s_j)^2 / 2
-on the dipping leaf j), so markets close to the boundary can split the
-vote: the vector routes (payoff cap, density sign) detect eps linearly
-while the value routes are quadratically blind to it.  Splits whose
-discriminants are all small enough to be such boundary effects mark the
-report ``marginal`` and resolve by the density route, the primitive
-linear-resolution test.  A split featuring a large discriminant cannot
-come from the boundary layer and raises InconsistentEquivalence, which is
-an internal assertion, never a valid analysis outcome.  Reports whose
-routes agree but with some discriminant within a factor 10 of its
-tolerance are likewise annotated ``marginal``.
+The verdict is the density route: ``fcfs_exists`` is true exactly when
+the signed variance-optimal density dips below -VECTOR_TOL, that is, when
+the variance-optimal signed martingale measure is not a probability
+measure.  The routes see that boundary at different resolutions: z_s is
+the minimum-norm density, so a_n - a_s = E[(z_n - z_s)^2], and a dip of
+size eps on a leaf of probability p moves the value routes by only about
+p eps^2.  So the vote may split near the boundary; a split, or any
+discriminant within a factor 10 of its tolerance, marks the report
+``marginal``.  The one internal assertion is that identity: a residual
+beyond VALUE_TOL * a_n raises InconsistentEquivalence, a solver bug and
+never a valid analysis outcome.
 """
 
 from __future__ import annotations
@@ -76,7 +73,7 @@ from .primal import (
     optimal_quadratic,
     optimal_truncated,
 )
-from .probability import RandomVariable, mean_variance_value
+from .probability import RandomVariable, _fsum, mean_variance_value
 
 __all__ = ["FcfsReport", "analyze", "verify_fcfs_certificate", "report_to_dict"]
 
@@ -84,11 +81,6 @@ VALUE_TOL = 1e-8
 VECTOR_TOL = 1e-9
 _PAYOFF_FLOOR = 1e-12
 _MARGINAL_BAND = 10.0
-# Largest discriminants a boundary-layer vote split may exhibit: value
-# gaps up to 1e-5 pair with density dips and payoff overshoots up to
-# sqrt(2 * 1e-5 / p_min); anything larger signals a solver bug.
-_SPLIT_VALUE_CEILING = 1e-5
-_SPLIT_VECTOR_CEILING = 1e-2
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,29 +140,17 @@ def analyze(tree: ScenarioTree) -> FcfsReport:
     }
     tolerances = {"a": VALUE_TOL, "b": VALUE_TOL, "c": VECTOR_TOL, "d": VECTOR_TOL}
     equiv = {k: discriminants[k] <= tolerances[k] for k in "abcd"}
-    marginal = any(
+    marginal = len(set(equiv.values())) > 1 or any(
         tolerances[k] / _MARGINAL_BAND <= discriminants[k]
         <= tolerances[k] * _MARGINAL_BAND
         for k in "abcd"
     )
 
-    votes = sum(equiv.values())
-    if votes in (0, 4):
-        consensus = bool(votes)
-    elif (
-        discriminants["a"] <= _SPLIT_VALUE_CEILING
-        and discriminants["b"] <= _SPLIT_VALUE_CEILING
-        and discriminants["c"] <= _SPLIT_VECTOR_CEILING
-        and discriminants["d"] <= _SPLIT_VECTOR_CEILING
-    ):
-        # Boundary layer: a small density dip shrinks quadratically in the
-        # value routes, so they can report "equal" while the vector routes
-        # still see it.  The density sign is the sharpest test here.
-        marginal = True
-        consensus = equiv["d"]
-    else:
+    dz = nonneg.density.values - signed.density.values
+    residual = (a_n - a_s) - _fsum(tree.leaf_probabilities * (dz * dz))
+    if abs(residual) > VALUE_TOL * a_n:
         raise InconsistentEquivalence(
-            f"equivalence routes disagree beyond tolerance: {discriminants!r}"
+            f"a_n - a_s misses E[(z_n - z_s)^2] by {residual!r}"
         )
 
     fcfs_payoff = None
@@ -189,7 +169,7 @@ def analyze(tree: ScenarioTree) -> FcfsReport:
         c_hat_m=a_n - 1.0,
         equiv=equiv,
         marginal=marginal,
-        fcfs_exists=not consensus,
+        fcfs_exists=not equiv["d"],
         fcfs_payoff=fcfs_payoff,
         signed_density=signed.density.values,
         nonneg_density=nonneg.density.values,

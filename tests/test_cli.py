@@ -377,6 +377,21 @@ class TestAnalyze:
         assert doc["certificate_error"] == (
             "existence claimed but the mean-variance improvement is not strict")
 
+    def test_wide_split_vote_exits_0(self, capsys, tmp_path):
+        # (32,3,3) seed 1: the value routes miss a density dip of a few
+        # percent on leaves of probability about 2e-7; the density route
+        # decides, and the certificate holds
+        market, report = tmp_path / "m.json", tmp_path / "r.json"
+        code, _, _ = run(capsys, "generate", "--seed", 1, "--periods", 3,
+                         "--branching", 32, "--assets", 3, "--out", market)
+        assert code == 0
+        code, out, err = run(capsys, "analyze", "--verify", market, "--out", report)
+        assert (code, out, err) == (0, "", "")
+        doc = json.loads(report.read_text())
+        assert doc["equiv"] == {"a": True, "b": True, "c": False, "d": False}
+        assert doc["marginal"] is True and doc["fcfs_exists"] is True
+        assert doc["certificate_valid"] is True
+
     def test_missing_file(self, capsys, tmp_path):
         path = tmp_path / "nope.json"
         code, _, err = run(capsys, "analyze", path)

@@ -5,12 +5,14 @@ import dataclasses
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mmvport import (
     CertificateInvalid,
+    InconsistentEquivalence,
     Strategy,
     ViabilityError,
     analyze,
@@ -142,6 +144,9 @@ class TestInvariants:
             assert r.sr_m_max == pytest.approx(
                 math.sqrt(max(2 * r.u_mmv, 0.0)), abs=1e-9
             )
+            # the verdict is the density route; a split vote is marginal
+            assert r.fcfs_exists == (not r.equiv["d"]) == r.signed_solution.signed
+            assert r.marginal or len(set(r.equiv.values())) == 1
             if not r.marginal:
                 if r.fcfs_exists:
                     assert r.gap > 1e-7
@@ -171,6 +176,56 @@ class TestBoundaryLayer:
         assert r.u_mmv - r.u_mv < 1e-9
         with pytest.raises(CertificateInvalid):
             verify_fcfs_certificate(r)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_wide_split_vote_is_decided_by_the_density(self, seed):
+        # one or two depth-2 nodes overshoot bliss by a few percent on
+        # leaves of probability about 2e-7: the density dips by as much,
+        # while a_n - a_s stays below VALUE_TOL, so the vote splits far
+        # from any small-dip bound, and the density route still decides it
+        from mmvport import generate_random_market
+
+        tree = generate_random_market(seed=seed, periods=3, branching=58, assets=3)
+        r = analyze(tree)
+        assert r.equiv == {"a": True, "b": True, "c": False, "d": False}
+        assert r.discriminants["d"] > 1e-2
+        assert r.marginal is True
+        assert r.fcfs_exists is True
+        assert verify_fcfs_certificate(r) is True
+
+
+class TestPythagorasIdentity:
+    def test_trinomial_identity_is_exact(self):
+        # a_n - a_s = E[(z_n - z_s)^2] in rationals on the golden trinomial
+        p = [Fraction(1, 10), Fraction(8, 10), Fraction(1, 10)]
+        a_s, a_n = Fraction(1090, 801), Fraction(45, 16)
+        z_s = [Fraction(-610, 801), Fraction(920, 801), Fraction(1260, 801)]
+        z_n = [Fraction(0), Fraction(5, 8), Fraction(5)]
+        assert a_n - a_s == sum(q * (n - s) ** 2 for q, n, s in zip(p, z_n, z_s))
+
+    def test_a_second_moment_off_the_identity_is_refused(
+        self, monkeypatch, capsys, tmp_path, trinomial
+    ):
+        # the density is kept and only a_n moves, by 1e-6 relative
+        from mmvport import cli, fcfs, market_to_json
+
+        solve = fcfs.variance_optimal_nonneg
+
+        def off_by_1e6(tree):
+            solution = solve(tree)
+            return dataclasses.replace(
+                solution, second_moment=solution.second_moment * (1.0 + 1e-6))
+
+        monkeypatch.setattr(fcfs, "variance_optimal_nonneg", off_by_1e6)
+        with pytest.raises(InconsistentEquivalence):
+            analyze(trinomial)
+        path = tmp_path / "trinomial.json"
+        path.write_text(market_to_json(trinomial), encoding="utf-8")
+        assert cli.main(["analyze", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 class TestCertificateVerification:
