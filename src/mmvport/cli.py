@@ -159,21 +159,10 @@ def _json_text(value, indent: str = "") -> str:
     return json.dumps(value)  # a str or {}
 
 
-def _csv_fields(report) -> dict:
-    """The fields a CSV row reads (:func:`_reports_to_csv`): the numbers
-    named in ``_NUMBERS`` and the flags, none of the report's vectors."""
-    return {
-        **{name: getattr(report, name) for name in _NUMBERS},
-        "equiv": {k: bool(report.equiv[k]) for k in "abcd"},
-        "fcfs_exists": bool(report.fcfs_exists),
-        "marginal": bool(report.marginal),
-    }
-
-
-def _analyze_path(task, csv_row: bool = False) -> dict:
+def _analyze_path(task) -> dict:
     path, verify = task
     report = analyze(load_market(path))
-    payload = _csv_fields(report) if csv_row else _report_fields(report, list)
+    payload = _report_fields(report, list)
     if verify:
         if report.fcfs_exists:
             try:
@@ -201,14 +190,12 @@ def _reports_to_csv(rows) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     tasks = [(path, args.verify) for path in args.inputs]
-    # a CSV row reads only the scalar fields: the workers build and send back no more
-    run = functools.partial(_analyze_path, csv_row=args.format == "csv")
     if args.jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool pays for it
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
-            payloads = list(pool.map(run, tasks))
+            payloads = list(pool.map(_analyze_path, tasks))
     else:
-        payloads = list(map(run, tasks))
+        payloads = list(map(_analyze_path, tasks))
 
     rows = list(zip(args.inputs, payloads))
     if args.format == "csv":
@@ -249,78 +236,82 @@ def _resolve_column(token: str, header, path: str) -> int:
         ) from None
 
 
-def _row_lines(path: str) -> list:
-    """The line of ``path`` on which each CSV row with visible text starts."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        lines, start = [], 1
-        for row in reader:
-            if "".join(row).strip():
-                lines.append(start)
-            start = reader.line_num + 1
-    return lines
-
-
-def _law_rows(path: str, screen: bool) -> tuple:
-    """The rows of a law file, split once: the first row's cells, the set
-    of the other rows' widths, and their cells in file order.
-
-    The file is read whole.  Where the csv module's dialect is plain
-    splitting, in a text with no quote, no carriage return and no line
-    longer than ``csv.field_size_limit()``, the text is split with ``str``
-    methods: lines at "\\n", a row's width one more than its commas, and
-    the cells of the later rows one split of them joined; a text with no
-    comma is one column, its lines its cells.  Any other text is split by
-    ``csv.reader``, which refuses a cell past the limit.  A text that is
-    not UTF-8 is read again row by row, as the csv module reads it, so the
-    refusal names the byte as before.
-
-    The rows returned are those with visible text (not only commas and
-    whitespace), except that without ``screen`` a plain text whose first
-    line is visible keeps every line but the empty one after a final
-    "\\n": no row is looked at.  Each row a screen would drop then has a
-    cell that is no number, or a width unlike its neighbours'.
-    """
-    lines = rows = None
+def _law_text(path: str) -> str:
+    """The text of a law file, read once.  A text that is not UTF-8 is read
+    again row by row, as the csv module reads it, to name the byte."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             try:
-                text = fh.read()
+                return fh.read()
             except UnicodeDecodeError:
                 fh.seek(0)
                 for _ in csv.reader(fh):
                     pass
                 raise
-            limit = csv.field_size_limit()
-            if '"' not in text and "\r" not in text:
-                lines = text.split("\n")
-                if len(text) > limit and max(map(len, lines)) > limit:
-                    lines = None
-            if lines is None:
-                rows = list(csv.reader(io.StringIO(text, newline="")))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
     except csv.Error as exc:
         raise ParseError(f"{path}: invalid CSV ({exc})") from exc
+
+
+def _law_rows(path: str, text: str, screen: bool) -> tuple:
+    """The rows of a law file's text, split once: the first row's cells,
+    the set of the other rows' widths, their cells in file order, and the
+    line each row starts on, or None where no row was screened.
+
+    Where the csv module's dialect is plain splitting, in a text with no
+    quote, no carriage return and no line longer than
+    ``csv.field_size_limit()``, the text is split with ``str`` methods:
+    lines at "\\n", a row's width one more than its commas, and the cells
+    of the later rows one split of them joined; a text with no comma is
+    one column, its lines its cells.  Any other text is split by
+    ``csv.reader``, which refuses a cell past the limit and counts the
+    lines each row spans.
+
+    The rows returned are those with visible text (not only commas and
+    whitespace), except that without ``screen`` a plain text whose first
+    line is visible keeps every line but the empty one after a final
+    "\\n": no row is looked at, and row i is line i + 1.  Each row a
+    screen would drop then has a cell that is no number, or a width
+    unlike its neighbours'.
+    """
+    lines = None
+    limit = csv.field_size_limit()
+    if '"' not in text and "\r" not in text:
+        lines = text.split("\n")
+        if len(text) > limit and max(map(len, lines)) > limit:
+            lines = None
     if lines is None:
-        rows = list(itertools.compress(rows, map(str.strip, map("".join, rows))))
+        reader = csv.reader(io.StringIO(text, newline=""))
+        rows, starts, start = [], [], 1
+        try:
+            for row in reader:
+                if "".join(row).strip():
+                    rows.append(row)
+                    starts.append(start)
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise ParseError(f"{path}: invalid CSV ({exc})") from exc
     elif screen or not lines[0].strip(_BLANK):
-        visible = map(str.strip, lines, itertools.repeat(_BLANK))
+        visible = list(map(str.strip, lines, itertools.repeat(_BLANK)))
         rows = list(itertools.compress(lines, visible))
+        starts = list(itertools.compress(range(1, len(lines) + 1), visible))
     else:
         rows = lines[:-1] if text.endswith("\n") else lines
+        starts = None
     if not rows:
         raise ParseError(f"{path}: no rows")
     first, rest = rows[0], rows[1:]
     if lines is None:
-        return first, set(map(len, rest)), list(itertools.chain.from_iterable(rest))
+        cells = list(itertools.chain.from_iterable(rest))
+        return first, set(map(len, rest)), cells, starts
     if "," not in text:
-        return [first], {1} if rest else set(), rest
+        return [first], {1} if rest else set(), rest, starts
     commas = set(map(str.count, rest, itertools.repeat(",")))
     cells = ",".join(rest).split(",") if rest else []
-    return first.split(","), {k + 1 for k in commas}, cells
+    return first.split(","), {k + 1 for k in commas}, cells, starts
 
 
 def _read_law(path: str, col: str | None) -> RandomVariable:
@@ -330,22 +321,25 @@ def _read_law(path: str, col: str | None) -> RandomVariable:
     one of its cells is not a number.  A refused cell is named by the line
     of the file its row starts on, and its text.
 
-    The rows are split once (:func:`_law_rows`), at first without looking
-    for rows with no visible text; each column is then one ``float`` map
-    over its cells.  A row with no visible text makes that map or the
-    width check fail, so any refusal met on the way reads the file again
-    with its rows screened, which decides what is refused and how.
+    The file is read once (:func:`_law_text`) and its rows split once
+    (:func:`_law_rows`), at first without looking for rows with no
+    visible text; each column is then one ``float`` map over its cells.
+    A row with no visible text makes that map or the width check fail, so
+    any refusal met on the way splits the text again with its rows
+    screened, which decides what is refused and how.
     """
+    text = _law_text(path)
     try:
-        return _law_from_rows(path, col, *_law_rows(path, screen=False), screened=False)
+        return _law_from_rows(path, col, *_law_rows(path, text, screen=False))
     except (ParseError, ValueError):
-        return _law_from_rows(path, col, *_law_rows(path, screen=True), screened=True)
+        return _law_from_rows(path, col, *_law_rows(path, text, screen=True))
 
 
-def _law_from_rows(path, col, first, widths, cells, screened: bool) -> RandomVariable:
-    """The law of the rows :func:`_law_rows` returns; ``screened`` says
-    whether the rows with no visible text were dropped.  If not, a cell
-    that is no number raises ValueError instead of being named."""
+def _law_from_rows(path, col, first, widths, cells, starts) -> RandomVariable:
+    """The law of the rows :func:`_law_rows` returns; ``starts``, the line
+    each row starts on, is None where the rows with no visible text were
+    not dropped.  Then a cell that is no number raises ValueError instead
+    of being named."""
     header = None
     if any(not _is_number(c) for c in first if c.strip()):
         header = [c.strip() for c in first]
@@ -378,14 +372,15 @@ def _law_from_rows(path, col, first, widths, cells, screened: bool) -> RandomVar
         if not 0 <= idx < width:
             raise ParseError(f"{path}: column index {idx} out of range")
 
-    def line(i: int) -> int:  # the line of body row i; read only to name a cell
-        return _row_lines(path)[i + (header is not None)]
+    def line(i: int) -> int:  # the line body row i starts on
+        row = i + (header is not None)
+        return row + 1 if starts is None else starts[row]
 
     def column(idx: int, label: str) -> np.ndarray:
         try:
             return np.fromiter(map(float, cells[idx::width]), float, n)
         except ValueError:  # float strips fewer characters than str.strip
-            if not screened:
+            if starts is None:
                 raise
             stripped = [c.strip() for c in cells[idx::width]]
         bad = next((i for i, c in enumerate(stripped) if not _is_number(c)), None)

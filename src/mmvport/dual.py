@@ -29,21 +29,21 @@ from itertools import compress
 import numpy as np
 
 from .errors import SolverFailure, ValidationError
-from .market import MeasureDensity, ScenarioTree
+from .market import _ZERO_TOL, MeasureDensity, ScenarioTree
 
 __all__ = ["DualSolution", "variance_optimal_signed", "variance_optimal_nonneg"]
 
-_SIGNED_FLAG_TOL = 1e-9
-_ZERO_TOL = 1e-12
+VECTOR_TOL = 1e-9  # z_s below -VECTOR_TOL somewhere: a free cash-flow stream
 
 
 @dataclass(frozen=True, eq=False)
 class DualSolution:
     """Optimal density with its second moment and working-set report.
 
-    signed is True iff the density actually dips below -1e-9.  active_set
-    lists the leaf ids where the density is zero and is nonempty only for
-    the nonnegative problem on incomplete markets; it is built on first read.
+    signed is True iff the density dips below -VECTOR_TOL (for z_s, the
+    report's verdict).  active_set lists the leaf ids where the density is
+    at most market._ZERO_TOL and is nonempty only for the nonnegative
+    problem on incomplete markets; it is built on first read.
     """
 
     density: MeasureDensity
@@ -74,7 +74,7 @@ def variance_optimal_signed(tree: ScenarioTree) -> DualSolution:
     return DualSolution(
         density=_checked(tree, z),
         second_moment=a,
-        signed=bool(z.min() < -_SIGNED_FLAG_TOL),
+        signed=bool(z.min() < -VECTOR_TOL),
     )
 
 

@@ -45,14 +45,16 @@ solvers on small trees.
 The verdict is the density route: ``fcfs_exists`` is true exactly when
 the signed variance-optimal density dips below -VECTOR_TOL, that is, when
 the variance-optimal signed martingale measure is not a probability
-measure.  The routes see that boundary at different resolutions: z_s is
-the minimum-norm density, so a_n - a_s = E[(z_n - z_s)^2], and a dip of
-size eps on a leaf of probability p moves the value routes by only about
-p eps^2.  So the vote may split near the boundary; a split, or any
-discriminant within a factor 10 of its tolerance, marks the report
-``marginal``.  The one internal assertion is that identity: a residual
-beyond VALUE_TOL * a_n raises InconsistentEquivalence, a solver bug and
-never a valid analysis outcome.
+measure: ``DualSolution.signed`` (:mod:`mmvport.dual`, the home of
+VECTOR_TOL), of which ``equiv["d"]`` is the negation.  The routes see
+that boundary at different resolutions: z_s is the minimum-norm density,
+so a_n - a_s = E[(z_n - z_s)^2], and a dip of size eps on a leaf of
+probability p moves the value routes by only about p eps^2.  So the vote
+may split near the boundary; a split, or any discriminant within a
+factor 10 of its tolerance, marks the report ``marginal``.  The one
+internal assertion is that identity: a residual beyond VALUE_TOL * a_n
+raises InconsistentEquivalence, a solver bug and never a valid analysis
+outcome.
 """
 
 from __future__ import annotations
@@ -63,7 +65,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .dual import DualSolution, variance_optimal_nonneg, variance_optimal_signed
+from .dual import (
+    VECTOR_TOL, DualSolution, variance_optimal_nonneg, variance_optimal_signed
+)
 from .errors import CertificateInvalid, InconsistentEquivalence
 from .market import ScenarioTree, check_viability, terminal_wealth
 from .primal import (
@@ -73,12 +77,11 @@ from .primal import (
     optimal_quadratic,
     optimal_truncated,
 )
-from .probability import RandomVariable, _fsum, mean_variance_value
+from .probability import RandomVariable, _frozen, _fsum, mean_variance_value
 
 __all__ = ["FcfsReport", "analyze", "verify_fcfs_certificate", "report_to_dict"]
 
 VALUE_TOL = 1e-8
-VECTOR_TOL = 1e-9
 _PAYOFF_FLOOR = 1e-12
 _MARGINAL_BAND = 10.0
 
@@ -139,7 +142,8 @@ def analyze(tree: ScenarioTree) -> FcfsReport:
         "d": max(-float(signed.density.values.min()), 0.0),
     }
     tolerances = {"a": VALUE_TOL, "b": VALUE_TOL, "c": VECTOR_TOL, "d": VECTOR_TOL}
-    equiv = {k: discriminants[k] <= tolerances[k] for k in "abcd"}
+    equiv = {k: discriminants[k] <= tolerances[k] for k in "abc"}
+    equiv["d"] = not signed.signed
     marginal = len(set(equiv.values())) > 1 or any(
         tolerances[k] / _MARGINAL_BAND <= discriminants[k]
         <= tolerances[k] * _MARGINAL_BAND
@@ -155,8 +159,7 @@ def analyze(tree: ScenarioTree) -> FcfsReport:
 
     fcfs_payoff = None
     if hull.value > _PAYOFF_FLOOR:
-        fcfs_payoff = np.maximum(1.0 - hull.payoff.values, 0.0)
-        fcfs_payoff.setflags(write=False)
+        fcfs_payoff = _frozen(np.maximum(1.0 - hull.payoff.values, 0.0))
 
     return FcfsReport(
         tree=tree,
@@ -169,7 +172,7 @@ def analyze(tree: ScenarioTree) -> FcfsReport:
         c_hat_m=a_n - 1.0,
         equiv=equiv,
         marginal=marginal,
-        fcfs_exists=not equiv["d"],
+        fcfs_exists=signed.signed,
         fcfs_payoff=fcfs_payoff,
         signed_density=signed.density.values,
         nonneg_density=nonneg.density.values,

@@ -42,8 +42,8 @@ The one-step tolerances, each with its reason:
   can lose more than about 1e-11 relative, so its node goes to the simplex.
 - ``_REDUCED_COST_TOL`` (1e-9): reduced costs of the scaled rows (entries
   at most 1) prove a basis optimal from -1e-9 up, above their rounding.
-- ``_POINT_TOL`` (1e-9), the simplex's own ``_FEAS_TOL``: a point further
-  below 0 or off its rows than the simplex itself allows is refused.
+- ``simplex._FEAS_TOL`` (1e-9), read from the simplex itself: a point
+  further below 0 or off its rows than the simplex allows is refused.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IterationLimit, SolverFailure, ViabilityError
-from .probability import _fsum_rows, _kink_walk, truncated_utility
-from .simplex import STATUS_INFEASIBLE, STATUS_OPTIMAL, solve_lp
+from .probability import _frozen, _fsum_rows, _kink_walk, truncated_utility
+from .simplex import _FEAS_TOL, STATUS_INFEASIBLE, STATUS_OPTIMAL, solve_lp
 
 __all__ = ["Family", "TreeLevels", "Opportunity", "ViabilityCertificate"]
 
@@ -73,7 +73,6 @@ _BASIS_WIDTH = 8
 _BASIS_BATCH = 1 << 14
 _BASIS_SINGULAR = 1e-5
 _REDUCED_COST_TOL = 1e-9
-_POINT_TOL = 1e-9
 
 
 class Family(NamedTuple):
@@ -188,11 +187,6 @@ class TreeLevels:
 
 def _gains(dS: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.einsum("nkd,nd->nk", dS, phi)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 def _require_finite(sums: np.ndarray, ids: list) -> None:
@@ -647,7 +641,8 @@ def _simplex_floors(dS, p, child_value, child_feasible, ids):
     node has a floor when every child has V > 0; without one rho and the
     tau column are zero and only feasibility is asked.  Rows are scaled
     by their largest entry, which for the sum row is 1.  A point below 0
-    or off a row by more than 1e-9 is refused with SolverFailure.
+    or off a row by more than the simplex's ``_FEAS_TOL`` is refused with
+    SolverFailure.
     """
     n, b, d = dS.shape
     live = child_value > 0.0
@@ -681,7 +676,7 @@ def _simplex_floors(dS, p, child_value, child_feasible, ids):
         else:
             x[i] = result.x
     off = np.abs(np.einsum("nmc,nc->nm", A, x) - rhs).max(axis=1)
-    bad = feasible & ((off > _POINT_TOL) | (x.min(axis=1) < -_POINT_TOL))
+    bad = feasible & ((off > _FEAS_TOL) | (x.min(axis=1) < -_FEAS_TOL))
     if np.any(bad):
         node = ids[int(np.argmax(bad))]
         raise SolverFailure(f"viability program at node {node!r} left its constraints")

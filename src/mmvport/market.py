@@ -61,9 +61,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, GenerationFailure, ParseError, ValidationError
 from .induction import (
-    Opportunity, TreeLevels, ViabilityCertificate, _frozen, _node_local_viability
+    Opportunity, TreeLevels, ViabilityCertificate, _node_local_viability
 )
-from .probability import DiscreteLaw, RandomVariable, _fsum, _fsum_rows
+from .probability import DiscreteLaw, RandomVariable, _frozen, _fsum, _fsum_rows
 
 __all__ = [
     "TreeNode",
@@ -85,7 +85,7 @@ __all__ = [
 _SIBLING_SUM_TOL = 1e-9
 _EXPECTATION_TOL = 1e-10
 _MARTINGALE_TOL = 1e-9
-_DENSITY_FLOOR = -1e-12
+_ZERO_TOL = 1e-12  # |z| <= _ZERO_TOL is a zero atom (``nonnegative``, ``active_set``)
 _TWOPI = 2.0 * math.pi  # random.TWOPI, the angle of a gauss pair
 # random.random() from two Mersenne Twister words (see _random_block)
 _RES53_SHIFTS = np.array([5, 6], dtype=np.uint32)
@@ -639,7 +639,7 @@ class MeasureDensity:
     The factory re-verifies both properties, the second node by node:
     |E[z dS 1_n]| <= 1e-9 * max(1, E[|dS| 1_n] * max(1, max |z|)) for
     every nonterminal node n and asset.  ``nonnegative`` records whether z
-    clears the floor -1e-12.
+    clears the floor -_ZERO_TOL (-1e-12).
     """
 
     tree: ScenarioTree
@@ -680,7 +680,7 @@ class MeasureDensity:
             tree=tree,
             values=z,
             expectation=expectation,
-            nonnegative=bool(z.min() >= _DENSITY_FLOOR),
+            nonnegative=bool(z.min() >= -_ZERO_TOL),
         )
 
     def as_random_variable(self) -> RandomVariable:
@@ -793,9 +793,7 @@ def _random_tree(rng, periods, branching, assets, spread) -> ScenarioTree:
     bad = ~np.isfinite(prices)
     if np.any(bad):
         k, a = np.argwhere(bad)[0].tolist()
-        raise ParseError(
-            f"node {ids[k]!r}: price must be finite, got {prices[k, a].item()!r}"
-        )
+        _require_number(prices[k, a].item(), f"node {ids[k]!r}: price")
     parent = np.arange(-1, n - 1) // b
     t = np.repeat(np.arange(periods + 1), sizes)
     return _assemble(assets, periods, ids, parent, t, p, prices)

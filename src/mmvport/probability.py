@@ -110,10 +110,10 @@ _CHUNK = 16384
 _FSUM_ROWS_FROM = 1024
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only in place."""
+    a.setflags(write=False)
+    return a
 
 
 def _normalized(w: np.ndarray) -> np.ndarray:
@@ -144,7 +144,7 @@ class DiscreteLaw:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        p = _readonly(np.atleast_1d(self.probabilities))
+        p = _frozen(np.array(np.atleast_1d(self.probabilities), dtype=float))
         if p.ndim != 1 or p.size == 0:
             raise ValidationError("law needs a nonempty 1-d probability vector")
         if not np.all(np.isfinite(p)):
@@ -197,7 +197,7 @@ class RandomVariable:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _readonly(np.atleast_1d(self.values))
+        v = _frozen(np.array(np.atleast_1d(self.values), dtype=float))
         if v.shape != self.law.probabilities.shape:
             raise DimensionMismatch(
                 f"values shape {v.shape} does not match law of size {self.law.size}"

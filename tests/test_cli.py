@@ -391,6 +391,7 @@ class TestAnalyze:
         assert doc["equiv"] == {"a": True, "b": True, "c": False, "d": False}
         assert doc["marginal"] is True and doc["fcfs_exists"] is True
         assert doc["certificate_valid"] is True
+        assert analyze(load_market(market)).signed_solution.signed is True
 
     def test_missing_file(self, capsys, tmp_path):
         path = tmp_path / "nope.json"
@@ -829,6 +830,29 @@ class TestMsharpe:
             assert (code, out) == (2, "")
             assert err == f"error: {path}:{line}: {message}\n"
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("value\n1\n\nx\n", 4, "value column has non-numeric 'x'"),
+        ('value,weight\n\n"2\n",x\n', 3, "weight column has non-numeric 'x'"),
+    ])
+    def test_refused_file_is_read_once(
+        self, capsys, monkeypatch, tmp_path, text, line, message
+    ):
+        # the plain file's unscreened pass fails on the blank row; its
+        # screened retry and the line that names the cell come from the text
+        # read once, as do the quoted file's rows and their lines
+        opened = []
+
+        def counted_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counted_open, raising=False)
+        path = self.write(tmp_path, text)
+        code, out, err = run(capsys, "msharpe", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:{line}: {message}\n"
+        assert opened == [str(path)]
+
 
 # floats whose '.12g' text needs repr's layout, or none of its digits
 EDGE_FLOATS = [
@@ -982,11 +1006,20 @@ def test_analyze_csv_bytes_are_pinned(capsys, monkeypatch, tmp_path, options):
     assert hashlib.sha256(out.encode()).hexdigest() == CSV_ROWS_DIGEST
 
 
-def test_csv_rows_carry_only_the_scalar_fields(tmp_path):
-    name = csv_markets(tmp_path)[0]
-    payload = cli._analyze_path((str(tmp_path / name), True), csv_row=True)
-    assert sorted(payload) == sorted(
-        [*cli._NUMBERS, "equiv", "fcfs_exists", "marginal", "certificate_valid"])
+@pytest.mark.parametrize("options", [[], ["--verify"]])
+def test_analyze_csv_jobs_writes_the_serial_bytes(
+    capsys, trinomial_file, binomial_file, options
+):
+    # the workers return the report's full payload, of which a row reads the
+    # scalar fields
+    files = [trinomial_file, binomial_file]
+    code, serial, _ = run(capsys, "analyze", "--format", "csv", *options, *files)
+    assert code == 0
+    code, pooled, _ = run(capsys, "analyze", "--format", "csv", "--jobs", "2",
+                          *options, *files)
+    assert code == 0
+    assert pooled == serial
+    assert len(serial.splitlines()) == 3
 
 
 @pytest.mark.parametrize("assets, seed, report", RAGGED_DIGESTS)

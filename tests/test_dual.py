@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from mmvport import (
+    DualSolution,
+    MeasureDensity,
     SolverFailure,
     generate_random_market,
     optimal_truncated,
@@ -136,3 +138,25 @@ def test_linalg_error_becomes_solver_failure(monkeypatch):
     monkeypatch.setattr(np.linalg, "pinv", broken)
     with pytest.raises(SolverFailure, match="least-squares"):
         variance_optimal_signed(tree)
+
+
+class TestZeroAtom:
+    # one constant decides both: a density atom within 1e-12 of 0 is a zero
+    # atom, allowed below 0 by ``nonnegative`` and listed in ``active_set``
+    def density(self, trinomial, atom):
+        # the nonnegative optimum (0, 5/8, 5) with its first atom moved
+        return MeasureDensity.from_values(trinomial, [atom, 0.625, 5.0])
+
+    def test_floor_admits_an_atom_at_minus_the_bound(self, trinomial):
+        assert self.density(trinomial, -1e-12).nonnegative is True
+        below = np.nextafter(-1e-12, -np.inf)
+        assert self.density(trinomial, below).nonnegative is False
+
+    def test_active_set_lists_an_atom_at_the_bound(self, trinomial):
+        def active(atom):
+            solution = DualSolution(density=self.density(trinomial, atom),
+                                    second_moment=2.8125, signed=False, _nonneg=True)
+            return solution.active_set
+
+        assert active(1e-12) == ("n1",)
+        assert active(np.nextafter(1e-12, np.inf)) == ()

@@ -191,7 +191,24 @@ class TestBoundaryLayer:
         assert r.discriminants["d"] > 1e-2
         assert r.marginal is True
         assert r.fcfs_exists is True
+        assert r.signed_solution.signed is True
         assert verify_fcfs_certificate(r) is True
+
+    def test_the_verdict_is_the_signed_flag(self):
+        # the seed-0 sweep-small markets i of shape (2 + i%3, 1 + i%3,
+        # 1 + i%2), seed i: the first 120 and 746, a real effect too small
+        # to certify.  The verdict, route d and the density's own flag read
+        # one rule, so they agree on every market, marginal or not
+        from mmvport import generate_random_market
+
+        verdicts = set()
+        for i in [*range(120), 746]:
+            tree = generate_random_market(
+                seed=i, periods=1 + i % 3, branching=2 + i % 3, assets=1 + i % 2)
+            r = analyze(tree)
+            assert r.signed_solution.signed is r.fcfs_exists is (not r.equiv["d"])
+            verdicts.add(r.fcfs_exists)
+        assert verdicts == {False, True}
 
 
 class TestPythagorasIdentity:

@@ -466,7 +466,8 @@ class TestViability:
 
     @pytest.mark.xfail(strict=True, raises=SolverFailure, reason=(
         "no basis is certified and the simplex point misses a row by more "
-        "than _POINT_TOL; one rank decision per node (ROADMAP item 1) mends it"))
+        "than the simplex's _FEAS_TOL; one rank decision per node (ROADMAP "
+        "item 1) mends it"))
     def test_near_dependent_two_asset_node_is_decided(self):
         # the second asset is about 4.65 times the first; every child is
         # feasible, and HiGHS on the u-form gives V = 0.2299994

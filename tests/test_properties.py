@@ -1,6 +1,6 @@
 """Metamorphic properties the theory guarantees, on generated markets:
-price scale and price level do not matter, sibling order only permutes
-the outputs, and monotone truncation can only help."""
+price scale and price level do not matter, sibling order and node order
+only permute the outputs, and monotone truncation can only help."""
 
 import numpy as np
 from hypothesis import given
@@ -96,3 +96,48 @@ def test_truncation_only_helps(tree):
     a_n = r.nonneg_solution.second_moment
     assert a_s <= a_n * (1.0 + 1e-12)
     assert r.sr_max <= r.sr_m_max + 1e-12
+
+
+@st.composite
+def small_markets(draw):
+    """Generated markets of at most 4 children, 3 periods and 2 assets."""
+    return generate_random_market(
+        seed=draw(st.integers(0, 10**6)),
+        periods=draw(st.integers(1, 3)),
+        branching=draw(st.integers(2, 4)),
+        assets=draw(st.integers(1, 2)),
+    )
+
+
+def assert_same_answer(r1, r0):
+    """Every report scalar within 1e-9 relative and, where neither report
+    is marginal, every verdict."""
+    for name in (*VALUES, "c_hat_m"):
+        close(getattr(r1, name), getattr(r0, name))
+    if not (r0.marginal or r1.marginal):
+        assert (r1.equiv, r1.fcfs_exists) == (r0.equiv, r0.fcfs_exists)
+
+
+@given(small_markets())
+def test_reversed_node_order_permutes_the_answer(tree):
+    # children before their parents: the file's order is no depth order
+    doc = market_to_dict(tree)
+    flipped = market_from_dict(dict(doc, nodes=doc["nodes"][::-1]))
+    assert flipped.leaf_ids == tree.leaf_ids[::-1]
+    r0, r1 = analyze(tree), analyze(flipped)
+    assert_same_answer(r1, r0)
+    for density in ("signed_density", "nonneg_density"):
+        close(getattr(r1, density)[::-1], getattr(r0, density))
+    d = tree.assets
+    held0 = r0.allocation.strategy.vector.reshape(-1, d)
+    close(r1.allocation.strategy.vector.reshape(-1, d)[::-1], held0)
+
+
+@given(small_markets())
+def test_prices_times_three_keep_the_answer(tree):
+    r0 = analyze(tree)
+    r1 = analyze(with_prices(tree, lambda v: 3.0 * v))
+    assert_same_answer(r1, r0)
+    close(r1.signed_density, r0.signed_density)
+    close(r1.nonneg_density, r0.nonneg_density)
+    close(3.0 * r1.allocation.strategy.vector, r0.allocation.strategy.vector)
