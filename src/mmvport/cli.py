@@ -85,13 +85,6 @@ _log = logging.getLogger(__name__)
 
 _CSV_FLAGS = ("equiv_a", "equiv_b", "equiv_c", "equiv_d", "fcfs_exists", "marginal")
 
-# the characters str.strip removes, and the comma: a CSV line of only
-# these is a row with no visible text
-_BLANK = (
-    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
-    "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000,"
-)
-
 # the JSON text of a number text that is no JSON number
 _QUOTED = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
 # the JSON text of the constants, which json.dumps takes about 2 us to write
@@ -256,62 +249,53 @@ def _law_text(path: str) -> str:
         raise ParseError(f"{path}: invalid CSV ({exc})") from exc
 
 
-def _law_rows(path: str, text: str, screen: bool) -> tuple:
-    """The rows of a law file's text, split once: the first row's cells,
-    the set of the other rows' widths, their cells in file order, and the
-    line each row starts on, or None where no row was screened.
+def _plain_rows(text: str) -> tuple | None:
+    """The rows of a plain law text, split once with ``str`` methods, or
+    None where the text is not plain.
 
-    Where the csv module's dialect is plain splitting, in a text with no
+    A text is plain where the csv module's dialect is plain splitting: no
     quote, no carriage return and no line longer than
-    ``csv.field_size_limit()``, the text is split with ``str`` methods:
-    lines at "\\n", a row's width one more than its commas, and the cells
-    of the later rows one split of them joined; a text with no comma is
-    one column, its lines its cells.  Any other text is split by
-    ``csv.reader``, which refuses a cell past the limit and counts the
-    lines each row spans.
-
-    The rows returned are those with visible text (not only commas and
-    whitespace), except that without ``screen`` a plain text whose first
-    line is visible keeps every line but the empty one after a final
-    "\\n": no row is looked at, and row i is line i + 1.  Each row a
-    screen would drop then has a cell that is no number, or a width
-    unlike its neighbours'.
+    ``csv.field_size_limit()``.  Every line is a row except the empty ones
+    at the end, and row i is line i + 1; no row is looked at.  A row's
+    width is one more than its commas, and the cells of the later rows
+    are one split of them joined; a text with no comma is one column, its
+    lines its cells.
     """
-    lines = None
+    if '"' in text or "\r" in text:
+        return None
+    lines = text.rstrip("\n").split("\n")
     limit = csv.field_size_limit()
-    if '"' not in text and "\r" not in text:
-        lines = text.split("\n")
-        if len(text) > limit and max(map(len, lines)) > limit:
-            lines = None
-    if lines is None:
-        reader = csv.reader(io.StringIO(text, newline=""))
-        rows, starts, start = [], [], 1
-        try:
-            for row in reader:
-                if "".join(row).strip():
-                    rows.append(row)
-                    starts.append(start)
-                start = reader.line_num + 1
-        except csv.Error as exc:
-            raise ParseError(f"{path}: invalid CSV ({exc})") from exc
-    elif screen or not lines[0].strip(_BLANK):
-        visible = list(map(str.strip, lines, itertools.repeat(_BLANK)))
-        rows = list(itertools.compress(lines, visible))
-        starts = list(itertools.compress(range(1, len(lines) + 1), visible))
-    else:
-        rows = lines[:-1] if text.endswith("\n") else lines
-        starts = None
-    if not rows:
-        raise ParseError(f"{path}: no rows")
-    first, rest = rows[0], rows[1:]
-    if lines is None:
-        cells = list(itertools.chain.from_iterable(rest))
-        return first, set(map(len, rest)), cells, starts
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    first, rest = lines[0], lines[1:]
+    starts = range(1, len(lines) + 1)
     if "," not in text:
         return [first], {1} if rest else set(), rest, starts
     commas = set(map(str.count, rest, itertools.repeat(",")))
     cells = ",".join(rest).split(",") if rest else []
     return first.split(","), {k + 1 for k in commas}, cells, starts
+
+
+def _csv_rows(path: str, text: str) -> tuple:
+    """The rows of a law text as ``csv.reader`` reads them: those with
+    visible text (not only commas and whitespace), each with the line it
+    starts on.  The reader refuses a cell past ``csv.field_size_limit()``
+    and counts the lines a quoted cell spans."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows, starts, start = [], [], 1
+    try:
+        for row in reader:
+            if "".join(row).strip():
+                rows.append(row)
+                starts.append(start)
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise ParseError(f"{path}: invalid CSV ({exc})") from exc
+    if not rows:
+        raise ParseError(f"{path}: no rows")
+    rest = rows[1:]
+    cells = list(itertools.chain.from_iterable(rest))
+    return rows[0], set(map(len, rest)), cells, starts
 
 
 def _read_law(path: str, col: str | None) -> RandomVariable:
@@ -321,25 +305,28 @@ def _read_law(path: str, col: str | None) -> RandomVariable:
     one of its cells is not a number.  A refused cell is named by the line
     of the file its row starts on, and its text.
 
-    The file is read once (:func:`_law_text`) and its rows split once
-    (:func:`_law_rows`), at first without looking for rows with no
-    visible text; each column is then one ``float`` map over its cells.
-    A row with no visible text makes that map or the width check fail, so
-    any refusal met on the way splits the text again with its rows
-    screened, which decides what is refused and how.
+    The file is read once (:func:`_law_text`).  A plain text is split once
+    (:func:`_plain_rows`) without looking for rows with no visible text;
+    each column is then one ``float`` map over its cells.  A row with no
+    visible text makes that map or the width check fail, so a text that
+    is not plain, or whose plain split is refused with a ParseError, is
+    read once by the csv module (:func:`_csv_rows`), which screens its
+    rows and so decides what is refused and how.
     """
     text = _law_text(path)
-    try:
-        return _law_from_rows(path, col, *_law_rows(path, text, screen=False))
-    except (ParseError, ValueError):
-        return _law_from_rows(path, col, *_law_rows(path, text, screen=True))
+    rows = _plain_rows(text)
+    if rows is not None:
+        try:
+            return _law_from_rows(path, col, *rows)
+        except ParseError:
+            pass
+    return _law_from_rows(path, col, *_csv_rows(path, text))
 
 
 def _law_from_rows(path, col, first, widths, cells, starts) -> RandomVariable:
-    """The law of the rows :func:`_law_rows` returns; ``starts``, the line
-    each row starts on, is None where the rows with no visible text were
-    not dropped.  Then a cell that is no number raises ValueError instead
-    of being named."""
+    """The law of the rows :func:`_plain_rows` or :func:`_csv_rows`
+    returns: the first row's cells, the set of the other rows' widths,
+    their cells in file order, and the line each row starts on."""
     header = None
     if any(not _is_number(c) for c in first if c.strip()):
         header = [c.strip() for c in first]
@@ -373,15 +360,12 @@ def _law_from_rows(path, col, first, widths, cells, starts) -> RandomVariable:
             raise ParseError(f"{path}: column index {idx} out of range")
 
     def line(i: int) -> int:  # the line body row i starts on
-        row = i + (header is not None)
-        return row + 1 if starts is None else starts[row]
+        return starts[i + (header is not None)]
 
     def column(idx: int, label: str) -> np.ndarray:
         try:
             return np.fromiter(map(float, cells[idx::width]), float, n)
         except ValueError:  # float strips fewer characters than str.strip
-            if starts is None:
-                raise
             stripped = [c.strip() for c in cells[idx::width]]
         bad = next((i for i, c in enumerate(stripped) if not _is_number(c)), None)
         if bad is not None:

@@ -28,6 +28,7 @@ from mmvport import (
 from mmvport.cli import _build_parser, _certified_texts, main
 from mmvport.fcfs import _print_alike, _rounded_digits, _sig_texts, report_to_dict
 from mmvport.market import load_market
+from oracles import reference_read_law
 
 
 @pytest.fixture(scope="module")
@@ -835,11 +836,11 @@ class TestMsharpe:
         ('value,weight\n\n"2\n",x\n', 3, "weight column has non-numeric 'x'"),
     ])
     def test_refused_file_is_read_once(
-        self, capsys, monkeypatch, tmp_path, text, line, message
+        self, capsys, monkeypatch, tmp_path, csv_readings, text, line, message
     ):
-        # the plain file's unscreened pass fails on the blank row; its
-        # screened retry and the line that names the cell come from the text
-        # read once, as do the quoted file's rows and their lines
+        # the plain file's split is refused on its blank row and the quoted
+        # file is not plain: each text, read from the file once, is then
+        # read by csv once, which names the cell and its line
         opened = []
 
         def counted_open(file, *args, **kwargs):
@@ -852,6 +853,27 @@ class TestMsharpe:
         assert (code, out) == (2, "")
         assert err == f"error: {path}:{line}: {message}\n"
         assert opened == [str(path)]
+        assert len(csv_readings) == 1
+
+    @pytest.fixture
+    def csv_readings(self, monkeypatch):
+        # one entry per csv.reader built while the test runs
+        readings, reader = [], csv.reader
+
+        def counted_reader(*args, **kwargs):
+            readings.append(args)
+            return reader(*args, **kwargs)
+
+        monkeypatch.setattr(cli.csv, "reader", counted_reader)
+        return readings
+
+    def test_trailing_blank_lines_stay_on_the_plain_split(self, tmp_path, csv_readings):
+        path = str(self.write(tmp_path, "value\n1\n2\n\n\n"))
+        got = cli._read_law(path, None)
+        assert csv_readings == []
+        want = reference_read_law(path, None)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.law.probabilities.tobytes() == want.law.probabilities.tobytes()
 
 
 # floats whose '.12g' text needs repr's layout, or none of its digits

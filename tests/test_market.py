@@ -485,6 +485,34 @@ class TestViability:
         assert feasible.tolist() == [True]
         assert value[0] == pytest.approx(0.2299994, rel=1e-6, abs=0.0)
 
+    @pytest.mark.xfail(strict=True, raises=SolverFailure, reason=(
+        "no basis is certified and the simplex point has a component of "
+        "-0.0067; one rank decision per node (ROADMAP item 1) mends it"))
+    def test_near_dependent_four_asset_node_is_decided(self):
+        # the second asset is 28.79 times the first up to 1e-9; every child is
+        # feasible, and HiGHS on the floor program gives V = 0.20167769033922117
+        dS = np.array([[
+            [-0.10273681080987163, -2.958056464160649, -0.8538289015203339, 25.424212277631693],
+            [0.03581711077414817, 1.031266536127893, 0.41938811577164714, -22.713008941635792],
+            [-0.17000191264466014, -4.894791391355455, -0.445343220430999, 8.340880230982004],
+            [0.06476460578146803, 1.8647392420750153, 0.7127762843064996, -26.60971464619655],
+            [-0.03313131418961201, -0.9539355432727774, 1.2443810885228035, -16.75625290361122],
+            [-0.07925883691559728, -2.282065336519081, -0.7422315404107249, 17.841618388658222],
+            [0.30972492185214756, 8.917775418135877, -0.5541601061763933, 14.55993033253609],
+            [-0.18449808030405754, -5.312173285302394, 0.3423549289863255, -22.27749336581255],
+        ]])
+        p = np.array([[0.17631816050546378, 0.10131359894668993, 0.15264040900553605,
+                       0.1134361950795414, 0.15655007942658855, 0.08628629212973715,
+                       0.09545512225982564, 0.11800014264661748]])
+        V = np.array([[0.5670403382724671, 0.5458044950833366, 0.1068168560486557,
+                       0.5576661227686973, 0.7032155704876364, 0.34750281438609043,
+                       0.21310418708154244, 0.7501442834716281]])
+        allowed = np.ones((1, 8), dtype=bool)
+        ids = np.array(["n"], dtype=object)
+        _, value, feasible = induction._family_floors(dS, p, V, allowed, ids)
+        assert feasible.tolist() == [True]
+        assert value[0] == pytest.approx(0.20167769033922117, rel=1e-6, abs=0.0)
+
     def test_generated_four_asset_tree_needs_no_simplex(self, simplex_nodes):
         tree = generate_random_market(seed=0, periods=4, branching=4, assets=3)
         assert check_viability(tree)

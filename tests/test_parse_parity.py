@@ -25,7 +25,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mmvport.cli
 import mmvport.market
 from mmvport import (
     InputError,
@@ -592,11 +591,6 @@ def test_rows_with_no_visible_text_behind_a_visible_first_line(tmp_path, text, c
     path = tmp_path / "law.csv"
     path.write_text(text, encoding="utf-8", newline="")
     assert_reads_alike(path, col)
-
-
-def test_a_blank_line_is_one_of_only_the_characters_str_strip_removes_and_commas():
-    whitespace = {c for c in map(chr, range(0x110000)) if c.isspace()}
-    assert set(mmvport.cli._BLANK) == whitespace | {","}
 
 
 # lines the csv module reads as rows with no visible text, though str.strip

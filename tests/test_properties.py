@@ -1,6 +1,7 @@
 """Metamorphic properties the theory guarantees, on generated markets:
 price scale and price level do not matter, sibling order and node order
-only permute the outputs, and monotone truncation can only help."""
+only permute the outputs, a leaf split into equally likely twins and a
+copy of an asset change nothing, and monotone truncation can only help."""
 
 import numpy as np
 from hypothesis import given
@@ -141,3 +142,35 @@ def test_prices_times_three_keep_the_answer(tree):
     close(r1.signed_density, r0.signed_density)
     close(r1.nonneg_density, r0.nonneg_density)
     close(3.0 * r1.allocation.strategy.vector, r0.allocation.strategy.vector)
+
+
+@given(small_markets(), st.integers(0, 10**6))
+def test_a_leaf_split_into_twins_keeps_the_answer(tree, k):
+    # the twin has the leaf's prices and half its probability, as the leaf keeps
+    leaf = tree.leaf_ids[k % tree.n_leaves]
+    doc = market_to_dict(tree)
+    nodes = []
+    for node in doc["nodes"]:
+        nodes.append(node)
+        if node["id"] == leaf:
+            node["p"] /= 2.0
+            nodes.append(dict(node, id=f"{leaf}'"))
+    split = market_from_dict(dict(doc, nodes=nodes))
+    r0, r1 = analyze(tree), analyze(split)
+    assert_same_answer(r1, r0)
+    at = tree.leaf_ids.index(leaf)
+    for density in ("signed_density", "nonneg_density"):
+        z = getattr(r0, density)
+        close(getattr(r1, density), np.insert(z, at + 1, z[at]))
+
+
+@given(small_markets())
+def test_a_copy_of_the_first_asset_keeps_the_answer(tree):
+    doc = market_to_dict(tree)
+    for node in doc["nodes"]:
+        node["prices"].append(node["prices"][0])
+    copied = market_from_dict(dict(doc, assets=tree.assets + 1))
+    r0, r1 = analyze(tree), analyze(copied)
+    assert_same_answer(r1, r0)
+    close(r1.signed_density, r0.signed_density)
+    close(r1.nonneg_density, r0.nonneg_density)
