@@ -205,7 +205,8 @@ def _quadratic_step(dS: np.ndarray, w: np.ndarray, ids: list, t: int):
     Closed form for one asset; a stacked pseudo-inverse otherwise, whose
     1e-10 relative cutoff keeps directions the increments only see as
     noise (redundant assets) out of the holdings, which are then the
-    minimum-norm optimizers.  Returns (phi, value).
+    minimum-norm optimizers.  Returns (phi, value, residual), the
+    residual 1 - phi . dS_k per child.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         second = np.einsum("nk,nkd->nd", w, dS * dS)
@@ -227,7 +228,7 @@ def _quadratic_step(dS: np.ndarray, w: np.ndarray, ids: list, t: int):
             ) from exc
         phi = np.einsum("ndk,nk->nd", inverse, root)
     residual = 1.0 - _gains(dS, phi)
-    return phi, np.sum(w * residual * residual, axis=1)
+    return phi, np.sum(w * residual * residual, axis=1), residual
 
 
 def _clip_set(dS: np.ndarray, w: np.ndarray, ids, t: int):
@@ -261,7 +262,7 @@ def _clip_set(dS: np.ndarray, w: np.ndarray, ids, t: int):
         live, B, p, theta, W = live[go], B[go], p[go], theta[go], W[go]
         # phi keeps the best iterate: a node that stalls next round ends there
         best[live], phi[live] = value[go], theta
-        target, _ = _quadratic_step(B, p * below[go], ids[live], t)
+        target = _quadratic_step(B, p * below[go], ids[live], t)[0]
         step = target - theta
         s = _kink_walk(1.0 - W, _gains(B, step), p, lo=0.0, hi=1.0)
         ahead = s > 0.0
@@ -293,8 +294,10 @@ class Opportunity:
     the (nodes, assets) holdings per unit of bliss gap (0 on the leaves).
     ``clip_rounds`` is the largest number of rounds any node's truncated
     step took: 1 where the quadratic step already stays below bliss, 2
-    for a one-asset kink walk, the clip-set rounds otherwise.  Raises
-    SolverFailure naming the node whose one-step sums overflow.
+    for a one-asset kink walk, the clip-set rounds otherwise.  A node
+    binds where its quadratic step's residual 1 - phi . dS_k is below 0 on
+    a child of positive weight; only there are the gains formed again.
+    Raises SolverFailure naming the node whose one-step sums overflow.
     """
 
     def __init__(self, levels: TreeLevels):
@@ -309,12 +312,13 @@ class Opportunity:
         split = False
         for fam in reversed(levels.families):
             w = fam.p * self.L[fam.kids]
-            phi, L = _quadratic_step(fam.dS, w, fam.ids, fam.t)
+            phi, L, residual = _quadratic_step(fam.dS, w, fam.ids, fam.t)
             self.phi[fam.nodes], self.L[fam.nodes] = phi, L
             if split:
                 w = fam.p * self.Lm[fam.kids]
-                phi, L = _quadratic_step(fam.dS, w, fam.ids, fam.t)
-            over = np.any((_gains(fam.dS, phi) > 1.0) & (w > 0.0), axis=1)
+                phi, L, residual = _quadratic_step(fam.dS, w, fam.ids, fam.t)
+            # phi . dS_k > 1 exactly where 1 - phi . dS_k < 0
+            over = np.any((residual < 0.0) & (w > 0.0), axis=1)
             if np.any(over):
                 split = True
                 idx = np.flatnonzero(over)
@@ -438,9 +442,9 @@ def _node_local_viability(levels: TreeLevels) -> ViabilityCertificate:
     step (:func:`_family_floors`) factors them, then takes u at a basis
     its duals prove optimal.  When some child has V = 0 the floor is 0
     and only feasibility is asked.  The sweep keeps V and feasibility per
-    node, not q: a one-asset family whose children all have a floor takes
-    :func:`_one_asset_floor`, which builds no q, and every other family
-    :func:`_family_floors`, whose q is dropped.
+    node, not q: a one-asset family whose children all have V > 0 (so are
+    all feasible) takes :func:`_one_asset_floor`, which builds no q, and
+    every other family :func:`_family_floors`, whose q is dropped.
 
     The certificate density is the product of q_k / p_k along each path,
     each family's q rebuilt on read from the kept floors, so its smallest
@@ -452,11 +456,12 @@ def _node_local_viability(levels: TreeLevels) -> ViabilityCertificate:
     value = np.ones(levels.n_nodes)
     feasible = np.ones(levels.n_nodes, dtype=bool)
     for fam in reversed(levels.families):
-        below, allowed = value[fam.kids], feasible[fam.kids]
-        if levels.assets == 1 and (below > 0.0).all() and allowed.all():
+        below = value[fam.kids]
+        if levels.assets == 1 and (below > 0.0).all():
             with np.errstate(all="ignore"):  # as in _family_floors
                 floors = _one_asset_floor(fam.dS[:, :, 0], fam.p / below)[:2]
         else:
+            allowed = feasible[fam.kids]
             floors = _family_floors(fam.dS, fam.p, below, allowed, fam.ids)[1:]
         value[fam.nodes], feasible[fam.nodes] = floors
 
@@ -486,25 +491,24 @@ def _basis_columns(b: int, d: int) -> np.ndarray:
 
 
 def _family_floors(dS, p, child_value, child_feasible, ids):
-    """One step of the floor sweep, a family's (q, V, feasible): where all
-    children have V > 0, one asset's closed form (:func:`_one_asset_step`)
-    or, for assets < b <= ``_BASIS_WIDTH``, a certified basis of
-    :func:`_floor_bases`, ``_BASIS_BATCH`` systems at a time; one asset
-    without a floor by :func:`_one_asset_feasible`, the rest by LPs."""
+    """One step of the floor sweep, a family's (q, V, feasible).
+
+    A node has a floor when every child has V > 0: each step gives V > 0
+    only to a feasible node (the closed form only where the increments
+    straddle 0, the basis step only at a certified u >= 0, the simplex
+    only at an optimal point).  One asset is :func:`_one_asset_step`;
+    several, for assets < b <= ``_BASIS_WIDTH``, a certified basis of
+    :func:`_floor_bases` per node with a floor, ``_BASIS_BATCH`` systems
+    at a time, and LPs for the rest.
+    """
     n, b, d = dS.shape
     if d > 1 and not d < b <= _BASIS_WIDTH:
         return _simplex_floors(dS, p, child_value, child_feasible, ids)
-    rest = ~((child_value > 0.0).all(axis=1) & child_feasible.all(axis=1))
+    rest = ~(child_value > 0.0).all(axis=1)
     with np.errstate(all="ignore"):  # what a node in rest gets is redone
         r = p / child_value
         if d == 1:
-            q, value, feasible = _one_asset_step(dS[:, :, 0], r)
-            if rest.any():
-                value[rest] = 0.0
-                q[rest], feasible[rest] = _one_asset_feasible(
-                    dS[rest, :, 0], child_feasible[rest]
-                )
-            return q, value, feasible
+            return _one_asset_step(dS[:, :, 0], r, child_feasible, rest)
         q, value = np.empty_like(p), np.empty(n)
         feasible = np.ones(n, dtype=bool)
         size = max(1, _BASIS_BATCH // len(_basis_columns(b, d)))
@@ -526,47 +530,42 @@ def _one_asset_floor(s, r):
     The floor t puts mass t r_k on every child and t |m| / |dS_e| more on
     the child e whose increment has the sign opposite to m and the
     largest size: t = 1 / (sum r + m / |dS_min|) for m > 0, the mirror
-    image for m < 0 and 1 / sum r for m = 0.  Without such a child V = 0;
-    the node is feasible if the least and largest increments straddle 0.
+    image for m < 0 and 1 / sum r for m = 0.  The node is feasible if its
+    increments straddle 0; V = 0 if they do not or without such a child.
     """
     columns = np.asfortranarray(s)  # min and max run down the columns, not per row
     low, high = columns.min(axis=1), columns.max(axis=1)
     m = (r * s).sum(axis=1)
     up = m > 0.0
     side = np.where(up, low, high)
-    usable = (m == 0.0) | (np.sign(side) == -np.sign(m))
+    feasible = (low <= 0.0) & (high >= 0.0)
+    usable = feasible & ((m == 0.0) | (np.sign(side) == -np.sign(m)))
     extra = np.where(m != 0.0, abs(m) / abs(side), 0.0)
     value = np.where(usable, 1.0 / (r.sum(axis=1) + extra), 0.0)
-    return value, (low <= 0.0) & (high >= 0.0), up, usable, extra
+    return value, feasible, up, usable, extra
 
 
-def _one_asset_step(s, r):
-    """(q, V, feasible) of one-asset nodes: :func:`_one_asset_floor`'s V,
-    with q = V r and V |m| / |dS_e| more on the child e; a node without a
-    floor puts its mass there if it is feasible (dS_e is then 0)."""
+def _one_asset_step(s, r, allowed, rest):
+    """(q, V, feasible) of one-asset nodes: a node with a floor (not in
+    ``rest``) and :func:`_one_asset_floor`'s child e takes that V, with
+    q = V r and V |m| / |dS_e| more on e.  Any other has V = 0 and is
+    feasible when the least and largest increments of its allowed
+    children straddle 0; q then mixes those two to a zero drift, all on
+    the least when both are 0."""
     value, feasible, up, usable, extra = _one_asset_floor(s, r)
-    rows = np.arange(len(r))
     extreme = np.where(up, s.argmin(axis=1), s.argmax(axis=1))
     q = value[:, None] * r
-    q[rows, extreme] += np.where(usable, value * extra, feasible)
+    q[np.arange(len(r)), extreme] += value * extra
+    bare = np.flatnonzero(rest | ~usable)
+    below = np.where(allowed[bare], s[bare], np.inf)
+    above = np.where(allowed[bare], s[bare], -np.inf)
+    low, high = below.min(axis=1), above.max(axis=1)
+    feasible[bare] = ok = (low <= 0.0) & (high >= 0.0)
+    up = np.where(ok & (high > low), -low / (high - low), 0.0)
+    q[bare] = value[bare] = 0.0
+    q[bare, below.argmin(axis=1)] = np.where(ok, 1.0 - up, 0.0)
+    q[bare, above.argmax(axis=1)] += up
     return q, value, feasible
-
-
-def _one_asset_feasible(s, allowed):
-    """(q, feasible) of one-asset nodes without a floor: feasible when the
-    least and largest increments of the allowed children (those with a
-    nonnegative density below) straddle 0; q then mixes those two to a
-    zero drift, all on the least when both are 0."""
-    rows = np.arange(len(s))
-    below, above = np.where(allowed, s, np.inf), np.where(allowed, s, -np.inf)
-    lo, hi = below.argmin(axis=1), above.argmax(axis=1)
-    low, high = below[rows, lo], above[rows, hi]
-    feasible = (low <= 0.0) & (high >= 0.0)
-    up = np.where(feasible & (high > low), -low / (high - low), 0.0)
-    q = np.zeros_like(s)
-    q[rows, lo] = np.where(feasible, 1.0 - up, 0.0)
-    q[rows, hi] += up
-    return q, feasible
 
 
 def _floor_bases(dS):

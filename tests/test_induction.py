@@ -287,7 +287,7 @@ def binding_levels(draw):
     dS -= np.einsum("nk,nkd->nd", q, dS)[:, None, :]
     dS *= np.exp(rng.uniform(-3.0, 3.0, (n, 1, assets)))
     dS *= mask[:, :, None]
-    phi, _ = induction._quadratic_step(dS, w, np.arange(n), 0)
+    phi, _, _ = induction._quadratic_step(dS, w, np.arange(n), 0)
     over = np.any((induction._gains(dS, phi) > 1.0) & (w > 0.0), axis=1)
     assume(np.any(over))
     return dS[over], w[over], mask[over]

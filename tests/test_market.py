@@ -464,6 +464,58 @@ class TestViability:
         assert np.all(q[~child_feasible] == 0.0)
         assert np.all(np.abs(q[feasible].sum(axis=1) - 1.0) <= 1e-12)
 
+    def test_one_asset_nodes_without_a_floor_match_the_simplex(self):
+        # one fixed seed, no hypothesis: children at V = 0, half of them
+        # without a nonnegative density, nodes whose asset only rises and
+        # nodes whose asset never moves
+        rng = np.random.default_rng(7)
+        n = 80
+        for width in (2, 3, 5, 9):
+            p = rng.uniform(0.2, 1.0, (n, width))
+            p /= p.sum(axis=1, keepdims=True)
+            dS = rng.normal(0.0, 1.0, (n, width, 1))
+            rises = rng.random(n) < 0.25
+            dS[rises] = np.abs(dS[rises])
+            dS[rng.random(n) < 0.05] = 0.0
+            value = rng.uniform(0.05, 1.0, (n, width))
+            allowed = np.ones((n, width), dtype=bool)
+            zero = rng.random((n, width)) < 0.6 / width
+            value[zero] = 0.0
+            allowed[zero] = rng.random(int(zero.sum())) < 0.5
+            ids = np.array([f"n{k}" for k in range(n)], dtype=object)
+            level = dS, p, value, allowed, ids
+            q, V, feasible = induction._family_floors(*level)
+            _, V0, feasible0 = induction._simplex_floors(*level)
+            np.testing.assert_array_equal(feasible, feasible0)
+            np.testing.assert_array_equal(V > 1e-9, V0 > 1e-9)
+            # the draw reaches every case: with and without a floor, each
+            # feasible and not
+            floor = (value > 0.0).all(axis=1)
+            for part in (floor, ~floor):
+                assert feasible[part].any() and not feasible[part].all()
+            assert np.all(q[~allowed] == 0.0)
+            q, s = q[feasible], dS[feasible, :, 0]
+            assert np.all(np.abs(q.sum(axis=1) - 1.0) <= 1e-12)
+            drift = np.abs((q * s).sum(axis=1))
+            assert np.all(drift <= 1e-12 * np.abs(s).max(axis=1))
+
+    def test_an_arbitrage_whose_drift_underflows_is_named(self):
+        # c's asset rises by the least subnormal on both children, so its
+        # weighted drift underflows to 0: c has no floor, and neither has r,
+        # whose other child d only falls
+        nodes = [
+            {"id": "r", "parent": None, "t": 0, "prices": [0.0]},
+            {"id": "c", "parent": "r", "t": 1, "p": 0.5, "prices": [0.0]},
+            {"id": "d", "parent": "r", "t": 1, "p": 0.5, "prices": [-1.0]},
+            {"id": "c0", "parent": "c", "t": 2, "p": 0.5, "prices": [5e-324]},
+            {"id": "c1", "parent": "c", "t": 2, "p": 0.5, "prices": [5e-324]},
+            {"id": "d0", "parent": "d", "t": 2, "p": 0.5, "prices": [0.0]},
+            {"id": "d1", "parent": "d", "t": 2, "p": 0.5, "prices": [-2.0]},
+        ]
+        cert = check_viability(market_from_dict(doc(nodes, periods=2)))
+        assert (cert.viable, cert.status, cert.bound) == (False, "infeasible", None)
+        assert cert.offending_node == "c"
+
     @pytest.mark.xfail(strict=True, raises=SolverFailure, reason=(
         "no basis is certified and the simplex point misses a row by more "
         "than the simplex's _FEAS_TOL; one rank decision per node (ROADMAP "

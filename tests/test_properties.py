@@ -1,13 +1,15 @@
 """Metamorphic properties the theory guarantees, on generated markets:
 price scale and price level do not matter, sibling order and node order
-only permute the outputs, a leaf split into equally likely twins and a
-copy of an asset change nothing, and monotone truncation can only help."""
+only permute the outputs, a leaf split into equally likely twins, a
+copy of an asset and new node ids change nothing, and monotone
+truncation can only help."""
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from mmvport import analyze, generate_random_market, market_from_dict, market_to_dict
+from mmvport.fcfs import _report_fields
 
 SHAPES = (
     (2, 1, 1), (3, 1, 1), (4, 1, 2), (2, 2, 1),
@@ -174,3 +176,28 @@ def test_a_copy_of_the_first_asset_keeps_the_answer(tree):
     assert_same_answer(r1, r0)
     close(r1.signed_density, r0.signed_density)
     close(r1.nonneg_density, r0.nonneg_density)
+
+
+@given(small_markets(), st.randoms(use_true_random=False))
+def test_renamed_node_ids_keep_every_bit(tree, rng):
+    # one bijection onto fresh names in shuffled order, so neither the
+    # names nor their sort order match the old ones
+    doc = market_to_dict(tree)
+    fresh = [f"v{k}" for k in range(len(doc["nodes"]))]
+    rng.shuffle(fresh)
+    rename = {node["id"]: name for node, name in zip(doc["nodes"], fresh)}
+    rename[None] = None
+    nodes = [dict(node, id=rename[node["id"]], parent=rename[node["parent"]])
+             for node in doc["nodes"]]
+    renamed = market_from_dict(dict(doc, nodes=nodes))
+
+    def bits(values):
+        return [float(v).hex() for v in values]
+
+    want = _report_fields(analyze(tree), bits)
+    got = _report_fields(analyze(renamed), bits)
+    held = want.pop("strategy")
+    assert list(got.pop("strategy").items()) == [
+        (rename[k], v) for k, v in held.items()
+    ]
+    assert got == want
