@@ -21,22 +21,22 @@ process (this script with ``--child``), which imports this checkout's
 - ``cli``: one whole ``cli.main(["analyze", "--verify", FILE, "--out",
   OUT])`` on the written document.
 
-The child runs the stages twice.  The first pass is timed with
-``time.perf_counter`` and not traced, and ``ru_maxrss`` is read at its
-end; the second pass takes each stage's ``tracemalloc`` peak above the
-traced memory at the stage's start.  Every stage is timed once, in a
-fresh process, so a stage's first-call costs are in its figure.  The
-output records, per shape, the seconds and the peak MB of every stage,
-the child's ``ru_maxrss`` after the timed pass, and the commit (``git
-describe --dirty``), Python and numpy versions.  Shapes run one after
-another, so only one child holds its tree at a time.  A run of all nine
-shapes takes about 90 s, most of it in the traced pass.
+The child runs the stages ``REPEATS`` + 1 times.  The first ``REPEATS``
+passes are timed with ``time.perf_counter`` and not traced; each stage
+keeps its least time, and ``ru_maxrss`` is read after them.  The last
+pass takes each stage's ``tracemalloc`` peak above the traced memory at
+the stage's start.  The output records, per shape, the seconds and the
+peak MB of every stage, the child's ``ru_maxrss`` after the timed passes,
+and the commit (``git describe --dirty``), Python and numpy versions.
+Shapes run one after another, so only one child holds its tree at a
+time.  A run of all nine shapes takes about two minutes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import resource
@@ -52,6 +52,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # widest family whose bases viability enumerates
 SHAPES = ((2, 4, 1), (2, 8, 1), (2, 12, 1), (2, 17, 1), (3, 11, 1),
           (4, 4, 3), (4, 8, 3), (8, 5, 4), (9, 4, 2))
+REPEATS = 3  # timed passes per shape; a stage keeps its least time
 STAGES = ("generate", "market_to_json", "json.loads", "market_from_dict",
           "levels", "viability", "opportunity", "analyze_rest", "verify",
           "report_text", "cli")
@@ -120,14 +121,16 @@ def child(shape, seed) -> dict:
     sys.path.insert(0, os.path.join(ROOT, "src"))
     seconds, peaks, claimed = {}, {}, None
     with tempfile.TemporaryDirectory() as workdir:
-        for name, run in stages(shape, seed, workdir):
-            start = time.perf_counter()
-            result = run()
-            seconds[name] = time.perf_counter() - start
-            if name == "verify":
-                claimed = result
-                if not result:
-                    seconds[name] = None
+        for _ in range(REPEATS):
+            for name, run in stages(shape, seed, workdir):
+                start = time.perf_counter()
+                result = run()
+                took = time.perf_counter() - start
+                seconds[name] = min(seconds.get(name, math.inf), took)
+                if name == "verify":
+                    claimed = result
+        if not claimed:
+            seconds["verify"] = None
         maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         tracemalloc.start()
         for name, run in stages(shape, seed, workdir):
