@@ -561,10 +561,10 @@ def _one_asset_step(s, r, allowed, rest):
     above = np.where(allowed[bare], s[bare], -np.inf)
     low, high = below.min(axis=1), above.max(axis=1)
     feasible[bare] = ok = (low <= 0.0) & (high >= 0.0)
-    up = np.where(ok & (high > low), -low / (high - low), 0.0)
+    share = np.where(ok & (high > low), -low / (high - low), 0.0)
     q[bare] = value[bare] = 0.0
-    q[bare, below.argmin(axis=1)] = np.where(ok, 1.0 - up, 0.0)
-    q[bare, above.argmax(axis=1)] += up
+    q[bare, below.argmin(axis=1)] = np.where(ok, 1.0 - share, 0.0)
+    q[bare, above.argmax(axis=1)] += share
     return q, value, feasible
 
 
