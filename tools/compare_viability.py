@@ -19,6 +19,11 @@ spreads 0.3, 1 and 3, each tree taken three ways:
   to 1.7 times its asset-0 price plus 1e-8 N(0, 1), the noise drawn from
   ``np.random.default_rng(seed)`` in file order.
 
+No tree of the grid has subnormal increments, so a one-asset node whose
+weighted drift underflows to 0 (every increment 5e-324) is outside it;
+``test_an_arbitrage_whose_drift_underflows_is_named`` in
+``tests/test_market.py`` holds that case.
+
 Prints every tree whose viable flag, status, offending node, bound bits or
 density bits differ between the sides, then each side's tally of outcomes
 per variant (a ``SolverFailure`` is an outcome) and the number of trees

@@ -1,10 +1,11 @@
 """Time and memory of every stage of ``mmvport analyze`` over a ladder of shapes.
 
-    python tools/stage_ladder.py [--out BENCH_stages.json] [--seed 0]
+    python tools/stage_ladder.py [--out BENCH_stages.json]
 
-Each (branching, periods, assets) of ``SHAPES`` runs in a fresh child
-process (this script with ``--child``), which imports this checkout's
-``src/mmvport`` and takes these stages in turn, each timed in process:
+Each (branching, periods, assets) of ``SHAPES``, generated from seed
+``SEED``, runs in a fresh child process (this script with ``--child``),
+which imports this checkout's ``src/mmvport`` and takes these stages in
+turn, each timed in process:
 
 - ``generate``: ``generate_random_market``;
 - ``market_to_json``, ``json.loads`` and ``market_from_dict``: the
@@ -52,13 +53,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # widest family whose bases viability enumerates
 SHAPES = ((2, 4, 1), (2, 8, 1), (2, 12, 1), (2, 17, 1), (3, 11, 1),
           (4, 4, 3), (4, 8, 3), (8, 5, 4), (9, 4, 2))
+SEED = 0  # of every shape's generated market
 REPEATS = 3  # timed passes per shape; a stage keeps its least time
 STAGES = ("generate", "market_to_json", "json.loads", "market_from_dict",
           "levels", "viability", "opportunity", "analyze_rest", "verify",
           "report_text", "cli")
 
 
-def stages(shape, seed, workdir):
+def stages(shape, workdir):
     """Yield (stage name, thunk) in order; each thunk runs one stage."""
     import mmvport
     from mmvport import cli, fcfs
@@ -71,7 +73,7 @@ def stages(shape, seed, workdir):
 
     def generate():
         state["tree"] = mmvport.generate_random_market(
-            seed=seed, periods=t, branching=b, assets=d)
+            seed=SEED, periods=t, branching=b, assets=d)
 
     def write():
         state["text"] = market_to_json(state.pop("tree"))
@@ -116,13 +118,13 @@ def stages(shape, seed, workdir):
     yield "cli", whole
 
 
-def child(shape, seed) -> dict:
+def child(shape) -> dict:
     """Both passes of one shape, in this process."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
     seconds, peaks, claimed = {}, {}, None
     with tempfile.TemporaryDirectory() as workdir:
         for _ in range(REPEATS):
-            for name, run in stages(shape, seed, workdir):
+            for name, run in stages(shape, workdir):
                 start = time.perf_counter()
                 result = run()
                 took = time.perf_counter() - start
@@ -133,7 +135,7 @@ def child(shape, seed) -> dict:
             seconds["verify"] = None
         maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         tracemalloc.start()
-        for name, run in stages(shape, seed, workdir):
+        for name, run in stages(shape, workdir):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             run()
@@ -164,19 +166,18 @@ def commit() -> str:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_stages.json"))
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child:
         shape = tuple(int(v) for v in args.child.split(","))
-        json.dump(child(shape, args.seed), sys.stdout)
+        json.dump(child(shape), sys.stdout)
         return 0
 
     import numpy as np
 
     rows = []
     for shape in SHAPES:
-        argv = [sys.executable, os.path.abspath(__file__), "--seed", str(args.seed),
+        argv = [sys.executable, os.path.abspath(__file__),
                 "--child", ",".join(map(str, shape))]
         done = subprocess.run(argv, capture_output=True, text=True, check=True)
         rows.append(json.loads(done.stdout))
@@ -187,7 +188,7 @@ def main() -> int:
         "commit": commit(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "seed": args.seed,
+        "seed": SEED,
         "stages": list(STAGES),
         "shapes": rows,
     }
