@@ -210,13 +210,13 @@ def _quadratic_step(dS: np.ndarray, w: np.ndarray, ids: list, t: int):
     """
     with np.errstate(over="ignore", invalid="ignore"):
         second = np.einsum("nk,nkd->nd", w, dS * dS)
-        first = np.einsum("nk,nkd->nd", w, dS)
-        # one test; a total that merely overflows walks for nothing
-        finite = np.isfinite(second.sum() + first.sum())
+        # |sum w dS| <= (sum w + second) / 2 for finite increments: test
+        # second alone, once; a total that merely overflows walks for nothing
+        finite = np.isfinite(second.sum())
     if not finite:
         _require_finite(second, ids)
-        _require_finite(first, ids)
     if dS.shape[2] == 1:
+        first = np.einsum("nk,nkd->nd", w, dS)
         phi = np.divide(first, second, out=np.zeros_like(first), where=second > 0.0)
     else:
         root = np.sqrt(w)

@@ -513,32 +513,20 @@ def load_packaged_market(name: str) -> ScenarioTree:
 
 
 def market_to_dict(tree: ScenarioTree) -> dict:
-    ids = tree.ids
-    nodes = []
-    for nid, up, t, cond, row in zip(
-        ids,
-        tree.parent.tolist(),
-        tree.t.tolist(),
-        tree.cond_prob.tolist(),
-        tree.prices.tolist(),
-    ):
-        entry = {"id": nid, "parent": None if up < 0 else ids[up], "t": t}
-        if up >= 0:
-            entry["p"] = cond
-        entry["prices"] = row
-        nodes.append(entry)
-    return {"assets": tree.assets, "periods": tree.periods, "nodes": nodes}
+    return json.loads(market_to_json(tree))
 
 
 def market_to_json(tree: ScenarioTree) -> str:
-    """``json.dumps(market_to_dict(tree), indent=2)`` and a newline, byte for byte.
+    """The market file of ``tree``: JSON as ``json.dumps(indent=2)`` writes it.
 
-    The text is one ``"".join`` of a list that repeats one node's pieces:
-    the constant fragments, and slots filled a column at a time by slice
-    assignment with ids through the encoder's own ``encode_basestring_ascii``
-    and numbers through ``int.__repr__`` and ``float.__repr__`` as ``json``
-    writes them (every stored number is finite).  The root's pieces (a null
-    parent, no "p") are patched in place.
+    ``node`` below is the one statement of a node's keys and their order:
+    "id", "parent", "t", "p", "prices"; the root has a null parent and no
+    "p".  The text is one ``"".join`` of a list that repeats one node's
+    pieces: the constant fragments, and slots filled a column at a time by
+    slice assignment with ids through the encoder's own
+    ``encode_basestring_ascii`` and numbers through ``int.__repr__`` and
+    ``float.__repr__`` as ``json`` writes them (every stored number is
+    finite), and a final newline.  The root's pieces are patched in place.
     """
     d = tree.assets
     ids = list(map(encode_basestring_ascii, tree.ids))

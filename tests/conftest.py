@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.internal.conjecture import providers
+from hypothesis.internal.constants_ast import Constants
 
 # property tests draw from a fixed sequence, so a tier-1 run is
 # reproducible and its length bounded; no example database is written
@@ -8,6 +10,12 @@ settings.register_profile(
     "mmvport", derandomize=True, max_examples=50, deadline=None, database=None
 )
 settings.load_profile("mmvport")
+
+# hypothesis also draws from the literals of every loaded local module;
+# an empty pool makes each test's examples a function of its seed alone,
+# whichever modules the run has imported
+_NO_LOCAL_CONSTANTS = Constants()
+providers._get_local_constants = lambda: _NO_LOCAL_CONSTANTS
 
 from mmvport import (
     DiscreteLaw,

@@ -14,7 +14,8 @@ clip-set loop keeps its own line search, a walk over the crossings in
 views of a tree (gain matrix, martingale constraint system) are built here
 from its per-node views, and the node-by-node market parser and random
 generator the columnar tree replaced are kept as the references for the
-array passes that load and generate markets now; the generator's
+array passes that load and generate markets now, and the node-by-node
+document builder as the reference for the one market file writer; the generator's
 per-node draw loop is kept as the reference for its one-block draws.  The
 cell-by-cell law CSV reader is kept as the reference for the
 column-at-a-time one, and the one-payoff Sharpe ratio, each sum a list's
@@ -566,6 +567,25 @@ def reference_market_from_dict(obj) -> dict:
             {"id": nid, "parent": pid, "t": t, "p": prob, "prices": prices}
         )
     return _reference_build_tree(assets, periods, raw_nodes)
+
+
+def reference_market_to_dict(tree) -> dict:
+    """The market document of ``tree``, built a node at a time from its columns."""
+    ids = tree.ids
+    nodes = []
+    for nid, up, t, cond, row in zip(
+        ids,
+        tree.parent.tolist(),
+        tree.t.tolist(),
+        tree.cond_prob.tolist(),
+        tree.prices.tolist(),
+    ):
+        entry = {"id": nid, "parent": None if up < 0 else ids[up], "t": t}
+        if up >= 0:
+            entry["p"] = cond
+        entry["prices"] = row
+        nodes.append(entry)
+    return {"assets": tree.assets, "periods": tree.periods, "nodes": nodes}
 
 
 

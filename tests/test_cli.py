@@ -20,11 +20,13 @@ from hypothesis import strategies as st
 import mmvport
 from mmvport import (
     analyze,
+    check_viability,
     cli,
     generate_random_market,
     load_packaged_market,
     market_to_json,
 )
+from mmvport import market as market_module
 from mmvport.cli import _build_parser, _certified_texts, main
 from mmvport.fcfs import _print_alike, _rounded_digits, _sig_texts, report_to_dict
 from mmvport.market import load_market
@@ -1139,23 +1141,41 @@ class TestGenerateAndSelftest:
         assert out.splitlines()[-1].startswith("selftest PASS")
 
 
+def one_period_market(nodes) -> str:
+    return json.dumps({"assets": 1, "periods": 1, "nodes": nodes})
+
+
 class TestExitContract:
-    # (subcommand, file to create, its content or None for a directory)
+    ROOT = {"id": "r", "parent": None, "t": 0, "prices": [1.0]}
+
+    # (subcommand, file to create, its content or None for a directory,
+    # the one stderr line or None where only its "error:" prefix is fixed)
     REFUSED = [
-        ("analyze", "dir", None),
-        ("generate", "dir", None),
-        ("analyze", "brackets.json", "[" * 5000),
-        ("analyze", "nested.json", '{"a": ' * 5000 + "1" + "}" * 5000),
-        ("msharpe", "wide.csv", "x" * 200_000 + "\n"),
+        ("analyze", "dir", None, None),
+        ("generate", "dir", None, None),
+        ("analyze", "brackets.json", "[" * 5000, None),
+        ("analyze", "nested.json", '{"a": ' * 5000 + "1" + "}" * 5000, None),
+        ("msharpe", "wide.csv", "x" * 200_000 + "\n", None),
+        ("analyze", "roots.json", one_period_market([ROOT, dict(ROOT, id="s")]),
+         "more than one root node"),
+        ("analyze", "negative-t.json", one_period_market(
+            [ROOT, {"id": "a", "parent": "r", "t": -1, "p": 1.0, "prices": [1.0]}]),
+         "node 'a': t must be nonnegative"),
+        ("analyze", "no-nodes.json", one_period_market([]),
+         "nodes must be a nonempty list"),
+        ("msharpe", "law-dir", None,
+         "cannot read {path}: [Errno 21] Is a directory: '{path}'"),
+        ("msharpe", "commas.csv", ",\n,\n", "{path}: no rows"),
     ]
 
     @pytest.mark.parametrize(
-        "command, name, content",
+        "command, name, content, message",
         REFUSED,
-        ids=["dir", "out-dir", "deep-array", "deep-object", "wide-cell"],
+        ids=["dir", "out-dir", "deep-array", "deep-object", "wide-cell",
+             "two-roots", "negative-t", "no-nodes", "law-dir", "no-rows"],
     )
     def test_refused_input_is_one_line_and_exit_2(
-        self, capsys, tmp_path, command, name, content
+        self, capsys, tmp_path, command, name, content, message
     ):
         path = tmp_path / name
         if content is None:
@@ -1166,10 +1186,12 @@ class TestExitContract:
             argv = ("generate", "--seed", "0", "--out", path)
         else:
             argv = (command, path)
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "Traceback" not in err
+        if message is not None:
+            assert (out, err) == ("", f"error: {message.format(path=path)}\n")
 
     def test_out_of_memory_is_one_line_and_exit_3(self, capsys, monkeypatch):
         # what numpy raises for a tableau too large to allocate, simulated
@@ -1185,6 +1207,19 @@ class TestExitContract:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: out of memory: Unable to allocate")
+
+    @pytest.mark.parametrize("spread", ["0", "nan"])
+    def test_spread_must_be_positive(self, capsys, spread):
+        code, out, err = run(capsys, "generate", "--seed", "0", "--spread", spread)
+        assert (code, out, err) == (2, "", "error: spread must be a positive number\n")
+
+    def test_no_viable_draw_exits_3(self, capsys, monkeypatch, arbitrage_tree):
+        refused = check_viability(arbitrage_tree)
+        assert not refused
+        monkeypatch.setattr(market_module, "check_viability", lambda tree: refused)
+        code, out, err = run(capsys, "generate", "--seed", "3")
+        assert (code, out) == (3, "")
+        assert err == "error: no viable market in 100 attempts (seed 3)\n"
 
     def test_closed_output_pipe_exits_1_quietly(self, tmp_path):
         # a report of about 250 KB, several times a pipe's buffer

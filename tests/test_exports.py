@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis.internal.conjecture import providers
 
 import mmvport
 
@@ -114,3 +115,13 @@ def test_cli_import_leaves_the_pool_and_the_selftest_unloaded():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     ).stdout
     assert out.splitlines() == ["[]", "[]"]
+
+
+def test_property_draws_ignore_the_literals_of_loaded_modules():
+    # conftest empties hypothesis's pool of local-module literals; the pool
+    # is read through the provider that draws, so a hypothesis that renames
+    # the hook fails here instead of bringing those draws back
+    for name in MODULES:
+        importlib.import_module(name)
+    assert len(providers._get_local_constants()) == 0
+    assert len(providers.HypothesisProvider(None)._local_constants) == 0

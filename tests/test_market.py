@@ -33,6 +33,7 @@ from conftest import small_tree
 from oracles import (
     constraint_system,
     gain_matrix,
+    reference_market_to_dict,
     reference_viability,
     viability_linprog,
     wealth_by_paths,
@@ -200,7 +201,8 @@ class TestColumnarLayout:
 
     def test_writer_matches_json_dumps(self):
         def written_alike(tree):
-            return market_to_json(tree) == json.dumps(market_to_dict(tree), indent=2) + "\n"
+            want = json.dumps(reference_market_to_dict(tree), indent=2) + "\n"
+            return market_to_json(tree) == want
 
         trees = [small_tree(seed) for seed in range(12)]
         trees += [small_tree(seed, assets=d) for seed in range(3) for d in (2, 3)]
@@ -888,6 +890,8 @@ class TestGenerator:
         with pytest.raises(ValidationError):
             # leaf count blows past the safety cap
             generate_random_market(seed=1, periods=10, branching=10)
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            generate_random_market(seed=True)
 
     def test_leaf_cap_is_decided_without_the_full_power(self):
         # 2**(10**12) is never built: the refusal is immediate
