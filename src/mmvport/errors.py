@@ -18,7 +18,6 @@ __all__ = [
     "SolverError",
     "SolverFailure",
     "IterationLimit",
-    "SingularSystem",
     "GenerationFailure",
     "InconsistentEquivalence",
     "DomainError",
@@ -71,10 +70,6 @@ class SolverFailure(SolverError):
 
 class IterationLimit(SolverError):
     """Iteration cap exhausted before the stopping test was met."""
-
-
-class SingularSystem(SolverError):
-    """A linear system that should be solvable is numerically singular."""
 
 
 class GenerationFailure(SolverError):

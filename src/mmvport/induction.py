@@ -97,7 +97,7 @@ class TreeLevels:
     """A tree's one-step markets, grouped into same-width families.
 
     ``families`` lists the :class:`Family` of every (depth, width), root
-    first, each a slice of the nonterminal nodes sorted by (depth, width).
+    first, on the tree's own cut of its nonterminal nodes.
     Every sweep keeps its state in arrays over the tree's positions: a
     backward sweep walks the families in reverse and sets ``v[fam.nodes]``
     from ``v[fam.kids]``, a forward sweep walks them in order and sets
@@ -110,11 +110,10 @@ class TreeLevels:
     """
 
     def __init__(self, tree):
-        offsets, below = tree.child_offsets, tree.child_index
-        counts = offsets[1:] - offsets[:-1]
-        inner = counts > 0
+        offsets = tree.child_offsets
+        inner = offsets[1:] > offsets[:-1]
         self.assets = tree.assets
-        self.n_nodes = len(counts)
+        self.n_nodes = len(inner)
         self.root = int(np.argmin(tree.parent))
         self.leaves = np.flatnonzero(~inner)
         self.nonterminal = np.flatnonzero(inner)
@@ -126,20 +125,13 @@ class TreeLevels:
         # one test per tree: a fault only in the root's row walks for nothing
         finite = np.isfinite(steps).all()
         self.ids = names = np.array(tree.ids, dtype=object)
-        nodes = self.nonterminal
-        nodes = nodes[np.lexsort((nodes, counts[nodes], tree.t[nodes]))]
-        depth, width = tree.t[nodes], counts[nodes]
-        cuts = np.flatnonzero((depth[1:] != depth[:-1]) | (width[1:] != width[:-1]))
-        cuts = [0, *(cuts + 1).tolist(), len(nodes)]
         self.families = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            fam = nodes[lo:hi]
-            kids = below[offsets[fam, None] + np.arange(width[lo])]
+        for depth, fam, kids in tree._families:
             dS = steps[kids]
             if not finite:
                 _require_finite(dS.reshape(len(fam), -1), names[fam])
             self.families.append(Family(
-                int(depth[lo]), fam, kids, dS, tree.cond_prob[kids], names[fam]
+                depth, fam, kids, dS, tree.cond_prob[kids], names[fam]
             ))
 
     def propagate(self, initial_wealth: float, holdings) -> np.ndarray:

@@ -137,8 +137,12 @@ class ScenarioTree:
     root), ``t``, ``cond_prob``, ``path_prob`` and of the (nodes, assets)
     ``prices`` describes the k-th node of the file.  The children of node
     k are ``child_index[child_offsets[k]:child_offsets[k + 1]]``, in file
-    order.  The arrays are read-only.  ``nodes`` and ``node(id)`` are
-    :class:`TreeNode` views built on first use; no solver reads them.
+    order.  ``_families`` cuts the nonterminal nodes once, for
+    :class:`TreeLevels`: a (depth, nodes, children) triple per (depth,
+    width), root first, nodes in file order and the (nodes, width)
+    children row by row in file order.  The arrays are read-only.
+    ``nodes`` and ``node(id)`` are :class:`TreeNode` views built on first
+    use; no solver reads them.
 
     Construct via :func:`load_market`, :func:`market_from_dict` or
     :func:`generate_random_market`; the constructor re-checks nothing.
@@ -154,6 +158,7 @@ class ScenarioTree:
     prices: np.ndarray
     child_offsets: np.ndarray
     child_index: np.ndarray
+    _families: tuple
 
     @cached_property
     def nodes(self) -> tuple[TreeNode, ...]:
@@ -411,34 +416,29 @@ def _assemble(assets, periods, ids, parent, t, p, prices) -> ScenarioTree:
     child_index = below[np.argsort(parent[below], kind="stable")]
     child_offsets = np.concatenate(([0], np.cumsum(kids)))
 
-    # sibling probability sums, the families of one width at a time, then
-    # exact renormalization
-    families = np.flatnonzero(kids)
-    widths = kids[families]
-    totals = np.empty(len(families))
-    for w in set(widths.tolist()):
-        same = widths == w
-        sib = child_index[child_offsets[families[same], None] + np.arange(w)]
-        totals[same] = _fsum_rows(p[sib])
-    off = np.abs(totals - 1.0) > _SIBLING_SUM_TOL
+    # the nonterminal nodes cut into (depth, width) families, root first;
+    # per family the exact sibling sums, the renormalization and the path
+    # probabilities, parent times child
+    inner = np.flatnonzero(kids)
+    inner = inner[np.lexsort((inner, kids[inner], t[inner]))]
+    depth, width = t[inner], kids[inner]
+    cuts = np.flatnonzero((depth[1:] != depth[:-1]) | (width[1:] != width[:-1]))
+    cuts = [0, *(cuts + 1).tolist(), len(inner)]
+    families = []
+    total, cond, path = np.ones(n), np.ones(n), np.ones(n)
+    for lo, hi in zip(cuts, cuts[1:]):
+        fam = inner[lo:hi]
+        sib = child_index[child_offsets[fam, None] + np.arange(width[lo])]
+        total[fam] = _fsum_rows(p[sib])
+        cond[sib] = p[sib] / total[fam, None]
+        path[sib] = path[fam, None] * cond[sib]
+        families.append((int(depth[lo]), _frozen(fam), _frozen(sib)))
+    off = np.abs(total - 1.0) > _SIBLING_SUM_TOL
     if np.any(off):
-        j = int(np.argmax(off))
+        k = int(np.argmax(off))
         raise ValidationError(
-            f"children of {ids[families[j]]!r} have probabilities summing to "
-            f"{float(totals[j])!r}"
+            f"children of {ids[k]!r} have probabilities summing to {float(total[k])!r}"
         )
-    family_total = np.ones(n)
-    family_total[families] = totals
-    cond = p / family_total[parent]
-    cond[parent < 0] = 1.0
-
-    # path probabilities level by level, parent times child
-    path = np.ones(n)
-    by_depth = np.argsort(t, kind="stable")
-    bounds = np.cumsum(np.bincount(t)).tolist()
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        level = by_depth[lo:hi]
-        path[level] = path[parent[level]] * cond[level]
 
     return ScenarioTree(
         assets=assets,
@@ -451,6 +451,7 @@ def _assemble(assets, periods, ids, parent, t, p, prices) -> ScenarioTree:
         prices=_frozen(prices),
         child_offsets=_frozen(child_offsets),
         child_index=_frozen(child_index),
+        _families=tuple(families),
     )
 
 
@@ -671,9 +672,6 @@ class MeasureDensity:
             nonnegative=bool(z.min() >= -_ZERO_TOL),
         )
 
-    def as_random_variable(self) -> RandomVariable:
-        return RandomVariable(self.tree.law, self.values)
-
 
 def check_viability(tree: ScenarioTree) -> ViabilityCertificate:
     """Decide whether a strictly positive martingale density exists.
@@ -793,7 +791,6 @@ def generate_random_market(
     branching: int = 2,
     assets: int = 1,
     spread: float = 0.3,
-    max_attempts: int = 100,
 ) -> ScenarioTree:
     """Generate a random viable market, deterministically from the seed.
 
@@ -801,7 +798,7 @@ def generate_random_market(
     strictly positive weight vector distinct from the physical
     probabilities, so a positive martingale measure exists by construction
     while the physical drift stays generically nonzero.  Viability is
-    still re-checked and non-viable draws rejected, up to ``max_attempts``.
+    still re-checked and non-viable draws rejected, up to 100 of them.
     """
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValidationError("seed must be an integer")
@@ -819,10 +816,9 @@ def generate_random_market(
             raise ValidationError("tree would exceed 200000 leaves")
 
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    attempts = 100
+    for _ in range(attempts):
         tree = _random_tree(rng, periods, branching, assets, float(spread))
         if check_viability(tree):
             return tree
-    raise GenerationFailure(
-        f"no viable market in {max_attempts} attempts (seed {seed})"
-    )
+    raise GenerationFailure(f"no viable market in {attempts} attempts (seed {seed})")

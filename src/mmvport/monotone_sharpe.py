@@ -109,12 +109,9 @@ def solve_alpha_hat(X: RandomVariable) -> float:
     return _rescale(_root(X, Xs, mean(Xs)), -k)
 
 
-def alpha_root_bisection(
-    X: RandomVariable,
-    tol: float = 1e-13,
-    max_iter: int = 200,
-) -> float:
-    """Bisection cross-check for :func:`solve_alpha_hat`.
+def alpha_root_bisection(X: RandomVariable) -> float:
+    """Bisection cross-check for :func:`solve_alpha_hat`, to a bracket of
+    1e-13 (1 + a) or 200 halvings.
 
     Reference for the tests and the benchmark checks.
     """
@@ -131,9 +128,9 @@ def alpha_root_bisection(
         if slope(hi) <= 0.0:
             break
         hi *= 2.0
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * (1.0 + abs(mid)):
+        if hi - lo <= 1e-13 * (1.0 + abs(mid)):
             return mid
         if slope(mid) > 0.0:
             lo = mid
@@ -182,30 +179,26 @@ def monotone_sharpe(X: RandomVariable) -> MonotoneSharpeResult:
     )
 
 
-def oracle_grid_sr(X: RandomVariable, grid=None) -> float:
+def oracle_grid_sr(X: RandomVariable) -> float:
     """Brute-force sup_K SR(min(X, K)) over a cap grid.
 
-    Slow reference used to validate :func:`monotone_sharpe`.  The default
-    grid unions the positive atom values (where the objective has kinks)
-    with a dense linear sweep and a geometric sweep of (0, max X], so the
-    true cap is bracketed within one linear step.
+    Slow reference used to validate :func:`monotone_sharpe`.  The grid
+    unions the positive atom values (where the objective has kinks) with a
+    dense linear sweep and a geometric sweep of (0, max X], so the true cap
+    is bracketed within one linear step.
     """
     x = X.values
     p = X.law.probabilities
     vmax = float(x.max())
     if vmax <= 0.0:
         return sharpe_ratio(X)
-    if grid is None:
-        pos = x[x > 0.0]
-        atoms = np.unique(pos)
-        lin = np.linspace(vmax / 2500.0, vmax, 2500)
-        geo = vmax * np.geomspace(1e-4, 1.0, 500)
-        # Half the smallest positive atom: below every kink, where capping
-        # approaches the scale-free regime of the no-downside case.
-        grid = np.unique(np.concatenate([atoms, lin, geo, [float(pos.min()) / 2.0]]))
-    else:
-        grid = np.asarray(grid, dtype=float)
-        grid = grid[grid > 0.0]
+    pos = x[x > 0.0]
+    atoms = np.unique(pos)
+    lin = np.linspace(vmax / 2500.0, vmax, 2500)
+    geo = vmax * np.geomspace(1e-4, 1.0, 500)
+    # Half the smallest positive atom: below every kink, where capping
+    # approaches the scale-free regime of the no-downside case.
+    grid = np.unique(np.concatenate([atoms, lin, geo, [float(pos.min()) / 2.0]]))
     capped = np.minimum(x[:, None], grid[None, :])
     means = p @ capped
     variances = p @ (capped - means[None, :]) ** 2

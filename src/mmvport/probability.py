@@ -23,8 +23,7 @@ the rest of the package is built on:
     F_mmv(X) = sup_c { E[U(min(X - c, 1))] + c }, the cash-adjusted
     truncated functional.  The supremum is attained at the unique root of
     E[(1 - X + c)^+] = 1, which is piecewise linear and increasing in c, so
-    the root is found exactly by the kink walk below; a bisection fallback
-    exists purely as a cross-check.
+    the root is found exactly by the kink walk below.
 
 The kink walk (``_kink_walk``) minimizes the truncated quadratic
 sum_k w_k ((r_k - t g_k)^+)^2 - 2 h t over an interval, row by row.  It is
@@ -88,7 +87,6 @@ __all__ = [
     "expected_truncated_utility",
     "mean_variance_value",
     "monotone_mean_variance_value",
-    "cash_level_bisection",
 ]
 
 _PROB_SUM_TOL = 1e-12
@@ -652,48 +650,6 @@ def _kink_walk(r, g, w, h: float = 0.0, lo: float = -math.inf,
     den = np.sum(b * active, axis=1)
     t = np.divide(num, den, out=np.where(num > 0.0, np.inf, -np.inf), where=den > 0.0)
     return np.clip(np.clip(t, left, right), lo, hi)
-
-
-def cash_level_bisection(
-    X: RandomVariable,
-    tol_scale: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
-    """Root of E[(1 - X + c)^+] = 1 by bracketed bisection.
-
-    Slow reference for the kink walk; the initial bracket
-    [min(X) - 2, max(X) + 2] is widened geometrically if needed and the
-    search stops once the bracket width falls below tol_scale * (1 + |c|).
-    """
-    p = X.law.probabilities
-    x = X.values
-
-    def h(c: float) -> float:
-        return math.fsum((p * np.maximum(1.0 - x + c, 0.0)).tolist()) - 1.0
-
-    lo = float(x.min()) - 2.0
-    hi = float(x.max()) + 2.0
-    span = hi - lo
-    for _ in range(200):
-        if h(lo) < 0.0:
-            break
-        lo -= span
-        span *= 2.0
-    span = hi - lo
-    for _ in range(200):
-        if h(hi) > 0.0:
-            break
-        hi += span
-        span *= 2.0
-    for _ in range(max_iter):
-        c = 0.5 * (lo + hi)
-        if hi - lo <= tol_scale * (1.0 + abs(c)):
-            return c
-        if h(c) >= 0.0:
-            hi = c
-        else:
-            lo = c
-    return 0.5 * (lo + hi)
 
 
 def monotone_mean_variance_value(X: RandomVariable) -> HullValue:

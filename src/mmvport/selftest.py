@@ -422,14 +422,14 @@ def _criterion_6(quick: bool):
     return failures, detail
 
 
-def _golden_section_max(fn, lo: float, hi: float, iterations: int = 200):
-    """Maximum of a unimodal function on [lo, hi] by golden-section search."""
+def _golden_section_max(fn, lo: float, hi: float):
+    """Maximum of a unimodal function on [lo, hi] by 200 golden-section steps."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iterations):
+    for _ in range(200):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)

@@ -19,7 +19,8 @@ document builder as the reference for the one market file writer; the generator'
 per-node draw loop is kept as the reference for its one-block draws.  The
 cell-by-cell law CSV reader is kept as the reference for the
 column-at-a-time one, and the one-payoff Sharpe ratio, each sum a list's
-``math.fsum``, as the reference for the dense cap-sweep pass.  The
+``math.fsum``, as the reference for the dense cap-sweep pass; the hull
+cash level by bisection is the reference for the kink walk.  The
 viability sweep that takes every family's full step, weights included,
 and keeps them for the density is the reference for the sweep that keeps
 floors only.  One builder, ``iid_tree``, makes trees whose every node
@@ -407,6 +408,48 @@ def golden_max(fn, lo, hi, iterations=200):
             fd = fn(d)
     mid = 0.5 * (a + b)
     return max(fn(mid), fc, fd)
+
+
+def cash_level_bisection(
+    X: RandomVariable,
+    tol_scale: float = 1e-12,
+    max_iter: int = 200,
+) -> float:
+    """Root of E[(1 - X + c)^+] = 1 by bracketed bisection.
+
+    Slow reference for the kink walk; the initial bracket
+    [min(X) - 2, max(X) + 2] is widened geometrically if needed and the
+    search stops once the bracket width falls below tol_scale * (1 + |c|).
+    """
+    p = X.law.probabilities
+    x = X.values
+
+    def h(c: float) -> float:
+        return math.fsum((p * np.maximum(1.0 - x + c, 0.0)).tolist()) - 1.0
+
+    lo = float(x.min()) - 2.0
+    hi = float(x.max()) + 2.0
+    span = hi - lo
+    for _ in range(200):
+        if h(lo) < 0.0:
+            break
+        lo -= span
+        span *= 2.0
+    span = hi - lo
+    for _ in range(200):
+        if h(hi) > 0.0:
+            break
+        hi += span
+        span *= 2.0
+    for _ in range(max_iter):
+        c = 0.5 * (lo + hi)
+        if hi - lo <= tol_scale * (1.0 + abs(c)):
+            return c
+        if h(c) >= 0.0:
+            hi = c
+        else:
+            lo = c
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,24 @@ class TestParsing:
         with pytest.raises(ValidationError):
             market_from_dict(doc(nodes))
 
+    def test_sibling_refusal_names_the_first_parent_in_file_order(self):
+        # every family is off, and the first in the file is neither the
+        # shallowest nor the narrowest
+        nodes = [
+            {"id": "b", "parent": "r", "t": 1, "p": 0.5, "prices": [0.5]},
+            *({"id": f"b{k}", "parent": "b", "t": 2, "p": 0.3, "prices": [0.5 + k]}
+              for k in range(3)),
+            {"id": "r", "parent": None, "t": 0, "prices": [1.0]},
+            {"id": "a", "parent": "r", "t": 1, "p": 0.6, "prices": [1.5]},
+            {"id": "a0", "parent": "a", "t": 2, "p": 0.5, "prices": [1.0]},
+            {"id": "a1", "parent": "a", "t": 2, "p": 0.6, "prices": [2.0]},
+        ]
+        with pytest.raises(ValidationError) as refused:
+            market_from_dict(doc(nodes, periods=2))
+        assert str(refused.value) == (
+            "children of 'b' have probabilities summing to 0.8999999999999999"
+        )
+
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")

@@ -103,6 +103,12 @@ class TestMonotoneSharpe:
             res = monotone_sharpe(X)
             assert res.sr_m == pytest.approx(oracle_grid_sr(X), abs=2e-3)
 
+    def test_grid_oracle_without_a_positive_atom_is_the_sharpe_ratio(self):
+        # no cap below max X <= 0 changes the payoff
+        for values in ([-1.0, 0.0], [-3.0, -0.5, -2.0]):
+            X = rv(values)
+            assert oracle_grid_sr(X) == sharpe_ratio(X)
+
     def test_dominates_plain_sharpe(self):
         rng = np.random.default_rng(24)
         for _ in range(60):

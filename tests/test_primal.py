@@ -1,11 +1,15 @@
 """Primal optimizers: quadratic utility, its truncated hull, and the
 mean-variance-improving allocation built from them."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mmvport import (
+    DimensionMismatch,
     SolverFailure,
+    Strategy,
     analyze,
     cash_level_residual,
     generate_random_market,
@@ -15,6 +19,7 @@ from mmvport import (
     terminal_wealth,
     verify_remark_foc,
 )
+from mmvport.primal import _allocation_from_hull
 from mmvport.probability import truncated_utility
 
 from conftest import small_tree
@@ -157,12 +162,27 @@ class TestMmvAllocation:
             assert verify_remark_foc(tree, alloc) is True
 
     def test_foc_check_rejects_mismatched_tree(self):
-        from mmvport import DimensionMismatch
-
         first, second = small_tree(0), small_tree(3)
         alloc = mmv_allocation(first, 0.0)
         with pytest.raises(DimensionMismatch):
             verify_remark_foc(second, alloc)
+
+    def test_foc_check_rejects_a_payoff_earned_on_another_tree(self):
+        # the holdings moved to a tree of the same shape, the payoff still
+        # the one they earned on the tree they were built on
+        first, second = small_tree(0), small_tree(6)
+        alloc = mmv_allocation(first, 0.0)
+        moved = dataclasses.replace(
+            alloc, strategy=Strategy.from_vector(second, alloc.strategy.vector)
+        )
+        moved.__dict__["payoff"] = alloc.payoff  # as a first read caches it
+        with pytest.raises(DimensionMismatch, match="not the terminal wealth"):
+            verify_remark_foc(second, moved)
+
+    def test_hull_at_the_bliss_bound_is_refused(self, trinomial):
+        hull = dataclasses.replace(optimal_truncated(trinomial, 0.0), value=0.5)
+        with pytest.raises(SolverFailure, match="bliss bound"):
+            _allocation_from_hull(trinomial, hull, 0.0)
 
     def test_strategy_independent_of_wealth(self):
         tree = small_tree(9)

@@ -37,10 +37,9 @@ from mmvport.probability import (
     _fsum,
     _fsum_rows,
     _kink_walk,
-    cash_level_bisection,
 )
 
-from oracles import _line_maximum, reference_sharpe_ratio, zoom_fmmv
+from oracles import _line_maximum, cash_level_bisection, reference_sharpe_ratio, zoom_fmmv
 
 
 def rv(values, probs=None):
@@ -101,6 +100,8 @@ class TestRandomVariable:
         Z = rv([1.0, 2.0], probs=np.array([0.3, 0.7]))
         with pytest.raises(DimensionMismatch):
             X + Z
+        with pytest.raises(DimensionMismatch, match="different laws"):
+            X - Z
 
 
 class TestMoments:
@@ -579,9 +580,8 @@ class TestFsumRows:
         )
 
     def test_the_exact_sum_rule_has_one_home(self):
-        # math.fsum is called where _fsum_rows decides how each sum is taken,
-        # and by the bisection reference, which keeps its own sum; the
-        # crossover is a constant of probability.py alone
+        # math.fsum is called only where _fsum_rows decides how each sum is
+        # taken; the crossover is a constant of probability.py alone
         calls, constants = set(), []
         for path in sorted(Path(probability.__file__).parent.glob("*.py")):
             for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -592,8 +592,7 @@ class TestFsumRows:
                     if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
                             and node.id.startswith("_FSUM")):
                         constants.append((path.name, node.id))
-        assert sorted(calls) == [("probability.py", "_fsum_rows"),
-                                 ("probability.py", "cash_level_bisection")]
+        assert sorted(calls) == [("probability.py", "_fsum_rows")]
         assert constants == [("probability.py", "_FSUM_ROWS_FROM")]
 
 
